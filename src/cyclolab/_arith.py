@@ -1,0 +1,211 @@
+"""Exact integer and Q[x] primitives, the one home of each for every module.
+
+Integers: divisors, Euler's phi, factorization and the floor k-th root, all
+in integer arithmetic.  Polynomials in Q[x] are ascending coefficient
+lists of Fractions; a trimmed list has a nonzero last entry, so the zero
+polynomial is [] and a trimmed p has degree len(p) - 1.  The algorithms
+are the textbook ones (Cohen, A Course in Computational Algebraic Number
+Theory, chapters 1 and 3).
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt
+
+_ZERO = Fraction(0)
+
+
+# ------------------------------------------------------------------ integers
+
+
+def iroot(n: int, k: int) -> int:
+    """Floor of the real k-th root of n >= 0: math.isqrt for k = 2, integer
+    Newton from above otherwise; no float at any size."""
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return isqrt(n)
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+# Miller-Rabin over these bases is a proof of primality below 3.3e24
+# (Sorenson and Webster 2017); above, a composite passing all 13 is unknown
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+RHO_BUDGET = 1 << 20  # Pollard-Brent steps per factorization
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 41 over the fixed bases."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int, budget: int) -> tuple[int, int]:
+    """(proper factor, steps used) of a composite n by Pollard rho with
+    Brent's cycle search and batched gcds (Brent 1980, BIT 20); raises
+    ValueError rather than take more than `budget` steps."""
+    steps = 0
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > budget:
+                raise ValueError("factorization exceeds the step budget")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, steps
+    raise AssertionError("unreachable: n is composite")
+
+
+def factorize(n: int) -> dict[int, int]:
+    """{p: e} with |n| = prod p^e, primes ascending.
+
+    Trial division by the primes below 1000, then Miller-Rabin, perfect
+    powers and Pollard-Brent rho on what is left.  Rho gets RHO_BUDGET
+    steps in all, enough for any factor below about 10^11; past it the
+    factorization is refused with ValueError.
+    """
+    n = abs(n)
+    if n == 0:
+        raise ValueError("zero has no factorization")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    # what is left is 1, a prime, or free of prime factors below 1000, so
+    # below 1000^2 it is prime
+    pending = [n] if n > 1 else []
+    budget = RHO_BUDGET
+    while pending:
+        m = pending.pop()
+        if m < 1000 * 1000 or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        for k in range(2, m.bit_length() // 9 + 1):
+            r = iroot(m, k)
+            if r**k == m:
+                pending += [r] * k
+                break
+        else:
+            d, used = _rho(m, budget)
+            budget -= used
+            pending += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, ascending."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    """Euler's totient of n >= 1."""
+    if n < 1:
+        raise ValueError("Euler's phi needs a positive integer")
+    out = n
+    for p in factorize(n):
+        out -= out // p
+    return out
+
+
+# ---------------------------------------------------------------- Q[x]
+
+
+def poly_trim(p: list) -> list:
+    """Drop trailing zero coefficients of p in place; return p."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def poly_sub(a: list, b: list) -> list:
+    out = list(a) + [_ZERO] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return poly_trim(out)
+
+
+def poly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """(q, r) with a = q*b + r and deg r < deg b, both trimmed; b must be
+    trimmed and nonzero.  One pass from the top, skipping zero terms."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = poly_trim(list(a))
+    n = len(b) - 1
+    if len(r) <= n:
+        return [], r
+    lc = Fraction(b[-1])
+    low = [(j, y) for j, y in enumerate(b[:n]) if y]
+    q = [_ZERO] * (len(r) - n)
+    for k in range(len(r) - n - 1, -1, -1):
+        c = r[k + n]
+        if c:
+            c = q[k] = c / lc
+            for j, y in low:
+                r[k + j] -= c * y
+    return q, poly_trim(r[:n])
+
+
+def poly_gcd(a: list, b: list) -> list:
+    """Monic gcd in Q[x]; [] when both are zero."""
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
@@ -156,6 +157,21 @@ def _radical_from_args(args) -> radical.RadicalSum:
                                      failures=failures)
 
 
+def _moduli_histogram(moduli, bins):
+    lo, hi = min(moduli), max(moduli)
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5  # constant orbit: widen for binning
+    return np.histogram(moduli, bins=bins, range=(lo, hi))
+
+
+def _write_hist(path, hist, edges):
+    """Histogram as CSV rows lo,hi,count."""
+    with open(path, "w") as fh:
+        fh.write("lo,hi,count\n")
+        for i in range(len(hist)):
+            fh.write(f"{float(edges[i])!r},{float(edges[i+1])!r},{int(hist[i])}\n")
+
+
 # ------------------------------------------------------------------ handlers
 
 
@@ -175,24 +191,17 @@ def _handle_flat_verify(args):
         results = {"flat": rep.flat, "witness": rep.witness, "mode": rep.mode,
                    "validity": validity}
     status = "flat" if rep.flat else "not-flat"
-    inputs = {"d": args.d, "exponents": args.exponents, "coeffs": args.coeffs,
-              "mu": args.mu, "numeric": args.numeric}
-    return inputs, results, status
+    return results, status
 
 
 def _handle_flat_search(args):
     res = flatsums.flat_search(_parse_ints(args.exponents), args.d, args.mu,
                                restarts=args.restarts, seed=args.seed)
-    inputs = {"d": args.d, "exponents": args.exponents, "mu": args.mu,
-              "restarts": args.restarts}
-    return inputs, res, res["verdict"]
+    return res, res["verdict"]
 
 
 def _handle_sn_survey(args):
-    rows = flatsums.sn_survey(args.N, args.dmax, restarts=args.restarts,
-                              seed=args.seed, threads=args.threads)
-    inputs = {"N": args.N, "dmax": args.dmax, "restarts": args.restarts}
-    return inputs, rows, "ok"
+    return flatsums.sn_survey(args.N, args.dmax, restarts=args.restarts, seed=args.seed), "ok"
 
 
 def _handle_reduce(args):
@@ -207,8 +216,7 @@ def _handle_reduce(args):
         "reduced_coefficients": [a for _, a in cert.reduced.terms],
         "mu": cert.reduced.mu,
     }
-    inputs = {"d": args.d, "exponents": args.exponents, "coeffs": args.coeffs, "mu": args.mu}
-    return inputs, results, "ok"
+    return results, "ok"
 
 
 def _handle_arc_count(args):
@@ -218,20 +226,14 @@ def _handle_arc_count(args):
     if args.hist_out:
         # angle histogram (turns) of the first coordinate over the orbit
         angles = [((r * orbit.k[0]) % orbit.m) / orbit.m for r in range(1, orbit.m + 1)]
-        hist, edges = np.histogram(angles, bins=64, range=(0.0, 1.0))
-        with open(args.hist_out, "w") as fh:
-            fh.write("lo,hi,count\n")
-            for i in range(len(hist)):
-                fh.write(f"{float(edges[i])!r},{float(edges[i+1])!r},{int(hist[i])}\n")
-    inputs = {"m": args.m, "k": args.k, "arcs": args.arcs}
-    return inputs, rep, "ok"
+        _write_hist(args.hist_out, *np.histogram(angles, bins=64, range=(0.0, 1.0)))
+    return rep, "ok"
 
 
 def _handle_weyl(args):
     orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k)))
     val = equidist.weyl_sum(orbit, _parse_ints(args.n))
-    inputs = {"m": args.m, "k": args.k, "n": args.n}
-    return inputs, {"value": val, "period": equidist.orbit_period(orbit)}, "ok"
+    return {"value": val, "period": equidist.orbit_period(orbit)}, "ok"
 
 
 def _handle_strict_check(args):
@@ -240,16 +242,13 @@ def _handle_strict_check(args):
         m_s, _, k_s = part.partition(":")
         window.append((int(m_s), _parse_ints(k_s)))
     res = equidist.strictness_window(window, threshold=args.threshold)
-    return {"seq": args.seq, "threshold": args.threshold}, res, res["verdict"]
+    return res, res["verdict"]
 
 
 def _handle_orbit(args):
     x = _radical_from_args(args)
     moduli = radical.orbit_moduli(x)
-    lo, hi = min(moduli), max(moduli)
-    if hi - lo < 1e-12:
-        lo, hi = lo - 0.5, hi + 0.5  # constant orbit: widen for binning
-    hist, edges = np.histogram(moduli, bins=args.bins, range=(lo, hi))
+    hist, edges = _moduli_histogram(moduli, args.bins)
     results = {
         "orbit_size": len(moduli),
         "min": min(moduli), "max": max(moduli),
@@ -261,29 +260,16 @@ def _handle_orbit(args):
         "moduli": moduli if len(moduli) <= 64 else None,
     }
     if args.hist_out:
-        with open(args.hist_out, "w") as fh:
-            fh.write("lo,hi,count\n")
-            for i in range(len(hist)):
-                fh.write(f"{float(edges[i])!r},{float(edges[i+1])!r},{int(hist[i])}\n")
-    inputs = {"sum": args.sum, "D": args.D, "c": args.c, "bins": args.bins}
-    return inputs, results, "ok"
+        _write_hist(args.hist_out, hist, edges)
+    return results, "ok"
 
 
 def _handle_dgamma(args):
     x = _radical_from_args(args)
     frac, concyclic = radical.d_gamma_eps(x, args.eps)
     if args.hist_out:
-        moduli = radical.orbit_moduli(x)
-        lo, hi = min(moduli), max(moduli)
-        if hi - lo < 1e-12:
-            lo, hi = lo - 0.5, hi + 0.5
-        hist, edges = np.histogram(moduli, bins=32, range=(lo, hi))
-        with open(args.hist_out, "w") as fh:
-            fh.write("lo,hi,count\n")
-            for i in range(len(hist)):
-                fh.write(f"{float(edges[i])!r},{float(edges[i+1])!r},{int(hist[i])}\n")
-    inputs = {"sum": args.sum, "eps": args.eps, "D": args.D, "c": args.c}
-    return inputs, {"fraction": frac, "concyclic": concyclic}, "ok"
+        _write_hist(args.hist_out, *_moduli_histogram(radical.orbit_moduli(x), 32))
+    return {"fraction": frac, "concyclic": concyclic}, "ok"
 
 
 def _handle_sigma_search(args):
@@ -291,8 +277,7 @@ def _handle_sigma_search(args):
     box = _parse_arcs(args.arcs)
     found = radical.sigma_search(x, box, args.eps)
     results = {"count": len(found), "elements": [{"t": g.t, "r": list(g.r)} for g in found]}
-    inputs = {"sum": args.sum, "eps": args.eps, "arcs": args.arcs, "D": args.D, "c": args.c}
-    return inputs, results, "ok"
+    return results, "ok"
 
 
 def _handle_factor_out(args):
@@ -306,8 +291,7 @@ def _handle_factor_out(args):
             {"coefficient": a, "exponents": list(k)} for a, k in y.terms
         ],
     }
-    inputs = {"sum": args.sum, "D": args.D, "c": args.c}
-    return inputs, results, "ok"
+    return results, "ok"
 
 
 def _handle_height(args):
@@ -316,17 +300,14 @@ def _handle_height(args):
     if args.radical is not None:
         a = _parse_fraction(args.radical)
         h = heights.radical_height(a, args.n)
-        poly = heights.radical_minpoly(a, args.n)
         results = {"height": h, "degree": args.n,
                    "mahler_measure": float(np.exp(h * args.n))}
-        inputs = {"radical": args.radical, "n": args.n}
     else:
         poly = _parse_minpoly(args.minpoly)
         h = heights.weil_height(poly)
         results = {"height": h, "degree": len(poly) - 1,
                    "mahler_measure": heights.mahler_measure(poly)}
-        inputs = {"minpoly": args.minpoly}
-    return inputs, results, "ok"
+    return results, "ok"
 
 
 def _handle_kummer(args):
@@ -339,8 +320,7 @@ def _handle_kummer(args):
         results["oracle"] = {"status": rep.status, "certificate": rep.certificate}
         if rep.status == "inconclusive":
             status = "inconclusive"
-    inputs = {"a": args.a, "d": args.d, "m": args.m, "oracle": args.oracle}
-    return inputs, results, status
+    return results, status
 
 
 HANDLERS = {
@@ -359,6 +339,29 @@ HANDLERS = {
     "kummer": _handle_kummer,
 }
 
+# The parsed arguments that make up each command's record `inputs` and
+# cache key; `height` picks its fields by branch in `_inputs`.
+INPUT_FIELDS = {
+    "flat-verify": ("d", "exponents", "coeffs", "mu", "numeric"),
+    "flat-search": ("d", "exponents", "mu", "restarts"),
+    "sn-survey": ("N", "dmax", "restarts"),
+    "reduce": ("d", "exponents", "coeffs", "mu"),
+    "arc-count": ("m", "k", "arcs"),
+    "weyl": ("m", "k", "n"),
+    "strict-check": ("seq", "threshold"),
+    "orbit": ("sum", "D", "c", "bins"),
+    "dgamma": ("sum", "eps", "D", "c"),
+    "sigma-search": ("sum", "eps", "arcs", "D", "c"),
+    "factor-out": ("sum", "D", "c"),
+    "kummer": ("a", "d", "m", "oracle"),
+}
+
+
+def _inputs(args) -> dict:
+    names = INPUT_FIELDS.get(args.cmd) or (
+        ("radical", "n") if args.radical is not None else ("minpoly",))
+    return {name: getattr(args, name) for name in names}
+
 
 # ------------------------------------------------------------------- parser
 
@@ -373,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None)
         sp.add_argument("--cache", default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker threads for arc-count, the only command "
+                             "that uses them (default: CPU count)")
         sp.add_argument("--no-timing", action="store_true")
 
     sp = sub.add_parser("flat-verify")
@@ -463,55 +468,68 @@ def _cache_key(command: str, inputs: dict, seed: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _cache_read(path: str) -> dict | None:
+    """The stored record at `path`, marked cached, or None for a miss."""
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+    except OSError:  # no entry yet, or one that cannot be read: recompute
+        return None
+    except ValueError:  # undecodable bytes or JSON
+        print("warning: corrupted cache entry, recomputing", file=sys.stderr)
+        return None
+    if isinstance(stored, dict) and stored.get("version") == __version__:
+        return {**stored, "cached": True}
+    return None
+
+
+def _cache_write(path: str, record: dict) -> None:
+    """Write through a temp file in the same directory, then rename, so a
+    reader never sees a partial entry."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(_dumps(record))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    handler = HANDLERS[args.cmd]
+    inputs = _inputs(args)
     cache_dir = args.cache or os.environ.get(CACHE_ENV)
-    t0 = time.perf_counter()
-    try:
-        inputs, results, status = handler(args)
-    except (ValueError, TypeError, ZeroDivisionError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    wall_ms = None if args.no_timing else (time.perf_counter() - t0) * 1000.0
-
-    record = {
-        "command": args.cmd,
-        "inputs": _plain(inputs),
-        "results": _plain(results),
-        "status": status,
-        "seed": args.seed,
-        "version": __version__,
-        "wall_ms": wall_ms,
-    }
-
-    if cache_dir:
-        key = _cache_key(args.cmd, inputs, args.seed)
-        path = os.path.join(cache_dir, key + ".json")
+    path = cache_dir and os.path.join(cache_dir, _cache_key(args.cmd, inputs, args.seed) + ".json")
+    # a --hist-out run computes, so that the histogram file gets written
+    record = _cache_read(path) if path and not getattr(args, "hist_out", None) else None
+    if record is None:
+        t0 = time.perf_counter()
         try:
-            os.makedirs(cache_dir, exist_ok=True)
-            if os.path.exists(path):
-                try:
-                    with open(path) as fh:
-                        stored = json.load(fh)
-                    if stored.get("version") == __version__:
-                        record = stored
-                        record["cached"] = True
-                except (json.JSONDecodeError, KeyError):
-                    print("warning: corrupted cache entry, recomputing",
-                          file=sys.stderr)
-                    with open(path, "w") as fh:
-                        fh.write(_dumps(record))
-            else:
-                with open(path, "w") as fh:
-                    fh.write(_dumps(record))
-        except OSError as exc:
-            print(f"error: cache directory unusable: {exc}", file=sys.stderr)
+            results, status = HANDLERS[args.cmd](args)
+        except (ValueError, TypeError, ZeroDivisionError, ArithmeticError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
+        record = {
+            "command": args.cmd,
+            "inputs": _plain(inputs),
+            "results": _plain(results),
+            "status": status,
+            "seed": args.seed,
+            "version": __version__,
+            "wall_ms": None if args.no_timing else (time.perf_counter() - t0) * 1000.0,
+        }
+        if path:
+            try:
+                _cache_write(path, record)
+            except OSError as exc:
+                print(f"error: cache directory unusable: {exc}", file=sys.stderr)
+                return 2
 
     text = _to_csv(record) if args.format == "csv" else _dumps(record) + "\n"
     if args.out:
@@ -523,7 +541,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return 3 if status == "inconclusive" else 0
+    return 3 if record["status"] == "inconclusive" else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+
+# euler_phi stays importable from here (tests and bench/make_reference.py use it)
+from ._arith import divisors, euler_phi, poly_divmod, poly_mul, poly_sub, poly_trim  # noqa: F401
 
 __all__ = [
     "CyclotomicNumber",
@@ -18,18 +21,6 @@ __all__ = [
     "zeta",
     "rational",
 ]
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _int_poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -63,23 +54,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]
-    for e in _divisors(n):
+    for e in divisors(n):
         if e < n:
             poly = _int_poly_divexact(poly, list(cyclotomic_polynomial(e)))
     return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _as_fraction(x) -> Fraction:
@@ -146,7 +124,7 @@ class CyclotomicNumber:
     def _pair(self, other):
         if not isinstance(other, CyclotomicNumber):
             other = CyclotomicNumber.from_rational(Fraction(other))
-        D = _lcm(self.order, other.order)
+        D = lcm(self.order, other.order)
         return self.lift(D), other.lift(D)
 
     # ---------------------------------------------------------- arithmetic
@@ -279,59 +257,21 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         """Multiplicative inverse via extended Euclid against Phi_order."""
         D = self.order
-        g = list(self.canonical())
-        while g and not g[-1]:
-            g.pop()
+        g = poly_trim(list(self.canonical()))
         if not g:
             raise ZeroDivisionError("division by zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(D)]
         # extended Euclid in Q[z]: u*g + v*phi = 1 (phi irreducible, g != 0)
-        r0, r1 = phi, g
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def polydivmod(a, b):
-            a = list(a)
-            q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-            while len(a) >= len(b) and any(a):
-                while a and not a[-1]:
-                    a.pop()
-                if len(a) < len(b):
-                    break
-                c = a[-1] / b[-1]
-                k = len(a) - len(b)
-                q[k] += c
-                for j in range(len(b)):
-                    a[k + j] -= c * b[j]
-                a.pop()
-            while len(a) > 1 and not a[-1]:
-                a.pop()
-            return q, a
-
-        def polysub(a, b):
-            n = max(len(a), len(b))
-            a = a + [Fraction(0)] * (n - len(a))
-            b = b + [Fraction(0)] * (n - len(b))
-            return [x - y for x, y in zip(a, b)]
-
-        def polymul(a, b):
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            out[i + j] += x * y
-            return out
-
-        while any(r1):
-            q, r = polydivmod(r0, r1)
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(D)], g
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q, r = poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, polysub(s0, polymul(q, s1))
+            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
         # r0 = gcd (a nonzero constant since Phi is irreducible and g != 0)
         const = r0[0]
-        inv_coeffs = [c / const for c in s0]
         v = [Fraction(0)] * D
-        for j, c in enumerate(inv_coeffs):
-            v[j % D] += c
+        for j, c in enumerate(s0):
+            v[j] = c / const
         return CyclotomicNumber(D, v)
 
     # ---------------------------------------------------------- embedding

@@ -52,10 +52,7 @@ class RootTupleOrbit:
 
 def orbit_period(orbit: RootTupleOrbit) -> int:
     """Smallest r with r*k_j == 0 (mod m) for all j; equals the orbit size."""
-    r = 1
-    for kj in orbit.k:
-        r = r * (orbit.m // gcd(orbit.m, kj)) // gcd(r, orbit.m // gcd(orbit.m, kj))
-    return r
+    return math.lcm(*(orbit.m // gcd(orbit.m, kj) for kj in orbit.k))
 
 
 def relation_lattice(m: int, k: Sequence[int]) -> list[list[int]]:

@@ -162,10 +162,7 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
         raise ValueError("subset check too large")
     bs = f.exponents
     has_zero = 0 in bs
-    g = f.d
-    for b in bs:
-        g = gcd(g, b)
-    gcd_one = g == 1
+    gcd_one = gcd(f.d, *bs) == 1
     coeffs = [a for _, a in f.terms]
     n = len(coeffs)
     # numeric prefilter: a subset sum far from 0 in doubles cannot vanish
@@ -208,17 +205,11 @@ class AutocorrelationProfile:
 
 def grouped_autocorrelation(f: SparseExpSum) -> AutocorrelationProfile:
     vals: dict = {}
-    if f.mode == "exact":
-        for bi, ai in f.terms:
-            for bj, aj in f.terms:
-                rho = (bi - bj) % f.d
-                prod = ai * aj.conjugate()
-                vals[rho] = vals.get(rho, CyclotomicNumber.zero(1)) + prod
-    else:
-        for bi, ai in f.terms:
-            for bj, aj in f.terms:
-                rho = (bi - bj) % f.d
-                vals[rho] = vals.get(rho, 0j) + ai * aj.conjugate()
+    zero = CyclotomicNumber.zero(1) if f.mode == "exact" else 0j
+    for bi, ai in f.terms:
+        for bj, aj in f.terms:
+            rho = (bi - bj) % f.d
+            vals[rho] = vals.get(rho, zero) + ai * aj.conjugate()
     return AutocorrelationProfile(f.d, vals, f.mode)
 
 
@@ -263,7 +254,7 @@ def is_flat(f: SparseExpSum, tol: float = 1e-9) -> FlatReport:
 # ------------------------------------------------ short-exponent bound scan
 
 
-def exponent_bound_scan(M: int, d: int, trials: int, seed: int, threads: int = 1) -> dict:
+def exponent_bound_scan(M: int, d: int, trials: int, seed: int) -> dict:
     """Randomized counterexample search for the short-exponent bound.
 
     A flat M-term sum on mu_d with d >= M^2 must use some exponent of
@@ -305,14 +296,7 @@ def exponent_bound_scan(M: int, d: int, trials: int, seed: int, threads: int = 1
             return dev, {"exponents": c.tolist(), "coefficients": u.tolist()}
         return dev, None
 
-    indices = list(range(trials))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_trial, indices))
-    else:
-        results = [run_trial(t) for t in indices]
+    results = [run_trial(t) for t in range(trials)]
     counterexamples = [r[1] for r in results if r[1] is not None]
     return {
         "M": M,
@@ -431,10 +415,7 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
         raise InternalInconsistencyError("q' and d' are not coprime")
     if c_list[0] != 0:
         raise InternalInconsistencyError("leading reduced exponent is not 0")
-    gg = d_prime
-    for ck in c_list:
-        gg = gcd(gg, ck)
-    if gg != 1:
+    if gcd(d_prime, *c_list) != 1:
         raise InternalInconsistencyError("reduced exponents share a factor with d'")
     if any(4 * abs(ck) >= d_prime for ck in c_list):
         raise InternalInconsistencyError("reduced exponent too large")
@@ -681,8 +662,7 @@ def _survey_one_d(N: int, d: int, restarts: int, seed: int) -> dict:
     return {"d": d, "status": "unresolved", "evidence": {"patterns": probes}}
 
 
-def sn_survey(N: int, d_max: int, restarts: int = 8, seed: int = 0,
-              threads: int = 1) -> list[dict]:
+def sn_survey(N: int, d_max: int, restarts: int = 8, seed: int = 0) -> list[dict]:
     """Membership survey for orders d <= d_max of N-term admissible flat sums.
 
     Combines exact certificates (stored witnesses, re-verified), exact
@@ -694,12 +674,4 @@ def sn_survey(N: int, d_max: int, restarts: int = 8, seed: int = 0,
         raise ValueError("survey too large")
     if N < 1 or d_max < 1:
         raise ValueError("bad survey parameters")
-    ds = list(range(1, d_max + 1))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(lambda d: _survey_one_d(N, d, restarts, seed), ds))
-    else:
-        rows = [_survey_one_d(N, d, restarts, seed) for d in ds]
-    return rows
+    return [_survey_one_d(N, d, restarts, seed) for d in range(1, d_max + 1)]

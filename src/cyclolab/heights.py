@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
+
+from ._arith import divisors, euler_phi, poly_divmod, poly_gcd, poly_mul, poly_trim
 
 __all__ = [
     "AlgebraicNumber",
@@ -26,68 +27,12 @@ DEGREE_CAP = 64
 # ------------------------------------------------------- poly helpers (Q[x])
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _degree(p) -> int:
-    p = _trim(list(p))
-    return len(p) - 1 if any(p) else -1
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a, b):
-    a = _trim([Fraction(x) for x in a])
-    b = _trim([Fraction(x) for x in b])
-    if not any(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while _degree(a) >= _degree(b) and any(a):
-        k = _degree(a) - _degree(b)
-        c = a[-1] / b[-1]
-        q[k] += c
-        for j, y in enumerate(b):
-            a[k + j] -= c * y
-        a = _trim(a)
-    return _trim(q), _trim(a)
-
-
-def _poly_gcd(a, b):
-    a, b = _trim([Fraction(x) for x in a]), _trim([Fraction(x) for x in b])
-    while any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if any(a) and a[-1] != 0:
-        a = [c / a[-1] for c in a]  # monic
-    return a
-
-
-def _derivative(p):
-    return _trim([Fraction(i) * c for i, c in enumerate(p)][1:]) or [Fraction(0)]
-
-
 def _primitive_int(p) -> list[int]:
     """Clear denominators, divide by the content, make the lead positive."""
-    p = _trim([Fraction(x) for x in p])
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
+    p = poly_trim([Fraction(x) for x in p]) or [Fraction(0)]  # zero stays [0]
+    den = math.lcm(*(c.denominator for c in p))
     ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    g = math.gcd(*ints)
     if g:
         ints = [c // g for c in ints]
     if ints[-1] < 0:
@@ -97,20 +42,19 @@ def _primitive_int(p) -> list[int]:
 
 def resultant(f, g) -> Fraction:
     """Res(f, g) over Q via the classical Euclidean recursion."""
-    f = _trim([Fraction(x) for x in f])
-    g = _trim([Fraction(x) for x in g])
-    m, n = _degree(f), _degree(g)
+    f = poly_trim([Fraction(x) for x in f])
+    g = poly_trim([Fraction(x) for x in g])
+    m, n = len(f) - 1, len(g) - 1
     if m < 0 or n < 0:
         return Fraction(0)
     if n == 0:
         return g[0] ** m
     if m == 0:
-        return f[0] ** n * (-1) ** (m * n)
-    _, r = _poly_divmod(f, g)
-    if not any(r):
+        return f[0] ** n
+    r = poly_divmod(f, g)[1]
+    if not r:
         return Fraction(0)
-    d = _degree(r)
-    return Fraction((-1) ** (m * n)) * g[-1] ** (m - d) * resultant(g, r)
+    return (-1) ** (m * n) * g[-1] ** (m - len(r) + 1) * resultant(g, r)
 
 
 def poly_roots(coeffs, polish_iters: int = 6) -> list[complex]:
@@ -164,17 +108,6 @@ def _rational_roots(ints: list[int]) -> list[Fraction]:
     if a0 == 0:
         return [Fraction(0)]
     found = []
-
-    def divisors(n):
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out += [d, n // d]
-            d += 1
-        return sorted(set(out))
-
     for p in divisors(a0):
         for q in divisors(an):
             for s in (1, -1):
@@ -280,13 +213,14 @@ def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
         for j, xj in enumerate(xs):
             if j == i:
                 continue
-            basis = _poly_mul(basis, [Fraction(-xj), Fraction(1)])
+            basis = poly_mul(basis, [Fraction(-xj), Fraction(1)])
             denom *= Fraction(xi - xj)
         scale = vals[i] / denom
         for t, c in enumerate(basis):
             q[t] += scale * c
-    q = _trim(q)
-    sf = _poly_divmod(q, _poly_gcd(q, _derivative(q)))[0]
+    poly_trim(q)
+    dq = poly_trim([i * c for i, c in enumerate(q)][1:])
+    sf = poly_divmod(q, poly_gcd(q, dq))[0]
     ints = _primitive_int(sf)
     if n < 0:
         ints = list(reversed(ints))
@@ -298,22 +232,17 @@ def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
     return AlgebraicNumber(tuple(ints), idx)
 
 
-def _euler_phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
 def is_root_of_unity(alpha: AlgebraicNumber) -> bool:
     """Exact torsion test: does the minimal polynomial divide x^k - 1 for
     some k with phi(k) <= deg?  (phi(k) >= sqrt(k/2) bounds the scan.)"""
-    ints = list(alpha.minpoly)
-    deg = len(ints) - 1
+    minpoly = [Fraction(c) for c in alpha.minpoly]
+    deg = len(minpoly) - 1
     kmax = 2 * deg * deg + 2
     for k in range(1, kmax + 1):
-        if _euler_phi(k) > deg:
+        if euler_phi(k) > deg:
             continue
         xk = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
-        _, rem = _poly_divmod(xk, [Fraction(c) for c in ints])
-        if not any(rem):
+        if not poly_divmod(xk, minpoly)[1]:
             return True
     return False
 

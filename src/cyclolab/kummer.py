@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .cyclotomic import CyclotomicNumber, zeta, euler_phi
+from ._arith import divisors, euler_phi, factorize, iroot
+from .cyclotomic import CyclotomicNumber, zeta
 from .lattice import lll_reduce
 
 __all__ = [
@@ -39,26 +40,12 @@ __all__ = [
 # ----------------------------------------------------------- integer helpers
 
 
-def _factorize(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def squarefree_part(n: int) -> int:
     """The squarefree s with n = s * t^2; the sign of n rides on s."""
     if n == 0:
         raise ValueError("zero has no squarefree part")
     s = -1 if n < 0 else 1
-    for p, e in _factorize(n).items():
+    for p, e in factorize(n).items():
         if e % 2:
             s *= p
     return s
@@ -70,35 +57,11 @@ def _nth_root_rational(a: Fraction, n: int) -> Fraction | None:
         return a
     if a < 0 and n % 2 == 0:
         return None
-
-    def iroot(x: int) -> int | None:
-        if x == 0:
-            return 0
-        neg = x < 0
-        x = abs(x)
-        r = round(x ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**n == x:
-                return -cand if neg else cand
+    num, den = abs(a.numerator), a.denominator
+    p, q = iroot(num, n), iroot(den, n)
+    if p**n != num or q**n != den:
         return None
-
-    p = iroot(a.numerator)
-    q = iroot(a.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
-
-
-def _v2(n: int) -> int:
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+    return Fraction(-p if a < 0 else p, q)
 
 
 # -------------------------------------------------------- conductor criterion
@@ -156,7 +119,7 @@ def sqrt_as_cyclotomic(rho: Fraction, order: int) -> CyclotomicNumber:
     t2 = _nth_root_rational(Fraction(n, s), 2)
     result = CyclotomicNumber.from_rational(Fraction(t2, rho.denominator), 1)
     k_imag = 0
-    for p in _factorize(s):
+    for p in factorize(s):
         if p == 2:
             result = result * (zeta(8) + zeta(8, 7))
         else:
@@ -215,8 +178,9 @@ def has_nth_root_in_cyclotomic(a, e: int, m: int) -> bool:
     if rho is not None:
         if a > 0:
             return True  # the rational root rho itself
-        # roots are rho * zeta_(2e)^odd; the smallest twist order is 2^(v2(e)+1)
-        return _zeta_order_in_cyclotomic(2 ** (_v2(e) + 1), m)
+        # roots are rho * zeta_(2e)^odd; the smallest twist order is 2^(v2(e)+1),
+        # twice the 2-part e & -e of e
+        return _zeta_order_in_cyclotomic(2 * (e & -e), m)
 
     if e % 2 == 0:
         rho = _nth_root_rational(mag, e // 2)
@@ -232,9 +196,7 @@ def has_nth_root_in_cyclotomic(a, e: int, m: int) -> bool:
                     if sqrt_in_cyclotomic(-rho, m):
                         return True  # zeta_4 * sqrt(rho) = sqrt(-rho)
                 else:
-                    L = m
-                    for f in (t, conductor_of_sqrt(rho), 4):
-                        L = _lcm(L, f)
+                    L = lcm(m, t, conductor_of_sqrt(rho), 4)
                     x = sqrt_as_cyclotomic(rho, L) * zeta(L, (L // t) * (tau // g))
                     if _in_subfield(x, m):
                         return True
@@ -259,21 +221,11 @@ class KummerQuery:
             raise ValueError("need the d-th roots of unity inside Q(zeta_m)")
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out += [d, n // d]
-        d += 1
-    return sorted(set(out))
-
-
 def rank1_failure(a, d: int, m: int) -> tuple[int, int]:
     """(c, degree) for one generator: c = largest e | d with an e-th root of
     a in Q(zeta_m); degree = d/c = [Q(zeta_m, a^(1/d)) : Q(zeta_m)]."""
     q = KummerQuery(Fraction(a), d, m)
-    for e in sorted(_divisors(q.d), reverse=True):
+    for e in reversed(divisors(q.d)):
         if has_nth_root_in_cyclotomic(q.a, e, q.m):
             return e, q.d // e
     raise AssertionError("unreachable: e = 1 always admits a root")
@@ -282,23 +234,14 @@ def rank1_failure(a, d: int, m: int) -> tuple[int, int]:
 # --------------------------------------------------- multi-generator towers
 
 
-def _prime_exponent_vector(a: Fraction, primes: list[int]) -> list[int]:
-    vec = []
-    fs_n = _factorize(a.numerator)
-    fs_d = _factorize(a.denominator)
-    for p in primes:
-        vec.append(fs_n.get(p, 0) - fs_d.get(p, 0))
-    return vec
-
-
 def multiplicatively_independent(gens) -> bool:
     """Full-rank test of the prime-exponent matrix over Q."""
     gens = [Fraction(g) for g in gens]
     if any(g <= 0 or g == 1 for g in gens):
         raise ValueError("generators must be positive rationals != 1")
-    primes = sorted({p for g in gens
-                     for p in (set(_factorize(g.numerator)) | set(_factorize(g.denominator)))})
-    rows = [[Fraction(x) for x in _prime_exponent_vector(g, primes)] for g in gens]
+    fs = [(factorize(g.numerator), factorize(g.denominator)) for g in gens]
+    primes = sorted({p for fs_n, fs_d in fs for p in (*fs_n, *fs_d)})
+    rows = [[Fraction(fs_n.get(p, 0) - fs_d.get(p, 0)) for p in primes] for fs_n, fs_d in fs]
     # Gaussian elimination rank
     rank = 0
     cols = len(primes)
@@ -335,7 +278,7 @@ def tower_degrees(generators, d: list[int], m: int) -> tuple[list[int], list[int
             if dl % 2 == 0:
                 f = conductor_of_sqrt(g)
                 if dl % 4 == 0:
-                    f = _lcm(f, 8)  # deeper 2-layers live over conductor 8
+                    f = lcm(f, 8)  # deeper 2-layers live over conductor 8
                 conds.append(f)
         for i in range(len(conds)):
             for j in range(i + 1, len(conds)):

@@ -16,11 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, zeta, euler_phi
+from .cyclotomic import CyclotomicNumber, zeta
 from .equidist import Arc, ArcBox
 from .kummer import rank1_failure, multiplicatively_independent
 from .lattice import relation_lattice_basis, shortest_relation, lll_reduce
@@ -49,10 +49,6 @@ ORBIT_CAP = 10**6
 BAND_SLACK = 1e-12
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 class RadicalContext:
     """Generators, radical denominators, cyclotomic order and Kummer failures.
 
@@ -76,7 +72,7 @@ class RadicalContext:
             raise ValueError("generators must be multiplicatively independent")
         if failures is None:
             failures = tuple(
-                rank1_failure(g, d, _lcm(D, d))[0] for g, d in zip(gens, dens)
+                rank1_failure(g, d, lcm(D, d))[0] for g, d in zip(gens, dens)
             )
         else:
             failures = tuple(int(c) for c in failures)
@@ -84,9 +80,7 @@ class RadicalContext:
                 if c < 1 or d % c:
                     raise ValueError("failures must divide the denominators")
         group = tuple(d // c for d, c in zip(dens, failures))
-        D_work = D
-        for n in group:
-            D_work = _lcm(D_work, n)
+        D_work = lcm(D, *group)
         self.generators = gens
         self.denominators = dens
         self.D = D
@@ -99,10 +93,7 @@ class RadicalContext:
         return len(self.generators)
 
     def orbit_size(self) -> int:
-        size = 1
-        for n in self.group:
-            size *= n
-        return size
+        return math.prod(self.group)
 
     def radical_value(self, kvec) -> float:
         """prod_l alpha_l^(k_l/d_l) on the positive real branch."""
@@ -424,9 +415,7 @@ def factor_out_division_point(x: RadicalSum) -> tuple[RadicalSum, Monomial]:
         col = [row[t] for row in kmat]
         kmin = min(col)
         shifted = [k - kmin for k in col]
-        g = ctx.denominators[t]
-        for s in shifted:
-            g = gcd(g, s)
+        g = gcd(ctx.denominators[t], *shifted)
         mins.append(kmin)
         divisors.append(g)
         new_dens.append(ctx.denominators[t] // g)
@@ -501,9 +490,7 @@ def exponent_relation_basis(kmatrix, m: int, threshold: int | None = None) -> di
             per_j.append({"j": j, "lam": lam, "lam_mu": lam_mu})
             all_lambdas.append(abs(lam))
         columns.append({"column": l, "J": J, "relations": per_j})
-    theta = 1
-    for v in all_lambdas:
-        theta *= v
+    theta = math.prod(all_lambdas)
     Lambda = []  # Lambda[j][l] = dict mu -> -theta * lam_mu / lam
     K = [[0] * ncols for _ in range(nrows)]
     for j in range(nrows):
@@ -584,6 +571,8 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
     context is inferred: generators in order of first appearance, each
     denominator the lcm of the exponent denominators seen for that base.
     """
+    if D is not None and D < 1:
+        raise ValueError("cyclotomic order must be positive")
     text = text.replace("-", "+ -").replace("++ -", "+ -")
     raw_terms = [t.strip() for t in text.split("+") if t.strip()]
     parsed = []
@@ -635,11 +624,9 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
                 gens.append(base)
                 dens[base] = q
             else:
-                dens[base] = _lcm(dens[base], q)
+                dens[base] = lcm(dens[base], q)
         parsed.append((coeff_rat, zfactors, radicals))
-    Dw = D if D is not None else 1
-    for o in zorders:
-        Dw = _lcm(Dw, o)
+    Dw = lcm(D if D is not None else 1, *zorders)
     context = RadicalContext(gens, [dens[g] for g in gens], Dw, failures=failures)
     terms = []
     for coeff_rat, zfactors, radicals in parsed:

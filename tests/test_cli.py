@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -199,6 +200,57 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]["value"] == "1"
+
+
+class TestCacheAndBounds:
+    def test_cache_hit_skips_handler(self, capsys, tmp_path, monkeypatch):
+        from cyclolab import cli as cli_mod
+
+        cache = tmp_path / "cache"
+        args = ["weyl", "--m", "12", "--k", "2,3", "--n", "3,2", "--cache", str(cache),
+                "--no-timing"]
+        _, rec1 = run_json(capsys, *args)
+
+        def must_not_run(args):
+            raise AssertionError("handler ran on a cache hit")
+
+        monkeypatch.setitem(cli_mod.HANDLERS, "weyl", must_not_run)
+        code, rec2 = run_json(capsys, *args)
+        assert code == 0 and rec2.pop("cached") is True and rec2 == rec1
+        assert [p.name.endswith(".json") for p in cache.iterdir()] == [True]
+
+    def test_cached_inconclusive_keeps_exit_3(self, capsys, tmp_path, monkeypatch):
+        from cyclolab import cli as cli_mod
+        from cyclolab.kummer import OracleReport
+
+        monkeypatch.setattr(cli_mod.kummer, "root_membership_oracle",
+                            lambda a, e, m: OracleReport("inconclusive", None, {}))
+        args = ["kummer", "--a", "2", "--d", "2", "--m", "8", "--oracle",
+                "--cache", str(tmp_path)]
+        assert run_json(capsys, *args)[0] == 3
+        monkeypatch.setitem(cli_mod.HANDLERS, "kummer", None)
+        code, rec = run_json(capsys, *args)
+        assert code == 3 and rec["cached"] is True
+
+    def test_hist_out_written_on_cached_rerun(self, capsys, tmp_path):
+        args = ["orbit", "--sum", "1 * 2^(1/3)", "--cache", str(tmp_path / "cache"),
+                "--no-timing"]
+        run_json(capsys, *args)
+        hist = tmp_path / "h.csv"
+        code, rec = run_json(capsys, *args, "--hist-out", str(hist))
+        assert code == 0 and rec["results"]["orbit_size"] == 3
+        assert hist.read_text().startswith("lo,hi,count")
+
+    def test_radicand_beyond_float_range(self, capsys):
+        code, rec = run_json(capsys, "kummer", "--a", str(10**400), "--d", "2", "--m", "8")
+        assert code == 0 and rec["results"] == {"c": 2, "degree": 1}
+
+    def test_unfactorable_radicand_exit_2(self, capsys):
+        t0 = time.perf_counter()
+        n = 604462909807314587365499 * 1208925819614629174707179  # two 80-bit primes
+        assert main(["kummer", "--a", str(n), "--d", "2", "--m", "8"]) == 2
+        assert "step budget" in capsys.readouterr().err
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestParsers:

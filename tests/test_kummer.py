@@ -188,3 +188,16 @@ class TestOracle:
                 want = has_nth_root_in_cyclotomic(a, e, m)
                 got = root_membership_oracle(a, e, m)
                 assert got.status == ("true" if want else "false")
+
+
+class TestBigIntegers:
+    """Exact roots at sizes where a float root is wrong or overflows."""
+
+    def test_big_perfect_cube(self):
+        assert rank1_failure((10**20 + 7) ** 3, 3, 3) == (3, 1)
+
+    def test_radicand_beyond_float_range(self):
+        assert rank1_failure(10**400, 2, 8) == (2, 1)
+
+    def test_big_perfect_square(self):
+        assert rank1_failure((10**20 + 7) ** 2, 2, 4) == (2, 1)
