@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 input error, 3 inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -339,96 +340,82 @@ HANDLERS = {
     "kummer": _handle_kummer,
 }
 
-# The parsed arguments that make up each command's record `inputs` and
-# cache key; `height` picks its fields by branch in `_inputs`.
-INPUT_FIELDS = {
-    "flat-verify": ("d", "exponents", "coeffs", "mu", "numeric"),
-    "flat-search": ("d", "exponents", "mu", "restarts"),
-    "sn-survey": ("N", "dmax", "restarts"),
-    "reduce": ("d", "exponents", "coeffs", "mu"),
-    "arc-count": ("m", "k", "arcs"),
-    "weyl": ("m", "k", "n"),
-    "strict-check": ("seq", "threshold"),
-    "orbit": ("sum", "D", "c", "bins"),
-    "dgamma": ("sum", "eps", "D", "c"),
-    "sigma-search": ("sum", "eps", "arcs", "D", "c"),
-    "factor-out": ("sum", "D", "c"),
-    "kummer": ("a", "d", "m", "oracle"),
-}
-
-
 def _inputs(args) -> dict:
-    names = INPUT_FIELDS.get(args.cmd) or (
-        ("radical", "n") if args.radical is not None else ("minpoly",))
-    return {name: getattr(args, name) for name in names}
+    """The parsed arguments that make up the record `inputs` and the cache
+    key: all but the shared options and --hist-out; `height` keeps only the
+    fields of the branch it takes."""
+    skip = {"cmd", "hist_out", *vars(_common().parse_args([]))}
+    if args.cmd == "height":
+        skip |= {"minpoly"} if args.radical is not None else {"radical", "n"}
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 # ------------------------------------------------------------------- parser
 
 
+@functools.cache
+def _common() -> argparse.ArgumentParser:
+    """The options every subcommand shares."""
+    c = argparse.ArgumentParser(add_help=False)
+    c.add_argument("--format", choices=["json", "csv"], default="json")
+    c.add_argument("--out", default=None)
+    c.add_argument("--cache", default=None)
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker threads for arc-count, the only command "
+                        "that uses them (default: CPU count)")
+    c.add_argument("--no-timing", action="store_true")
+    return c
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cyclolab")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    command = functools.partial(sub.add_parser, parents=[_common()])
 
-    def common(sp):
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--cache", default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for arc-count, the only command "
-                             "that uses them (default: CPU count)")
-        sp.add_argument("--no-timing", action="store_true")
-
-    sp = sub.add_parser("flat-verify")
+    sp = command("flat-verify")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--exponents", required=True)
     sp.add_argument("--coeffs", required=True)
     sp.add_argument("--mu", default="1")
     sp.add_argument("--numeric", action="store_true")
-    common(sp)
 
-    sp = sub.add_parser("flat-search")
+    sp = command("flat-search")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--exponents", required=True)
     sp.add_argument("--mu", type=float, default=1.0)
     sp.add_argument("--restarts", type=int, default=20)
-    common(sp)
 
-    sp = sub.add_parser("sn-survey")
+    sp = command("sn-survey")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--dmax", type=int, required=True)
     sp.add_argument("--restarts", type=int, default=8)
-    common(sp)
 
-    sp = sub.add_parser("reduce")
+    sp = command("reduce")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--exponents", required=True)
     sp.add_argument("--coeffs", required=True)
     sp.add_argument("--mu", default="1")
-    common(sp)
 
-    sp = sub.add_parser("arc-count")
+    sp = command("arc-count")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", required=True)
     sp.add_argument("--arcs", required=True)
     sp.add_argument("--hist-out", default=None)
-    common(sp)
 
-    sp = sub.add_parser("weyl")
+    sp = command("weyl")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", required=True)
     sp.add_argument("--n", required=True)
-    common(sp)
 
-    sp = sub.add_parser("strict-check")
+    sp = command("strict-check")
     sp.add_argument("--seq", required=True)
     sp.add_argument("--threshold", type=float, default=None)
-    common(sp)
 
     for name in ("orbit", "dgamma", "sigma-search", "factor-out"):
-        sp = sub.add_parser(name)
+        sp = command(name)
         sp.add_argument("--sum", required=True)
         sp.add_argument("--D", type=int, default=None)
         sp.add_argument("--c", default=None)
@@ -440,20 +427,17 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--eps", type=float, required=True)
         if name == "sigma-search":
             sp.add_argument("--arcs", required=True)
-        common(sp)
 
-    sp = sub.add_parser("height")
+    sp = command("height")
     sp.add_argument("--minpoly", default=None)
     sp.add_argument("--radical", default=None)
     sp.add_argument("--n", type=int, default=1)
-    common(sp)
 
-    sp = sub.add_parser("kummer")
+    sp = command("kummer")
     sp.add_argument("--a", required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
-    common(sp)
 
     return p
 

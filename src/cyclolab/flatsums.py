@@ -42,6 +42,11 @@ __all__ = [
     "known_member_witness",
 ]
 
+FLAT_TOL = 1e-9  # numeric flatness tolerance of `is_flat`
+SEARCH_MAX_ITERS = 3000  # descent steps per `flat_search` restart
+BARRIER_RADIUS = 0.05  # coefficients below this modulus are penalised
+BARRIER_WEIGHT = 10.0
+
 
 def _coerce_exact(c):
     if isinstance(c, CyclotomicNumber):
@@ -221,12 +226,12 @@ class FlatReport:
     mode: str
 
 
-def is_flat(f: SparseExpSum, tol: float = 1e-9) -> FlatReport:
+def is_flat(f: SparseExpSum) -> FlatReport:
     """Decide |f|^2 = mu on mu_d.
 
     Exact mode is a yes/no decision through the autocorrelation profile;
     numeric mode evaluates |f(zeta_d^l)|^2 at every l and reports the max
-    deviation against `tol`.
+    deviation against `FLAT_TOL`.
     """
     if f.mode == "exact":
         prof = grouped_autocorrelation(f)
@@ -248,7 +253,7 @@ def is_flat(f: SparseExpSum, tol: float = 1e-9) -> FlatReport:
     vals = np.exp(2j * np.pi * np.outer(ls, b) / d) @ a
     dev = np.abs(np.abs(vals) ** 2 - f.mu)
     worst = int(np.argmax(dev))
-    return FlatReport(bool(dev[worst] <= tol), worst, float(dev[worst]), "numeric")
+    return FlatReport(bool(dev[worst] <= FLAT_TOL), worst, float(dev[worst]), "numeric")
 
 
 # ------------------------------------------------ short-exponent bound scan
@@ -438,8 +443,7 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
 # ------------------------------------------------------------- numeric search
 
 
-def _objective_and_grad(a: np.ndarray, V: np.ndarray, mu: float,
-                        barrier_radius: float, barrier_weight: float):
+def _objective_and_grad(a: np.ndarray, V: np.ndarray, mu: float):
     """Penalty objective F + barrier and its Wirtinger gradient d/d(conj a).
 
     F(a) = sum_l (|f_l|^2 - mu)^2; the barrier pushes coefficients away
@@ -451,18 +455,17 @@ def _objective_and_grad(a: np.ndarray, V: np.ndarray, mu: float,
     F = float(err @ err)
     g = 2.0 * (V.conj().T @ (err * fvals))
     mags = np.abs(a)
-    t = barrier_radius - mags
+    t = BARRIER_RADIUS - mags
     active = t > 0
-    B = barrier_weight * float(np.sum(t[active] ** 2))
+    B = BARRIER_WEIGHT * float(np.sum(t[active] ** 2))
     if np.any(active):
         safe = np.where(mags > 1e-300, mags, 1.0)
-        g = g + np.where(active, -barrier_weight * t * a / safe, 0.0)
+        g = g + np.where(active, -BARRIER_WEIGHT * t * a / safe, 0.0)
     return F, B, g
 
 
 def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
-                seed: int = 0, max_iters: int = 3000,
-                barrier_radius: float = 0.05, barrier_weight: float = 10.0) -> dict:
+                seed: int = 0) -> dict:
     """Gradient-descent search for complex coefficients making the sum flat.
 
     Full-batch descent with an adaptive step (double on success, halve on
@@ -484,14 +487,14 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     rng = np.random.default_rng(seed)
     for _ in range(max(1, restarts)):
         a = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2.0)
-        F, B, g = _objective_and_grad(a, V, mu, barrier_radius, barrier_weight)
+        F, B, g = _objective_and_grad(a, V, mu)
         total = F + B
         step = 0.1
-        for _ in range(max_iters):
+        for _ in range(SEARCH_MAX_ITERS):
             if total < 1e-26 or step < 1e-18:
                 break
             cand = a - step * g
-            Fc, Bc, gc = _objective_and_grad(cand, V, mu, barrier_radius, barrier_weight)
+            Fc, Bc, gc = _objective_and_grad(cand, V, mu)
             if Fc + Bc < total:
                 a, F, B, g, total = cand, Fc, Bc, gc, Fc + Bc
                 step *= 2.0
@@ -529,10 +532,10 @@ def flat_search_gradient_check(b: Sequence[int], d: int, mu: float = 1.0,
         a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
 
         def total_at(vec):
-            F, B, _ = _objective_and_grad(vec, V, mu, 0.05, 10.0)
+            F, B, _ = _objective_and_grad(vec, V, mu)
             return F + B
 
-        _, _, g = _objective_and_grad(a, V, mu, 0.05, 10.0)
+        _, _, g = _objective_and_grad(a, V, mu)
         analytic = np.concatenate([2 * g.real, 2 * g.imag])
         numeric = np.empty(2 * N)
         for i in range(N):

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 DEGREE_CAP = 64
+POLISH_ITERS = 6  # Newton steps per root in `poly_roots`
 
 
 # ------------------------------------------------------- poly helpers (Q[x])
@@ -57,7 +58,7 @@ def resultant(f, g) -> Fraction:
     return (-1) ** (m * n) * g[-1] ** (m - len(r) + 1) * resultant(g, r)
 
 
-def poly_roots(coeffs, polish_iters: int = 6) -> list[complex]:
+def poly_roots(coeffs) -> list[complex]:
     """All complex roots of an integer polynomial, Newton-polished.
 
     Companion-matrix start (numpy), then Newton iteration with exact
@@ -83,7 +84,7 @@ def poly_roots(coeffs, polish_iters: int = 6) -> list[complex]:
     fujiwara = 1.0 + max(abs(c) / abs(ints[-1]) for c in ints[:-1])
     for r in roots:
         z = complex(r)
-        for _ in range(polish_iters):
+        for _ in range(POLISH_ITERS):
             d = horner(dp, z)
             if d == 0:
                 break

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from ._arith import divisors, euler_phi, factorize, iroot
 from .cyclotomic import CyclotomicNumber, zeta
-from .lattice import lll_reduce
+from .lattice import hnf, lll_reduce
 
 __all__ = [
     "KummerQuery",
@@ -35,6 +35,8 @@ __all__ = [
     "OracleReport",
     "multiplicatively_independent",
 ]
+
+ORACLE_SCALES = (10**25, 10**40)  # lattice scales of `root_membership_oracle`
 
 
 # ----------------------------------------------------------- integer helpers
@@ -235,27 +237,14 @@ def rank1_failure(a, d: int, m: int) -> tuple[int, int]:
 
 
 def multiplicatively_independent(gens) -> bool:
-    """Full-rank test of the prime-exponent matrix over Q."""
+    """Full-rank test of the integer prime-exponent matrix."""
     gens = [Fraction(g) for g in gens]
     if any(g <= 0 or g == 1 for g in gens):
         raise ValueError("generators must be positive rationals != 1")
     fs = [(factorize(g.numerator), factorize(g.denominator)) for g in gens]
     primes = sorted({p for fs_n, fs_d in fs for p in (*fs_n, *fs_d)})
-    rows = [[Fraction(fs_n.get(p, 0) - fs_d.get(p, 0)) for p in primes] for fs_n, fs_d in fs]
-    # Gaussian elimination rank
-    rank = 0
-    cols = len(primes)
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == len(gens)
+    rows = [[fs_n.get(p, 0) - fs_d.get(p, 0) for p in primes] for fs_n, fs_d in fs]
+    return len(hnf(rows)) == len(gens)
 
 
 def tower_degrees(generators, d: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -302,8 +291,7 @@ class OracleReport:
     detail: dict
 
 
-def root_membership_oracle(a, e: int, m: int,
-                           scales=(10**25, 10**40)) -> OracleReport:
+def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     """Independent membership oracle by integer-relation detection.
 
     For each e-th root candidate beta = |a|^(1/e) * zeta_(2e)^tau, look for
@@ -322,13 +310,13 @@ def root_membership_oracle(a, e: int, m: int,
         raise ValueError("oracle restricted to tiny cases (e * phi(m) <= 64)")
     parity = 0 if a > 0 else 1
     near_miss = False
-    digits = max(len(str(s)) for s in scales) + 25
+    digits = max(len(str(s)) for s in ORACLE_SCALES) + 25
     with mp.workdps(digits):
         mag = mp.root(abs(mp.mpf(a.numerator)) / mp.mpf(a.denominator), e)
         zs = [mp.e ** (2j * mp.pi * i / m) for i in range(phi)]
         for tau in range(parity, 2 * e, 2):
             beta = mag * mp.e ** (1j * mp.pi * tau / e)
-            for scale in scales:
+            for scale in ORACLE_SCALES:
                 S = mp.mpf(scale)
                 rows = []
                 for i in range(phi):
@@ -355,7 +343,7 @@ def root_membership_oracle(a, e: int, m: int,
                     if x**e == a:
                         cert = {"tau": tau, "v": [str(c) for c in v]}
                         return OracleReport("true", cert, {"scale": scale})
-                    if scale == scales[-1]:
+                    if scale == ORACLE_SCALES[-1]:
                         # unexplained candidate at the retry scale too
                         near_miss = True
                     break

@@ -2,13 +2,16 @@
 
 Everything here works on plain Python integers (arbitrary precision) and
 lists of lists; no numpy.  Row convention: a lattice is the set of integer
-combinations of the basis rows.
+combinations of the basis rows.  `_echelon` is the one integer elimination:
+`hnf`, both kernels and, through `hnf`, kummer's rank test are built on it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 import itertools
+
+LLL_DELTA = Fraction(3, 4)  # Lovasz constant of `lll_reduce`
+ENUM_COEFF = 3  # `shortest_relation` tries coefficients in [-3, 3]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -23,48 +26,57 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(H, U) with U unimodular and U*A = H in row echelon form, zero rows last.
+
+    The package's one integer elimination (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4): column by column, the nonzero entries at
+    or below the current row are folded into a single pivot by 2x2
+    unimodular xgcd steps, applied to A and to the identity alongside.
+    """
+    m = len(rows)
+    H = [list(r) for r in rows]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    row = 0
+    for col in range(len(H[0]) if H else 0):
+        if row >= m:
+            break
+        nz = [i for i in range(row, m) if H[i][col] != 0]
+        if not nz:
+            continue
+        H[row], H[nz[0]] = H[nz[0]], H[row]
+        U[row], U[nz[0]] = U[nz[0]], U[row]
+        for i in nz[1:]:
+            g, u, v = xgcd(H[row][col], H[i][col])
+            a_c, b_c = H[row][col] // g, H[i][col] // g
+            for M in (H, U):
+                M[row], M[i] = (
+                    [u * x + v * y for x, y in zip(M[row], M[i])],
+                    [-b_c * x + a_c * y for x, y in zip(M[row], M[i])],
+                )
+        row += 1
+    return H, U
+
+
 def hnf(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form of the lattice spanned by `rows`.
 
     Returns the nonzero rows, echelon shape, positive pivots, entries above
     each pivot reduced into [0, pivot).
     """
-    if not rows:
-        return []
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
     out: list[list[int]] = []
-    col = 0
-    while col < ncols and mat:
-        # gcd-eliminate column `col` into a single pivot row
-        live = [r for r in mat if r[col] != 0]
-        rest = [r for r in mat if r[col] == 0]
-        if not live:
-            mat = rest
-            col += 1
-            continue
-        pivot = live[0]
-        for r in live[1:]:
-            g, u, v = xgcd(pivot[col], r[col])
-            p_c, r_c = pivot[col] // g, r[col] // g
-            new_pivot = [u * a + v * b for a, b in zip(pivot, r)]
-            new_r = [-r_c * a + p_c * b for a, b in zip(pivot, r)]
-            pivot, r[:] = new_pivot, new_r
-        if pivot[col] < 0:
-            pivot = [-a for a in pivot]
-        out.append(pivot)
-        mat = [r for r in rest + [r for r in live[1:] if any(r)] if any(r)]
-        col += 1
-    # back-reduce entries above pivots
     pivots = []
-    for r in out:
-        pc = next(i for i, a in enumerate(r) if a != 0)
+    for r in _echelon(rows)[0]:
+        pc = next((i for i, a in enumerate(r) if a != 0), None)
+        if pc is None:
+            break
+        out.append(r if r[pc] > 0 else [-a for a in r])
         pivots.append(pc)
+    # back-reduce entries above pivots
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             pc = pivots[j]
-            p = out[j][pc]
-            q = out[i][pc] // p
+            q = out[i][pc] // out[j][pc]
             if q:
                 out[i] = [a - q * b for a, b in zip(out[i], out[j])]
     return out
@@ -84,61 +96,13 @@ def hnf_det(basis: list[list[int]]) -> int:
 
 def kernel_of_form(w: list[int]) -> list[list[int]]:
     """Basis of the rank n-1 lattice {x in Z^n : sum x_i w_i = 0}, w != 0."""
-    n = len(w)
-    if all(a == 0 for a in w):
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # column operations on w, tracked in V (columns of V transform with w)
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    w = list(w)
-
-    def colop(i, j, a, b, c, d):
-        # (col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j)
-        for row in V:
-            row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
-        w[i], w[j] = a * w[i] + b * w[j], c * w[i] + d * w[j]
-
-    piv = next(i for i, a in enumerate(w) if a != 0)
-    for j in range(n):
-        if j == piv or w[j] == 0:
-            continue
-        g, u, v = xgcd(w[piv], w[j])
-        colop(piv, j, u, v, -(w[j] // g), w[piv] // g)
-    kernel = [[V[r][j] for r in range(n)] for j in range(n) if j != piv]
-    return kernel
+    return kernel_of_matrix([[a] for a in w])
 
 
 def kernel_of_matrix(rows: list[list[int]]) -> list[list[int]]:
     """Basis of {x : x . A = 0} for the row-matrix A (x are row vectors)."""
-    m = len(rows)
-    if m == 0:
-        return []
-    ncols = len(rows[0])
-    # track unimodular row transform U with U*A = H
-    A = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    row = 0
-    for col in range(ncols):
-        if row >= m:
-            break
-        nz = [i for i in range(row, m) if A[i][col] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        A[row], A[i0] = A[i0], A[row]
-        U[row], U[i0] = U[i0], U[row]
-        for i in nz[1:] if i0 == row else [k for k in range(row + 1, m) if A[k][col] != 0]:
-            g, u, v = xgcd(A[row][col], A[i][col])
-            a_c, b_c = A[row][col] // g, A[i][col] // g
-            A[row], A[i] = (
-                [u * x + v * y for x, y in zip(A[row], A[i])],
-                [-b_c * x + a_c * y for x, y in zip(A[row], A[i])],
-            )
-            U[row], U[i] = (
-                [u * x + v * y for x, y in zip(U[row], U[i])],
-                [-b_c * x + a_c * y for x, y in zip(U[row], U[i])],
-            )
-        row += 1
-    return [U[i] for i in range(m) if all(a == 0 for a in A[i])]
+    H, U = _echelon(rows)
+    return [u for h, u in zip(H, U) if not any(h)]
 
 
 def relation_lattice_basis(m: int, k: list[int]) -> list[list[int]]:
@@ -188,7 +152,7 @@ def intersect_lattices(b1: list[list[int]], b2: list[list[int]]) -> list[list[in
     return hnf(vecs)
 
 
-def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
+def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     """Exact integer LLL reduction, rows in, rows out.
 
     Fraction Gram-Schmidt data (mu, squared norms) is maintained
@@ -231,7 +195,7 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        if B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
             for j in range(k - 2, -1, -1):
                 size_reduce(k, j)
             k += 1
@@ -252,7 +216,7 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
     return b
 
 
-def shortest_relation(basis: list[list[int]], enum_coeff: int = 3) -> list[int] | None:
+def shortest_relation(basis: list[list[int]]) -> list[int] | None:
     """Heuristically shortest (max-norm) nonzero vector of the lattice.
 
     LLL first, then a small enumeration over combinations of the reduced
@@ -270,7 +234,7 @@ def shortest_relation(basis: list[list[int]], enum_coeff: int = 3) -> list[int] 
         if any(v) and (best is None or maxnorm(v) < maxnorm(best)):
             best = list(v)
     if len(red) <= 4:
-        rng = range(-enum_coeff, enum_coeff + 1)
+        rng = range(-ENUM_COEFF, ENUM_COEFF + 1)
         for coeffs in itertools.product(rng, repeat=len(red)):
             if not any(coeffs):
                 continue

@@ -47,6 +47,7 @@ __all__ = [
 
 ORBIT_CAP = 10**6
 BAND_SLACK = 1e-12
+MARGINAL_WORK_CAP = 200000  # units * orbit size * terms in `marginal_orbit_stats`
 
 
 class RadicalContext:
@@ -321,7 +322,7 @@ def cosine_expansion(x: RadicalSum, sigma: GaloisElement) -> float:
     return total
 
 
-def marginal_orbit_stats(x: RadicalSum, eps: float, max_work: int = 200000) -> dict:
+def marginal_orbit_stats(x: RadicalSum, eps: float) -> dict:
     """Per-phi band fractions over the Kummer orbit and their exact average.
 
     For each t in (Z/DZ)*, d(phi_t) is the fraction of the Kummer orbit of
@@ -332,7 +333,7 @@ def marginal_orbit_stats(x: RadicalSum, eps: float, max_work: int = 200000) -> d
     ctx = x.context
     units = [t for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1]
     hsize = ctx.orbit_size()
-    if len(units) * hsize * max(1, x.n_terms) > max_work:
+    if len(units) * hsize * max(1, x.n_terms) > MARGINAL_WORK_CAP:
         raise ValueError("cyclotomic part times orbit too large")
     rows = []
     grand = 0

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cyclolab.cli import main, _parse_minpoly, _parse_arcs
+from cyclolab.cli import HANDLERS, build_parser, main, _parse_minpoly, _parse_arcs
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +251,60 @@ class TestCacheAndBounds:
         assert main(["kummer", "--a", str(n), "--d", "2", "--m", "8"]) == 2
         assert "step budget" in capsys.readouterr().err
         assert time.perf_counter() - t0 < 10.0
+
+
+COEFFS = "1/2*z^1 + 1/2*z^7 @ 8;1/2*z^1 + 1/2*z^3 @ 8"
+
+# Each command's record `inputs` keys (the cache key's fields), with one
+# cheap argument list per command and per `height` branch.
+INPUT_FIELDS = {
+    "flat-verify": (("d", "exponents", "coeffs", "mu", "numeric"),
+                    ["--d", "2", "--exponents", "0,1", "--coeffs", COEFFS]),
+    "flat-search": (("d", "exponents", "mu", "restarts"),
+                    ["--d", "2", "--exponents", "0,1", "--restarts", "1"]),
+    "sn-survey": (("N", "dmax", "restarts"), ["--N", "1", "--dmax", "3"]),
+    "reduce": (("d", "exponents", "coeffs", "mu"),
+               ["--d", "2", "--exponents", "0,1", "--coeffs", COEFFS]),
+    "arc-count": (("m", "k", "arcs"),
+                  ["--m", "4", "--k", "1", "--arcs", "0:0.785398163", "--hist-out", "{hist}"]),
+    "weyl": (("m", "k", "n"), ["--m", "12", "--k", "2,3", "--n", "3,2"]),
+    "strict-check": (("seq", "threshold"), ["--seq", "7:1,1;11:1,1"]),
+    "orbit": (("sum", "D", "c", "bins"), ["--sum", "1 * 2^(1/3)", "--hist-out", "{hist}"]),
+    "dgamma": (("sum", "eps", "D", "c"),
+               ["--sum", "(1/2) + (1/2) * 2^(1/2)", "--eps", "0.5", "--hist-out", "{hist}"]),
+    "sigma-search": (("sum", "eps", "arcs", "D", "c"),
+                     ["--sum", "(1/2) + (1/2) * 2^(1/2)", "--eps", "3.0",
+                      "--arcs", "0/1t:1/2t"]),
+    "factor-out": (("sum", "D", "c"), ["--sum", "1 * 2^(3/6) + 1 * 2^(5/6)"]),
+    "height": (("radical", "n"), ["--radical", "2", "--n", "3"]),
+    "height-minpoly": (("minpoly",), ["--minpoly", "x^2-x-1"]),
+    "kummer": (("a", "d", "m", "oracle"), ["--a", "2", "--d", "2", "--m", "8"]),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("case", sorted(INPUT_FIELDS))
+    def test_input_fields(self, capsys, tmp_path, case):
+        fields, argv = INPUT_FIELDS[case]
+        command = case.removesuffix("-minpoly")
+        argv = [a.replace("{hist}", str(tmp_path / "h.csv")) for a in argv]
+        code, rec = run_json(capsys, command, *argv, "--seed", "1", "--threads", "1",
+                             "--format", "json", "--cache", str(tmp_path / "c"),
+                             "--no-timing")
+        assert code == 0
+        assert sorted(rec["inputs"]) == sorted(fields)
+
+    def test_every_command_has_a_field_list(self):
+        assert set(HANDLERS) == {c.removesuffix("-minpoly") for c in INPUT_FIELDS}
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("command", sorted(HANDLERS))
+    def test_help(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: cyclolab {command}") and "--threads" in out
 
 
 class TestParsers:

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from cyclolab._arith import factorize, iroot
+from cyclolab._arith import euler_phi, factorize, iroot
 from cyclolab.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from cyclolab.heights import resultant
-from cyclolab.kummer import squarefree_part
+from cyclolab.kummer import ORACLE_SCALES, squarefree_part
+from cyclolab.lattice import LLL_DELTA, hnf, lll_reduce
 
 
 def test_cyclotomic_polynomial_vs_sympy():
@@ -64,6 +65,58 @@ def test_resultant_vs_sympy():
         # deg f * deg g is odd, so it is consulted with deg f >= deg g only
         if len(f) >= len(g):
             assert got == Fraction(int(sympy.resultant(fx, gx, x))), (f, g)
+
+
+def _oracle_lattice(m, beta, scale):
+    """The lattice `root_membership_oracle` reduces: one row per power
+    zeta_m^i (i < phi(m)) and one for beta, each an identity part followed
+    by the scaled real and imaginary parts of the point."""
+    import mpmath as mp
+
+    phi = euler_phi(m)
+    with mp.workdps(len(str(scale)) + 25):
+        pts = [mp.e ** (2j * mp.pi * i / m) for i in range(phi)] + [beta(mp)]
+        return [[int(i == j) for j in range(phi + 1)]
+                + [int(mp.nint(scale * z.real)), int(mp.nint(scale * z.imag))]
+                for i, z in enumerate(pts)]
+
+
+def _is_lll_reduced(basis):
+    """Size reduction |mu_ij| <= 1/2 and the Lovasz condition, exactly."""
+    n = len(basis)
+    star, B = [], []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i, b in enumerate(basis):
+        v = [Fraction(x) for x in b]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(b, star[j])) / B[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        B.append(sum(x * x for x in v))
+    return (all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+            and all(B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1] for k in range(1, n)))
+
+
+@pytest.mark.parametrize("m", [5, 7, 8, 12])
+def test_lll_reduce_vs_sympy(m, monkeypatch):
+    pytest.importorskip("sympy")
+    from sympy import QQ, ZZ
+    from sympy.external.pythonmpq import PythonMPQ
+    from sympy.polys.matrices import DomainMatrix
+
+    # sympy 1.14's pure-Python rationals have no __floor__, so its LLL
+    # rounds mu through a float and loses exactness at the oracle's scales
+    monkeypatch.setattr(PythonMPQ, "__floor__",
+                        lambda q: q.numerator // q.denominator, raising=False)
+    for beta in (lambda mp: mp.sqrt(2), lambda mp: 1j * mp.cbrt(3)):
+        for scale in ORACLE_SCALES:
+            rows = _oracle_lattice(m, beta, scale)
+            ours = lll_reduce(rows)
+            theirs = DomainMatrix([[ZZ(x) for x in r] for r in rows],
+                                  (len(rows), len(rows[0])), ZZ).lll(delta=QQ(3, 4))
+            theirs = [[int(x) for x in r] for r in theirs.to_list()]
+            assert hnf(ours) == hnf(theirs) == hnf(rows), (m, scale)
+            assert _is_lll_reduced(ours) and _is_lll_reduced(theirs), (m, scale)
 
 
 @pytest.mark.parametrize("D", [24, 120])

@@ -157,6 +157,12 @@ class TestTower:
         assert not multiplicatively_independent([F(2), F(8)])
         assert multiplicatively_independent([F(2), F(9, 2)])
 
+    def test_independence_with_denominators(self):
+        assert not multiplicatively_independent([F(2, 3), F(9, 4)])
+        assert not multiplicatively_independent([F(12), F(18), F(2, 3)])
+        assert not multiplicatively_independent([F(6), F(2), F(3)])
+        assert multiplicatively_independent([F(2), F(3), F(5, 7)])
+
 
 class TestOracle:
     def test_sqrt2_certificate(self):

@@ -139,3 +139,43 @@ def test_relation_lattice_membership_property(m, k):
     for n in ([1] + [0] * (len(k) - 1), list(k), [m] * len(k)):
         direct = sum(a * b for a, b in zip(n, k)) % m == 0
         assert in_lattice(basis, n) == direct
+
+
+def _matrices(max_rows):
+    return st.integers(1, 5).flatmap(lambda c: st.lists(
+        st.lists(st.integers(-20, 20), min_size=c, max_size=c),
+        min_size=1, max_size=max_rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(5), st.data())
+def test_hnf_invariant_under_unimodular_row_operations(A, data):
+    c = len(A[0])
+    # a zero row and a duplicated row leave the lattice unchanged
+    B = A + [[0] * c, list(A[data.draw(st.integers(0, len(A) - 1))])]
+    n = len(B)
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, k in data.draw(st.lists(ops, max_size=12)):
+        if i == j:
+            B[i] = [-a for a in B[i]]
+        else:
+            B[i] = [a + k * b for a, b in zip(B[i], B[j])]
+    B = data.draw(st.permutations(B))
+    h = hnf(A)
+    assert hnf(B) == h
+    # the shape hnf promises: echelon, positive pivots, reduced above them
+    pivots = [next(i for i, a in enumerate(r) if a) for r in h]
+    assert pivots == sorted(set(pivots))
+    for i, (r, pc) in enumerate(zip(h, pivots)):
+        assert r[pc] > 0
+        assert all(0 <= h[k][pc] < r[pc] for k in range(i))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(6))
+def test_kernel_of_matrix_annihilates(A):
+    ker = kernel_of_matrix(A)
+    assert len(ker) == len(A) - len(hnf(A))
+    for x in ker:
+        assert len(x) == len(A)
+        assert all(sum(x[i] * A[i][j] for i in range(len(A))) == 0 for j in range(len(A[0])))
