@@ -153,65 +153,77 @@ def intersect_lattices(b1: list[list[int]], b2: list[list[int]]) -> list[list[in
 
 
 def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
-    """Exact integer LLL reduction, rows in, rows out.
+    """Exact integral LLL reduction, rows in, rows out (zero rows dropped).
 
-    Fraction Gram-Schmidt data (mu, squared norms) is maintained
-    incrementally with the textbook size-reduction and swap updates, so the
-    cost per step is O(n) Fraction operations rather than a full
-    recomputation.  Assumes linearly independent rows.
+    Integral LLL (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.7; de Weger 1987).  With b*_i the Gram-Schmidt
+    vectors and mu_ij = <b_i, b*_j> / |b*_j|^2, it keeps two kinds of
+    integers:
+
+    - the sub-determinants d_i = |b*_0|^2 * ... * |b*_(i-1)|^2, the Gram
+      determinant of the first i rows (d_0 = 1);
+    - the scaled coefficients lambda_ij = d_(j+1) * mu_ij for j < i.
+
+    Every update of them is an exact integer division, so no fraction is
+    ever formed.  The Lovasz test reads q*(d_(k+1)*d_(k-1) + lambda^2) >=
+    p*d_k^2 with p/q = LLL_DELTA.  The size-reduction multiplier is
+    round(lambda_kj / d_(j+1)) with exact halves rounded to even, as
+    Python's `round` rounds a `Fraction`.  So every swap and reduction is
+    the one the textbook algorithm takes on the rationals mu_ij and
+    |b*_i|^2.  Raises ValueError when the nonzero rows are linearly
+    dependent (some d_i is 0).
     """
     b = [list(r) for r in basis if any(r)]
     n = len(b)
     if n <= 1:
         return b
+    p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
 
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    # initial GSO: mu[i][j] = <b_i, b*_j> / B[j], B[i] = |b*_i|^2
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
+    # d[i + 1] is d_(i+1) above, lam[i][j] is lambda_ij
+    d = [1] * (n + 1)
+    lam = [[0] * i for i in range(n)]
     for i in range(n):
-        inner = [Fraction(0)] * i
-        for j in range(i):
-            s = Fraction(dot(b[i], b[j]))
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
             for t in range(j):
-                s -= mu[j][t] * inner[t]
-            inner[j] = s
-            mu[i][j] = s / B[j]
-        Bi = Fraction(dot(b[i], b[i]))
-        for t in range(i):
-            Bi -= mu[i][t] * inner[t]
-        B[i] = Bi
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise ValueError("rows are linearly dependent")
+            else:
+                d[i + 1] = u
 
     def size_reduce(k, j):
-        r = round(mu[k][j])
+        r, rem = divmod(lam[k][j], d[j + 1])
+        if 2 * rem > d[j + 1]:
+            r += 1
+        elif 2 * rem == d[j + 1]:
+            r += r & 1
         if r:
             b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-            mu[k][j] -= r
-            for t in range(j):
-                mu[k][t] -= r * mu[j][t]
+            lam[k][:j] = [x - r * y for x, y in zip(lam[k], lam[j])]
+            lam[k][j] -= r * d[j + 1]
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        if B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
+        lk = lam[k][k - 1]
+        if q * (d[k + 1] * d[k - 1] + lk * lk) >= p * d[k] * d[k]:
             for j in range(k - 2, -1, -1):
                 size_reduce(k, j)
             k += 1
         else:
-            m_old = mu[k][k - 1]
-            B_new = B[k] + m_old * m_old * B[k - 1]
-            mu[k][k - 1] = m_old * B[k - 1] / B_new
-            B[k] = B[k - 1] * B[k] / B_new
-            B[k - 1] = B_new
+            d_old, d_next = d[k], d[k + 1]
+            d_new = (d_next * d[k - 1] + lk * lk) // d_old
             b[k], b[k - 1] = b[k - 1], b[k]
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-            for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m_old * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            for row in lam[k + 1:]:
+                t = row[k]
+                row[k] = u = (d_next * row[k - 1] - lk * t) // d_old
+                row[k - 1] = (d_new * t + lk * u) // d_next
+            d[k] = d_new
             k = max(k - 1, 1)
     return b
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclolab._arith import euler_phi, factorize, iroot
+from cyclolab._arith import factorize, iroot
 from cyclolab.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from cyclolab.heights import resultant
 from cyclolab.kummer import ORACLE_SCALES, squarefree_part
@@ -67,20 +67,6 @@ def test_resultant_vs_sympy():
             assert got == Fraction(int(sympy.resultant(fx, gx, x))), (f, g)
 
 
-def _oracle_lattice(m, beta, scale):
-    """The lattice `root_membership_oracle` reduces: one row per power
-    zeta_m^i (i < phi(m)) and one for beta, each an identity part followed
-    by the scaled real and imaginary parts of the point."""
-    import mpmath as mp
-
-    phi = euler_phi(m)
-    with mp.workdps(len(str(scale)) + 25):
-        pts = [mp.e ** (2j * mp.pi * i / m) for i in range(phi)] + [beta(mp)]
-        return [[int(i == j) for j in range(phi + 1)]
-                + [int(mp.nint(scale * z.real)), int(mp.nint(scale * z.imag))]
-                for i, z in enumerate(pts)]
-
-
 def _is_lll_reduced(basis):
     """Size reduction |mu_ij| <= 1/2 and the Lovasz condition, exactly."""
     n = len(basis)
@@ -98,7 +84,7 @@ def _is_lll_reduced(basis):
 
 
 @pytest.mark.parametrize("m", [5, 7, 8, 12])
-def test_lll_reduce_vs_sympy(m, monkeypatch):
+def test_lll_reduce_vs_sympy(m, monkeypatch, oracle_lattice):
     pytest.importorskip("sympy")
     from sympy import QQ, ZZ
     from sympy.external.pythonmpq import PythonMPQ
@@ -110,7 +96,7 @@ def test_lll_reduce_vs_sympy(m, monkeypatch):
                         lambda q: q.numerator // q.denominator, raising=False)
     for beta in (lambda mp: mp.sqrt(2), lambda mp: 1j * mp.cbrt(3)):
         for scale in ORACLE_SCALES:
-            rows = _oracle_lattice(m, beta, scale)
+            rows = oracle_lattice(m, beta, scale)
             ours = lll_reduce(rows)
             theirs = DomainMatrix([[ZZ(x) for x in r] for r in rows],
                                   (len(rows), len(rows[0])), ZZ).lll(delta=QQ(3, 4))

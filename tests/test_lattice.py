@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cyclolab.kummer import ORACLE_SCALES
 from cyclolab.lattice import (
+    LLL_DELTA,
     hnf,
     hnf_det,
     kernel_of_form,
@@ -179,3 +183,110 @@ def test_kernel_of_matrix_annihilates(A):
     for x in ker:
         assert len(x) == len(A)
         assert all(sum(x[i] * A[i][j] for i in range(len(A))) == 0 for j in range(len(A[0])))
+
+
+def _lll_reduce_fraction(basis):
+    """Reference LLL on `Fraction` Gram-Schmidt data (mu, squared norms),
+    updated incrementally by the textbook size-reduction and swap steps;
+    `lll_reduce` must take the same decisions on integers."""
+    b = [list(r) for r in basis if any(r)]
+    n = len(b)
+    if n <= 1:
+        return b
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    # mu[i][j] = <b_i, b*_j> / B[j], B[i] = |b*_i|^2
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    for i in range(n):
+        inner = [Fraction(0)] * i
+        for j in range(i):
+            s = Fraction(dot(b[i], b[j]))
+            for t in range(j):
+                s -= mu[j][t] * inner[t]
+            inner[j] = s
+            mu[i][j] = s / B[j]
+        Bi = Fraction(dot(b[i], b[i]))
+        for t in range(i):
+            Bi -= mu[i][t] * inner[t]
+        B[i] = Bi
+
+    def size_reduce(k, j):
+        r = round(mu[k][j])
+        if r:
+            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            mu[k][j] -= r
+            for t in range(j):
+                mu[k][t] -= r * mu[j][t]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        if B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+        else:
+            m_old = mu[k][k - 1]
+            B_new = B[k] + m_old * m_old * B[k - 1]
+            mu[k][k - 1] = m_old * B[k - 1] / B_new
+            B[k] = B[k - 1] * B[k] / B_new
+            B[k - 1] = B_new
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m_old * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+    return b
+
+
+@pytest.mark.parametrize("m", [5, 7, 8, 12, 16, 19])
+def test_lll_reduce_matches_fraction_reference_on_oracle_lattices(m, oracle_lattice):
+    for beta in (lambda mp: mp.sqrt(2), lambda mp: 1j * mp.cbrt(3)):
+        for scale in ORACLE_SCALES:
+            rows = oracle_lattice(m, beta, scale)
+            assert lll_reduce(rows) == _lll_reduce_fraction(rows), (m, scale)
+
+
+@st.composite
+def _full_rank(draw):
+    r = draw(st.integers(1, 6))
+    c = draw(st.integers(r, 8))
+    entry = st.integers(-10**30, 10**30)
+    M = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    assume(len(hnf(M)) == r)
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(_full_rank())
+def test_lll_reduce_matches_fraction_reference(M):
+    assert lll_reduce(M) == _lll_reduce_fraction(M)
+
+
+def test_lll_reduce_ties():
+    # mu = 1/2 and mu = 3/2 at the first size reduction: round() gives 0 and 2
+    assert lll_reduce([[2, 0], [1, 1]]) == [[1, 1], [1, -1]]
+    assert lll_reduce([[2, 0], [3, 1]]) == [[-1, 1], [1, 1]]
+    # mu = 1/2, |b*_1|^2 = 2 = (3/4 - 1/4) * |b_0|^2: Lovasz holds, no swap
+    assert lll_reduce([[2, 0, 0], [1, 1, 1]]) == [[2, 0, 0], [1, 1, 1]]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [2, 4]],
+    [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+    [[3, 1, 4], [0, 0, 0], [6, 2, 8]],
+])
+def test_lll_reduce_rejects_dependent_rows(rows):
+    with pytest.raises(ValueError, match="rows are linearly dependent"):
+        lll_reduce(rows)
+
+
+def test_lll_reduce_drops_zero_rows():
+    assert lll_reduce([[0, 0], [3, 4], [0, 0]]) == [[3, 4]]
+    assert lll_reduce([[0, 0, 0], [1, 1, 0], [0, 0, 0], [1, 0, 0]]) == [[1, 0, 0], [0, 1, 0]]
