@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 # euler_phi stays importable from here (tests and bench/make_reference.py use it)
-from ._arith import divisors, euler_phi, poly_divmod, poly_mul, poly_sub, poly_trim  # noqa: F401
+from ._arith import euler_phi, factorize, poly_divmod, poly_mul, poly_sub, poly_trim  # noqa: F401
 
 __all__ = [
     "CyclotomicNumber",
@@ -23,41 +23,29 @@ __all__ = [
 ]
 
 
-def _int_poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    dn = len(den) - 1
-    lc = den[-1]
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c % lc != 0:
-            raise ArithmeticError("division is not exact")
-        q = c // lc
-        out[i - dn] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= q * dj
-    if any(num[:dn]):
-        raise ArithmeticError("division is not exact")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending degree.
 
-    Computed by exact division of z^n - 1 by all Phi_e with e | n, e < n.
+    With p the largest prime factor of n and m = n/p, Phi_n(x) = Phi_m(x^p)
+    when p | m and Phi_n(x) = Phi_m(x^p) / Phi_m(x) otherwise (Washington,
+    Introduction to Cyclotomic Fields, ch. 2); the division is exact.
     """
     if n < 1:
         raise ValueError("order must be positive")
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for e in divisors(n):
-        if e < n:
-            poly = _int_poly_divexact(poly, list(cyclotomic_polynomial(e)))
-    return tuple(poly)
+    p = max(factorize(n))
+    m = n // p
+    phi_m = cyclotomic_polynomial(m)
+    spread = [0] * (p * (len(phi_m) - 1) + 1)
+    spread[::p] = phi_m
+    if m % p == 0:
+        return tuple(spread)
+    q, r = poly_divmod(spread, phi_m)
+    if r:
+        raise ArithmeticError("division is not exact")
+    return tuple(int(c) for c in q)
 
 
 def _as_fraction(x) -> Fraction:
@@ -200,15 +188,8 @@ class CyclotomicNumber:
         if self._canon is not None:
             return self._canon
         phi = cyclotomic_polynomial(self.order)
-        deg_phi = len(phi) - 1
-        rem = list(self.coeffs)
-        for i in range(len(rem) - 1, deg_phi - 1, -1):
-            c = rem[i]
-            if c:
-                rem[i] = Fraction(0)
-                for j in range(deg_phi):
-                    rem[i - deg_phi + j] -= c * phi[j]
-        canon = tuple(rem[:deg_phi])
+        rem = poly_divmod(self.coeffs, phi)[1]
+        canon = tuple(rem) + (Fraction(0),) * (len(phi) - 1 - len(rem))
         object.__setattr__(self, "_canon", canon)
         return canon
 
@@ -261,7 +242,7 @@ class CyclotomicNumber:
         if not g:
             raise ZeroDivisionError("division by zero")
         # extended Euclid in Q[z]: u*g + v*phi = 1 (phi irreducible, g != 0)
-        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(D)], g
+        r0, r1 = cyclotomic_polynomial(D), g
         s0, s1 = [], [Fraction(1)]
         while r1:
             q, r = poly_divmod(r0, r1)
@@ -298,13 +279,15 @@ class CyclotomicNumber:
 
     @classmethod
     def parse(cls, text: str) -> "CyclotomicNumber":
-        body, _, order_s = text.rpartition("@")
-        if not order_s.strip():
-            raise ValueError("missing order marker '@ D'")
-        order = int(order_s.strip())
-        v = [Fraction(0)] * order
-        body = body.strip()
-        if body:
+        """Read the to_text format; ValueError on any other text."""
+        body, at, order_s = text.rpartition("@")
+        try:
+            if not at or not order_s.strip():
+                raise ValueError("missing order marker '@ D'")
+            order = int(order_s)
+            if order < 1:
+                raise ValueError("order must be positive")
+            v = [Fraction(0)] * order
             for term in body.split(" + "):
                 term = term.strip()
                 if not term:
@@ -316,6 +299,10 @@ class CyclotomicNumber:
                     v[int(term[2:]) % order] += 1
                 else:
                     v[0] += Fraction(term)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"cannot read {text!r} as \"c0 + c1*z^1 + ... @ D\": {exc}"
+            ) from None
         return cls(order, v)
 
     def __repr__(self):

@@ -420,20 +420,15 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
         raise InternalInconsistencyError("q' and d' are not coprime")
     if c_list[0] != 0:
         raise InternalInconsistencyError("leading reduced exponent is not 0")
-    if gcd(d_prime, *c_list) != 1:
+    g_validity = validate_definition(g)  # M <= N <= 20: f passed it
+    if not g_validity.gcd_one:
         raise InternalInconsistencyError("reduced exponents share a factor with d'")
     if any(4 * abs(ck) >= d_prime for ck in c_list):
         raise InternalInconsistencyError("reduced exponent too large")
     if not is_flat(g).flat:
         raise InternalInconsistencyError("reduced sum is not flat")
-    M = len(u)
-    for mask in range(1, 1 << M):
-        total = CyclotomicNumber.zero(1)
-        for i in range(M):
-            if mask >> i & 1:
-                total = total + u[i]
-        if total.is_zero():
-            raise InternalInconsistencyError("a grouped subset sum vanished")
+    if not g_validity.subset_sums_nonzero:
+        raise InternalInconsistencyError("a grouped subset sum vanished")
     return ReductionCertificate(
         tuple(b), f.d, q, q_prime, e, d_prime, tuple(p), tuple(c_list),
         tuple(tuple(grp) for grp in groups), g,

@@ -1,7 +1,9 @@
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +120,13 @@ class TestPlumbing:
         _, out2 = run_cli(capsys, "flat-search", "--d", "5", "--exponents", "0,1",
                           "--seed", "3", "--restarts", "4", "--no-timing")
         assert out1 == out2  # byte-identical with timing suppressed
+
+    @pytest.mark.parametrize("coeffs", ["1/2 @ -3", "1/2 @ 0", "...", "1/0 @ 4", "z^x @ 4"])
+    def test_bad_cyclotomic_text_exit_2(self, capsys, coeffs):
+        code = main(["flat-verify", "--d", "2", "--exponents", "0", "--coeffs", coeffs])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert repr(coeffs) in err and '"c0 + c1*z^1 + ... @ D"' in err
 
     def test_cache_round_trip(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
@@ -251,6 +260,23 @@ class TestCacheAndBounds:
         assert main(["kummer", "--a", str(n), "--d", "2", "--m", "8"]) == 2
         assert "step budget" in capsys.readouterr().err
         assert time.perf_counter() - t0 < 10.0
+
+
+def _readme_commands():
+    """The `cyclolab ...` lines of README.md's command-line block, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cyclolab ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 14
+    monkeypatch.chdir(tmp_path)  # `--hist-out hist.csv` writes here
+    for argv in commands:
+        assert main(argv + ["--no-timing"]) == 0, argv
+        json.loads(capsys.readouterr().out)
 
 
 COEFFS = "1/2*z^1 + 1/2*z^7 @ 8;1/2*z^1 + 1/2*z^3 @ 8"

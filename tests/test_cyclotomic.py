@@ -129,3 +129,6 @@ def test_serialization_round_trip(D, data):
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         CyclotomicNumber.parse("1 + z^2")  # missing order marker
+    for text in ("1/2 @ -3", "1/2 @ 0", "...", "1/0 @ 4", "z^x @ 4", "1 @ two"):
+        with pytest.raises(ValueError, match=r"c0 \+ c1\*z\^1 \+ \.\.\. @ D"):
+            CyclotomicNumber.parse(text)

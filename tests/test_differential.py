@@ -11,12 +11,36 @@ from cyclolab.kummer import ORACLE_SCALES, squarefree_part
 from cyclolab.lattice import LLL_DELTA, hnf, lll_reduce
 
 
+# beyond n <= 300: the first orders with a coefficient of size 3 (385), 4
+# (1365) and 5 (1785), prime powers (1024, 1331) and mixed orders
+LARGE_ORDERS = (385, 1024, 1155, 1250, 1331, 1365, 1785, 1995, 2000, 2002, 2310)
+
+
 def test_cyclotomic_polynomial_vs_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for n in range(1, 301):
+    for n in [*range(1, 301), *LARGE_ORDERS]:
         want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert list(cyclotomic_polynomial(n)) == [int(c) for c in want], n
+
+
+@pytest.mark.parametrize("D", [24, 120, 210, 840])
+def test_canonical_vs_sympy(D):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(D, x), x, domain="QQ")
+    rng = random.Random(D)
+    for _ in range(3):
+        v = [Fraction(0)] * D
+        for _ in range(rng.randint(1, D)):
+            v[rng.randrange(D)] += Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        rem = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in v[::-1]],
+                         x, domain="QQ").rem(phi).all_coeffs()[::-1]
+        want = [Fraction(int(c.p), int(c.q)) for c in rem]
+        want += [Fraction(0)] * (len(phi.all_coeffs()) - 1 - len(want))
+        got = CyclotomicNumber(D, v).canonical()
+        assert all(type(c) is Fraction for c in got)
+        assert list(got) == want, D
 
 
 def test_iroot_vs_sympy():
