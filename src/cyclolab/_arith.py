@@ -62,6 +62,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def prime_root_of_unity(L: int, above: int = 1 << 61) -> tuple[int, int]:
+    """(p, w): the least prime p > above with p = 1 (mod L), and w of
+    multiplicative order exactly L mod p.  Phi_L splits into linear
+    factors mod p, so zeta_L -> w maps Z[zeta_L] to F_p as a ring
+    homomorphism.  `above` must be at least 41."""
+    p = above // L * L + 1
+    while p <= above or not p & 1 or not _is_prime(p):
+        p += L
+    qs = list(factorize(L))
+    for g in range(2, p):
+        w = pow(g, (p - 1) // L, p)
+        if all(pow(w, L // q, p) != 1 for q in qs):
+            return p, w
+    raise AssertionError("unreachable: (Z/p)* is cyclic of order divisible by L")
+
+
 def _rho(n: int, budget: int) -> tuple[int, int]:
     """(proper factor, steps used) of a composite n by Pollard rho with
     Brent's cycle search and batched gcds (Brent 1980, BIT 20); raises

@@ -28,9 +28,11 @@ __all__ = [
     "weyl_sum",
     "arc_count",
     "ArcCountReport",
+    "ARC_M_CAP",
 ]
 
 TWO_PI = 2.0 * math.pi
+ARC_M_CAP = 10**9  # arc_count forms r * (k_j mod m) in int64 with r <= m
 
 
 @dataclass(frozen=True)
@@ -110,9 +112,10 @@ class Arc:
     """A closed arc of the unit circle, anticlockwise from center - halfwidth
     to center + halfwidth.
 
-    Exact arcs take Fraction center/halfwidth measured in turns (fractions of
-    a full circle); float arcs take radians and compare with a 1e-12
-    tolerance at the boundary.
+    Turn arcs take Fraction center/halfwidth measured in turns (fractions of
+    a full circle) and are decided in exact integer arithmetic at any
+    denominator size; radian arcs take floats and compare with a 1e-12
+    tolerance at the boundary.  `contains` is the one membership test.
     """
 
     __slots__ = ("exact", "center_turns", "half_turns", "center", "half")
@@ -139,18 +142,27 @@ class Arc:
             return float(min(2 * self.half_turns, Fraction(1)))
         return min(self.half / math.pi, 1.0)
 
-    def contains_turn(self, t: Fraction) -> bool:
-        """Closed-arc membership of the point at `t` turns."""
+    def contains(self, x, q: int):
+        """Closed-arc membership of the point x/q turns, x an int or an int64
+        array in [0, q).  Turn arc: with lo = center - halfwidth (mod 1) and
+        w = 2*halfwidth, x/q is inside iff (x - A) mod q <= B - A for the
+        exact ints A = ceil(lo*q), B = floor((lo + w)*q).  Radian arc: the
+        angle x * (2 pi/q) within the 1e-12 boundary band."""
         if self.exact:
-            if 2 * self.half_turns >= 1:
+            w = 2 * self.half_turns
+            if w >= 1:
                 return True
-            d = (t - (self.center_turns - self.half_turns)) % 1
-            return d <= 2 * self.half_turns
+            lo = (self.center_turns - self.half_turns) % 1
+            a, b = math.ceil(lo * q), math.floor((lo + w) * q)
+            return b >= a and (x - a) % q <= b - a
         if 2 * self.half >= TWO_PI:
             return True
-        ang = float(t) * TWO_PI
-        d = (ang - (self.center - self.half)) % TWO_PI
-        return d <= 2 * self.half + 1e-12 or d >= TWO_PI - 1e-12
+        d = np.mod(x * (TWO_PI / q) - (self.center - self.half), TWO_PI)
+        return (d <= 2 * self.half + 1e-12) | (d >= TWO_PI - 1e-12)
+
+    def contains_turn(self, t: Fraction) -> bool:
+        """Closed-arc membership of the point at `t` turns."""
+        return bool(self.contains(t.numerator % t.denominator, t.denominator))
 
 
 @dataclass(frozen=True)
@@ -185,42 +197,30 @@ class ArcCountReport:
 
 
 def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) -> int:
-    arcs = box.arcs
-    all_float = all(not a.exact for a in arcs)
-    if all_float:
-        r = np.arange(lo, hi, dtype=np.int64)
-        inside = np.ones(hi - lo, dtype=bool)
-        for j, arc in enumerate(arcs):
-            if 2 * arc.half >= TWO_PI:
-                continue
-            kj = k[j] % m  # keep r * kj inside int64 for m up to ~1e9
-            ang = ((r * kj) % m) * (TWO_PI / m)
-            d = np.mod(ang - (arc.center - arc.half), TWO_PI)
-            inside &= (d <= 2 * arc.half + 1e-12) | (d >= TWO_PI - 1e-12)
-        return int(inside.sum())
-    count = 0
-    for r in range(lo, hi):
-        ok = True
-        for kj, arc in zip(k, arcs):
-            if not arc.contains_turn(Fraction((r * kj) % m, m)):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    """Count of r in [lo, hi) whose point ((r*k_j mod m)/m turns)_j lies in
+    the box: one int64 pass of `Arc.contains` per arc, any mix of turn and
+    radian arcs; r*(k_j mod m) <= m^2 fits int64 for m <= ARC_M_CAP."""
+    r = np.arange(lo, hi, dtype=np.int64)
+    inside = np.ones(hi - lo, dtype=bool)
+    for kj, arc in zip(k, box.arcs):
+        inside &= arc.contains(r * (kj % m) % m, m)
+    return int(inside.sum())
 
 
 def arc_count(orbit: RootTupleOrbit, box: ArcBox, threads: int = 1) -> ArcCountReport:
     """Count r in {1..m} whose orbit point lies in the box, exactly.
 
     Partitionable over residue ranges: the count is a sum of independent
-    chunk counts, so the result does not depend on the partition.
+    chunk counts, so the result does not depend on the partition.  Raises
+    ValueError for m above ARC_M_CAP.
     """
     if len(box.arcs) != orbit.dim:
         raise ValueError("box dimension must match the orbit dimension")
+    if orbit.m > ARC_M_CAP:
+        raise ValueError(f"arc-count refuses m = {orbit.m} above {ARC_M_CAP}")
     m, k = orbit.m, orbit.k
     chunk = max(1, (m + max(1, threads) - 1) // max(1, threads))
-    chunk = min(chunk, 10**6)  # bound per-chunk memory for m up to 1e8
+    chunk = min(chunk, 10**6)  # bound per-chunk memory
     bounds = [(lo, min(lo + chunk, m + 1)) for lo in range(1, m + 1, chunk)]
     if threads > 1 and len(bounds) > 1:
         from concurrent.futures import ThreadPoolExecutor

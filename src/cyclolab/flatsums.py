@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._arith import prime_root_of_unity
 from .cyclotomic import CyclotomicNumber, zeta
 
 __all__ = [
@@ -170,19 +171,23 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
     gcd_one = gcd(f.d, *bs) == 1
     coeffs = [a for _, a in f.terms]
     n = len(coeffs)
-    # numeric prefilter: a subset sum far from 0 in doubles cannot vanish
-    # exactly; only near-zero candidates get the exact check
-    vals = np.array([a.embed() for a in coeffs])
-    sums = np.zeros(1 << n, dtype=complex)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + vals[low.bit_length() - 1]
-    gate = 1e-9 * max(1.0, float(np.max(np.abs(vals))) * n)
+    # exact one-sided filter: zeta_L -> w maps every coefficient into F_p,
+    # so a subset with a nonzero residue cannot sum to 0; only residue-0
+    # subsets get the exact check, in ascending mask order
+    L = math.lcm(*(a.order for a in coeffs))
+    p = 1 << 61
+    while True:
+        p, w = prime_root_of_unity(L, p)
+        if all(c.denominator % p for a in coeffs for c in a.coeffs):
+            break
+    res = [sum(c.numerator * pow(c.denominator, -1, p) * pow(w, j * (L // a.order), p)
+               for j, c in enumerate(a.coeffs) if c) % p for a in coeffs]
+    sums = np.zeros(1 << n, dtype=np.int64 if p < 1 << 62 else object)
+    for i, v in enumerate(res):  # entries stay below 2p < 2^63 before the mod
+        sums[1 << i:2 << i] = (sums[:1 << i] + v) % p
     failing = None
-    for mask in np.nonzero(np.abs(sums) < gate)[0]:
+    for mask in np.flatnonzero(sums == 0)[1:]:
         mask = int(mask)
-        if mask == 0:
-            continue
         total = CyclotomicNumber.zero(1)
         for i in range(n):
             if mask >> i & 1:

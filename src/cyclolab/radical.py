@@ -277,15 +277,16 @@ def orbit_moduli(x: RadicalSum) -> list[float]:
     return sorted(float(v) for v in np.abs(_orbit_values(x)) ** 2)
 
 
-def _in_band(v: float, eps: float) -> bool:
-    return 1 - eps - BAND_SLACK <= v <= 1 + eps + BAND_SLACK
+def _in_band(v, eps: float):
+    """[1-eps, 1+eps] membership of a squared modulus or an array of them."""
+    return (1 - eps - BAND_SLACK <= v) & (v <= 1 + eps + BAND_SLACK)
 
 
 def d_gamma_eps(x: RadicalSum, eps: float) -> tuple[Fraction, bool]:
     """Fraction of the Kummer orbit with squared modulus in [1-eps, 1+eps],
     plus a concyclicity flag (all orbit moduli equal within 1e-10)."""
     vals = np.abs(_orbit_values(x)) ** 2
-    count = int(sum(1 for v in vals if _in_band(float(v), eps)))
+    count = int(np.count_nonzero(_in_band(vals, eps)))
     concyclic = bool(np.max(vals) - np.min(vals) < 1e-10)
     return Fraction(count, len(vals)), concyclic
 
@@ -370,22 +371,18 @@ def sigma_search(x: RadicalSum, box: ArcBox, eps: float) -> list[GaloisElement]:
     """All Kummer elements whose rotation tuple lies in the box and whose
     conjugate squared modulus lies in [1-eps, 1+eps].
 
-    The l-th rotation angle of r is 2 pi r_l c_l / d_l, reduced mod 2 pi.
+    The l-th rotation angle of r is r_l c_l / d_l = r_l / (d_l/c_l) turns;
+    every r is tested at once by `Arc.contains` on the residues r_l, laid
+    out in itertools.product order like the orbit values.
     """
     ctx = x.context
     if len(box.arcs) != ctx.rank:
         raise ValueError("box dimension must equal the rank")
-    vals = np.abs(_orbit_values(x)) ** 2
-    found = []
-    for idx, r in enumerate(ctx.kummer_elements()):
-        ok = True
-        for arc, r_l, c_l, d_l in zip(box.arcs, r, ctx.failures, ctx.denominators):
-            if not arc.contains_turn(Fraction(r_l * c_l, d_l) % 1):
-                ok = False
-                break
-        if ok and _in_band(float(vals[idx]), eps):
-            found.append(GaloisElement(1, r))
-    return found
+    ok = _in_band(np.abs(_orbit_values(x)) ** 2, eps)
+    rot = np.indices(ctx.group, dtype=np.int64).reshape(ctx.rank, ctx.orbit_size())
+    for arc, r_l, n_l in zip(box.arcs, rot, ctx.group):
+        ok &= arc.contains(r_l, n_l)
+    return [GaloisElement(1, r) for r in itertools.compress(ctx.kummer_elements(), ok)]
 
 
 # --------------------------------------------------------- term manipulation

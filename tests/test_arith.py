@@ -14,6 +14,7 @@ from cyclolab._arith import (
     poly_mul,
     poly_sub,
     poly_trim,
+    prime_root_of_unity,
 )
 from cyclolab.kummer import squarefree_part
 
@@ -25,6 +26,15 @@ Q80 = 1208925819614629174707179
 
 
 class TestIntegers:
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 840, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23])
+    def test_prime_root_of_unity(self, L):
+        p, w = prime_root_of_unity(L)
+        assert p > 1 << 61 and (p - 1) % L == 0 and factorize(p) == {p: 1}
+        assert pow(w, L, p) == 1
+        assert all(pow(w, L // q, p) != 1 for q in factorize(L))
+        p2, _ = prime_root_of_unity(L, p)
+        assert p2 > p and (p2 - 1) % L == 0 and factorize(p2) == {p2: 1}
+
     def test_iroot_small(self):
         assert [iroot(n, 2) for n in range(10)] == [0, 1, 1, 1, 2, 2, 2, 2, 2, 3]
         assert iroot(26, 3) == 2 and iroot(27, 3) == 3

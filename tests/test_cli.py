@@ -79,6 +79,20 @@ class TestCommands:
         )
         assert code == 0 and rec["results"]["count"] == 1
 
+    def test_arc_count_m_above_cap_exit_2(self, capsys):
+        code = main(["arc-count", "--m", str(10**10 + 19), "--k", "1", "--arcs", "0t:1/4t"])
+        assert code == 2 and "refuses m" in capsys.readouterr().err
+
+    def test_flat_verify_large_coefficients(self, capsys):
+        # the first coefficient is exactly 1 in Q(zeta_3)
+        big = ("1000000000000000000000000000001 + 1000000000000000000000000000000*z^1"
+               " + 1000000000000000000000000000000*z^2 @ 3")
+        code, rec = run_json(capsys, "flat-verify", "--d", "1", "--exponents", "0,1",
+                             "--coeffs", big + ";-1 @ 1")
+        validity = rec["results"]["validity"]
+        assert code == 0 and not validity["subset_sums_nonzero"]
+        assert validity["failing_subset"] == [0, 1]
+
     def test_strict_check(self, capsys):
         code, rec = run_json(
             capsys, "strict-check", "--seq", "7:1,1;11:1,1;13:1,1",

@@ -13,8 +13,70 @@ from cyclolab.equidist import (
     orbit_period,
     weyl_sum,
     arc_count,
+    ARC_M_CAP,
+    _arc_count_chunk,
 )
 from cyclolab.lattice import in_lattice, hnf_det
+from cyclolab.radical import RadicalContext, RadicalSum, _in_band, _orbit_values, sigma_search
+
+TWO_PI = 2 * math.pi
+
+
+def ref_contains(arc, t):
+    """Reference closed-arc membership of the point at t turns: exact
+    Fraction arithmetic for turn arcs, the float angle float(t) * 2 pi with
+    a 1e-12 boundary band for radian arcs."""
+    if arc.exact:
+        w = 2 * arc.half_turns
+        return w >= 1 or (t - (arc.center_turns - arc.half_turns)) % 1 <= w
+    if 2 * arc.half >= TWO_PI:
+        return True
+    d = (float(t) * TWO_PI - (arc.center - arc.half)) % TWO_PI
+    return d <= 2 * arc.half + 1e-12 or d >= TWO_PI - 1e-12
+
+
+def ref_count(m, k, box, lo=1, hi=None):
+    """Brute-force arc count over r in [lo, hi): one Fraction per point."""
+    hi = m + 1 if hi is None else hi
+    return sum(
+        all(ref_contains(arc, Fraction((r * kj) % m, m)) for kj, arc in zip(k, box.arcs))
+        for r in range(lo, hi)
+    )
+
+
+def ref_sigma_search(x, box, eps):
+    """Brute-force sigma_search: rotation r_l c_l / d_l turns per coordinate."""
+    ctx = x.context
+    vals = abs(_orbit_values(x)) ** 2
+    found = []
+    for v, r in zip(vals, ctx.kummer_elements()):
+        if _in_band(float(v), eps) and all(
+            ref_contains(arc, Fraction(r_l * c_l, d_l) % 1)
+            for arc, r_l, c_l, d_l in zip(box.arcs, r, ctx.failures, ctx.denominators)
+        ):
+            found.append(r)
+    return found
+
+
+def random_arc(rng, q, kind):
+    """A turn or radian arc; about a third of them end on a point x/q."""
+    on_point = rng.random() < 0.35
+    if kind == "turn":
+        if on_point:
+            h = Fraction(rng.randrange(q), 2 * q)
+            return Arc(Fraction(rng.randrange(q), q) + rng.choice([h, -h]), h)
+        den = rng.choice([2, 7, 97, 1000, 10**13 + 37, 10**30, q])
+        return Arc(Fraction(rng.randrange(-2 * den, 2 * den), den),
+                   Fraction(rng.randrange(den), rng.choice([den, 2 * den, 3])))
+    if on_point:
+        return Arc(TWO_PI * rng.randrange(q) / q, math.pi * rng.randrange(q) / q)
+    return Arc(rng.uniform(-7, 7), rng.uniform(0, 4))
+
+
+def random_box(rng, qs, kind):
+    if kind == "mixed":
+        return ArcBox([random_arc(rng, q, rng.choice(["turn", "radian"])) for q in qs])
+    return ArcBox([random_arc(rng, q, kind) for q in qs])
 
 
 def primes_above(n, count):
@@ -164,8 +226,10 @@ class TestArcs:
 
     def test_threads_agree(self):
         orbit = RootTupleOrbit(10007, (1, 100))
-        box = ArcBox([Arc(0.0, 0.5), Arc(0.0, 0.5)])
-        assert arc_count(orbit, box, threads=4).count == arc_count(orbit, box).count
+        for box in (ArcBox([Arc(0.0, 0.5), Arc(0.0, 0.5)]),
+                    ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)),
+                            Arc(Fraction(3, 10**13 + 37), Fraction(1, 5))])):
+            assert arc_count(orbit, box, threads=4).count == arc_count(orbit, box).count
 
     def test_exact_vs_float_agree_generic(self):
         # generic arcs: both representations count identically
@@ -176,3 +240,54 @@ class TestArcs:
             ArcBox([Arc(2 * math.pi / 7, 2 * math.pi / 9)]),
         )
         assert exact.count == approx.count
+
+    def test_m_above_cap_refused(self):
+        box = ArcBox([Arc(Fraction(0), Fraction(1, 4))])
+        with pytest.raises(ValueError, match="refuses m"):
+            arc_count(RootTupleOrbit(10**10 + 19, (10**10 + 16,)), box)
+
+    def test_int64_exact_at_cap(self):
+        # r * k_j reaches ~1e18 at m = ARC_M_CAP and must not wrap in int64
+        m, k = ARC_M_CAP, (ARC_M_CAP - 3, 999_999_937)
+        box = ArcBox([Arc(Fraction(1, 3), Fraction(2, 5)), Arc(0.5, 2.0)])
+        assert _arc_count_chunk(m, k, box, m - 2000, m + 1) == ref_count(m, k, box, m - 2000)
+
+
+class TestExactMembershipDifferential:
+    """`arc_count`, `sigma_search` and `contains_turn` against the Fraction
+    reference on seeded turn, mixed and radian boxes, with denominators up to
+    10^30 and endpoints on orbit points."""
+
+    @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
+    def test_arc_count(self, kind):
+        rng = random.Random(f"arc-{kind}")
+        for _ in range(100):
+            m = rng.randint(1, 300)
+            k = tuple(rng.randint(-5000, 5000) for _ in range(rng.randint(1, 3)))
+            box = random_box(rng, [m] * len(k), kind)
+            rep = arc_count(RootTupleOrbit(m, k), box, threads=rng.choice([1, 2]))
+            assert rep.count == ref_count(m, k, box)
+
+    @pytest.mark.parametrize("kind", ["turn", "radian"])
+    def test_contains_turn(self, kind):
+        rng = random.Random(f"turn-{kind}")
+        for _ in range(500):
+            q = rng.randint(1, 200)
+            arc = random_arc(rng, q, kind)
+            t = Fraction(rng.randrange(-3 * q, 3 * q), q)
+            assert arc.contains_turn(t) == ref_contains(arc, t)
+
+    @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
+    def test_sigma_search(self, kind):
+        rng = random.Random(f"sigma-{kind}")
+        for _ in range(60):
+            dens = [rng.choice([2, 3, 4, 6, 8, 12, 30]) for _ in range(rng.randint(1, 2))]
+            fails = [rng.choice([c for c in range(1, d + 1) if d % c == 0]) for d in dens]
+            ctx = RadicalContext([Fraction(2), Fraction(3)][:len(dens)], dens,
+                                 D=rng.choice([1, 3, 8]), failures=fails)
+            x = RadicalSum(ctx, [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                  tuple(rng.randrange(d) for d in dens))
+                                 for _ in range(rng.randint(1, 3))])
+            box = random_box(rng, ctx.group, kind)
+            eps = rng.choice([0.5, 1.0, 3.0])
+            assert [g.r for g in sigma_search(x, box, eps)] == ref_sigma_search(x, box, eps)

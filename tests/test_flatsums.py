@@ -44,6 +44,24 @@ class TestValidate:
         assert not rep.subset_sums_nonzero
         assert rep.failing_subset == (0, 1)
 
+    def test_large_coefficients_vanishing_subset(self):
+        # 10^30 (1 + z + z^2) + 1 is exactly 1 in Q(zeta_3); doubles lose it
+        big = CyclotomicNumber(3, [10**30 + 1, 10**30, 10**30])
+        rep = validate_definition(exact_sum(1, [(0, big), (1, rational(-1))]))
+        assert not rep.subset_sums_nonzero and rep.failing_subset == (0, 1)
+
+    def test_large_coefficients_nonvanishing(self):
+        big = CyclotomicNumber(3, [10**30 + 1, 10**30, 10**30])
+        assert validate_definition(exact_sum(1, [(0, big), (1, rational(-2))])).all_ok
+
+    def test_coefficient_orders_beyond_int64(self):
+        # lcm of the orders is ~6e19, so the residues leave int64
+        orders = [61, 67, 71, 73, 79, 83, 89, 97, 101, 103]
+        terms = [(i, zeta(q)) for i, q in enumerate(orders)]
+        assert validate_definition(exact_sum(1, terms)).all_ok
+        rep = validate_definition(exact_sum(1, terms + [(10, -zeta(67))]))
+        assert rep.failing_subset == (1, 10)
+
     def test_too_many_terms(self):
         f = exact_sum(3, [(i, 1) for i in range(21)])
         with pytest.raises(ValueError, match="subset check too large"):
