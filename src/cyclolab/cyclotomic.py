@@ -1,7 +1,8 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_D).
 
-A value is stored as a length-D vector of rationals over the power basis
-zeta_D^0 .. zeta_D^(D-1) and is reduced modulo the D-th cyclotomic
+A value is stored as the map j -> c_j of its nonzero rational coefficients
+over the power basis zeta_D^0 .. zeta_D^(D-1), so a root of unity or a
+Gauss sum costs only its terms.  It is reduced modulo the D-th cyclotomic
 polynomial only on demand (equality, inversion).  The complex embedding is
 fixed once and for all: zeta_D -> exp(2*pi*i/D).
 """
@@ -56,28 +57,50 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class CyclotomicNumber:
-    """An element of Q(zeta_D) as a rational vector over the power basis."""
+def _init(x: "CyclotomicNumber", order: int, terms: dict) -> None:
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "_terms", terms)
+    object.__setattr__(x, "_canon", None)
 
-    __slots__ = ("order", "coeffs", "_canon")
+
+class CyclotomicNumber:
+    """An element of Q(zeta_D) as the map j -> c_j of its nonzero rational
+    coefficients over the power basis zeta_D^0 .. zeta_D^(D-1)."""
+
+    __slots__ = ("order", "_terms", "_canon")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be positive")
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) != order:
             raise ValueError("coefficient vector must have length equal to the order")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_canon", None)
+        _init(self, order, {j: c for j, c in enumerate(coeffs) if c})
+
+    @classmethod
+    def _from_terms(cls, order: int, terms: dict) -> "CyclotomicNumber":
+        """Wrap a map exponent in [0, order) -> nonzero Fraction as is."""
+        if order < 1:
+            raise ValueError("order must be positive")
+        x = object.__new__(cls)
+        _init(x, order, terms)
+        return x
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The dense coefficient vector of length order."""
+        v = [Fraction(0)] * self.order
+        for j, c in self._terms.items():
+            v[j] = c
+        return tuple(v)
+
     # ------------------------------------------------------------ builders
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
-        return cls(order, [Fraction(0)] * order)
+        return cls._from_terms(order, {})
 
     @classmethod
     def one(cls, order: int = 1) -> "CyclotomicNumber":
@@ -85,15 +108,12 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q, order: int = 1) -> "CyclotomicNumber":
-        v = [Fraction(0)] * order
-        v[0] = Fraction(q)
-        return cls(order, v)
+        q = Fraction(q)
+        return cls._from_terms(order, {0: q} if q else {})
 
     @classmethod
     def root_of_unity(cls, order: int, k: int = 1) -> "CyclotomicNumber":
-        v = [Fraction(0)] * order
-        v[k % order] = Fraction(1)
-        return cls(order, v)
+        return cls._from_terms(order, {k % order: Fraction(1)})
 
     # ------------------------------------------------------------ helpers
     def lift(self, order: int) -> "CyclotomicNumber":
@@ -103,11 +123,7 @@ class CyclotomicNumber:
         if order % self.order != 0:
             raise ValueError("can only lift to a multiple of the order")
         step = order // self.order
-        v = [Fraction(0)] * order
-        for j, c in enumerate(self.coeffs):
-            if c:
-                v[j * step] = c
-        return CyclotomicNumber(order, v)
+        return self._from_terms(order, {j * step: c for j, c in self._terms.items()})
 
     def _pair(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -121,12 +137,19 @@ class CyclotomicNumber:
             a, b = self._pair(other)
         except TypeError:
             return NotImplemented
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        terms = dict(a._terms)
+        for j, c in b._terms.items():
+            s = terms[j] + c if j in terms else c
+            if s:
+                terms[j] = s
+            else:
+                del terms[j]
+        return self._from_terms(a.order, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return self._from_terms(self.order, {j: -c for j, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CyclotomicNumber) else -Fraction(other))
@@ -137,21 +160,20 @@ class CyclotomicNumber:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CyclotomicNumber(self.order, [c * q for c in self.coeffs])
+            return self._from_terms(self.order, {j: c * q for j, c in self._terms.items() if q})
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
         D = a.order
-        out = [Fraction(0)] * D
-        nz_a = [(i, c) for i, c in enumerate(a.coeffs) if c]
-        nz_b = [(j, c) for j, c in enumerate(b.coeffs) if c]
-        for i, ca in nz_a:
-            for j, cb in nz_b:
+        out = {}
+        for i, ca in a._terms.items():
+            for j, cb in b._terms.items():
                 k = i + j
                 if k >= D:
                     k -= D
-                out[k] += ca * cb
-        return CyclotomicNumber(D, out)
+                p = ca * cb
+                out[k] = out[k] + p if k in out else p
+        return self._from_terms(D, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -196,15 +218,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.canonical())
 
-    def is_rational(self) -> bool:
-        return not any(self.canonical()[1:])
-
-    def rational_value(self) -> Fraction:
-        c = self.canonical()
-        if any(c[1:]):
-            raise ValueError("value is not rational")
-        return c[0]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CyclotomicNumber.from_rational(Fraction(other))
@@ -222,11 +235,7 @@ class CyclotomicNumber:
         if gcd(t, D) != 1:
             raise ValueError("not a Galois element")
         t %= D
-        v = [Fraction(0)] * D
-        for j, c in enumerate(self.coeffs):
-            if c:
-                v[(j * t) % D] += c
-        return CyclotomicNumber(D, v)
+        return self._from_terms(D, {j * t % D: c for j, c in self._terms.items()})
 
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois_conjugate(-1)
@@ -250,32 +259,22 @@ class CyclotomicNumber:
             s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
         # r0 = gcd (a nonzero constant since Phi is irreducible and g != 0)
         const = r0[0]
-        v = [Fraction(0)] * D
-        for j, c in enumerate(s0):
-            v[j] = c / const
-        return CyclotomicNumber(D, v)
+        return self._from_terms(D, {j: c / const for j, c in enumerate(s0) if c})
 
     # ---------------------------------------------------------- embedding
     def embed(self) -> complex:
         """Complex value under the fixed embedding zeta_D -> e^(2*pi*i/D)."""
         D = self.order
         total = 0j
-        for j, c in enumerate(self.coeffs):
-            if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * j / D)
+        for j, c in sorted(self._terms.items()):  # ascending j fixes the float sum
+            total += float(c) * cmath.exp(2j * cmath.pi * j / D)
         return total
 
     # -------------------------------------------------------- text format
     def to_text(self) -> str:
         """Serialize as "c0 + c1*z^1 + ... @ D" with rationals "p/q"."""
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(str(c) if j == 0 else f"{c}*z^{j}")
-        if not parts:
-            parts = ["0"]
-        return " + ".join(parts) + f" @ {self.order}"
+        parts = [str(c) if j == 0 else f"{c}*z^{j}" for j, c in sorted(self._terms.items())]
+        return " + ".join(parts or ["0"]) + f" @ {self.order}"
 
     @classmethod
     def parse(cls, text: str) -> "CyclotomicNumber":

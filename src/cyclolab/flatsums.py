@@ -9,7 +9,6 @@ squared modulus is d, be certified without irrational scaling.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -117,10 +116,6 @@ class SparseExpSum:
         for b, a in self.terms:
             total = total + a * zeta(self.d, (l * b) % self.d)
         return total
-
-    def evaluate_numeric(self, l: int) -> complex:
-        w = 2j * math.pi * l / self.d
-        return sum(complex(a) * cmath.exp(w * b) for b, a in self.to_numeric().terms)
 
 
 def exact_sum(d: int, terms, mu=Fraction(1)) -> SparseExpSum:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._arith import divisors, euler_phi, poly_divmod, poly_gcd, poly_mul, poly_trim
+from ._arith import divisors, euler_phi, poly_divmod, poly_gcd, poly_trim
 
 __all__ = [
     "AlgebraicNumber",
@@ -182,12 +182,14 @@ def weil_height(alpha) -> float:
 
 
 def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
-    """Defining polynomial of alpha^n by resultant elimination.
+    """Defining polynomial of alpha^n from Newton power sums.
 
-    Res_y(p(y), x - y^n) is evaluated at deg(p)+1 integer points and
-    interpolated exactly, then made squarefree and primitive.  For n < 0
-    the coefficients of the |n| result are reversed (alpha must be
-    nonzero, which holds since the minimal polynomial is irreducible of
+    Newton's identities give the power sums s_j of the roots alpha_i of
+    the minimal polynomial; s_|n|, s_2|n|, ..., s_deg|n| are the power sums
+    of the alpha_i^|n|, and the same identities run backwards give the
+    monic prod (x - alpha_i^|n|), which is made squarefree and primitive.
+    For n < 0 the coefficients of the |n| result are reversed (alpha must
+    be nonzero, which holds since the minimal polynomial is irreducible of
     positive degree with nonzero constant term).
     """
     if n == 0:
@@ -197,29 +199,16 @@ def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
         raise ValueError("cannot invert zero")
     k = abs(n)
     deg = len(p) - 1
-    xs = []
-    v = 0
-    while len(xs) < deg + 1:
-        xs.append(v)
-        v = -v + (1 if v <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-    vals = []
-    for x0 in xs:
-        gy = [Fraction(x0)] + [Fraction(0)] * (k - 1) + [Fraction(-1)]
-        vals.append(resultant([Fraction(c) for c in p], gy))
-    # exact Lagrange interpolation
-    q = [Fraction(0)] * (deg + 1)
-    for i, xi in enumerate(xs):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = poly_mul(basis, [Fraction(-xj), Fraction(1)])
-            denom *= Fraction(xi - xj)
-        scale = vals[i] / denom
-        for t, c in enumerate(basis):
-            q[t] += scale * c
-    poly_trim(q)
+    r = [Fraction(c, p[-1]) for c in reversed(p)]  # r[i]: coefficient of x^(deg-i)
+    s = [Fraction(deg)]  # s[j] = sum of alpha_i^j
+    for j in range(1, deg * k + 1):
+        s.append(-sum(r[i] * s[j - i] for i in range(1, min(j, deg + 1)))
+                 - (j * r[j] if j <= deg else 0))
+    t = s[::k]  # t[j] = sum of (alpha_i^k)^j
+    b = [Fraction(1)]  # b[i]: coefficient of x^(deg-i) in prod (x - alpha_i^k)
+    for j in range(1, deg + 1):
+        b.append(-(t[j] + sum(b[i] * t[j - i] for i in range(1, j))) / j)
+    q = b[::-1]
     dq = poly_trim([i * c for i, c in enumerate(q)][1:])
     sf = poly_divmod(q, poly_gcd(q, dq))[0]
     ints = _primitive_int(sf)

@@ -1,9 +1,12 @@
+import cmath
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclolab._arith import poly_divmod
 from cyclolab.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta, rational
 
 
@@ -132,3 +135,142 @@ def test_parse_rejects_garbage():
     for text in ("1/2 @ -3", "1/2 @ 0", "...", "1/0 @ 4", "z^x @ 4", "1 @ two"):
         with pytest.raises(ValueError, match=r"c0 \+ c1\*z\^1 \+ \.\.\. @ D"):
             CyclotomicNumber.parse(text)
+
+
+# ---------------------------------------------------------------------------
+# Test-only dense reference: a value is (order, tuple of order Fractions),
+# with the tuple-based operations a CyclotomicNumber had before it stored
+# only its nonzero terms.
+
+
+def ref_lift(x, order):
+    D, v = x
+    out = [Fraction(0)] * order
+    for j, c in enumerate(v):
+        if c:
+            out[j * (order // D)] = c
+    return order, tuple(out)
+
+
+def ref_add(x, y):
+    D = lcm(x[0], y[0])
+    return D, tuple(p + q for p, q in zip(ref_lift(x, D)[1], ref_lift(y, D)[1]))
+
+
+def ref_mul(x, y):
+    D = lcm(x[0], y[0])
+    out = [Fraction(0)] * D
+    a = [(i, c) for i, c in enumerate(ref_lift(x, D)[1]) if c]
+    b = [(j, c) for j, c in enumerate(ref_lift(y, D)[1]) if c]
+    for i, p in a:
+        for j, q in b:
+            out[(i + j) % D] += p * q
+    return D, tuple(out)
+
+
+def ref_scale(x, q):
+    return x[0], tuple(c * q for c in x[1])
+
+
+def ref_galois(x, t):
+    D, v = x
+    out = [Fraction(0)] * D
+    for j, c in enumerate(v):
+        if c:
+            out[(j * t) % D] += c
+    return D, tuple(out)
+
+
+def ref_canonical(x):
+    D, v = x
+    phi = cyclotomic_polynomial(D)
+    rem = poly_divmod(list(v), phi)[1]
+    return tuple(rem) + (Fraction(0),) * (len(phi) - 1 - len(rem))
+
+
+def ref_embed(x):
+    D, v = x
+    total = 0j
+    for j, c in enumerate(v):
+        if c:
+            total += float(c) * cmath.exp(2j * cmath.pi * j / D)
+    return total
+
+
+def ref_text(x):
+    D, v = x
+    parts = [str(c) if j == 0 else f"{c}*z^{j}" for j, c in enumerate(v) if c != 0]
+    return " + ".join(parts or ["0"]) + f" @ {D}"
+
+
+DENSE_ORDERS = (1, 8, 24, 43, 120, 210)
+
+
+def random_pair(rng, D):
+    """A CyclotomicNumber and its dense reference from the same terms.
+
+    Most values are sums of c*zeta_D^j added in random exponent order (so
+    the term map is filled out of order, with repeats); the rest go through
+    the dense constructor."""
+    if rng.random() < 0.25:
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.5 else 0
+             for _ in range(D)]
+        return CyclotomicNumber(D, v), (D, tuple(Fraction(c) for c in v))
+    x = CyclotomicNumber.zero(D)
+    v = [Fraction(0)] * D
+    for _ in range(rng.randint(0, 7)):
+        j, c = rng.randrange(-D, 2 * D), Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        x = x + c * zeta(D, j)
+        v[j % D] += c
+    return x, (D, tuple(v))
+
+
+def dense(D, terms):
+    v = [Fraction(0)] * D
+    for j, c in terms.items():
+        v[j % D] += c
+    return D, tuple(v)
+
+
+def assert_same(x, ref):
+    assert x.order == ref[0]
+    assert x.coeffs == ref[1]
+    assert x.canonical() == ref_canonical(ref)
+    assert x.to_text() == ref_text(ref)
+    assert x.embed() == ref_embed(ref)  # bit-identical, not approximate
+
+
+def test_term_map_matches_dense_reference():
+    rng = random.Random(43)
+    for _ in range(100):
+        D = rng.choice(DENSE_ORDERS)  # mixed orders, common order at most 840
+        E = rng.choice([E for E in DENSE_ORDERS if lcm(D, E) <= 840])
+        x, rx = random_pair(rng, D)
+        y, ry = random_pair(rng, E)
+        assert_same(x, rx)
+        assert_same(x + y, ref_add(rx, ry))
+        assert_same(x - y, ref_add(rx, ref_scale(ry, -1)))
+        assert_same(x * y, ref_mul(rx, ry))
+        q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        assert_same(x * q, ref_scale(rx, q))
+        assert_same(q * x, ref_scale(rx, q))
+        M = D * rng.choice((1, 2, 3, 5))
+        assert_same(x.lift(M), ref_lift(rx, M))
+        t = rng.choice([t for t in range(-D, D + 1) if gcd(t, D) == 1])
+        assert_same(x.galois_conjugate(t), ref_galois(rx, t % D))
+
+
+def test_term_map_edge_cases():
+    for D in DENSE_ORDERS:
+        x = sum((Fraction(j + 1, 3) * zeta(D, 3 * j) for j in range(D)), CyclotomicNumber.zero(D))
+        assert (x - x).to_text() == f"0 @ {D}"
+        assert (x - x).coeffs == (Fraction(0),) * D
+        assert (x * 0).to_text() == f"0 @ {D}"
+        assert (0 * x).coeffs == (Fraction(0),) * D
+        assert (x + (-x)).embed() == 0j
+        assert CyclotomicNumber(D, [0] * D).to_text() == f"0 @ {D}"
+        # the z^1 terms of (z + 1)(z - 1) cancel and are dropped, not kept as zeros
+        y, w = zeta(D) + 1, zeta(D) - 1
+        ry, rw = dense(D, {1: 1, 0: 1}), dense(D, {1: 1, 0: -1})
+        assert_same(y * w, ref_mul(ry, rw))
+        assert_same(y + w, ref_add(ry, rw))

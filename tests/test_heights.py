@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from cyclolab._arith import euler_phi, poly_divmod, poly_gcd, poly_mul, poly_trim
 from cyclolab.cyclotomic import cyclotomic_polynomial
 from cyclolab.heights import (
+    _primitive_int,
     AlgebraicNumber,
     weil_height,
     mahler_measure,
@@ -26,6 +28,61 @@ def random_irreducible(rng, deg_max=4):
             return AlgebraicNumber(tuple(coeffs))
         except ValueError:
             continue
+
+
+def ref_power_transform(alpha, n):
+    """Test-only reference: the defining polynomial of alpha^n by resultant
+    elimination, Res_y(p(y), x - y^n) at deg(p)+1 integer points and exact
+    Lagrange interpolation, then the same squarefree, primitive, reversal
+    and root-selection steps as `power_transform`."""
+    if n == 0:
+        raise ValueError("n must be a nonzero integer")
+    p = list(alpha.minpoly)
+    if n < 0 and p[0] == 0:
+        raise ValueError("cannot invert zero")
+    k = abs(n)
+    deg = len(p) - 1
+    xs = []
+    v = 0
+    while len(xs) < deg + 1:
+        xs.append(v)
+        v = -v + (1 if v <= 0 else 0)  # 0, 1, -1, 2, -2, ...
+    vals = []
+    for x0 in xs:
+        gy = [Fraction(x0)] + [Fraction(0)] * (k - 1) + [Fraction(-1)]
+        vals.append(resultant([Fraction(c) for c in p], gy))
+    q = [Fraction(0)] * (deg + 1)
+    for i, xi in enumerate(xs):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            basis = poly_mul(basis, [Fraction(-xj), Fraction(1)])
+            denom *= Fraction(xi - xj)
+        scale = vals[i] / denom
+        for t, c in enumerate(basis):
+            q[t] += scale * c
+    poly_trim(q)
+    dq = poly_trim([i * c for i, c in enumerate(q)][1:])
+    sf = poly_divmod(q, poly_gcd(q, dq))[0]
+    ints = _primitive_int(sf)
+    if n < 0:
+        ints = list(reversed(ints))
+        if ints[-1] < 0:
+            ints = [-c for c in ints]
+    target = alpha.root() ** n
+    rts = poly_roots(ints)
+    idx = min(range(len(rts)), key=lambda i: abs(rts[i] - target))
+    return AlgebraicNumber(tuple(ints), idx)
+
+
+def _outcome(fn, *args):
+    try:
+        b = fn(*args)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+    return b.minpoly, b.root_index
 
 
 class TestWeilHeight:
@@ -93,6 +150,34 @@ class TestPowerTransform:
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             power_transform(AlgebraicNumber((-2, 1)), 0)
+
+    def test_matches_resultant_reference(self):
+        """Newton power sums against resultant elimination: the same
+        (minpoly, root_index) or the same exception type on 536 seeded
+        cases of degree 2-8.  Random polynomials cover the generic case;
+        x^d - a and Phi_m make alpha^n of lower degree, so the squarefree
+        step and the root selection among repeated values are exercised."""
+        rng = random.Random(2024)
+        ns = (2, -2, 3, -3, 4, 5, -5, 7)
+        alphas = []
+        while len(alphas) < 50:
+            deg = rng.randint(2, 8)
+            coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
+            try:
+                alphas.append(AlgebraicNumber(tuple(coeffs)))
+            except ValueError:
+                continue
+        for deg in range(2, 9):
+            a = rng.choice((2, 3, 5, 6, 7))
+            alphas.append(AlgebraicNumber(tuple([-a] + [0] * (deg - 1) + [1]),
+                                          rng.randrange(deg)))
+        alphas += [AlgebraicNumber(cyclotomic_polynomial(m), rng.randrange(euler_phi(m)))
+                   for m in (3, 5, 8, 9, 12, 15, 16, 20, 24, 30)]
+        assert len(alphas) * len(ns) >= 500
+        for a in alphas:
+            for n in ns:
+                assert _outcome(power_transform, a, n) == _outcome(ref_power_transform, a, n), (
+                    a, n)
 
 
 class TestRootsOfUnity:
