@@ -4,8 +4,8 @@ heights and Kummer failure constants, at desk scale."""
 
 __version__ = "0.1.0"
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta, rational
-from .flatsums import (
+from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta, rational  # noqa: F401
+from .flatsums import (  # noqa: F401 (re-exported)
     SparseExpSum,
     exact_sum,
     numeric_sum,
@@ -21,7 +21,7 @@ from .flatsums import (
     sn_survey,
     known_member_witness,
 )
-from .equidist import (
+from .equidist import (  # noqa: F401 (re-exported)
     RootTupleOrbit,
     Arc,
     ArcBox,
@@ -31,7 +31,7 @@ from .equidist import (
     weyl_sum,
     arc_count,
 )
-from .heights import (
+from .heights import (  # noqa: F401 (re-exported)
     AlgebraicNumber,
     weil_height,
     mahler_measure,
@@ -39,14 +39,14 @@ from .heights import (
     is_root_of_unity,
     radical_height,
 )
-from .kummer import (
+from .kummer import (  # noqa: F401 (re-exported)
     KummerQuery,
     sqrt_in_cyclotomic,
     rank1_failure,
     tower_degrees,
     root_membership_oracle,
 )
-from .radical import (
+from .radical import (  # noqa: F401 (re-exported)
     RadicalContext,
     RadicalSum,
     GaloisElement,

@@ -14,8 +14,6 @@ from .lattice import (
     relation_lattice_basis,
     intersect_lattices,
     shortest_relation,
-    hnf_det,
-    in_lattice,
 )
 
 __all__ = [

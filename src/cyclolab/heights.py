@@ -138,8 +138,9 @@ class AlgebraicNumber:
             raise ValueError("minimal polynomial must be nonconstant")
         if not (0 <= self.root_index < deg):
             raise ValueError("root index out of range")
-        # cheap irreducibility probes; full factorization is out of scope
-        if deg > 1 and _rational_roots(list(ints)):
+        # cheap irreducibility probes; full factorization is out of scope.
+        # At degree 2 the discriminant decides rational roots without factoring.
+        if deg > 2 and _rational_roots(list(ints)):
             raise ValueError("polynomial has a rational root, not irreducible")
         if deg == 2:
             disc = ints[1] ** 2 - 4 * ints[0] * ints[2]

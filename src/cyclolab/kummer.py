@@ -10,8 +10,11 @@ unity) with rho a positive rational: odd-order real radicals of
 non-powers generate non-abelian fields, and a positive real 4th root of a
 non-square does too, which collapses everything beyond a single square
 root layer.  Square roots of rationals are located by the conductor
-criterion; twisted candidates sqrt(rho) * zeta are constructed exactly
-from Gauss sums and tested for Galois invariance.
+criterion, and so are twisted candidates sqrt(rho) * z: either z lies in
+Q(zeta_m), or Q(zeta_m)(z) is the quadratic extension Q(zeta_lcm(m, t))
+whose nontrivial automorphism sends z to -z, or not even z^2 lies in
+Q(zeta_m).  The decision is integer arithmetic on conductors;
+`sqrt_as_cyclotomic` builds the exact witness sqrt(rho) from Gauss sums.
 """
 from __future__ import annotations
 
@@ -141,20 +144,6 @@ def sqrt_as_cyclotomic(rho: Fraction, order: int) -> CyclotomicNumber:
     return result
 
 
-def _in_subfield(x: CyclotomicNumber, m: int) -> bool:
-    """Does x (given in Q(zeta_L), m | L) lie in Q(zeta_m)?  Decided by
-    invariance under every Galois element fixing zeta_m."""
-    L = x.order
-    if L % m != 0:
-        raise ValueError("ambient order must be a multiple of m")
-    for t in range(1 + m, L, m):
-        if gcd(t, L) != 1:
-            continue
-        if not (x.galois_conjugate(t) == x):
-            return False
-    return True
-
-
 # --------------------------------------------------------- e-th root existence
 
 
@@ -163,8 +152,8 @@ def has_nth_root_in_cyclotomic(a, e: int, m: int) -> bool:
 
     All e-th roots of a are |a|^(1/e) * zeta_(2e)^tau with tau even for
     a > 0 and odd for a < 0.  Membership forces |a|^(1/e) to be rational or
-    the square root of a rational (see the module docstring), which leaves
-    two decidable branches plus a definite "no".
+    the square root of a rational; the twisted case is decided by conductors
+    alone (see the module docstring).
     """
     a = Fraction(a)
     if a == 0:
@@ -187,20 +176,16 @@ def has_nth_root_in_cyclotomic(a, e: int, m: int) -> bool:
     if e % 2 == 0:
         rho = _nth_root_rational(mag, e // 2)
         if rho is not None and _nth_root_rational(rho, 2) is None:
-            # candidates sqrt(rho) * zeta_(2e)^tau, tau = parity (mod 2)
+            # candidates sqrt(rho) * z with z = zeta_(2e)^tau of order t
             for tau in range(parity, 2 * e, 2):
-                g = gcd(tau, 2 * e)
-                t = (2 * e) // g if tau else 1
-                if t <= 2:
+                t = (2 * e) // gcd(tau, 2 * e)
+                if _zeta_order_in_cyclotomic(t, m):
                     if sqrt_in_cyclotomic(rho, m):
-                        return True  # candidate is +-sqrt(rho)
-                elif t == 4:
-                    if sqrt_in_cyclotomic(-rho, m):
-                        return True  # zeta_4 * sqrt(rho) = sqrt(-rho)
-                else:
-                    L = lcm(m, t, conductor_of_sqrt(rho), 4)
-                    x = sqrt_as_cyclotomic(rho, L) * zeta(L, (L // t) * (tau // g))
-                    if _in_subfield(x, m):
+                        return True
+                elif _zeta_order_in_cyclotomic(t // gcd(t, 2), m):
+                    # Q(zeta_lcm(m, t)) / Q(zeta_m) negates z, so it must
+                    # hold sqrt(rho) and negate it too
+                    if sqrt_in_cyclotomic(rho, lcm(m, t)) and not sqrt_in_cyclotomic(rho, m):
                         return True
             return False
     return False

@@ -21,7 +21,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .cyclotomic import CyclotomicNumber, zeta
-from .equidist import Arc, ArcBox
+from .equidist import ArcBox
 from .kummer import rank1_failure, multiplicatively_independent
 from .lattice import relation_lattice_basis, shortest_relation, lll_reduce
 
@@ -523,7 +523,7 @@ def cosine_identity_sides(xs, eta) -> tuple[float, float]:
         sum x_j^2 + eta sum_(i!=j) x_i x_j
           = -eta/2 sum_(i!=j) (x_i - x_j)^2 + (1 + eta(n-1)) sum x_j^2,
 
-    each evaluated by direct double loops."""
+    each evaluated from numpy outer products of xs."""
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
     sq = float(np.sum(xs**2))
@@ -571,8 +571,17 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
     """
     if D is not None and D < 1:
         raise ValueError("cyclotomic order must be positive")
-    text = text.replace("-", "+ -").replace("++ -", "+ -")
-    raw_terms = [t.strip() for t in text.split("+") if t.strip()]
+    # terms split at each + or - at parenthesis depth 0 that does not follow
+    # ^; a - stays with the term it starts
+    raw_terms, start, depth, prev = [], 0, 0, ""
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch in "+-" and depth == 0 and prev != "^":
+            raw_terms.append(text[start:i])
+            start = i + (ch == "+")
+        if not ch.isspace():
+            prev = ch
+    raw_terms = [t.strip() for t in raw_terms + [text[start:]] if t.strip()]
     parsed = []
     gens: list[Fraction] = []
     dens: dict[Fraction, int] = {}

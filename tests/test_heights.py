@@ -241,3 +241,10 @@ class TestPolyTools:
             AlgebraicNumber((-4, 0, 1))  # x^2 - 4 splits
         with pytest.raises(ValueError):
             AlgebraicNumber((2, 3, 1))  # (x+1)(x+2)
+
+    def test_big_irreducible_quadratic(self):
+        # x^2 + pq with primes p, q near 10^18: the discriminant decides a
+        # quadratic, so nothing is factored
+        p, q = 10**18 + 3, 10**18 + 9
+        alpha = AlgebraicNumber((p * q, 0, 1))
+        assert alpha.minpoly == (p * q, 0, 1) and alpha.degree == 2

@@ -1,9 +1,15 @@
+import random
+import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from cyclolab.cyclotomic import zeta, euler_phi
+from cyclolab import kummer
+from cyclolab.cyclotomic import CyclotomicNumber, zeta, euler_phi
 from cyclolab.kummer import (
+    _nth_root_rational,
+    _zeta_order_in_cyclotomic,
     KummerQuery,
     squarefree_part,
     conductor_of_sqrt,
@@ -17,6 +23,61 @@ from cyclolab.kummer import (
 )
 
 F = Fraction
+
+
+def ref_has_nth_root(a, e, m):
+    """The Gauss-sum decision: build each twisted candidate sqrt(rho) * zeta
+    exactly in Q(zeta_L) and test it for invariance under every Galois
+    element fixing zeta_m."""
+    a = F(a)
+    if e == 1:
+        return True
+    mag, parity = abs(a), (0 if a > 0 else 1)
+    rho = _nth_root_rational(mag, e)
+    if rho is not None:
+        return a > 0 or _zeta_order_in_cyclotomic(2 * (e & -e), m)
+    if e % 2 == 0:
+        rho = _nth_root_rational(mag, e // 2)
+        if rho is not None and _nth_root_rational(rho, 2) is None:
+            for tau in range(parity, 2 * e, 2):
+                g = gcd(tau, 2 * e)
+                t = (2 * e) // g
+                if t <= 2:
+                    if sqrt_in_cyclotomic(rho, m):
+                        return True
+                elif t == 4:
+                    if sqrt_in_cyclotomic(-rho, m):
+                        return True
+                else:
+                    L = lcm(m, t, conductor_of_sqrt(rho), 4)
+                    x = sqrt_as_cyclotomic(rho, L) * zeta(L, (L // t) * (tau // g))
+                    if all(x.galois_conjugate(s) == x
+                           for s in range(1 + m, L, m) if gcd(s, L) == 1):
+                        return True
+    return False
+
+
+def conductor_rule_grid():
+    """Seeded sample of (a, e, m): both signs, radicands with conductors
+    5, 8, 12, 24 and 28 (rational or not), m <= 24 odd and even, e in
+    {2, 3, 4, 6} plus a few e = 8.  For e = 6, m has no prime factor above
+    7: the Gauss-sum reference would otherwise work in orders past 1000."""
+    grid = []
+    for b in (F(2), F(3), F(5), F(6), F(7), F(1, 2), F(2, 3), F(5, 4), F(3, 25)):
+        for e in (2, 3, 4, 6):
+            if e == 2:
+                radicands = {b, 4 * b, b**2}
+            else:
+                radicands = {b, b**e, b ** (e // 2), (F(9, 4) * b) ** (e // 2)}
+            for a in radicands:
+                for m in range(1, 25):
+                    if e != 6 or all(m % p for p in (11, 13, 17, 19, 23)):
+                        grid += [(a, e, m), (-a, e, m)]
+    grid = random.Random(10).sample(grid, 2400)
+    for b in (F(2), F(3), F(1, 2)):
+        for m in (1, 2, 3, 4, 5, 8, 12, 16, 24):
+            grid += [(b**4, 8, m), (-(b**4), 8, m)]
+    return grid
 
 
 class TestConductor:
@@ -131,6 +192,36 @@ class TestRank1:
     def test_query_invariant(self):
         with pytest.raises(ValueError):
             KummerQuery(F(2), 4, 6)  # mu_4 not inside Q(zeta_6)
+
+
+class TestConductorRule:
+    def test_matches_gauss_sum_reference(self):
+        grid = conductor_rule_grid()
+        answers = [ref_has_nth_root(a, e, m) for a, e, m in grid]
+        assert len(grid) >= 2000 and sum(answers) >= 500
+        mismatches = [(a, e, m) for (a, e, m), want in zip(grid, answers)
+                      if has_nth_root_in_cyclotomic(a, e, m) != want]
+        assert mismatches == []
+
+    def test_bounded_work_on_big_primes(self):
+        for (a, d, m), want in ((((10**18 + 3) ** 3, 6, 6), (3, 2)),
+                                ((1009**3, 12, 24), (3, 4))):
+            start = time.perf_counter()
+            assert rank1_failure(a, d, m) == want
+            assert time.perf_counter() - start < 1.0
+
+    def test_no_cyclotomic_arithmetic(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cyclotomic arithmetic in a Kummer decision")
+
+        monkeypatch.setattr(kummer, "sqrt_as_cyclotomic", forbidden)
+        monkeypatch.setattr(CyclotomicNumber, "galois_conjugate", forbidden)
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", forbidden)
+        for a in (2, -2, 3, -3, 5, 6, -7, F(1, 2), F(-2, 3), 16, -27, 64, F(-1, 4), 1009**3):
+            for m in range(1, 25):
+                for d in (d for d in range(1, m + 1) if m % d == 0):
+                    c, deg = rank1_failure(a, d, m)
+                    assert c * deg == d
 
 
 class TestTower:

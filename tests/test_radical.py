@@ -348,6 +348,72 @@ class TestEnergyProfile:
             assert abs(lhs - rhs) < 1e-12
 
 
+# repr and context of every --sum string in bench/reference.json, README,
+# the demos and the tests: the records and bench digests rest on these parses
+PARSE_PINS = {
+    "(1/2) * z4^1 + 3^(1/6)": (
+        "(1/2*z^1 @ 4) + (1 @ 1) * 3^(1/6)",
+        "RadicalContext(generators=(Fraction(3, 1),), denominators=(6,), D=4, failures=(2,))"),
+    "(1/2) * z8^1 * 2^(3/6) + 3 * 5^(1/2) - 1/4": (
+        "(1/2*z^1 @ 8) * 2^(3/6) + (3 @ 1) * 5^(1/2) + (-1/4 @ 1)",
+        "RadicalContext(generators=(Fraction(2, 1), Fraction(5, 1)), denominators=(6, 2), D=8, failures=(2, 1))"),
+    "(1/2) + (1/2) * 2^(1/2)": (
+        "(1/2 @ 1) + (1/2 @ 1) * 2^(1/2)",
+        "RadicalContext(generators=(Fraction(2, 1),), denominators=(2,), D=1, failures=(1,))"),
+    "(1/3) + (2/3) * 3^(1/3)": (
+        "(1/3 @ 1) + (2/3 @ 1) * 3^(1/3)",
+        "RadicalContext(generators=(Fraction(3, 1),), denominators=(3,), D=1, failures=(1,))"),
+    "(1/4) + z5^2 * 7^(1/5)": (
+        "(1/4 @ 1) + (1*z^2 @ 5) * 7^(1/5)",
+        "RadicalContext(generators=(Fraction(7, 1),), denominators=(5,), D=5, failures=(1,))"),
+    "(2/3) * z3^1 + (1/3) * 5^(1/4)": (
+        "(2/3*z^1 @ 3) + (1/3 @ 1) * 5^(1/4)",
+        "RadicalContext(generators=(Fraction(5, 1),), denominators=(4,), D=3, failures=(1,))"),
+    "1 * 2^(1/2) * 3^(1/2) + (1/2)": (
+        "(1 @ 1) * 2^(1/2) * 3^(1/2) + (1/2 @ 1)",
+        "RadicalContext(generators=(Fraction(2, 1), Fraction(3, 1)), denominators=(2, 2), D=1, failures=(1, 1))"),
+    "1 * 2^(1/3)": (
+        "(1 @ 1) * 2^(1/3)",
+        "RadicalContext(generators=(Fraction(2, 1),), denominators=(3,), D=1, failures=(1,))"),
+    "1 * 2^(1/4) + (1/2) * 3^(1/2)": (
+        "(1 @ 1) * 2^(1/4) + (1/2 @ 1) * 3^(1/2)",
+        "RadicalContext(generators=(Fraction(2, 1), Fraction(3, 1)), denominators=(4, 2), D=1, failures=(1, 1))"),
+    "1 * 2^(1/6) + 1 * 2^(5/6)": (
+        "(1 @ 1) * 2^(1/6) + (1 @ 1) * 2^(5/6)",
+        "RadicalContext(generators=(Fraction(2, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 2^(2/6) + 1 * 2^(4/6)": (
+        "(1 @ 1) * 2^(2/6) + (1 @ 1) * 2^(4/6)",
+        "RadicalContext(generators=(Fraction(2, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 2^(3/6) + 1 * 2^(5/6)": (
+        "(1 @ 1) * 2^(3/6) + (1 @ 1) * 2^(5/6)",
+        "RadicalContext(generators=(Fraction(2, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 2^(5/6)": (
+        "(1 @ 1) * 2^(5/6)",
+        "RadicalContext(generators=(Fraction(2, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 3^(1/6) + 1 * 3^(5/6)": (
+        "(1 @ 1) * 3^(1/6) + (1 @ 1) * 3^(5/6)",
+        "RadicalContext(generators=(Fraction(3, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 3^(2/6) + 1 * 3^(4/6)": (
+        "(1 @ 1) * 3^(2/6) + (1 @ 1) * 3^(4/6)",
+        "RadicalContext(generators=(Fraction(3, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 3^(3/6) + 1 * 3^(5/6)": (
+        "(1 @ 1) * 3^(3/6) + (1 @ 1) * 3^(5/6)",
+        "RadicalContext(generators=(Fraction(3, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 5^(1/6) + 1 * 5^(5/6)": (
+        "(1 @ 1) * 5^(1/6) + (1 @ 1) * 5^(5/6)",
+        "RadicalContext(generators=(Fraction(5, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 5^(2/6) + 1 * 5^(4/6)": (
+        "(1 @ 1) * 5^(2/6) + (1 @ 1) * 5^(4/6)",
+        "RadicalContext(generators=(Fraction(5, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 * 5^(3/6) + 1 * 5^(5/6)": (
+        "(1 @ 1) * 5^(3/6) + (1 @ 1) * 5^(5/6)",
+        "RadicalContext(generators=(Fraction(5, 1),), denominators=(6,), D=1, failures=(1,))"),
+    "1 + 2^(1/3) + 2^(2/3)": (
+        "(1 @ 1) + (1 @ 1) * 2^(1/3) + (1 @ 1) * 2^(2/3)",
+        "RadicalContext(generators=(Fraction(2, 1),), denominators=(3,), D=1, failures=(1,))"),
+}
+
+
 class TestParsing:
     def test_structure(self):
         x = parse_radical_sum("(1/2) * z8^1 * 2^(3/6) + 3 * 5^(1/2) - 1/4")
@@ -355,6 +421,23 @@ class TestParsing:
         assert x.context.denominators == (6, 2)
         want = 0.5 * cmath.exp(2j * math.pi / 8) * 2**0.5 + 3 * 5**0.5 - 0.25
         assert abs(x.evaluate() - want) < 1e-12
+
+    @pytest.mark.parametrize("text", sorted(PARSE_PINS))
+    def test_pinned_parses(self, text):
+        x = parse_radical_sum(text)
+        assert (repr(x), repr(x.context)) == PARSE_PINS[text]
+
+    @pytest.mark.parametrize("text,value,context", [
+        ("(1/2) * 2^(-1/2)", 0.5 / math.sqrt(2), ((F(2),), (2,), 1)),
+        ("(-1/2) * 2^(1/2)", -0.5 * math.sqrt(2), ((F(2),), (2,), 1)),
+        ("1 * z8^-1", cmath.exp(-2j * math.pi / 8), ((), (), 8)),
+        ("2^(-1/2) - z8^-1 + (-3)", 2**-0.5 - cmath.exp(-2j * math.pi / 8) - 3,
+         ((F(2),), (2,), 8)),
+    ], ids=["radical-exponent", "coefficient", "zeta-exponent", "mixed"])
+    def test_signs_inside_factors(self, text, value, context):
+        x = parse_radical_sum(text)
+        assert (x.context.generators, x.context.denominators, x.context.D) == context
+        assert abs(x.evaluate() - value) < 1e-12
 
     def test_monomial_text(self):
         mono = Monomial((F(2), F(3)), (F(1, 2), F(0)))
