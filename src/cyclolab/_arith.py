@@ -1,11 +1,11 @@
 """Exact integer and Q[x] primitives, the one home of each for every module.
 
-Integers: divisors, Euler's phi, factorization and the floor k-th root, all
-in integer arithmetic.  Polynomials in Q[x] are ascending coefficient
-lists of Fractions; a trimmed list has a nonzero last entry, so the zero
-polynomial is [] and a trimmed p has degree len(p) - 1.  The algorithms
-are the textbook ones (Cohen, A Course in Computational Algebraic Number
-Theory, chapters 1 and 3).
+Integers: the primes, divisors, Euler's phi, factorization and the floor
+k-th root, all in integer arithmetic.  Polynomials in Q[x] are ascending
+coefficient lists of Fractions; a trimmed list has a nonzero last entry, so
+the zero polynomial is [] and a trimmed p has degree len(p) - 1.  The
+algorithms are the textbook ones (Cohen, A Course in Computational
+Algebraic Number Theory, chapters 1 and 3).
 """
 from __future__ import annotations
 
@@ -60,6 +60,16 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def primes():
+    """The primes in ascending order, without end."""
+    yield from _SMALL_PRIMES
+    n = _SMALL_PRIMES[-1] + 2
+    while True:
+        if _is_prime(n):
+            yield n
+        n += 2
 
 
 @lru_cache(maxsize=None)
@@ -201,20 +211,22 @@ def poly_mul(a: list, b: list) -> list:
 
 def poly_divmod(a: list, b: list) -> tuple[list, list]:
     """(q, r) with a = q*b + r and deg r < deg b, both trimmed; b must be
-    trimmed and nonzero.  One pass from the top, skipping zero terms."""
+    trimmed and nonzero.  One pass from the top, skipping zero terms.  A
+    monic b divides by nothing, so integer a gives integer q and r."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = poly_trim(list(a))
     n = len(b) - 1
     if len(r) <= n:
         return [], r
+    monic = b[-1] == 1
     lc = Fraction(b[-1])
     low = [(j, y) for j, y in enumerate(b[:n]) if y]
-    q = [_ZERO] * (len(r) - n)
+    q = [0 if monic else _ZERO] * (len(r) - n)
     for k in range(len(r) - n - 1, -1, -1):
         c = r[k + n]
         if c:
-            c = q[k] = c / lc
+            c = q[k] = c if monic else c / lc
             for j, y in low:
                 r[k + j] -= c * y
     return q, poly_trim(r[:n])
@@ -225,4 +237,7 @@ def poly_gcd(a: list, b: list) -> list:
     a, b = poly_trim(list(a)), poly_trim(list(b))
     while b:
         a, b = b, poly_divmod(a, b)[1]
-    return [c / a[-1] for c in a] if a else a
+    if not a:
+        return a
+    lc = Fraction(a[-1])  # int input stays exact
+    return [c / lc for c in a]

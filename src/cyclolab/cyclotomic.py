@@ -1,10 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_D).
 
-A value is stored as the map j -> c_j of its nonzero rational coefficients
-over the power basis zeta_D^0 .. zeta_D^(D-1), so a root of unity or a
-Gauss sum costs only its terms.  It is reduced modulo the D-th cyclotomic
-polynomial only on demand (equality, inversion).  The complex embedding is
-fixed once and for all: zeta_D -> exp(2*pi*i/D).
+A value is stored as the map j -> n_j of its nonzero integer numerators
+over the power basis zeta_D^0 .. zeta_D^(D-1) and one positive
+denominator d, normalized so that gcd(d, n_j for all j) = 1; its
+coefficient at zeta_D^j is n_j / d.  A root of unity or a Gauss sum
+costs only its terms, and sums, products and Galois conjugates run on
+integers.  A value is reduced modulo the monic D-th cyclotomic polynomial
+only on demand (equality, inversion), by an integer remainder with no
+division.
+The complex embedding is fixed once and for all: zeta_D -> exp(2*pi*i/D).
 """
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ __all__ = [
     "zeta",
     "rational",
 ]
+
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -49,42 +55,59 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(int(c) for c in q)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x):
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _init(x: "CyclotomicNumber", order: int, terms: dict) -> None:
+def _init(x: "CyclotomicNumber", order: int, num: dict, den: int) -> None:
     object.__setattr__(x, "order", order)
-    object.__setattr__(x, "_terms", terms)
+    object.__setattr__(x, "_num", num)
+    object.__setattr__(x, "_den", den)
     object.__setattr__(x, "_canon", None)
 
 
-class CyclotomicNumber:
-    """An element of Q(zeta_D) as the map j -> c_j of its nonzero rational
-    coefficients over the power basis zeta_D^0 .. zeta_D^(D-1)."""
+def _wrap(order: int, num: dict, den: int) -> "CyclotomicNumber":
+    """A CyclotomicNumber holding num / den as is; the caller guarantees the
+    normal form (nonzero numerators, den > 0, gcd(den, *num) = 1)."""
+    x = object.__new__(CyclotomicNumber)
+    _init(x, order, num, den)
+    return x
 
-    __slots__ = ("order", "_terms", "_canon")
+
+def _reduced(order: int, num: dict, den: int) -> "CyclotomicNumber":
+    """num / den with nonzero numerators and den > 0, over gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {j: n // g for j, n in num.items()}
+            den //= g
+    return _wrap(order, num, den)
+
+
+def _over_lcm(terms: dict) -> tuple[dict, int]:
+    """(num, den) of a map j -> nonzero reduced rational, over the lcm of
+    its denominators; no numerator then shares a factor with all of den."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {j: c.numerator * (den // c.denominator) for j, c in terms.items()}, den
+
+
+class CyclotomicNumber:
+    """An element of Q(zeta_D): the map j -> n_j of its nonzero integer
+    numerators over the power basis zeta_D^0 .. zeta_D^(D-1) and one
+    denominator d > 0 with gcd(d, all n_j) = 1, so the coefficient at
+    zeta_D^j is n_j / d."""
+
+    __slots__ = ("order", "_num", "_den", "_canon")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be positive")
-        coeffs = [_as_fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) != order:
             raise ValueError("coefficient vector must have length equal to the order")
-        _init(self, order, {j: c for j, c in enumerate(coeffs) if c})
-
-    @classmethod
-    def _from_terms(cls, order: int, terms: dict) -> "CyclotomicNumber":
-        """Wrap a map exponent in [0, order) -> nonzero Fraction as is."""
-        if order < 1:
-            raise ValueError("order must be positive")
-        x = object.__new__(cls)
-        _init(x, order, terms)
-        return x
+        _init(self, order, *_over_lcm({j: c for j, c in enumerate(coeffs) if c}))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
@@ -92,15 +115,16 @@ class CyclotomicNumber:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The dense coefficient vector of length order."""
-        v = [Fraction(0)] * self.order
-        for j, c in self._terms.items():
-            v[j] = c
+        v = [_ZERO] * self.order
+        den = self._den
+        for j, n in self._num.items():
+            v[j] = Fraction(n, den)
         return tuple(v)
 
     # ------------------------------------------------------------ builders
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
-        return cls._from_terms(order, {})
+        return cls.from_rational(0, order)
 
     @classmethod
     def one(cls, order: int = 1) -> "CyclotomicNumber":
@@ -108,12 +132,16 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q, order: int = 1) -> "CyclotomicNumber":
+        if order < 1:
+            raise ValueError("order must be positive")
         q = Fraction(q)
-        return cls._from_terms(order, {0: q} if q else {})
+        return _wrap(order, {0: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def root_of_unity(cls, order: int, k: int = 1) -> "CyclotomicNumber":
-        return cls._from_terms(order, {k % order: Fraction(1)})
+        if order < 1:
+            raise ValueError("order must be positive")
+        return _wrap(order, {k % order: 1}, 1)
 
     # ------------------------------------------------------------ helpers
     def lift(self, order: int) -> "CyclotomicNumber":
@@ -123,11 +151,13 @@ class CyclotomicNumber:
         if order % self.order != 0:
             raise ValueError("can only lift to a multiple of the order")
         step = order // self.order
-        return self._from_terms(order, {j * step: c for j, c in self._terms.items()})
+        return _wrap(order, {j * step: n for j, n in self._num.items()}, self._den)
 
     def _pair(self, other):
         if not isinstance(other, CyclotomicNumber):
             other = CyclotomicNumber.from_rational(Fraction(other))
+        if other.order == self.order:
+            return self, other
         D = lcm(self.order, other.order)
         return self.lift(D), other.lift(D)
 
@@ -137,19 +167,28 @@ class CyclotomicNumber:
             a, b = self._pair(other)
         except TypeError:
             return NotImplemented
-        terms = dict(a._terms)
-        for j, c in b._terms.items():
-            s = terms[j] + c if j in terms else c
-            if s:
-                terms[j] = s
+        num, bn, den = a._num, b._num, a._den
+        if den == b._den:
+            num = dict(num)
+        else:
+            den = lcm(den, b._den)
+            sa, sb = den // a._den, den // b._den
+            num = {j: n * sa for j, n in num.items()} if sa != 1 else dict(num)
+            bn = {j: n * sb for j, n in bn.items()} if sb != 1 else bn
+        for j, n in bn.items():
+            s = num.get(j)
+            if s is None:
+                num[j] = n
+            elif s + n:
+                num[j] = s + n
             else:
-                del terms[j]
-        return self._from_terms(a.order, terms)
+                del num[j]
+        return _reduced(a.order, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._from_terms(self.order, {j: -c for j, c in self._terms.items()})
+        return _wrap(self.order, {j: -n for j, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CyclotomicNumber) else -Fraction(other))
@@ -159,21 +198,28 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return self._from_terms(self.order, {j: c * q for j, c in self._terms.items() if q})
+            if not other:
+                return _wrap(self.order, {}, 1)
+            # gcd(den, *num) = 1, so p * n_j share with den exactly gcd(den, p)
+            g = gcd(self._den, other.numerator)
+            p = other.numerator // g
+            num = {j: n * p for j, n in self._num.items()}
+            if other.denominator == 1:
+                return _wrap(self.order, num, self._den // g)
+            return _reduced(self.order, num, self._den // g * other.denominator)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
-        D = a.order
+        D, an, bn = a.order, a._num, b._num
         out = {}
-        for i, ca in a._terms.items():
-            for j, cb in b._terms.items():
+        for i, ca in an.items():
+            for j, cb in bn.items():
                 k = i + j
                 if k >= D:
                     k -= D
                 p = ca * cb
                 out[k] = out[k] + p if k in out else p
-        return self._from_terms(D, {k: c for k, c in out.items() if c})
+        return _reduced(D, {k: c for k, c in out.items() if c}, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -210,8 +256,12 @@ class CyclotomicNumber:
         if self._canon is not None:
             return self._canon
         phi = cyclotomic_polynomial(self.order)
-        rem = poly_divmod(self.coeffs, phi)[1]
-        canon = tuple(rem) + (Fraction(0),) * (len(phi) - 1 - len(rem))
+        v = [0] * self.order
+        for j, n in self._num.items():
+            v[j] = n
+        rem = poly_divmod(v, phi)[1]  # Phi is monic: an integer remainder
+        den = self._den
+        canon = tuple(Fraction(n, den) for n in rem) + (_ZERO,) * (len(phi) - 1 - len(rem))
         object.__setattr__(self, "_canon", canon)
         return canon
 
@@ -235,7 +285,7 @@ class CyclotomicNumber:
         if gcd(t, D) != 1:
             raise ValueError("not a Galois element")
         t %= D
-        return self._from_terms(D, {j * t % D: c for j, c in self._terms.items()})
+        return _wrap(D, {j * t % D: n for j, n in self._num.items()}, self._den)
 
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois_conjugate(-1)
@@ -259,21 +309,26 @@ class CyclotomicNumber:
             s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
         # r0 = gcd (a nonzero constant since Phi is irreducible and g != 0)
         const = r0[0]
-        return self._from_terms(D, {j: c / const for j, c in enumerate(s0) if c})
+        return _wrap(D, *_over_lcm({j: c / const for j, c in enumerate(s0) if c}))
 
     # ---------------------------------------------------------- embedding
     def embed(self) -> complex:
-        """Complex value under the fixed embedding zeta_D -> e^(2*pi*i/D)."""
-        D = self.order
+        """Complex value under the fixed embedding zeta_D -> e^(2*pi*i/D).
+
+        n / d is the correctly rounded float of the coefficient, the same
+        float as that of its reduced fraction."""
+        D, den = self.order, self._den
         total = 0j
-        for j, c in sorted(self._terms.items()):  # ascending j fixes the float sum
-            total += float(c) * cmath.exp(2j * cmath.pi * j / D)
+        for j, n in sorted(self._num.items()):  # ascending j fixes the float sum
+            total += n / den * cmath.exp(2j * cmath.pi * j / D)
         return total
 
     # -------------------------------------------------------- text format
     def to_text(self) -> str:
         """Serialize as "c0 + c1*z^1 + ... @ D" with rationals "p/q"."""
-        parts = [str(c) if j == 0 else f"{c}*z^{j}" for j, c in sorted(self._terms.items())]
+        den = self._den
+        parts = [str(Fraction(n, den)) if j == 0 else f"{Fraction(n, den)}*z^{j}"
+                 for j, n in sorted(self._num.items())]
         return " + ".join(parts or ["0"]) + f" @ {self.order}"
 
     @classmethod

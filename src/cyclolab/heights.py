@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._arith import divisors, euler_phi, poly_divmod, poly_gcd, poly_trim
+from ._arith import euler_phi, poly_divmod, poly_gcd, poly_trim, primes
 
 __all__ = [
     "AlgebraicNumber",
@@ -104,17 +104,53 @@ def poly_roots(coeffs) -> list[complex]:
 # ---------------------------------------------------------- algebraic numbers
 
 
+def _horner_mod(cs: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def _rational_roots(ints: list[int]) -> list[Fraction]:
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
+    """The rational roots of a nonconstant integer polynomial, without
+    factoring its coefficients.
+
+    Over the squarefree part f with leading coefficient a, take the least
+    prime p not dividing a at which every root of f mod p is simple.  A
+    rational root s/t has t | a, so it is a p-adic integer and its residue
+    is one of those roots, which Hensel lifting pins mod p^k.  With B the
+    Cauchy bound, |a * s/t| <= |a| * B; once p^k > 2|a|B, a * s/t is the
+    symmetric residue of a times the lift, and an exact integer Horner
+    evaluation decides the candidate.
+    """
+    if ints[0] == 0:
         return [Fraction(0)]
+    g = poly_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
+    f = _primitive_int(poly_divmod(ints, g)[0]) if len(g) > 1 else list(ints)
+    df = [i * c for i, c in enumerate(f)][1:]
+    a = f[-1]
+    bound = 2 * (abs(a) + max(abs(c) for c in f[:-1]))
+    # f is squarefree, so only the finitely many primes dividing a * disc(f)
+    # can have a multiple root
+    for p in primes():
+        if a % p:
+            roots = [r for r in range(p) if not _horner_mod(f, r, p)]
+            if all(_horner_mod(df, r, p) for r in roots):
+                break
     found = []
-    for p in divisors(a0):
-        for q in divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * p, q)
-                if sum(c * cand**i for i, c in enumerate(ints)) == 0:
-                    found.append(cand)
+    for r in roots:
+        m = p
+        while m <= bound:  # Newton doubles the p-adic digits per step
+            m *= m
+            r = (r - _horner_mod(f, r, m) * pow(_horner_mod(df, r, m), -1, m)) % m
+        n = a * r % m
+        root = Fraction(n - m if 2 * n > m else n, a)
+        s, t = root.numerator, root.denominator
+        acc, tp = 0, 1
+        for c in reversed(f):  # sum f_i s^i t^(deg - i) = t^deg f(s/t)
+            acc, tp = acc * s + c * tp, tp * t
+        if not acc:
+            found.append(root)
     return found
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import subprocess
@@ -284,13 +285,37 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in lines if line.startswith("cyclolab ")]
 
 
+# sha256 of json.dumps(fields, sort_keys=True) over the deterministic record
+# fields of each README command, in README order.  A faster commit keeps
+# every one; a change of result changes its hash.
+README_RECORD_FIELDS = ("command", "inputs", "results", "status", "seed")
+README_RECORD_SHA256 = (
+    "3116a051c94f0049acdfe8c844f7ab0d69d8f8f78f657da79ee97f726b105cfe",
+    "80ee6cae97f0faec4923bce7341bbeddec698bb8157fb16c3c12403b83725e08",
+    "ad1125db913da88c89c8d5b6e7a56a83562962236c8d2229f6704639757c3010",
+    "b70669d8d1a9796e33378db2c18c161380ec42b9fc2f0224724606ed805ca850",
+    "0dbb7873dd0a8bf85fc86e2138184eb0d5de24833497dbfa1c9f84c16afc139d",
+    "dc3ba3cfc73d1781b3cd3ea65d44de401e249a94e2c34eab64b306ea26c6e5c1",
+    "6dfc4992b439ac627d4ce23f5ef4f820984f54a476357875003a9b21188a2430",
+    "b6fcfc6a7f9fa6d787a28b2e4baceaaa0c797e9483efb7ef5197432d48ed144c",
+    "a913eb5fc211f488bf75db0ac817c4bc2aab6f6707bf0c49405d3187885b9937",
+    "4ee00dc9fb38b93a14d29f7c41e6ec30e74fb3f3375f4f5163b2994b0881a2fb",
+    "1ef386b2f694d4e33b5c365ec48739d345867537a0288727ad86d635e695d005",
+    "42bd929d1de6da6f4e8fb3c90d3464ebc779d1dba17e1a249b7226142da3f8ba",
+    "3d9a1dab188a44fd8dd17de3a00319bd2ffaa712c892c794f38e2af7ead5efdb",
+    "d6ce072e6ea7ae09b915f8a4f0b3aef64c90b7f9784d7581fc7944a10a464411",
+)
+
+
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     commands = _readme_commands()
-    assert len(commands) == 14
+    assert len(commands) == len(README_RECORD_SHA256) == 14
     monkeypatch.chdir(tmp_path)  # `--hist-out hist.csv` writes here
-    for argv in commands:
+    for argv, want in zip(commands, README_RECORD_SHA256):
         assert main(argv + ["--no-timing"]) == 0, argv
-        json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)
+        pinned = json.dumps({f: record[f] for f in README_RECORD_FIELDS}, sort_keys=True)
+        assert hashlib.sha256(pinned.encode()).hexdigest() == want, argv
 
 
 COEFFS = "1/2*z^1 + 1/2*z^7 @ 8;1/2*z^1 + 1/2*z^3 @ 8"

@@ -206,20 +206,24 @@ def ref_text(x):
 DENSE_ORDERS = (1, 8, 24, 43, 120, 210)
 
 
-def random_pair(rng, D):
+def random_rational(rng, bound):
+    """Numerators up to +-bound over small or large denominators."""
+    return Fraction(rng.randint(-bound, bound), rng.choice((rng.randint(1, 7), 2**64 + 13)))
+
+
+def random_pair(rng, D, bound=9):
     """A CyclotomicNumber and its dense reference from the same terms.
 
     Most values are sums of c*zeta_D^j added in random exponent order (so
     the term map is filled out of order, with repeats); the rest go through
     the dense constructor."""
     if rng.random() < 0.25:
-        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.5 else 0
-             for _ in range(D)]
+        v = [random_rational(rng, bound) if rng.random() < 0.5 else 0 for _ in range(D)]
         return CyclotomicNumber(D, v), (D, tuple(Fraction(c) for c in v))
     x = CyclotomicNumber.zero(D)
     v = [Fraction(0)] * D
     for _ in range(rng.randint(0, 7)):
-        j, c = rng.randrange(-D, 2 * D), Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        j, c = rng.randrange(-D, 2 * D), random_rational(rng, bound)
         x = x + c * zeta(D, j)
         v[j % D] += c
     return x, (D, tuple(v))
@@ -232,7 +236,16 @@ def dense(D, terms):
     return D, tuple(v)
 
 
+def assert_normal(x):
+    """Nonzero numerators at exponents in [0, order), one positive
+    denominator, and no factor common to it and every numerator."""
+    num, den = x._num, x._den
+    assert den > 0 and all(num.values()) and all(0 <= j < x.order for j in num)
+    assert gcd(den, *num.values()) == 1
+
+
 def assert_same(x, ref):
+    assert_normal(x)
     assert x.order == ref[0]
     assert x.coeffs == ref[1]
     assert x.canonical() == ref_canonical(ref)
@@ -245,8 +258,8 @@ def test_term_map_matches_dense_reference():
     for _ in range(100):
         D = rng.choice(DENSE_ORDERS)  # mixed orders, common order at most 840
         E = rng.choice([E for E in DENSE_ORDERS if lcm(D, E) <= 840])
-        x, rx = random_pair(rng, D)
-        y, ry = random_pair(rng, E)
+        x, rx = random_pair(rng, D, rng.choice((9, 2**200)))
+        y, ry = random_pair(rng, E, rng.choice((9, 2**200)))
         assert_same(x, rx)
         assert_same(x + y, ref_add(rx, ry))
         assert_same(x - y, ref_add(rx, ref_scale(ry, -1)))
@@ -274,3 +287,27 @@ def test_term_map_edge_cases():
         ry, rw = dense(D, {1: 1, 0: 1}), dense(D, {1: 1, 0: -1})
         assert_same(y * w, ref_mul(ry, rw))
         assert_same(y + w, ref_add(ry, rw))
+
+
+def test_dense_products():
+    """Dense products at D = 120, 210, 420 against the dense reference: small
+    and +-2^200 numerators, mixed denominators, all-negative operands and a
+    negative leading slot."""
+    rng = random.Random(420)
+    for D in (120, 210, 420):
+        for density in (0.08, 0.45) if D > 120 else (0.08, 0.45, 1.0):
+            bound = rng.choice((9, 2**200))
+            v = [random_rational(rng, bound) if rng.random() < density else Fraction(0)
+                 for _ in range(D)]
+            w = [random_rational(rng, bound) if rng.random() < density else Fraction(0)
+                 for _ in range(D)]
+            v[-1] = -abs(v[-1]) or Fraction(-1)  # a negative leading slot
+            negative = [-abs(c) for c in w]  # every coefficient <= 0
+            for a, b in ((v, w), (v, negative), (negative, w)):
+                x, y = CyclotomicNumber(D, a), CyclotomicNumber(D, b)
+                assert_same(x * y, ref_mul((D, tuple(a)), (D, tuple(b))))
+    # every coefficient at the top of its bit length
+    top = [2**62 - 1] * 15 + [0] * 15
+    for a, b in ((top, top), (top, [-c for c in top])):
+        assert_same(CyclotomicNumber(30, a) * CyclotomicNumber(30, b),
+                    ref_mul((30, tuple(map(Fraction, a))), (30, tuple(map(Fraction, b)))))

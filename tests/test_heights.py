@@ -1,13 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from cyclolab._arith import euler_phi, poly_divmod, poly_gcd, poly_mul, poly_trim
+from cyclolab._arith import divisors, euler_phi, poly_divmod, poly_gcd, poly_mul, poly_trim
 from cyclolab.cyclotomic import cyclotomic_polynomial
 from cyclolab.heights import (
     _primitive_int,
+    _rational_roots,
     AlgebraicNumber,
     weil_height,
     mahler_measure,
@@ -248,3 +250,68 @@ class TestPolyTools:
         p, q = 10**18 + 3, 10**18 + 9
         alpha = AlgebraicNumber((p * q, 0, 1))
         assert alpha.minpoly == (p * q, 0, 1) and alpha.degree == 2
+
+
+def ref_rational_roots(ints):
+    """Test-only reference: every +-p/q with p | a_0 and q | a_n, evaluated
+    in Fraction arithmetic."""
+    if ints[0] == 0:
+        return {Fraction(0)}
+    return {Fraction(s * p, q) for p in divisors(ints[0]) for q in divisors(ints[-1])
+            for s in (1, -1)
+            if sum(c * Fraction(s * p, q) ** i for i, c in enumerate(ints)) == 0}
+
+
+class TestRationalRoots:
+    def test_matches_divisor_reference(self):
+        # products of random linear factors t*x - s (with repeats) and
+        # random factors of degree 2-3, so some inputs are not squarefree
+        rng = random.Random(5)
+        found = 0
+        for _ in range(300):
+            poly = [rng.randint(1, 9)]
+            for _ in range(rng.randint(0, 3)):
+                factor = ([rng.randint(-12, 12), rng.randint(1, 6)] if rng.random() < 0.6
+                          else [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))]
+                          + [rng.randint(1, 5)])
+                poly = poly_mul(poly, factor)
+                if rng.random() < 0.3:
+                    poly = poly_mul(poly, factor)
+            ints = _primitive_int(poly)
+            if len(ints) < 2 or not ints[0]:
+                continue
+            want = ref_rational_roots(ints)
+            assert set(_rational_roots(ints)) == want, ints
+            found += bool(want)
+        assert found > 100
+
+    def test_not_squarefree(self):
+        # multiple roots stay multiple mod every prime: the probe must take
+        # the squarefree part first or it finds no usable prime
+        t0 = time.perf_counter()
+        assert _rational_roots([4, 0, 4, 0, 1]) == []  # (x^2 + 2)^2
+        cube = poly_mul(poly_mul([-1, 1], [-1, 1]), poly_mul([2, 1], poly_mul([2, 1], [2, 1])))
+        assert set(_rational_roots(cube)) == {Fraction(1), Fraction(-2)}  # (x-1)^2 (x+2)^3
+        assert time.perf_counter() - t0 < 1.0
+        with pytest.raises(ValueError, match="rational root"):
+            AlgebraicNumber(tuple(poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 0, 1])))
+
+    def test_power_of_big_linear_factor(self):
+        # f' divides f exactly when f = (x - s)^n: the gcd is f' itself and
+        # must stay exact, or s = 10^18 + 3 rounds to 10^18 and 10^200 overflows
+        s = 10**18 + 3
+        cube = [-(s**3), 3 * s**2, -3 * s, 1]
+        assert _rational_roots(cube) == [Fraction(s)]
+        with pytest.raises(ValueError, match="rational root"):
+            AlgebraicNumber(tuple(cube))
+        with pytest.raises(ValueError, match="rational root"):
+            AlgebraicNumber((-(10**600), 3 * 10**400, -3 * 10**200, 1))
+
+    def test_big_irreducible_cubic(self):
+        # x^3 + pq is irreducible (Eisenstein at p); nothing is factored
+        p, q = 10**18 + 3, 10**18 + 9
+        t0 = time.perf_counter()
+        alpha = AlgebraicNumber((p * q, 0, 0, 1))
+        assert time.perf_counter() - t0 < 0.05
+        assert alpha.minpoly == (p * q, 0, 0, 1) and alpha.degree == 3
+        assert _rational_roots([-(p**3) * q**3, 0, 0, q**3]) == [Fraction(p)]

@@ -46,3 +46,23 @@ def test_no_unused_imports_in_src():
     found = {str(p.relative_to(SRC)): unused_imports(p.read_text())
              for p in sorted(SRC.rglob("*.py"))}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_traced_names_resolve():
+    """bench/tracer.py wraps these functions by name; each must stay, and
+    __rmul__ must stay the same function object as __mul__ so that the
+    one wrapper covers both."""
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", SRC.parent / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for modname, attr, _, _ in tracer.TRACED:
+        target = importlib.import_module(f"cyclolab.{modname}")
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (modname, attr)
+    from cyclolab.cyclotomic import CyclotomicNumber
+    assert CyclotomicNumber.__rmul__ is CyclotomicNumber.__mul__
