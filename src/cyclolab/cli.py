@@ -1,6 +1,11 @@
 """Command-line front end: subcommand dispatch, JSON/CSV record emission
 and content-addressed result caching.
 
+Importing this module loads neither numpy nor a layer module: each handler
+imports the layer it runs, so a command pays only for its own layer and a
+cache hit for none.  In a one-shot process wall_ms therefore includes that
+first import.
+
 Every run emits one experiment record {command, inputs, results, status,
 seed, version, wall_ms}.  Records rerun with identical inputs and seed
 reproduce the results payload bit for bit; wall_ms is timing metadata and
@@ -20,12 +25,13 @@ import tempfile
 import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .cyclotomic import CyclotomicNumber
-from . import flatsums, equidist, heights, kummer, radical
+
+if TYPE_CHECKING:
+    from . import equidist, radical
 
 CACHE_ENV = "CYCLOLAB_CACHE"
 
@@ -42,18 +48,14 @@ def _plain(obj):
         return obj.to_text()
     if isinstance(obj, complex):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     if is_dataclass(obj) and not isinstance(obj, type):
         return {k: _plain(v) for k, v in asdict(obj).items()}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
+    if type(obj).__module__ == "numpy":  # scalars and arrays, without importing numpy
+        return _plain(obj.tolist())
     return obj
 
 
@@ -118,6 +120,7 @@ def _parse_coeffs(text: str) -> list[CyclotomicNumber]:
 
 def _parse_arcs(text: str) -> equidist.ArcBox:
     """"x1:eps1,x2:eps2" with radians floats, or 'p/q t' turns: "1/8t:1/16t"."""
+    from . import equidist
     arcs = []
     for part in text.split(","):
         c_s, _, e_s = part.partition(":")
@@ -153,12 +156,14 @@ def _parse_minpoly(text: str) -> tuple[int, ...]:
 
 
 def _radical_from_args(args) -> radical.RadicalSum:
+    from . import radical
     failures = _parse_ints(args.c) if getattr(args, "c", None) else None
     return radical.parse_radical_sum(args.sum, D=getattr(args, "D", None),
                                      failures=failures)
 
 
 def _moduli_histogram(moduli, bins):
+    import numpy as np
     lo, hi = min(moduli), max(moduli)
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5  # constant orbit: widen for binning
@@ -177,6 +182,7 @@ def _write_hist(path, hist, edges):
 
 
 def _handle_flat_verify(args):
+    from . import flatsums
     mu = _parse_fraction(args.mu)
     if args.numeric:
         coeffs = [complex(c) for c in args.coeffs.split(";")]
@@ -196,16 +202,19 @@ def _handle_flat_verify(args):
 
 
 def _handle_flat_search(args):
+    from . import flatsums
     res = flatsums.flat_search(_parse_ints(args.exponents), args.d, args.mu,
                                restarts=args.restarts, seed=args.seed)
     return res, res["verdict"]
 
 
 def _handle_sn_survey(args):
+    from . import flatsums
     return flatsums.sn_survey(args.N, args.dmax, restarts=args.restarts, seed=args.seed), "ok"
 
 
 def _handle_reduce(args):
+    from . import flatsums
     f = flatsums.exact_sum(args.d,
                            list(zip(_parse_ints(args.exponents), _parse_coeffs(args.coeffs))),
                            _parse_fraction(args.mu))
@@ -221,6 +230,8 @@ def _handle_reduce(args):
 
 
 def _handle_arc_count(args):
+    import numpy as np
+    from . import equidist
     orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k)))
     box = _parse_arcs(args.arcs)
     rep = equidist.arc_count(orbit, box, threads=args.threads)
@@ -232,12 +243,14 @@ def _handle_arc_count(args):
 
 
 def _handle_weyl(args):
+    from . import equidist
     orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k)))
     val = equidist.weyl_sum(orbit, _parse_ints(args.n))
     return {"value": val, "period": equidist.orbit_period(orbit)}, "ok"
 
 
 def _handle_strict_check(args):
+    from . import equidist
     window = []
     for part in args.seq.split(";"):
         m_s, _, k_s = part.partition(":")
@@ -247,6 +260,8 @@ def _handle_strict_check(args):
 
 
 def _handle_orbit(args):
+    import numpy as np
+    from . import radical
     x = _radical_from_args(args)
     moduli = radical.orbit_moduli(x)
     hist, edges = _moduli_histogram(moduli, args.bins)
@@ -266,6 +281,7 @@ def _handle_orbit(args):
 
 
 def _handle_dgamma(args):
+    from . import radical
     x = _radical_from_args(args)
     frac, concyclic = radical.d_gamma_eps(x, args.eps)
     if args.hist_out:
@@ -274,6 +290,7 @@ def _handle_dgamma(args):
 
 
 def _handle_sigma_search(args):
+    from . import radical
     x = _radical_from_args(args)
     box = _parse_arcs(args.arcs)
     found = radical.sigma_search(x, box, args.eps)
@@ -282,6 +299,7 @@ def _handle_sigma_search(args):
 
 
 def _handle_factor_out(args):
+    from . import radical
     x = _radical_from_args(args)
     y, z = radical.factor_out_division_point(x)
     results = {
@@ -296,6 +314,8 @@ def _handle_factor_out(args):
 
 
 def _handle_height(args):
+    import numpy as np
+    from . import heights
     if args.radical is None and args.minpoly is None:
         raise ValueError("provide --minpoly or --radical")
     if args.radical is not None:
@@ -312,6 +332,7 @@ def _handle_height(args):
 
 
 def _handle_kummer(args):
+    from . import kummer
     a = _parse_fraction(args.a)
     c, degree = kummer.rank1_failure(a, args.d, args.m)
     results = {"c": c, "degree": degree}

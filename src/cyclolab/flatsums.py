@@ -438,8 +438,9 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
 # ------------------------------------------------------------- numeric search
 
 
-def _objective_and_grad(a: np.ndarray, V: np.ndarray, mu: float):
-    """Penalty objective F + barrier and its Wirtinger gradient d/d(conj a).
+def _objective_and_grad(a: np.ndarray, V: np.ndarray, VH: np.ndarray, mu: float):
+    """Penalty objective F + barrier and its Wirtinger gradient d/d(conj a);
+    `VH` is `V.conj().T`, computed once by the caller.
 
     F(a) = sum_l (|f_l|^2 - mu)^2; the barrier pushes coefficients away
     from 0 so the search looks for witnesses with genuinely nonzero terms
@@ -448,7 +449,7 @@ def _objective_and_grad(a: np.ndarray, V: np.ndarray, mu: float):
     fvals = V @ a
     err = np.abs(fvals) ** 2 - mu
     F = float(err @ err)
-    g = 2.0 * (V.conj().T @ (err * fvals))
+    g = 2.0 * (VH @ (err * fvals))
     mags = np.abs(a)
     t = BARRIER_RADIUS - mags
     active = t > 0
@@ -477,19 +478,20 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     N = len(b)
     ls = np.arange(d)
     V = np.exp(2j * np.pi * np.outer(ls, np.array(b)) / d)
+    VH = V.conj().T
     mu = float(mu)
     best_total, best_a, best_F = math.inf, None, math.inf
     rng = np.random.default_rng(seed)
     for _ in range(max(1, restarts)):
         a = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2.0)
-        F, B, g = _objective_and_grad(a, V, mu)
+        F, B, g = _objective_and_grad(a, V, VH, mu)
         total = F + B
         step = 0.1
         for _ in range(SEARCH_MAX_ITERS):
             if total < 1e-26 or step < 1e-18:
                 break
             cand = a - step * g
-            Fc, Bc, gc = _objective_and_grad(cand, V, mu)
+            Fc, Bc, gc = _objective_and_grad(cand, V, VH, mu)
             if Fc + Bc < total:
                 a, F, B, g, total = cand, Fc, Bc, gc, Fc + Bc
                 step *= 2.0
@@ -521,16 +523,17 @@ def flat_search_gradient_check(b: Sequence[int], d: int, mu: float = 1.0,
     N = len(b)
     ls = np.arange(d)
     V = np.exp(2j * np.pi * np.outer(ls, np.array(b)) / d)
+    VH = V.conj().T
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(points):
         a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
 
         def total_at(vec):
-            F, B, _ = _objective_and_grad(vec, V, mu)
+            F, B, _ = _objective_and_grad(vec, V, VH, mu)
             return F + B
 
-        _, _, g = _objective_and_grad(a, V, mu)
+        _, _, g = _objective_and_grad(a, V, VH, mu)
         analytic = np.concatenate([2 * g.real, 2 * g.imag])
         numeric = np.empty(2 * N)
         for i in range(N):

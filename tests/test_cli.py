@@ -200,13 +200,13 @@ class TestPlumbing:
             jsonschema.validate(rec, schema)
 
     def test_inconclusive_exit_3(self, capsys, monkeypatch):
-        from cyclolab import cli as cli_mod
+        from cyclolab import kummer
         from cyclolab.kummer import OracleReport
 
         def fake_oracle(a, e, m, scales=(1,)):
             return OracleReport("inconclusive", None, {})
 
-        monkeypatch.setattr(cli_mod.kummer, "root_membership_oracle", fake_oracle)
+        monkeypatch.setattr(kummer, "root_membership_oracle", fake_oracle)
         code, rec = run_json(capsys, "kummer", "--a", "2", "--d", "2", "--m", "8",
                              "--oracle")
         assert code == 3 and rec["status"] == "inconclusive"
@@ -244,10 +244,10 @@ class TestCacheAndBounds:
         assert [p.name.endswith(".json") for p in cache.iterdir()] == [True]
 
     def test_cached_inconclusive_keeps_exit_3(self, capsys, tmp_path, monkeypatch):
-        from cyclolab import cli as cli_mod
+        from cyclolab import cli as cli_mod, kummer
         from cyclolab.kummer import OracleReport
 
-        monkeypatch.setattr(cli_mod.kummer, "root_membership_oracle",
+        monkeypatch.setattr(kummer, "root_membership_oracle",
                             lambda a, e, m: OracleReport("inconclusive", None, {}))
         args = ["kummer", "--a", "2", "--d", "2", "--m", "8", "--oracle",
                 "--cache", str(tmp_path)]
@@ -305,17 +305,38 @@ README_RECORD_SHA256 = (
     "3d9a1dab188a44fd8dd17de3a00319bd2ffaa712c892c794f38e2af7ead5efdb",
     "d6ce072e6ea7ae09b915f8a4f0b3aef64c90b7f9784d7581fc7944a10a464411",
 )
+# The cache file name (sha256 key, without ".json") of each README command,
+# in README order: a faster commit keeps every stored entry reachable.
+README_CACHE_KEYS = (
+    "8289db0dfec7aa8dad1afe87e39f48f0ebe8667a10650f8f155c18a8fc6d56d6",
+    "6d9f935c6c6a4565a8fe851217f2be4e4921b22c378f088e1451db111ddd7162",
+    "a916650e95ddd05ab5470571fe13117de86a2290af5daa19e45beee7b2c23ff3",
+    "7b2dfd52c953a7097da2b39ec26f8925c9897e7223e2d6c49f99dd98c7ee74fa",
+    "7016cd745203d3d00db06b472d44a0d161a29dd8398c73630e1478b5309606cd",
+    "7e83fd205c46f054618886f5b39389ce4745dafeb0ecf359d4ea8c8fa69587a6",
+    "836f82f6aae0edc076bd99d67c77248d8ab22c58983dcdee1d13a91f9692171b",
+    "7b5288320143ee4ed4c1ed3a2616cc0812becedd8334ac868a9b05f3ea0be62c",
+    "84422a4ca6ae229a683dcb40632e3db29ae5d298680cbd0cb9d7e45391bae1a1",
+    "50e8e20b7948f275047710791aca1f3e316099c64c90d85dba463a37bafc4326",
+    "2e2db3dbbcd13ba9784e3f69e3dc9280000ceea6fa449b1879973d6536f09430",
+    "2e70585ecdea4316550ec68c5e8d7c9026adb58b713b49ecaa09469a3b38f77c",
+    "d8c62690a2313398fbf64aed14b60d59f4436f4089bdb7835b40b4662ba55dda",
+    "826799e5811447f3a74535258bb16c49219a7fec0d0df11fb7ce21acabb2387b",
+)
 
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     commands = _readme_commands()
-    assert len(commands) == len(README_RECORD_SHA256) == 14
+    assert len(commands) == len(README_RECORD_SHA256) == len(README_CACHE_KEYS) == 14
     monkeypatch.chdir(tmp_path)  # `--hist-out hist.csv` writes here
-    for argv, want in zip(commands, README_RECORD_SHA256):
-        assert main(argv + ["--no-timing"]) == 0, argv
+    cache = tmp_path / "cache"
+    for argv, want, key in zip(commands, README_RECORD_SHA256, README_CACHE_KEYS):
+        assert main(argv + ["--no-timing", "--cache", str(cache)]) == 0, argv
         record = json.loads(capsys.readouterr().out)
         pinned = json.dumps({f: record[f] for f in README_RECORD_FIELDS}, sort_keys=True)
         assert hashlib.sha256(pinned.encode()).hexdigest() == want, argv
+        assert (cache / f"{key}.json").is_file(), argv
+    assert len(list(cache.glob("*.json"))) == 14
 
 
 COEFFS = "1/2*z^1 + 1/2*z^7 @ 8;1/2*z^1 + 1/2*z^3 @ 8"

@@ -1,0 +1,61 @@
+"""The package's import boundary: `import cyclolab` and `import cyclolab.cli`
+load no layer module and no numpy; each public name loads its submodule on
+first use and is the object that submodule defines."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cyclolab
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+LAZY = ("numpy", "mpmath", "cyclolab.flatsums", "cyclolab.equidist", "cyclolab.radical",
+        "cyclolab.heights", "cyclolab.kummer", "cyclolab.lattice")
+
+
+def test_import_loads_no_layer():
+    code = ("import json, sys, cyclolab, cyclolab.cli; "
+            f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == []
+
+
+def test_exports_are_the_defining_objects():
+    # a name listed under two submodules would collapse into one entry
+    assert len(cyclolab.__all__) == sum(map(len, cyclolab._LAYERS.values()))
+    for name, module in cyclolab._EXPORTS.items():
+        defining = importlib.import_module(f"cyclolab.{module}")
+        assert getattr(cyclolab, name) is getattr(defining, name), name
+        assert name in vars(cyclolab), name  # cached after the first read
+
+
+def test_dir_lists_public_names():
+    listed = set(dir(cyclolab))
+    assert set(cyclolab.__all__) <= listed
+    assert {"__version__", "flatsums", "kummer", "lattice"} <= listed
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyclolab.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from cyclolab import *", namespace)
+    for name in cyclolab.__all__:
+        assert namespace[name] is getattr(cyclolab, name), name
+
+
+def test_submodules_stay_reachable():
+    from cyclolab import kummer
+
+    assert kummer is importlib.import_module("cyclolab.kummer") is cyclolab.kummer
+    assert cyclolab.lattice is importlib.import_module("cyclolab.lattice")

@@ -8,8 +8,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def unused_imports(source: str) -> list[str]:
     """Names bound by module-level imports that the module never reads.
 
-    Names listed in `__all__` and imports whose first line carries
-    `# noqa: F401` are re-exports and count as used.
+    Names listed in a literal `__all__` and imports whose first line
+    carries `# noqa: F401` are re-exports and count as used; an `__all__`
+    built at run time exports nothing here.
     """
     tree = ast.parse(source)
     lines = source.splitlines()
@@ -18,7 +19,10 @@ def unused_imports(source: str) -> list[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported |= set(ast.literal_eval(node.value))
+            try:
+                exported |= set(ast.literal_eval(node.value))
+            except ValueError:
+                pass
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if getattr(node, "module", None) == "__future__":
                 continue
@@ -40,6 +44,8 @@ def test_checker_flags_unused_import():
               "__all__ = ['lcm']\n"
               "print(os.sep)\n")
     assert unused_imports(source) == ["osp (line 3)", "gcd (line 5)"]
+    built = "from math import gcd\n__all__ = list(('gcd',))\n"
+    assert unused_imports(built) == ["gcd (line 1)"]
 
 
 def test_no_unused_imports_in_src():
