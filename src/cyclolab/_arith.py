@@ -209,6 +209,11 @@ def poly_mul(a: list, b: list) -> list:
     return out
 
 
+def poly_deriv(p: list) -> list:
+    """The formal derivative of p, as an untrimmed list."""
+    return [i * c for i, c in enumerate(p)][1:]
+
+
 def poly_divmod(a: list, b: list) -> tuple[list, list]:
     """(q, r) with a = q*b + r and deg r < deg b, both trimmed; b must be
     trimmed and nonzero.  One pass from the top, skipping zero terms.  A

@@ -80,7 +80,7 @@ def _to_csv(record) -> str:
     results = record["results"]
     lines = []
     if isinstance(results, list) and results and all(isinstance(r, dict) for r in results):
-        keys = sorted({k for r in results for k in _dict_keys_flat(r)})
+        keys = sorted({k for r in results for k, _ in _flatten(r)})
         lines.append(",".join(keys))
         for r in results:
             flat = dict(_flatten(r))
@@ -90,10 +90,6 @@ def _to_csv(record) -> str:
         for k, v in _flatten(results):
             lines.append(f"{_csv_cell(k)},{_csv_cell(v)}")
     return "\n".join(lines) + "\n"
-
-
-def _dict_keys_flat(r):
-    return [k for k, _ in _flatten(r)]
 
 
 def _csv_cell(v) -> str:
@@ -108,10 +104,6 @@ def _csv_cell(v) -> str:
 
 def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _parse_coeffs(text: str) -> list[CyclotomicNumber]:
@@ -157,9 +149,8 @@ def _parse_minpoly(text: str) -> tuple[int, ...]:
 
 def _radical_from_args(args) -> radical.RadicalSum:
     from . import radical
-    failures = _parse_ints(args.c) if getattr(args, "c", None) else None
-    return radical.parse_radical_sum(args.sum, D=getattr(args, "D", None),
-                                     failures=failures)
+    failures = _parse_ints(args.c) if args.c else None
+    return radical.parse_radical_sum(args.sum, D=args.D, failures=failures)
 
 
 def _moduli_histogram(moduli, bins):
@@ -183,7 +174,7 @@ def _write_hist(path, hist, edges):
 
 def _handle_flat_verify(args):
     from . import flatsums
-    mu = _parse_fraction(args.mu)
+    mu = Fraction(args.mu)
     if args.numeric:
         coeffs = [complex(c) for c in args.coeffs.split(";")]
         f = flatsums.numeric_sum(args.d, list(zip(_parse_ints(args.exponents), coeffs)), float(mu))
@@ -217,7 +208,7 @@ def _handle_reduce(args):
     from . import flatsums
     f = flatsums.exact_sum(args.d,
                            list(zip(_parse_ints(args.exponents), _parse_coeffs(args.coeffs))),
-                           _parse_fraction(args.mu))
+                           Fraction(args.mu))
     cert = flatsums.reduce_instance(f)
     results = {
         "q": cert.q, "q_prime": cert.q_prime, "e": cert.e, "d_prime": cert.d_prime,
@@ -319,7 +310,7 @@ def _handle_height(args):
     if args.radical is None and args.minpoly is None:
         raise ValueError("provide --minpoly or --radical")
     if args.radical is not None:
-        a = _parse_fraction(args.radical)
+        a = Fraction(args.radical)
         h = heights.radical_height(a, args.n)
         results = {"height": h, "degree": args.n,
                    "mahler_measure": float(np.exp(h * args.n))}
@@ -333,7 +324,7 @@ def _handle_height(args):
 
 def _handle_kummer(args):
     from . import kummer
-    a = _parse_fraction(args.a)
+    a = Fraction(args.a)
     c, degree = kummer.rank1_failure(a, args.d, args.m)
     results = {"c": c, "degree": degree}
     status = "ok"

@@ -9,6 +9,7 @@ squared modulus is d, be certified without irrational scaling.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -181,14 +182,10 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
     for i, v in enumerate(res):  # entries stay below 2p < 2^63 before the mod
         sums[1 << i:2 << i] = (sums[:1 << i] + v) % p
     failing = None
-    for mask in np.flatnonzero(sums == 0)[1:]:
-        mask = int(mask)
-        total = CyclotomicNumber.zero(1)
-        for i in range(n):
-            if mask >> i & 1:
-                total = total + coeffs[i]
-        if total.is_zero():
-            failing = tuple(i for i in range(n) if mask >> i & 1)
+    for mask in map(int, np.flatnonzero(sums == 0)[1:]):
+        subset = tuple(i for i in range(n) if mask >> i & 1)
+        if sum((coeffs[i] for i in subset), CyclotomicNumber.zero(1)).is_zero():
+            failing = subset
             break
     return ValidityReport(has_zero, gcd_one, failing is None, failing)
 
@@ -211,10 +208,11 @@ class AutocorrelationProfile:
 def grouped_autocorrelation(f: SparseExpSum) -> AutocorrelationProfile:
     vals: dict = {}
     zero = CyclotomicNumber.zero(1) if f.mode == "exact" else 0j
+    conj = [(bj, aj.conjugate()) for bj, aj in f.terms]
     for bi, ai in f.terms:
-        for bj, aj in f.terms:
+        for bj, cj in conj:
             rho = (bi - bj) % f.d
-            vals[rho] = vals.get(rho, zero) + ai * aj.conjugate()
+            vals[rho] = vals.get(rho, zero) + ai * cj
     return AutocorrelationProfile(f.d, vals, f.mode)
 
 
@@ -245,12 +243,7 @@ def is_flat(f: SparseExpSum) -> FlatReport:
         if not (a0 == f.mu):
             return FlatReport(False, 0, None, "exact")
         return FlatReport(True, None, None, "exact")
-    terms = f.terms
-    d = f.d
-    b = np.array([t[0] for t in terms])
-    a = np.array([t[1] for t in terms])
-    ls = np.arange(d)
-    vals = np.exp(2j * np.pi * np.outer(ls, b) / d) @ a
+    vals = _unit_matrix(f.exponents, f.d) @ np.array([a for _, a in f.terms])
     dev = np.abs(np.abs(vals) ** 2 - f.mu)
     worst = int(np.argmax(dev))
     return FlatReport(bool(dev[worst] <= FLAT_TOL), worst, float(dev[worst]), "numeric")
@@ -394,25 +387,11 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
     q_prime, d_prime = q // e, f.d // e
     cvals = [q_prime * bj - d_prime * pj for bj, pj in zip(b, p)]
     # group equal c values; the group of the zero exponent comes first
-    order: list[int] = []
-    for j, bj in enumerate(b):
-        if bj == 0:
-            order.append(j)
-    order += [j for j in range(N) if b[j] != 0]
-    c_list: list[int] = []
-    groups: list[list[int]] = []
-    for j in order:
-        if cvals[j] in c_list:
-            groups[c_list.index(cvals[j])].append(j)
-        else:
-            c_list.append(cvals[j])
-            groups.append([j])
-    u = []
-    for grp in groups:
-        total = CyclotomicNumber.zero(1)
-        for j in grp:
-            total = total + f.terms[j][1]
-        u.append(total)
+    by_c: dict[int, list[int]] = {}
+    for j in sorted(range(N), key=lambda j: b[j] != 0):
+        by_c.setdefault(cvals[j], []).append(j)
+    c_list, groups = list(by_c), list(by_c.values())
+    u = [sum((f.terms[j][1] for j in grp), CyclotomicNumber.zero(1)) for grp in groups]
     g = exact_sum(d_prime, list(zip(c_list, u)), f.mu)
 
     # certified postconditions
@@ -436,6 +415,11 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
 
 
 # ------------------------------------------------------------- numeric search
+
+
+def _unit_matrix(b: Sequence[int], d: int) -> np.ndarray:
+    """V[l, j] = zeta_d^(l * b_j) as complex doubles: f(zeta_d^l) = (V @ a)[l]."""
+    return np.exp(2j * np.pi * np.outer(np.arange(d), np.array(b)) / d)
 
 
 def _objective_and_grad(a: np.ndarray, V: np.ndarray, VH: np.ndarray, mu: float):
@@ -476,8 +460,7 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     if d < 1:
         raise ValueError("d must be positive")
     N = len(b)
-    ls = np.arange(d)
-    V = np.exp(2j * np.pi * np.outer(ls, np.array(b)) / d)
+    V = _unit_matrix(b, d)
     VH = V.conj().T
     mu = float(mu)
     best_total, best_a, best_F = math.inf, None, math.inf
@@ -521,8 +504,7 @@ def flat_search_gradient_check(b: Sequence[int], d: int, mu: float = 1.0,
     """Max relative error of the analytic gradient against central finite
     differences of the search objective, over random coefficient points."""
     N = len(b)
-    ls = np.arange(d)
-    V = np.exp(2j * np.pi * np.outer(ls, np.array(b)) / d)
+    V = _unit_matrix(b, d)
     VH = V.conj().T
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -639,12 +621,8 @@ def _survey_one_d(N: int, d: int, restarts: int, seed: int) -> dict:
     # N == 3: numeric probes over exponent patterns modulo d
     reps = sorted(range(-(d // 2) + (0 if d % 2 else 1), d // 2 + 1), key=abs)
     nonzero = [r for r in reps if r % d != 0]
-    patterns = []
-    for i in range(len(nonzero)):
-        for j in range(i + 1, len(nonzero)):
-            b2, b3 = nonzero[i], nonzero[j]
-            if gcd(gcd(b2, b3), d) == 1:
-                patterns.append((0, b2, b3))
+    patterns = [(0, b2, b3) for b2, b3 in itertools.combinations(nonzero, 2)
+                if gcd(b2, b3, d) == 1]
     probes = []
     for idx, pat in enumerate(patterns):
         res = flat_search(list(pat), d, 1.0, restarts=restarts,

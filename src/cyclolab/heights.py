@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._arith import euler_phi, poly_divmod, poly_gcd, poly_trim, primes
+from ._arith import euler_phi, poly_deriv, poly_divmod, poly_gcd, poly_trim, primes
 
 __all__ = [
     "AlgebraicNumber",
@@ -72,7 +72,7 @@ def poly_roots(coeffs) -> list[complex]:
     if deg > DEGREE_CAP:
         raise ValueError(f"degree exceeds the cap of {DEGREE_CAP}")
     roots = np.roots(list(reversed([float(c) for c in ints])))
-    dp = [i * c for i, c in enumerate(ints)][1:]
+    dp = poly_deriv(ints)
 
     def horner(cs, z):
         acc = 0j
@@ -125,9 +125,9 @@ def _rational_roots(ints: list[int]) -> list[Fraction]:
     """
     if ints[0] == 0:
         return [Fraction(0)]
-    g = poly_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
+    g = poly_gcd(ints, poly_deriv(ints))
     f = _primitive_int(poly_divmod(ints, g)[0]) if len(g) > 1 else list(ints)
-    df = [i * c for i, c in enumerate(f)][1:]
+    df = poly_deriv(f)
     a = f[-1]
     bound = 2 * (abs(a) + max(abs(c) for c in f[:-1]))
     # f is squarefree, so only the finitely many primes dividing a * disc(f)
@@ -246,7 +246,7 @@ def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
     for j in range(1, deg + 1):
         b.append(-(t[j] + sum(b[i] * t[j - i] for i in range(1, j))) / j)
     q = b[::-1]
-    dq = poly_trim([i * c for i, c in enumerate(q)][1:])
+    dq = poly_trim(poly_deriv(q))
     sf = poly_divmod(q, poly_gcd(q, dq))[0]
     ints = _primitive_int(sf)
     if n < 0:
@@ -262,13 +262,15 @@ def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
 def is_root_of_unity(alpha: AlgebraicNumber) -> bool:
     """Exact torsion test: does the minimal polynomial divide x^k - 1 for
     some k with phi(k) <= deg?  (phi(k) >= sqrt(k/2) bounds the scan.)"""
-    minpoly = [Fraction(c) for c in alpha.minpoly]
+    minpoly = list(alpha.minpoly)
+    if minpoly[-1] != 1:  # Gauss's lemma: a primitive divisor of x^k - 1 is monic
+        return False
     deg = len(minpoly) - 1
     kmax = 2 * deg * deg + 2
     for k in range(1, kmax + 1):
         if euler_phi(k) > deg:
             continue
-        xk = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
+        xk = [-1] + [0] * (k - 1) + [1]
         if not poly_divmod(xk, minpoly)[1]:
             return True
     return False

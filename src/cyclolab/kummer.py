@@ -18,6 +18,7 @@ Q(zeta_m).  The decision is integer arithmetic on conductors;
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -104,10 +105,10 @@ def _zeta_order_in_cyclotomic(t: int, m: int) -> bool:
 def _gauss_sum(p: int) -> CyclotomicNumber:
     """Quadratic Gauss sum sum_t zeta_p^(t^2) for an odd prime p; equals
     sqrt(p) when p = 1 mod 4 and i*sqrt(p) when p = 3 mod 4."""
-    g = CyclotomicNumber.zero(p)
+    counts = [0] * p
     for t in range(p):
-        g = g + zeta(p, (t * t) % p)
-    return g
+        counts[t * t % p] += 1
+    return CyclotomicNumber(p, counts)
 
 
 def sqrt_as_cyclotomic(rho: Fraction, order: int) -> CyclotomicNumber:
@@ -177,17 +178,18 @@ def has_nth_root_in_cyclotomic(a, e: int, m: int) -> bool:
         rho = _nth_root_rational(mag, e // 2)
         if rho is not None and _nth_root_rational(rho, 2) is None:
             # candidates sqrt(rho) * z with z = zeta_(2e)^tau of order t
-            for tau in range(parity, 2 * e, 2):
-                t = (2 * e) // gcd(tau, 2 * e)
-                if _zeta_order_in_cyclotomic(t, m):
-                    if sqrt_in_cyclotomic(rho, m):
-                        return True
-                elif _zeta_order_in_cyclotomic(t // gcd(t, 2), m):
-                    # Q(zeta_lcm(m, t)) / Q(zeta_m) negates z, so it must
-                    # hold sqrt(rho) and negate it too
-                    if sqrt_in_cyclotomic(rho, lcm(m, t)) and not sqrt_in_cyclotomic(rho, m):
-                        return True
-            return False
+            orders = {2 * e // gcd(tau, 2 * e) for tau in range(parity, 2 * e, 2)}
+            outside = [t for t in orders if not _zeta_order_in_cyclotomic(t, m)]
+            inside = len(outside) < len(orders)
+            # for z outside Q(zeta_m) with z^2 inside, Q(zeta_lcm(m, t)) / Q(zeta_m)
+            # negates z, so it must hold sqrt(rho) and negate it too
+            twisted = [t for t in outside if _zeta_order_in_cyclotomic(t // gcd(t, 2), m)]
+            if not (inside or twisted):
+                return False
+            cond = conductor_of_sqrt(rho)  # the only factorization of rho
+            if m % cond == 0:
+                return inside
+            return any(lcm(m, t) % cond == 0 for t in twisted)
     return False
 
 
@@ -254,16 +256,10 @@ def tower_degrees(generators, d: list[int], m: int) -> tuple[list[int], list[int
                 if dl % 4 == 0:
                     f = lcm(f, 8)  # deeper 2-layers live over conductor 8
                 conds.append(f)
-        for i in range(len(conds)):
-            for j in range(i + 1, len(conds)):
-                if gcd(conds[i], conds[j]) != 1:
-                    raise ValueError("entangled case unsupported")
-    cs = []
-    for g, dl in zip(gens, d):
-        c, _ = rank1_failure(g, dl, m)
-        cs.append(c)
-    shape = [dl // c for dl, c in zip(d, cs)]
-    return cs, shape
+        if any(gcd(f1, f2) != 1 for f1, f2 in itertools.combinations(conds, 2)):
+            raise ValueError("entangled case unsupported")
+    levels = [rank1_failure(g, dl, m) for g, dl in zip(gens, d)]
+    return [c for c, _ in levels], [degree for _, degree in levels]
 
 
 # ------------------------------------------------------------------- oracle

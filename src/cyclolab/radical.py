@@ -55,7 +55,10 @@ class RadicalContext:
 
     Failures c_l default to the rank-1 values at cyclotomic level
     lcm(D, d_l); pass `failures` to pin them by hand (useful to explore the
-    action when the true failure would collapse it).
+    action when the true failure would collapse it).  The acting group is
+    the product of the rank-1 groups; entanglement is not detected: [3, 7],
+    [2, 2], D = 21 gets (2, 2) though sqrt(21) in Q(zeta_21) makes the true
+    order 2 (`kummer.tower_degrees` refuses that input).
     """
 
     __slots__ = ("generators", "denominators", "D", "failures", "group", "D_work")
@@ -167,21 +170,16 @@ class RadicalSum:
     __slots__ = ("context", "terms")
 
     def __init__(self, context: RadicalContext, terms):
-        merged: dict[tuple, CyclotomicNumber] = {}
-        order: list[tuple] = []
+        merged: dict[tuple, CyclotomicNumber] = {}  # in order of first appearance
         for coeff, kvec in terms:
             if not isinstance(coeff, CyclotomicNumber):
                 coeff = CyclotomicNumber.from_rational(Fraction(coeff))
             kvec = tuple(int(k) for k in kvec)
             if len(kvec) != context.rank:
                 raise ValueError("exponent vector length must equal the rank")
-            if kvec in merged:
-                merged[kvec] = merged[kvec] + coeff
-            else:
-                merged[kvec] = coeff
-                order.append(kvec)
+            merged[kvec] = merged[kvec] + coeff if kvec in merged else coeff
         self.context = context
-        self.terms = tuple((merged[k], k) for k in order)
+        self.terms = tuple((a, k) for k, a in merged.items())
 
     @property
     def n_terms(self) -> int:
@@ -583,9 +581,7 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
             prev = ch
     raw_terms = [t.strip() for t in raw_terms + [text[start:]] if t.strip()]
     parsed = []
-    gens: list[Fraction] = []
-    dens: dict[Fraction, int] = {}
-    zorders: list[int] = []
+    dens: dict[Fraction, int] = {}  # generators in order of first appearance
     for raw in raw_terms:
         sign = 1
         if raw.startswith("-"):
@@ -623,18 +619,12 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
                 radicals.append((base, (p, q)))
             else:
                 coeff_rat *= Fraction(factor)
-        for o, _ in zfactors:
-            if o not in zorders:
-                zorders.append(o)
         for base, (_, q) in radicals:
-            if base not in gens:
-                gens.append(base)
-                dens[base] = q
-            else:
-                dens[base] = lcm(dens[base], q)
+            dens[base] = lcm(dens.get(base, 1), q)
         parsed.append((coeff_rat, zfactors, radicals))
-    Dw = lcm(D if D is not None else 1, *zorders)
-    context = RadicalContext(gens, [dens[g] for g in gens], Dw, failures=failures)
+    Dw = lcm(D if D is not None else 1, *(o for _, zf, _ in parsed for o, _ in zf))
+    gens = list(dens)
+    context = RadicalContext(gens, list(dens.values()), Dw, failures=failures)
     terms = []
     for coeff_rat, zfactors, radicals in parsed:
         coeff = CyclotomicNumber.from_rational(coeff_rat, 1)

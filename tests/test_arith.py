@@ -9,6 +9,7 @@ from cyclolab._arith import (
     euler_phi,
     factorize,
     iroot,
+    poly_deriv,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -99,6 +100,12 @@ class TestPolynomials:
         assert poly_divmod([F(1)], b) == ([], [F(1)])
         with pytest.raises(ZeroDivisionError):
             poly_divmod(a, [])
+
+    def test_deriv(self):
+        assert poly_deriv([F(3), F(2), F(0), F(5, 2)]) == [F(2), F(0), F(15, 2)]
+        assert poly_deriv([7, -1, 4]) == [-1, 8]
+        assert poly_deriv([7]) == []
+        assert poly_deriv([]) == []
 
     def test_gcd_monic(self):
         f = poly_mul([F(-2), F(1)], [F(3), F(0), F(1)])

@@ -1,11 +1,13 @@
-"""The exact kernels against independent implementations (sympy)."""
+"""The exact kernels against independent implementations: sympy, or a
+second algorithm written here."""
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cyclolab._arith import factorize, iroot
-from cyclolab.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from cyclolab._arith import euler_phi, factorize, iroot
+from cyclolab.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta
 from cyclolab.heights import resultant
 from cyclolab.kummer import ORACLE_SCALES, squarefree_part
 from cyclolab.lattice import LLL_DELTA, hnf, lll_reduce
@@ -138,3 +140,64 @@ def test_inverse_times_self_is_one(D):
         if x.is_zero():
             continue
         assert x * x.inverse() == 1
+
+
+def norm_product_inverse(x):
+    """x^-1 = prod_(t != 1) sigma_t(x) / N(x) over t in (Z/D)*, with
+    N(x) = x * prod_(t != 1) sigma_t(x) rational; every partial product is
+    put back in canonical form, and so is the result."""
+    D = x.order
+    pad = [0] * (D - euler_phi(D))
+
+    def canon(y):
+        return CyclotomicNumber(D, list(y.canonical()) + pad)
+
+    p = CyclotomicNumber.one(D)
+    for t in range(2, D):
+        if gcd(t, D) == 1:
+            p = canon(p * x.galois_conjugate(t))
+    norm = (p * x).canonical()
+    assert not any(norm[1:]), "the norm is rational"
+    if not norm[0]:
+        raise ZeroDivisionError("zero has no inverse")
+    return p * (1 / norm[0])
+
+
+def _operand(rng, D, density=None):
+    """An element with 4 nonzero terms, or with each coefficient nonzero
+    at the given probability."""
+    js = (rng.sample(range(D), min(4, D)) if density is None
+          else [j for j in range(D) if rng.random() < density])
+    v = [0] * D
+    for j in js:
+        v[j] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return CyclotomicNumber(D, v)
+
+
+@pytest.mark.parametrize("D, sparse, dense", [
+    (1, 6, 0), (2, 6, 0), (8, 6, 3), (24, 6, 3), (43, 4, 2), (120, 3, 1), (210, 2, 0)])
+def test_inverse_vs_norm_product(D, sparse, dense):
+    rng = random.Random(f"inverse:{D}")
+    xs = [_operand(rng, D) for _ in range(sparse)]
+    xs += [_operand(rng, D, 0.3) for _ in range(dense)]
+    if D <= 2:  # rationals, so the norm can be negative
+        xs += [CyclotomicNumber.from_rational(Fraction(-3, 7), D),
+               CyclotomicNumber.from_rational(Fraction(-5), D)]
+    for x in xs:
+        if not x.is_zero():
+            assert x.inverse().to_text() == norm_product_inverse(x).to_text(), x
+
+
+@pytest.mark.parametrize("x", [
+    1 + zeta(3) + zeta(3, 2),
+    (1 + zeta(3) + zeta(3, 2)).lift(24),
+    1 + zeta(2),
+    sum((zeta(43, k) for k in range(43)), CyclotomicNumber.zero(43)),
+])
+def test_inverse_of_hidden_zero_raises(x):
+    # nonzero numerators that reduce to zero mod Phi_D
+    assert x._num
+    with pytest.raises(ZeroDivisionError):
+        x.inverse()
+    with pytest.raises(ZeroDivisionError):
+        norm_product_inverse(x)

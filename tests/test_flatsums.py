@@ -239,6 +239,14 @@ class TestReduction:
         with pytest.raises(ValueError, match="admissibility"):
             reduce_instance(chirp(9))
 
+    def test_group_order(self):
+        # terms at indices 0, 1, 2 carry exponents 2, 0, 1, all with c = 0:
+        # the zero exponent's term leads its group, the rest keep index order
+        w = known_member_witness(3, 2)
+        cert = reduce_instance(exact_sum(2, w.terms[::-1], w.mu))
+        assert cert.groups == ((1, 0, 2),)
+        assert cert.c == (0,)
+
     def test_rejects_non_flat(self):
         with pytest.raises(ValueError, match="not flat"):
             reduce_instance(exact_sum(3, [(0, 1), (1, 2)]))
@@ -301,6 +309,22 @@ class TestSurvey:
         assert rows[2]["status"] == "unresolved"
         probe = rows[2]["evidence"]["patterns"][0]
         assert {"exponents", "residual", "search_verdict", "min_subset_sum"} <= set(probe)
+
+    def test_n3_pattern_order(self):
+        # residues by |r|, pairs in index order, kept when gcd(b2, b3, d) = 1
+        rows = sn_survey(3, 7, restarts=1)
+        got = {r["d"]: [p["exponents"] for p in r["evidence"]["patterns"]]
+               for r in rows if r["status"] == "unresolved"}
+        assert got == {
+            3: [[0, -1, 1]],
+            4: [[0, -1, 1], [0, -1, 2], [0, 1, 2]],
+            5: [[0, -1, 1], [0, -1, -2], [0, -1, 2], [0, 1, -2], [0, 1, 2], [0, -2, 2]],
+            6: [[0, -1, 1], [0, -1, -2], [0, -1, 2], [0, -1, 3], [0, 1, -2], [0, 1, 2],
+                [0, 1, 3], [0, -2, 3], [0, 2, 3]],
+            7: [[0, -1, 1], [0, -1, -2], [0, -1, 2], [0, -1, -3], [0, -1, 3], [0, 1, -2],
+                [0, 1, 2], [0, 1, -3], [0, 1, 3], [0, -2, 2], [0, -2, -3], [0, -2, 3],
+                [0, 2, -3], [0, 2, 3], [0, -3, 3]],
+        }
 
     def test_threads_deterministic(self):
         # rows are seeded per order d, so a survey is a prefix of a longer one

@@ -190,6 +190,9 @@ class TestRootsOfUnity:
     def test_non_torsion(self):
         assert not is_root_of_unity(AlgebraicNumber((-2, 1)))
         assert not is_root_of_unity(AlgebraicNumber((-1, -1, 1)))
+        # non-monic: roots of modulus 1 or not, never roots of unity
+        assert not is_root_of_unity(AlgebraicNumber((5, 6, 5)))
+        assert not is_root_of_unity(AlgebraicNumber((1, 0, 0, 0, 2)))
         assert weil_height((-1, -1, 1)) > 1e-3
 
     def test_kronecker_equivalence(self):

@@ -223,6 +223,20 @@ class TestConductorRule:
                     c, deg = rank1_failure(a, d, m)
                     assert c * deg == d
 
+    def test_factors_rho_at_most_once(self, monkeypatch):
+        calls = []
+        real = kummer.factorize
+        monkeypatch.setattr(kummer, "factorize", lambda n: calls.append(n) or real(n))
+        # 4th roots of -4 are sqrt(2) * zeta_8^odd: neither zeta_8^odd nor its
+        # square zeta_4^odd lies in Q(zeta_3), so no order qualifies
+        assert has_nth_root_in_cyclotomic(-4, 4, 3) is False
+        assert calls == []
+        # 4th roots of 4: orders 1 and 2 inside Q(zeta_3), order 4 twisted
+        assert has_nth_root_in_cyclotomic(4, 4, 3) is False
+        assert calls == [2]
+        assert has_nth_root_in_cyclotomic(4, 4, 8) is True
+        assert calls == [2, 2]
+
 
 class TestTower:
     def test_odd_regime(self):
