@@ -8,8 +8,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-import numpy as np
-
 from .lattice import (
     relation_lattice_basis,
     intersect_lattices,
@@ -31,6 +29,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ARC_M_CAP = 10**9  # arc_count forms r * (k_j mod m) in int64 with r <= m
+# least residues per arc_count chunk.  Medians on 2 CPUs, serial vs 2 threads,
+# exact 2-D box: 1.2 vs 1.9 ms at m = 50,021 and 4.2 vs 3.3 ms at m = 100,003;
+# radian box: 3.9 vs 3.4 and 7.5 vs 6.3 ms
+_CHUNK_MIN = 50_000
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,7 @@ class Arc:
             return b >= a and (x - a) % q <= b - a
         if 2 * self.half >= TWO_PI:
             return True
+        import numpy as np
         d = np.mod(x * (TWO_PI / q) - (self.center - self.half), TWO_PI)
         return (d <= 2 * self.half + 1e-12) | (d >= TWO_PI - 1e-12)
 
@@ -198,6 +201,7 @@ def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) 
     """Count of r in [lo, hi) whose point ((r*k_j mod m)/m turns)_j lies in
     the box: one int64 pass of `Arc.contains` per arc, any mix of turn and
     radian arcs; r*(k_j mod m) <= m^2 fits int64 for m <= ARC_M_CAP."""
+    import numpy as np
     r = np.arange(lo, hi, dtype=np.int64)
     inside = np.ones(hi - lo, dtype=bool)
     for kj, arc in zip(k, box.arcs):
@@ -209,16 +213,18 @@ def arc_count(orbit: RootTupleOrbit, box: ArcBox, threads: int = 1) -> ArcCountR
     """Count r in {1..m} whose orbit point lies in the box, exactly.
 
     Partitionable over residue ranges: the count is a sum of independent
-    chunk counts, so the result does not depend on the partition.  Raises
-    ValueError for m above ARC_M_CAP.
+    chunk counts, so the result does not depend on the partition.  Up to
+    `threads` chunks of at least _CHUNK_MIN residues run on a thread pool,
+    which starts only when there are two or more.  Raises ValueError for m
+    above ARC_M_CAP.
     """
     if len(box.arcs) != orbit.dim:
         raise ValueError("box dimension must match the orbit dimension")
     if orbit.m > ARC_M_CAP:
         raise ValueError(f"arc-count refuses m = {orbit.m} above {ARC_M_CAP}")
     m, k = orbit.m, orbit.k
-    chunk = max(1, (m + max(1, threads) - 1) // max(1, threads))
-    chunk = min(chunk, 10**6)  # bound per-chunk memory
+    parts = max(1, min(threads, m // _CHUNK_MIN))
+    chunk = min(-(-m // parts), 10**6)  # bound per-chunk memory
     bounds = [(lo, min(lo + chunk, m + 1)) for lo in range(1, m + 1, chunk)]
     if threads > 1 and len(bounds) > 1:
         from concurrent.futures import ThreadPoolExecutor

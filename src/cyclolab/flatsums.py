@@ -422,9 +422,9 @@ def _unit_matrix(b: Sequence[int], d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(np.arange(d), np.array(b)) / d)
 
 
-def _objective_and_grad(a: np.ndarray, V: np.ndarray, VH: np.ndarray, mu: float):
-    """Penalty objective F + barrier and its Wirtinger gradient d/d(conj a);
-    `VH` is `V.conj().T`, computed once by the caller.
+def _penalty(a: np.ndarray, V: np.ndarray, mu: float):
+    """Penalty objective F and barrier B at `a`, with the arrays that
+    `_gradient` reuses.
 
     F(a) = sum_l (|f_l|^2 - mu)^2; the barrier pushes coefficients away
     from 0 so the search looks for witnesses with genuinely nonzero terms
@@ -433,15 +433,23 @@ def _objective_and_grad(a: np.ndarray, V: np.ndarray, VH: np.ndarray, mu: float)
     fvals = V @ a
     err = np.abs(fvals) ** 2 - mu
     F = float(err @ err)
-    g = 2.0 * (VH @ (err * fvals))
     mags = np.abs(a)
     t = BARRIER_RADIUS - mags
     active = t > 0
     B = BARRIER_WEIGHT * float(np.sum(t[active] ** 2))
+    return F, B, (fvals, err, mags, t, active)
+
+
+def _gradient(a: np.ndarray, VH: np.ndarray, state) -> np.ndarray:
+    """Wirtinger gradient d/d(conj a) of F + B from the `state` that
+    `_penalty(a, ...)` returned; `VH` is `V.conj().T`, computed once by the
+    caller."""
+    fvals, err, mags, t, active = state
+    g = 2.0 * (VH @ (err * fvals))
     if np.any(active):
         safe = np.where(mags > 1e-300, mags, 1.0)
         g = g + np.where(active, -BARRIER_WEIGHT * t * a / safe, 0.0)
-    return F, B, g
+    return g
 
 
 def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
@@ -449,8 +457,11 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     """Gradient-descent search for complex coefficients making the sum flat.
 
     Full-batch descent with an adaptive step (double on success, halve on
-    failure) and random restarts; deterministic for a fixed seed.  The
-    reported residual is the pure flatness penalty at the best point found.
+    failure) and random restarts; deterministic for a fixed seed.  Like a
+    backtracking line search, a rejected candidate needs only the objective,
+    so the gradient is computed at each restart's starting point and at
+    accepted points only.  The reported residual is the pure flatness
+    penalty at the best point found.
     Verdicts: residual < 1e-16 "numeric_member", residual > 1e-6 after all
     restarts "numeric_infeasible", otherwise "unresolved".
     """
@@ -467,16 +478,18 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     rng = np.random.default_rng(seed)
     for _ in range(max(1, restarts)):
         a = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2.0)
-        F, B, g = _objective_and_grad(a, V, VH, mu)
+        F, B, state = _penalty(a, V, mu)
+        g = _gradient(a, VH, state)
         total = F + B
         step = 0.1
         for _ in range(SEARCH_MAX_ITERS):
             if total < 1e-26 or step < 1e-18:
                 break
             cand = a - step * g
-            Fc, Bc, gc = _objective_and_grad(cand, V, VH, mu)
+            Fc, Bc, state = _penalty(cand, V, mu)
             if Fc + Bc < total:
-                a, F, B, g, total = cand, Fc, Bc, gc, Fc + Bc
+                a, F, B, total = cand, Fc, Bc, Fc + Bc
+                g = _gradient(a, VH, state)
                 step *= 2.0
             else:
                 step *= 0.5
@@ -512,10 +525,10 @@ def flat_search_gradient_check(b: Sequence[int], d: int, mu: float = 1.0,
         a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
 
         def total_at(vec):
-            F, B, _ = _objective_and_grad(vec, V, VH, mu)
+            F, B, _ = _penalty(vec, V, mu)
             return F + B
 
-        _, _, g = _objective_and_grad(a, V, VH, mu)
+        g = _gradient(a, VH, _penalty(a, V, mu)[2])
         analytic = np.concatenate([2 * g.real, 2 * g.imag])
         numeric = np.empty(2 * N)
         for i in range(N):

@@ -111,22 +111,32 @@ def _horner_mod(cs: list[int], x: int, m: int) -> int:
     return acc
 
 
+def _squarefree_part(ints: list[int]) -> list[int]:
+    """The primitive f / gcd(f, f') of a nonconstant integer polynomial; it
+    is `ints` itself exactly when `ints` is squarefree."""
+    g = poly_gcd(ints, poly_deriv(ints))
+    return _primitive_int(poly_divmod(ints, g)[0]) if len(g) > 1 else list(ints)
+
+
 def _rational_roots(ints: list[int]) -> list[Fraction]:
     """The rational roots of a nonconstant integer polynomial, without
-    factoring its coefficients.
+    factoring its coefficients."""
+    return _squarefree_rational_roots(_squarefree_part(ints))
 
-    Over the squarefree part f with leading coefficient a, take the least
-    prime p not dividing a at which every root of f mod p is simple.  A
-    rational root s/t has t | a, so it is a p-adic integer and its residue
-    is one of those roots, which Hensel lifting pins mod p^k.  With B the
-    Cauchy bound, |a * s/t| <= |a| * B; once p^k > 2|a|B, a * s/t is the
-    symmetric residue of a times the lift, and an exact integer Horner
-    evaluation decides the candidate.
+
+def _squarefree_rational_roots(f: list[int]) -> list[Fraction]:
+    """The rational roots of a squarefree nonconstant integer polynomial f.
+
+    With a the leading coefficient, take the least prime p not dividing a
+    at which every root of f mod p is simple.  A rational root s/t has
+    t | a, so it is a p-adic integer and its residue is one of those roots,
+    which Hensel lifting pins mod p^k.  With B the Cauchy bound,
+    |a * s/t| <= |a| * B; once p^k > 2|a|B, a * s/t is the symmetric residue
+    of a times the lift, and an exact integer Horner evaluation decides the
+    candidate.
     """
-    if ints[0] == 0:
+    if f[0] == 0:
         return [Fraction(0)]
-    g = poly_gcd(ints, poly_deriv(ints))
-    f = _primitive_int(poly_divmod(ints, g)[0]) if len(g) > 1 else list(ints)
     df = poly_deriv(f)
     a = f[-1]
     bound = 2 * (abs(a) + max(abs(c) for c in f[:-1]))
@@ -160,7 +170,8 @@ class AlgebraicNumber:
 
     `root_index` selects one complex root under the deterministic ordering
     of `poly_roots`.  Irreducibility is an input contract; cheap probes
-    (rational roots, quadratic discriminant) catch the easy violations.
+    (rational roots, repeated factors, quadratic discriminant) catch the easy
+    violations.
     """
 
     minpoly: tuple[int, ...]
@@ -175,9 +186,14 @@ class AlgebraicNumber:
         if not (0 <= self.root_index < deg):
             raise ValueError("root index out of range")
         # cheap irreducibility probes; full factorization is out of scope.
-        # At degree 2 the discriminant decides rational roots without factoring.
-        if deg > 2 and _rational_roots(list(ints)):
-            raise ValueError("polynomial has a rational root, not irreducible")
+        # At degree 2 the discriminant decides rational roots without
+        # factoring, and a repeated factor makes it a square.
+        if deg > 2:
+            f = _squarefree_part(list(ints))
+            if _squarefree_rational_roots(f):
+                raise ValueError("polynomial has a rational root, not irreducible")
+            if len(f) < len(ints):
+                raise ValueError("polynomial has a repeated factor, not irreducible")
         if deg == 2:
             disc = ints[1] ** 2 - 4 * ints[0] * ints[2]
             if disc >= 0 and math.isqrt(disc) ** 2 == disc:

@@ -15,6 +15,7 @@ from cyclolab.equidist import (
     arc_count,
     ARC_M_CAP,
     _arc_count_chunk,
+    _CHUNK_MIN,
 )
 from cyclolab.lattice import in_lattice, hnf_det
 from cyclolab.radical import RadicalContext, RadicalSum, _in_band, _orbit_values, sigma_search
@@ -230,6 +231,30 @@ class TestArcs:
                     ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)),
                             Arc(Fraction(3, 10**13 + 37), Fraction(1, 5))])):
             assert arc_count(orbit, box, threads=4).count == arc_count(orbit, box).count
+
+    def test_pool_only_for_two_full_chunks(self, monkeypatch):
+        # the pool starts only when m holds two chunks of _CHUNK_MIN residues,
+        # and the count equals a serial sum over another partition
+        import concurrent.futures
+
+        started = []
+        pool = concurrent.futures.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            started.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        box = ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)), Arc(0.5, 2.0)])
+        small = RootTupleOrbit(2 * _CHUNK_MIN - 1, (1, 100))
+        assert arc_count(small, box, threads=4).count == arc_count(small, box).count
+        assert started == []
+        m = 2 * _CHUNK_MIN + 7
+        big = RootTupleOrbit(m, (1, 100))
+        cuts = [1, 12_345, 70_001, m + 1]
+        serial = sum(_arc_count_chunk(m, big.k, box, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+        assert arc_count(big, box, threads=4).count == serial
+        assert started == [4]
 
     def test_exact_vs_float_agree_generic(self):
         # generic arcs: both representations count identically

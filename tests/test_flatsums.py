@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclolab import flatsums
 from cyclolab.cyclotomic import CyclotomicNumber, zeta, rational
 from cyclolab.flatsums import (
     exact_sum,
@@ -279,6 +281,63 @@ class TestFlatSearch:
 
     def test_gradient_check(self):
         assert flat_search_gradient_check([0, 1, 3], 7, points=100, seed=1) < 1e-6
+
+    # sha256 of repr(flat_search(b, d, mu, restarts, seed)), taken before the
+    # gradient was split from the objective: N = 1-4, members and infeasible
+    # orders, the barrier active at most evaluations of the infeasible cases
+    DIGESTS = {
+        ((0,), 1, 1.0, 3, 0): "2ff26fcae82bdc4377b05d4de0a65b03033e3ff6dc9b88573c885b93367ed16f",
+        ((0,), 3, 1.0, 3, 0): "cf85064b9a96366ea2c09f377a84549731b3b78d38902aa0c4e43f3c318a5e78",
+        ((0, 1), 2, 1.0, 4, 0): "400ff1a2a096b8d3f4004253feae42f9d849f54c45a0ccdb8a57a20223f58511",
+        ((0, 1), 5, 1.0, 4, 0): "fa0a5871a0b7174642b3d1d3f34227370047ea68ed582be9e199643b0064e0aa",
+        ((0, 1), 3, 2.0, 3, 7): "1bfdd0e63f34ec737f519a42479318d1962872c9be7f0c45279e22421e3c84dc",
+        ((0, 1, 3), 7, 1.0, 3, 42): "76279cae8d866cd257e6eba81b69dd9f5990c06e0ac173f39a1c7180ffcb2555",
+        ((0, -1, 1), 3, 1.0, 3, 1): "3095288b8203159951ad186fe0b2d81296c0cc66902dc333d8887e0b672c6a49",
+        ((0, 1, 2), 4, 1.0, 3, 2): "f47dd3e5863b607fd1980605263703a16760ad373a746ca53de0dc0ef7df8fc1",
+        ((0, 1, 2), 2, 1.0, 3, 5): "e179ea2af9d1029b45e7636292441351cd8040ccf7b7ff9814286e460e5976fc",
+        ((0, 1, 2, 5), 8, 1.0, 2, 1): "5f87dc13b6ba5e639be86e91ce8f225ff149ac87da7ac95eb7c9e1e6a2e9b312",
+        ((0, 1, 3, 7), 12, 0.5, 2, 3): "6435b5b51efa53091558f720fd1be389fad0f6388f6b9342329f8e3fd7185362",
+        ((0, 1, 2, 3), 1, 1.0, 2, 0): "47193a005bacb83b6dbb423bce9bd80bee5dbbfbe42b278b883912528a474070",
+    }
+    SURVEY_DIGEST = "003567832e7310dead15f4e4df99b2e8e3b791b68a0edb20388526ed81b870e7"
+
+    def test_output_pinned(self):
+        def digest(obj):
+            return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+        for (b, d, mu, restarts, seed), want in self.DIGESTS.items():
+            assert digest(flat_search(list(b), d, mu, restarts=restarts, seed=seed)) == want, b
+        assert digest(sn_survey(3, 4, restarts=2, seed=1)) == self.SURVEY_DIGEST
+        assert flat_search_gradient_check([0, 1, 3], 7, points=20, seed=1) == 1.4765564862536426e-10
+
+    @pytest.mark.parametrize("b, d, seed", [([0, 1], 5, 0), ([0, 1, 3], 7, 42),
+                                            ([0, 1, 2], 4, 2), ([0, 1, 2, 5], 8, 1)])
+    def test_gradient_only_at_accepted_points(self, monkeypatch, b, d, seed):
+        # one restart: the gradient runs at the start and after each accepted
+        # candidate, i.e. each penalty call that lowers the running minimum,
+        # and always on the point and state of the penalty call just made
+        events = []
+        penalty, gradient = flatsums._penalty, flatsums._gradient
+
+        def counted_penalty(a, V, mu):
+            F, B, state = penalty(a, V, mu)
+            events.append(("p", a, F + B, state))
+            return F, B, state
+
+        def counted_gradient(a, VH, state):
+            _, a_last, _, state_last = events[-1]
+            assert a is a_last and state is state_last
+            events.append(("g", a, None, state))
+            return gradient(a, VH, state)
+
+        monkeypatch.setattr(flatsums, "_penalty", counted_penalty)
+        monkeypatch.setattr(flatsums, "_gradient", counted_gradient)
+        flat_search(b, d, restarts=1, seed=seed)
+        totals = [total for kind, _, total, _ in events if kind == "p"]
+        accepted = sum(t < min(totals[:i]) for i, t in enumerate(totals) if i)
+        n_gradient = sum(kind == "g" for kind, *_ in events)
+        assert n_gradient == 1 + accepted
+        assert n_gradient < len(totals)
 
 
 class TestSurvey:

@@ -299,6 +299,15 @@ class TestRationalRoots:
         with pytest.raises(ValueError, match="rational root"):
             AlgebraicNumber(tuple(poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 0, 1])))
 
+    def test_repeated_factor_refused(self):
+        # no rational root, but gcd(f, f') is nonconstant: not irreducible
+        for poly in ((1, 2, 3, 2, 1), (4, 0, 4, 0, 1)):  # (x^2+x+1)^2, (x^2+2)^2
+            assert _rational_roots(list(poly)) == []
+            with pytest.raises(ValueError, match="repeated factor"):
+                AlgebraicNumber(poly)
+        assert AlgebraicNumber((1, 1, 1)).degree == 2  # the squarefree part constructs
+        assert AlgebraicNumber((2, 0, 1)).degree == 2
+
     def test_power_of_big_linear_factor(self):
         # f' divides f exactly when f = (x - s)^n: the gcd is f' itself and
         # must stay exact, or s = 10^18 + 3 rounds to 10^18 and 10^200 overflows

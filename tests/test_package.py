@@ -27,6 +27,20 @@ def test_import_loads_no_layer():
     assert json.loads(proc.stdout) == []
 
 
+def test_integer_equidist_commands_load_no_numpy():
+    # weyl and strict-check run integer code; numpy loads only for arc counts
+    code = ("import json, sys, cyclolab.equidist, cyclolab.cli as cli; "
+            "seen = ['numpy' in sys.modules]; "
+            "seen.append(cli.main(['weyl', '--m', '12', '--k', '2,3', '--n', '3,2'])); "
+            "seen.append(cli.main(['strict-check', '--seq', '12:2,3;20:2,3'])); "
+            "seen.append('numpy' in sys.modules); "
+            "print(json.dumps(seen), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [False, 0, 0, False]
+
+
 def test_exports_are_the_defining_objects():
     # a name listed under two submodules would collapse into one entry
     assert len(cyclolab.__all__) == sum(map(len, cyclolab._LAYERS.values()))
