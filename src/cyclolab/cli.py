@@ -316,6 +316,9 @@ def _handle_height(args):
                    "mahler_measure": float(np.exp(h * args.n))}
     else:
         poly = _parse_minpoly(args.minpoly)
+        ints = heights._primitive_int(poly)
+        if len(heights._squarefree_part(ints)) < len(ints):
+            raise ValueError("minimal polynomial has a repeated factor")
         h = heights.weil_height(poly)
         results = {"height": h, "degree": len(poly) - 1,
                    "mahler_measure": heights.mahler_measure(poly)}

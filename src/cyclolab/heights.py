@@ -118,12 +118,6 @@ def _squarefree_part(ints: list[int]) -> list[int]:
     return _primitive_int(poly_divmod(ints, g)[0]) if len(g) > 1 else list(ints)
 
 
-def _rational_roots(ints: list[int]) -> list[Fraction]:
-    """The rational roots of a nonconstant integer polynomial, without
-    factoring its coefficients."""
-    return _squarefree_rational_roots(_squarefree_part(ints))
-
-
 def _squarefree_rational_roots(f: list[int]) -> list[Fraction]:
     """The rational roots of a squarefree nonconstant integer polynomial f.
 
@@ -135,8 +129,8 @@ def _squarefree_rational_roots(f: list[int]) -> list[Fraction]:
     of a times the lift, and an exact integer Horner evaluation decides the
     candidate.
     """
-    if f[0] == 0:
-        return [Fraction(0)]
+    if f[0] == 0:  # f is squarefree, so x divides it once
+        return [Fraction(0)] + (_squarefree_rational_roots(f[1:]) if len(f) > 2 else [])
     df = poly_deriv(f)
     a = f[-1]
     bound = 2 * (abs(a) + max(abs(c) for c in f[:-1]))

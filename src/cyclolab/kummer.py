@@ -280,6 +280,18 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     lattice, then verify (sum v_i zeta_m^i)^e = a exactly in the
     cyclotomic module.  A verified answer is exact; a near-miss relation
     that fails exact verification at every scale yields "inconclusive".
+
+    At each scale S the lattice has one row per power zeta_m^i (i <
+    phi(m)): the identity part, a 0 in the beta column, then S times the
+    real and imaginary parts, rounded; a last row holds beta.  The phi(m)
+    zeta rows are the same for every tau, so each scale's block is
+    LLL-reduced once per call, when first needed, and every tau reduces
+    only that block plus its beta row.  The reduced block's identity part
+    is the unimodular transform U it applied, so the next scale's block
+    starts from U times its raw zeta rows: the same lattice, already close
+    to reduced (the gradual precision of van Hoeij and Novocin, "Gradual
+    sub-lattice reduction and a new complexity for factoring polynomials",
+    LATIN 2010).
     """
     import mpmath as mp
 
@@ -295,17 +307,20 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     with mp.workdps(digits):
         mag = mp.root(abs(mp.mpf(a.numerator)) / mp.mpf(a.denominator), e)
         zs = [mp.e ** (2j * mp.pi * i / m) for i in range(phi)]
+        blocks = []  # blocks[k]: the reduced zeta rows at ORACLE_SCALES[k]
         for tau in range(parity, 2 * e, 2):
             beta = mag * mp.e ** (1j * mp.pi * tau / e)
-            for scale in ORACLE_SCALES:
+            for k, scale in enumerate(ORACLE_SCALES):
                 S = mp.mpf(scale)
-                rows = []
-                for i in range(phi):
-                    rows.append([1 if j == i else 0 for j in range(phi)] + [0]
-                                + [int(mp.nint(S * zs[i].real)), int(mp.nint(S * zs[i].imag))])
-                rows.append([0] * phi + [1]
-                            + [int(mp.nint(S * beta.real)), int(mp.nint(S * beta.imag))])
-                reduced = lll_reduce(rows)
+                if k == len(blocks):  # first use of this scale: U times its zeta rows
+                    U = ([r[:phi] for r in blocks[-1]] if blocks else
+                         [[1 if j == i else 0 for j in range(phi)] for i in range(phi)])
+                    pts = [(int(mp.nint(S * z.real)), int(mp.nint(S * z.imag))) for z in zs]
+                    blocks.append(lll_reduce(
+                        [u + [0, sum(c * x for c, (x, _) in zip(u, pts)),
+                              sum(c * y for c, (_, y) in zip(u, pts))] for u in U]))
+                reduced = lll_reduce(blocks[k] + [
+                    [0] * phi + [1, int(mp.nint(S * beta.real)), int(mp.nint(S * beta.imag))]])
                 reduced.sort(key=lambda r: max(abs(x) for x in r))
                 for vec in reduced:
                     nb = vec[phi]

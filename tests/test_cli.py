@@ -42,6 +42,15 @@ class TestCommands:
         code, rec = run_json(capsys, "height", "--minpoly", "x^2-x-1")
         assert code == 0 and rec["results"]["degree"] == 2
 
+    def test_height_minpoly_repeated_factor(self, capsys):
+        # (x^2+x+1)^2: its roots are roots of unity, so a height would read 0
+        code, out = run_cli(capsys, "height", "--minpoly", "x^4+2x^3+3x^2+2x+1")
+        assert code == 2 and out == ""
+        code, rec = run_json(capsys, "height", "--minpoly", "x^3-2", "--no-timing")
+        assert code == 0 and rec["status"] == "ok"
+        assert rec["results"] == {"degree": 3, "height": 0.23104906018664848,
+                                  "mahler_measure": 2.0}
+
     def test_flat_verify(self, capsys):
         code, rec = run_json(
             capsys, "flat-verify", "--d", "2", "--exponents", "0,1",

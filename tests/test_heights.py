@@ -9,7 +9,8 @@ from cyclolab._arith import divisors, euler_phi, poly_divmod, poly_gcd, poly_mul
 from cyclolab.cyclotomic import cyclotomic_polynomial
 from cyclolab.heights import (
     _primitive_int,
-    _rational_roots,
+    _squarefree_part,
+    _squarefree_rational_roots,
     AlgebraicNumber,
     weil_height,
     mahler_measure,
@@ -255,11 +256,18 @@ class TestPolyTools:
         assert alpha.minpoly == (p * q, 0, 1) and alpha.degree == 2
 
 
+def _rational_roots(ints):
+    """The rational roots of a nonconstant integer polynomial, as
+    `AlgebraicNumber` probes them."""
+    return _squarefree_rational_roots(_squarefree_part(ints))
+
+
 def ref_rational_roots(ints):
     """Test-only reference: every +-p/q with p | a_0 and q | a_n, evaluated
-    in Fraction arithmetic."""
+    in Fraction arithmetic; a root 0 is divided out first."""
     if ints[0] == 0:
-        return {Fraction(0)}
+        k = next(i for i, c in enumerate(ints) if c)
+        return {Fraction(0)} | (ref_rational_roots(ints[k:]) if len(ints) > k + 1 else set())
     return {Fraction(s * p, q) for p in divisors(ints[0]) for q in divisors(ints[-1])
             for s in (1, -1)
             if sum(c * Fraction(s * p, q) ** i for i, c in enumerate(ints)) == 0}
@@ -281,12 +289,20 @@ class TestRationalRoots:
                 if rng.random() < 0.3:
                     poly = poly_mul(poly, factor)
             ints = _primitive_int(poly)
-            if len(ints) < 2 or not ints[0]:
+            if len(ints) < 2:
                 continue
             want = ref_rational_roots(ints)
             assert set(_rational_roots(ints)) == want, ints
             found += bool(want)
         assert found > 100
+
+    def test_zero_root_divided_out(self):
+        # a root 0 is one root among the others, not the only answer
+        for poly, want in (([0, -1, 1], {0, 1}),  # x^2 - x
+                           ([0, 2, -3, 1], {0, 1, 2}),  # x(x-1)(x-2)
+                           ([0, 0, -2, 1], {0, 2}),  # x^2 (x-2)
+                           ([0, 1], {0})):
+            assert set(_rational_roots(poly)) == want == ref_rational_roots(poly), poly
 
     def test_not_squarefree(self):
         # multiple roots stay multiple mod every prime: the probe must take

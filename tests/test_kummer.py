@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 
 from cyclolab import kummer
 from cyclolab.cyclotomic import CyclotomicNumber, zeta, euler_phi
+from cyclolab.lattice import hnf
 from cyclolab.kummer import (
     _nth_root_rational,
     _zeta_order_in_cyclotomic,
@@ -269,7 +272,67 @@ class TestTower:
         assert multiplicatively_independent([F(2), F(3), F(5, 7)])
 
 
+def oracle_grid():
+    """The queries of the benchmark's oracle pools: ten radicands, m <= 24,
+    e <= 4 with e * phi(m) <= 64, and e <= 2 where phi(m) >= 16."""
+    radicands = ("2", "3", "5", "-2", "-3", "1/2", "-3/4", "9", "-4", "8")
+    return [(F(a), e, m) for m in range(1, 25)
+            for e in range(1, 3 if euler_phi(m) >= 16 else 5) if e * euler_phi(m) <= 64
+            for a in radicands]
+
+
+# a seeded sample of the grid plus tail cases at m = 19 and 23 (e * phi(m)
+# >= 20); the digest covers status, certificate and detail of every report
+ORACLE_PIN_CASES = random.Random(16).sample(oracle_grid(), 40) + [
+    (F(2), 2, 19), (F(9), 2, 19), (F(-3), 1, 23), (F(-4), 2, 23), (F(9), 2, 23)]
+ORACLE_PIN_DIGEST = "878538e26d154307c8298455510c4546e79aeb673a40a3a0257ef69e27412ffd"
+
+
+def oracle_pin_digest():
+    reports = []
+    for a, e, m in ORACLE_PIN_CASES:
+        rep = root_membership_oracle(a, e, m)
+        reports.append([str(a), e, m, rep.status, rep.certificate, rep.detail])
+    blob = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest(), reports
+
+
 class TestOracle:
+    def test_reports_pinned(self):
+        # LLL on another basis of the same lattice may return other vectors,
+        # so the reports themselves are pinned, not only the statuses
+        got, reports = oracle_pin_digest()
+        assert {r[3] for r in reports} == {"true", "false"}
+        tails = {(r[2], r[3]) for r in reports if r[1] * euler_phi(r[2]) >= 20}
+        assert {(19, "true"), (19, "false"), (23, "true"), (23, "false")} <= tails
+        assert got == ORACLE_PIN_DIGEST
+
+    @pytest.mark.parametrize("a,e,m", [(2, 2, 5), (-2, 3, 9), (3, 4, 12), (5, 2, 19)])
+    def test_lattice_identity(self, a, e, m, monkeypatch, oracle_lattice):
+        # every beta lattice LLL sees is the oracle's lattice at its scale,
+        # and the zeta block is reduced once per scale, not once per beta
+        inputs = []
+        real = kummer.lll_reduce
+        monkeypatch.setattr(kummer, "lll_reduce", lambda rows: inputs.append(rows) or real(rows))
+        assert root_membership_oracle(a, e, m).status == "false"  # every (tau, scale) runs
+        phi = euler_phi(m)
+        taus = range(0 if a > 0 else 1, 2 * e, 2)
+        blocks = [rows for rows in inputs if len(rows) == phi]
+        lattices = [rows for rows in inputs if len(rows) == phi + 1]
+        assert len(blocks) + len(lattices) == len(inputs)
+        assert len(blocks) == len(kummer.ORACLE_SCALES)
+        assert len(lattices) == len(taus) * len(kummer.ORACLE_SCALES)
+
+        def beta(tau):
+            return lambda mp: mp.root(abs(mp.mpf(a)), e) * mp.e ** (1j * mp.pi * tau / e)
+
+        want = [oracle_lattice(m, beta(tau), scale)
+                for tau in taus for scale in kummer.ORACLE_SCALES]
+        for rows, ref in zip(lattices, want):
+            assert hnf(rows) == hnf(ref)
+        for rows, scale in zip(blocks, kummer.ORACLE_SCALES):
+            assert hnf(rows) == hnf(oracle_lattice(m, beta(taus[0]), scale)[:phi])
+
     def test_sqrt2_certificate(self):
         rep = root_membership_oracle(2, 2, 8)
         assert rep.status == "true"
