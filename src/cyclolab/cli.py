@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
+from ._arith import poly_trim
 from .cyclotomic import CyclotomicNumber
 
 if TYPE_CHECKING:
@@ -124,27 +125,31 @@ def _parse_arcs(text: str) -> equidist.ArcBox:
     return equidist.ArcBox(arcs)
 
 
-_TERM_RE = re.compile(r"([+-]?[^+-]+)")
+_TERM_RE = re.compile(r"[+-]?[^+-]+")
+_MONOMIAL_RE = re.compile(r"(\d*)(?:(x)(?:\^(\d+))?)?")
 
 
 def _parse_minpoly(text: str) -> tuple[int, ...]:
-    """"x^3-2" style integer polynomials, ascending coefficient output."""
+    """"x^3-2" style integer polynomials: ascending coefficients with the
+    leading zero coefficients trimmed, so "0x^3+x-1" has degree 1."""
     text = text.replace(" ", "")
+    terms = _TERM_RE.findall(text)
+    monomials = [_MONOMIAL_RE.fullmatch(t.lstrip("+-")) for t in terms]
+    if not terms or "".join(terms) != text or not all(monomials):
+        raise ValueError(f'cannot read {text!r} as an integer polynomial such as "x^3-2"')
     coeffs: dict[int, int] = {}
-    for term in _TERM_RE.findall(text):
-        if not term or term in "+-":
-            continue
-        sign = -1 if term.startswith("-") else 1
-        term = term.lstrip("+-")
-        if "x" in term:
-            c_s, _, rest = term.partition("x")
-            c = int(c_s) if c_s else 1
-            k = int(rest[1:]) if rest.startswith("^") else 1
-        else:
-            c, k = int(term), 0
-        coeffs[k] = coeffs.get(k, 0) + sign * c
-    deg = max(coeffs)
-    return tuple(coeffs.get(i, 0) for i in range(deg + 1))
+    for term, m in zip(terms, monomials):
+        c_s, x, k_s = m.groups()
+        k = int(k_s or 1) if x else 0
+        coeffs[k] = coeffs.get(k, 0) + (-1 if term[0] == "-" else 1) * int(c_s or 1)
+    return tuple(poly_trim([coeffs.get(i, 0) for i in range(max(coeffs) + 1)]))
+
+
+def _terms(exponents: list[int], coeffs: list) -> list:
+    """The (exponent, coefficient) pairs of a sum, one coefficient per exponent."""
+    if len(exponents) != len(coeffs):
+        raise ValueError(f"{len(exponents)} exponents but {len(coeffs)} coefficients")
+    return list(zip(exponents, coeffs))
 
 
 def _radical_from_args(args) -> radical.RadicalSum:
@@ -177,13 +182,13 @@ def _handle_flat_verify(args):
     mu = Fraction(args.mu)
     if args.numeric:
         coeffs = [complex(c) for c in args.coeffs.split(";")]
-        f = flatsums.numeric_sum(args.d, list(zip(_parse_ints(args.exponents), coeffs)), float(mu))
+        f = flatsums.numeric_sum(args.d, _terms(_parse_ints(args.exponents), coeffs), float(mu))
         rep = flatsums.is_flat(f)
         results = {"flat": rep.flat, "witness": rep.witness,
                    "max_deviation": rep.max_deviation, "mode": rep.mode}
     else:
         coeffs = _parse_coeffs(args.coeffs)
-        f = flatsums.exact_sum(args.d, list(zip(_parse_ints(args.exponents), coeffs)), mu)
+        f = flatsums.exact_sum(args.d, _terms(_parse_ints(args.exponents), coeffs), mu)
         rep = flatsums.is_flat(f)
         validity = flatsums.validate_definition(f)
         results = {"flat": rep.flat, "witness": rep.witness, "mode": rep.mode,
@@ -206,8 +211,7 @@ def _handle_sn_survey(args):
 
 def _handle_reduce(args):
     from . import flatsums
-    f = flatsums.exact_sum(args.d,
-                           list(zip(_parse_ints(args.exponents), _parse_coeffs(args.coeffs))),
+    f = flatsums.exact_sum(args.d, _terms(_parse_ints(args.exponents), _parse_coeffs(args.coeffs)),
                            Fraction(args.mu))
     cert = flatsums.reduce_instance(f)
     results = {
@@ -307,8 +311,6 @@ def _handle_factor_out(args):
 def _handle_height(args):
     import numpy as np
     from . import heights
-    if args.radical is None and args.minpoly is None:
-        raise ValueError("provide --minpoly or --radical")
     if args.radical is not None:
         a = Fraction(args.radical)
         h = heights.radical_height(a, args.n)
@@ -316,11 +318,7 @@ def _handle_height(args):
                    "mahler_measure": float(np.exp(h * args.n))}
     else:
         poly = _parse_minpoly(args.minpoly)
-        ints = heights._primitive_int(poly)
-        if len(heights._squarefree_part(ints)) < len(ints):
-            raise ValueError("minimal polynomial has a repeated factor")
-        h = heights.weil_height(poly)
-        results = {"height": h, "degree": len(poly) - 1,
+        results = {"height": heights.weil_height(poly), "degree": len(poly) - 1,
                    "mahler_measure": heights.mahler_measure(poly)}
     return results, "ok"
 
@@ -444,8 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--arcs", required=True)
 
     sp = command("height")
-    sp.add_argument("--minpoly", default=None)
-    sp.add_argument("--radical", default=None)
+    branch = sp.add_mutually_exclusive_group(required=True)
+    branch.add_argument("--minpoly")
+    branch.add_argument("--radical")
     sp.add_argument("--n", type=int, default=1)
 
     sp = command("kummer")

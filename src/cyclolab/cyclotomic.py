@@ -65,7 +65,6 @@ def _init(x: "CyclotomicNumber", order: int, num: dict, den: int) -> None:
     object.__setattr__(x, "order", order)
     object.__setattr__(x, "_num", num)
     object.__setattr__(x, "_den", den)
-    object.__setattr__(x, "_canon", None)
 
 
 def _wrap(order: int, num: dict, den: int) -> "CyclotomicNumber":
@@ -99,7 +98,7 @@ class CyclotomicNumber:
     denominator d > 0 with gcd(d, all n_j) = 1, so the coefficient at
     zeta_D^j is n_j / d."""
 
-    __slots__ = ("order", "_num", "_den", "_canon")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
@@ -253,17 +252,13 @@ class CyclotomicNumber:
     # ---------------------------------------------------------- reduction
     def canonical(self) -> tuple[Fraction, ...]:
         """Representative of degree < phi(order), reduced mod Phi_order."""
-        if self._canon is not None:
-            return self._canon
         phi = cyclotomic_polynomial(self.order)
         v = [0] * self.order
         for j, n in self._num.items():
             v[j] = n
         rem = poly_divmod(v, phi)[1]  # Phi is monic: an integer remainder
         den = self._den
-        canon = tuple(Fraction(n, den) for n in rem) + (_ZERO,) * (len(phi) - 1 - len(rem))
-        object.__setattr__(self, "_canon", canon)
-        return canon
+        return tuple(Fraction(n, den) for n in rem) + (_ZERO,) * (len(phi) - 1 - len(rem))
 
     def is_zero(self) -> bool:
         return not any(self.canonical())

@@ -1,5 +1,10 @@
 """Weil heights and Mahler measures of algebraic numbers given by primitive
-integer minimal polynomials, with the power and root transformation laws."""
+integer minimal polynomials, with the power and root transformation laws.
+
+Minimal-polynomial input (ascending int or Fraction coefficients) is read
+only here: `_primitive_int` refuses a zero or constant polynomial, and
+`weil_height` and `mahler_measure` refuse a repeated factor, whose multiple
+roots float root-finding cannot separate (M((x-2)^3) would read 8.00004)."""
 from __future__ import annotations
 
 import math
@@ -29,13 +34,15 @@ POLISH_ITERS = 6  # Newton steps per root in `poly_roots`
 
 
 def _primitive_int(p) -> list[int]:
-    """Clear denominators, divide by the content, make the lead positive."""
-    p = poly_trim([Fraction(x) for x in p]) or [Fraction(0)]  # zero stays [0]
+    """Clear denominators, divide by the content, make the lead positive;
+    a zero or constant polynomial is refused."""
+    p = poly_trim([Fraction(x) for x in p])
+    if len(p) < 2:
+        raise ValueError("polynomial must have positive degree")
     den = math.lcm(*(c.denominator for c in p))
     ints = [int(c * den) for c in p]
     g = math.gcd(*ints)
-    if g:
-        ints = [c // g for c in ints]
+    ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
@@ -66,10 +73,7 @@ def poly_roots(coeffs) -> list[complex]:
     (real, imag).  Degree is capped at 64.
     """
     ints = _primitive_int(coeffs)
-    deg = len(ints) - 1
-    if deg < 1:
-        raise ValueError("polynomial must have positive degree")
-    if deg > DEGREE_CAP:
+    if len(ints) - 1 > DEGREE_CAP:
         raise ValueError(f"degree exceeds the cap of {DEGREE_CAP}")
     roots = np.roots(list(reversed([float(c) for c in ints])))
     dp = poly_deriv(ints)
@@ -112,8 +116,8 @@ def _horner_mod(cs: list[int], x: int, m: int) -> int:
 
 
 def _squarefree_part(ints: list[int]) -> list[int]:
-    """The primitive f / gcd(f, f') of a nonconstant integer polynomial; it
-    is `ints` itself exactly when `ints` is squarefree."""
+    """The primitive f / gcd(f, f') of a primitive nonconstant integer
+    polynomial; it is `ints` itself exactly when `ints` is squarefree."""
     g = poly_gcd(ints, poly_deriv(ints))
     return _primitive_int(poly_divmod(ints, g)[0]) if len(g) > 1 else list(ints)
 
@@ -175,8 +179,6 @@ class AlgebraicNumber:
         ints = _primitive_int(self.minpoly)
         object.__setattr__(self, "minpoly", tuple(ints))
         deg = len(ints) - 1
-        if deg < 1:
-            raise ValueError("minimal polynomial must be nonconstant")
         if not (0 <= self.root_index < deg):
             raise ValueError("root index out of range")
         # cheap irreducibility probes; full factorization is out of scope.
@@ -201,8 +203,18 @@ class AlgebraicNumber:
         return poly_roots(list(self.minpoly))[self.root_index]
 
 
+def _squarefree_ints(minpoly) -> list[int]:
+    """The primitive integer form of `minpoly`, refused when it has a
+    repeated factor."""
+    ints = _primitive_int(minpoly)
+    if len(_squarefree_part(ints)) < len(ints):
+        raise ValueError("polynomial has a repeated factor")
+    return ints
+
+
 def mahler_measure(minpoly) -> float:
-    ints = _primitive_int(list(minpoly))
+    """|lc| * prod over roots of max(1, |root|) of a squarefree polynomial."""
+    ints = _squarefree_ints(minpoly)
     rts = poly_roots(ints)
     m = abs(ints[-1])
     for r in rts:
@@ -211,14 +223,10 @@ def mahler_measure(minpoly) -> float:
 
 
 def weil_height(alpha) -> float:
-    """(1/deg) * (log |lc| + sum over roots of log max(1, |root|))."""
-    minpoly = alpha.minpoly if isinstance(alpha, AlgebraicNumber) else alpha
-    ints = _primitive_int(list(minpoly))
-    if not any(ints):
-        raise ValueError("zero polynomial")
+    """(1/deg) * (log |lc| + sum over roots of log max(1, |root|)) for an
+    `AlgebraicNumber` (squarefree by construction) or a squarefree polynomial."""
+    ints = list(alpha.minpoly) if isinstance(alpha, AlgebraicNumber) else _squarefree_ints(alpha)
     deg = len(ints) - 1
-    if deg < 1:
-        raise ValueError("polynomial must be nonconstant")
     rts = poly_roots(ints)
     total = math.log(abs(ints[-1]))
     for r in rts:
@@ -255,14 +263,9 @@ def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
     b = [Fraction(1)]  # b[i]: coefficient of x^(deg-i) in prod (x - alpha_i^k)
     for j in range(1, deg + 1):
         b.append(-(t[j] + sum(b[i] * t[j - i] for i in range(1, j))) / j)
-    q = b[::-1]
-    dq = poly_trim(poly_deriv(q))
-    sf = poly_divmod(q, poly_gcd(q, dq))[0]
-    ints = _primitive_int(sf)
+    ints = _squarefree_part(_primitive_int(b[::-1]))
     if n < 0:
-        ints = list(reversed(ints))
-        if ints[-1] < 0:
-            ints = [-c for c in ints]
+        ints = _primitive_int(ints[::-1])
     target = alpha.root() ** n
     rts = poly_roots(ints)
     idx = min(range(len(rts)), key=lambda i: abs(rts[i] - target))

@@ -51,6 +51,29 @@ class TestCommands:
         assert rec["results"] == {"degree": 3, "height": 0.23104906018664848,
                                   "mahler_measure": 2.0}
 
+    def test_height_minpoly_degree_after_trim(self, capsys):
+        code, rec = run_json(capsys, "height", "--minpoly", "0x^3+x-1", "--no-timing")
+        assert code == 0 and rec["results"]["degree"] == 1
+        assert rec["results"]["mahler_measure"] == 1.0
+
+    @pytest.mark.parametrize("text", ["", "x2", "x++1", "2*x", "x^", "x-"])
+    def test_height_minpoly_syntax_exit_2(self, capsys, text):
+        code = main(["height", "--minpoly", text])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert repr(text) in err and '"x^3-2"' in err
+
+    @pytest.mark.parametrize("text", ["0", "0x^2", "5", "x^3-6x^2+12x-8"])
+    def test_height_minpoly_zero_constant_cube_exit_2(self, capsys, text):
+        code, out = run_cli(capsys, "height", "--minpoly", text)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [["--minpoly", "x^2-2", "--radical", "3"], ["--n", "2"]])
+    def test_height_needs_one_branch(self, capsys, argv):
+        assert main(["height", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "--minpoly" in err and "--radical" in err
+
     def test_flat_verify(self, capsys):
         code, rec = run_json(
             capsys, "flat-verify", "--d", "2", "--exponents", "0,1",
@@ -59,6 +82,19 @@ class TestCommands:
         assert code == 0
         assert rec["status"] == "flat"
         assert rec["results"]["validity"]["subset_sums_nonzero"]
+
+    @pytest.mark.parametrize("argv", [
+        ["flat-verify", "--exponents", "0,1", "--coeffs", "1 @ 1"],
+        ["flat-verify", "--numeric", "--exponents", "0,1", "--coeffs", "1+0j"],
+        ["reduce", "--exponents", "0", "--coeffs", "1 @ 1;1 @ 1"],
+    ])
+    def test_one_coefficient_per_exponent(self, capsys, argv):
+        code = main([*argv, "--d", "2"])
+        out, err = capsys.readouterr()
+        n_exp = len(argv[argv.index("--exponents") + 1].split(","))
+        n_coef = len(argv[argv.index("--coeffs") + 1].split(";"))
+        assert code == 2 and out == ""
+        assert f"{n_exp} exponents but {n_coef} coefficients" in err
 
     def test_flat_verify_numeric(self, capsys):
         code, rec = run_json(
@@ -408,6 +444,10 @@ class TestParsers:
         assert _parse_minpoly("3x - 1") == (-1, 3)
         assert _parse_minpoly("x^2 - x - 1") == (-1, -1, 1)
         assert _parse_minpoly("-x^2+2x+5") == (5, 2, -1)
+        assert _parse_minpoly("0x^3 + x - 1") == (-1, 1)
+        assert _parse_minpoly("x^2 - x^2") == ()
+        with pytest.raises(ValueError, match='"x\\^3-2"'):
+            _parse_minpoly("x^3-+2")
 
     def test_arcs(self):
         box = _parse_arcs("0:0.5,1/4t:1/8t")

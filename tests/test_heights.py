@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclolab import heights
 from cyclolab._arith import divisors, euler_phi, poly_divmod, poly_gcd, poly_mul, poly_trim
 from cyclolab.cyclotomic import cyclotomic_polynomial
 from cyclolab.heights import (
@@ -107,6 +108,19 @@ class TestWeilHeight:
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             weil_height((0,))
+
+    def test_repeated_factor_refused(self):
+        with pytest.raises(ValueError, match="repeated factor"):
+            mahler_measure((-8, 12, -6, 1))  # (x - 2)^3
+        with pytest.raises(ValueError, match="repeated factor"):
+            weil_height((1, 2, 3, 2, 1))  # (x^2 + x + 1)^2
+
+    def test_algebraic_number_skips_squarefree_check(self, monkeypatch):
+        # an AlgebraicNumber is squarefree by construction
+        alpha = AlgebraicNumber((-2, 0, 0, 1))
+        monkeypatch.setattr(heights, "_squarefree_part", None)
+        assert weil_height(alpha) == pytest.approx(math.log(2) / 3, abs=1e-12)
+        assert abs(alpha.root() ** 3 - 2) < 1e-12
 
     def test_root_index_irrelevant(self):
         p = (-1, -1, 1)
@@ -240,6 +254,12 @@ class TestPolyTools:
         assert mahler_measure((-2, 1)) == pytest.approx(2.0, abs=1e-12)
         assert mahler_measure(cyclotomic_polynomial(12)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_zero_and_constant_refused(self):
+        for p in ((), (0,), (0, 0), (5,), (Fraction(1, 2), 0)):
+            for f in (_primitive_int, poly_roots, weil_height, mahler_measure, AlgebraicNumber):
+                with pytest.raises(ValueError, match="positive degree"):
+                    f(p)
+
     def test_reducible_probes(self):
         with pytest.raises(ValueError):
             AlgebraicNumber((-1, 0, 1))  # x^2 - 1 has rational roots
@@ -288,9 +308,9 @@ class TestRationalRoots:
                 poly = poly_mul(poly, factor)
                 if rng.random() < 0.3:
                     poly = poly_mul(poly, factor)
-            ints = _primitive_int(poly)
-            if len(ints) < 2:
+            if len(poly) < 2:  # a constant: `_primitive_int` refuses it
                 continue
+            ints = _primitive_int(poly)
             want = ref_rational_roots(ints)
             assert set(_rational_roots(ints)) == want, ints
             found += bool(want)
