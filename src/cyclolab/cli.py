@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -174,6 +175,18 @@ def _write_hist(path, hist, edges):
             fh.write(f"{float(edges[i])!r},{float(edges[i+1])!r},{int(hist[i])}\n")
 
 
+def _turn_histogram(m: int, k: int):
+    """The 64-bin histogram over [0, 1] of the turns (r*k mod m)/m,
+    r = 1..m, without listing them: with g = gcd(k mod m, m) the residues
+    are g*i for i < m/g, each g times, and bin b holds the residues in
+    [c_b, c_(b+1)) for c_b = ceil(b*m/64), as `np.histogram` bins them."""
+    import numpy as np
+    g = math.gcd(k % m, m)
+    cuts = [-(-b * m // 64) for b in range(65)]  # c_b
+    below = [-(-c // g) for c in cuts]  # how many g*i lie below c_b
+    return [g * (hi - lo) for lo, hi in zip(below, below[1:])], np.linspace(0, 1, 65)
+
+
 # ------------------------------------------------------------------ handlers
 
 
@@ -225,15 +238,12 @@ def _handle_reduce(args):
 
 
 def _handle_arc_count(args):
-    import numpy as np
     from . import equidist
     orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k)))
     box = _parse_arcs(args.arcs)
     rep = equidist.arc_count(orbit, box, threads=args.threads)
     if args.hist_out:
-        # angle histogram (turns) of the first coordinate over the orbit
-        angles = [((r * orbit.k[0]) % orbit.m) / orbit.m for r in range(1, orbit.m + 1)]
-        _write_hist(args.hist_out, *np.histogram(angles, bins=64, range=(0.0, 1.0)))
+        _write_hist(args.hist_out, *_turn_histogram(orbit.m, orbit.k[0]))
     return rep, "ok"
 
 
@@ -445,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     branch = sp.add_mutually_exclusive_group(required=True)
     branch.add_argument("--minpoly")
     branch.add_argument("--radical")
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--n", type=int, default=None,
+                    help="root order of --radical, the only branch that takes it (default: 1)")
 
     sp = command("kummer")
     sp.add_argument("--a", required=True)
@@ -501,6 +512,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    if args.cmd == "height":  # --n belongs to --radical, where it defaults to 1
+        if args.n is not None and args.radical is None:
+            print("error: --n belongs to --radical, not --minpoly", file=sys.stderr)
+            return 2
+        args.n = 1 if args.n is None else args.n
     inputs = _inputs(args)
     cache_dir = args.cache or os.environ.get(CACHE_ENV)
     path = cache_dir and os.path.join(cache_dir, _cache_key(args.cmd, inputs, args.seed) + ".json")

@@ -168,8 +168,8 @@ class AlgebraicNumber:
 
     `root_index` selects one complex root under the deterministic ordering
     of `poly_roots`.  Irreducibility is an input contract; cheap probes
-    (rational roots, repeated factors, quadratic discriminant) catch the easy
-    violations.
+    (rational roots, repeated factors) catch the easy violations, which
+    include every reducible quadratic and cubic.
     """
 
     minpoly: tuple[int, ...]
@@ -181,19 +181,13 @@ class AlgebraicNumber:
         deg = len(ints) - 1
         if not (0 <= self.root_index < deg):
             raise ValueError("root index out of range")
-        # cheap irreducibility probes; full factorization is out of scope.
-        # At degree 2 the discriminant decides rational roots without
-        # factoring, and a repeated factor makes it a square.
-        if deg > 2:
+        # cheap irreducibility probes; full factorization is out of scope
+        if deg > 1:
             f = _squarefree_part(list(ints))
             if _squarefree_rational_roots(f):
                 raise ValueError("polynomial has a rational root, not irreducible")
             if len(f) < len(ints):
                 raise ValueError("polynomial has a repeated factor, not irreducible")
-        if deg == 2:
-            disc = ints[1] ** 2 - 4 * ints[0] * ints[2]
-            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
-                raise ValueError("quadratic splits over Q")
 
     @property
     def degree(self) -> int:

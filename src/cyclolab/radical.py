@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -47,9 +47,9 @@ __all__ = [
 
 ORBIT_CAP = 10**6
 BAND_SLACK = 1e-12
-MARGINAL_WORK_CAP = 200000  # units * orbit size * terms in `marginal_orbit_stats`
 
 
+@dataclass(frozen=True)
 class RadicalContext:
     """Generators, radical denominators, cyclotomic order and Kummer failures.
 
@@ -61,36 +61,40 @@ class RadicalContext:
     order 2 (`kummer.tower_degrees` refuses that input).
     """
 
-    __slots__ = ("generators", "denominators", "D", "failures", "group", "D_work")
+    generators: tuple
+    denominators: tuple
+    D: int = 1
+    failures: tuple | None = None
+    # derived, so left out of equality and the repr: the orders d_l/c_l of
+    # the cyclic Kummer factors, and lcm(D, group)
+    group: tuple = field(init=False, repr=False, compare=False)
+    D_work: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, generators, denominators, D: int = 1, failures=None):
-        gens = tuple(Fraction(g) for g in generators)
-        dens = tuple(int(d) for d in denominators)
+    def __post_init__(self):
+        gens = tuple(Fraction(g) for g in self.generators)
+        dens = tuple(int(d) for d in self.denominators)
         if len(gens) != len(dens):
             raise ValueError("one denominator per generator")
         if any(d < 1 for d in dens):
             raise ValueError("denominators must be positive")
-        if D < 1:
+        if self.D < 1:
             raise ValueError("cyclotomic order must be positive")
         if gens and not multiplicatively_independent(gens):
             raise ValueError("generators must be multiplicatively independent")
-        if failures is None:
+        if self.failures is None:
             failures = tuple(
-                rank1_failure(g, d, lcm(D, d))[0] for g, d in zip(gens, dens)
+                rank1_failure(g, d, lcm(self.D, d))[0] for g, d in zip(gens, dens)
             )
         else:
-            failures = tuple(int(c) for c in failures)
+            failures = tuple(int(c) for c in self.failures)
             for c, d in zip(failures, dens):
                 if c < 1 or d % c:
                     raise ValueError("failures must divide the denominators")
         group = tuple(d // c for d, c in zip(dens, failures))
-        D_work = lcm(D, *group)
-        self.generators = gens
-        self.denominators = dens
-        self.D = D
-        self.failures = failures
-        self.group = group  # orders of the cyclic Kummer factors
-        self.D_work = D_work
+        for name, value in (("generators", gens), ("denominators", dens),
+                            ("failures", failures), ("group", group),
+                            ("D_work", lcm(self.D, *group))):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -118,20 +122,6 @@ class RadicalContext:
         while gcd(cand, self.D_work) != 1:
             cand += self.D
         return cand
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RadicalContext)
-            and self.generators == other.generators
-            and self.denominators == other.denominators
-            and self.D == other.D
-            and self.failures == other.failures
-        )
-
-    def __repr__(self):
-        return (f"RadicalContext(generators={self.generators}, "
-                f"denominators={self.denominators}, D={self.D}, "
-                f"failures={self.failures})")
 
 
 @dataclass(frozen=True)
@@ -325,35 +315,26 @@ def marginal_orbit_stats(x: RadicalSum, eps: float) -> dict:
     """Per-phi band fractions over the Kummer orbit and their exact average.
 
     For each t in (Z/DZ)*, d(phi_t) is the fraction of the Kummer orbit of
-    phi_t(x) inside the band.  The average over t equals the whole-group
-    fraction; both sides are computed as exact rationals from the same
-    per-element membership bits, so the identity must hold exactly.
+    phi_t(x) inside the band, read from its orbit values like `d_gamma_eps`.
+    Those membership bits, one per (t, r), also give the whole-group
+    fraction, so the average of the rows must equal it exactly.
     """
     ctx = x.context
-    units = [t for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1]
     hsize = ctx.orbit_size()
-    if len(units) * hsize * max(1, x.n_terms) > MARGINAL_WORK_CAP:
+    limit = ORBIT_CAP // (hsize * max(1, x.n_terms))  # units allowed
+    units = list(itertools.islice(
+        (t for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1), limit + 1))
+    if len(units) > limit:
         raise ValueError("cyclotomic part times orbit too large")
-    rows = []
-    grand = 0
-    for t in units:
-        y = apply_galois(GaloisElement(t, (0,) * ctx.rank), x)
-        count = 0
-        for r in ctx.kummer_elements():
-            v = apply_galois(GaloisElement(1, r), y).evaluate()
-            if _in_band(abs(v) ** 2, eps):
-                count += 1
-        rows.append({"t": t, "fraction": Fraction(count, hsize)})
-        grand += count
-    average = Fraction(grand, len(units) * hsize)
-    # whole-group fraction, re-counted elementwise over (t, r)
-    full = 0
-    for t in units:
-        for r in ctx.kummer_elements():
-            v = apply_galois(GaloisElement(t, r), x).evaluate()
-            if _in_band(abs(v) ** 2, eps):
-                full += 1
-    full_fraction = Fraction(full, len(units) * hsize)
+    r0 = (0,) * ctx.rank
+    bits = np.array([
+        _in_band(np.abs(_orbit_values(apply_galois(GaloisElement(t, r0), x))) ** 2, eps)
+        for t in units
+    ])
+    rows = [{"t": t, "fraction": Fraction(int(np.count_nonzero(row)), hsize)}
+            for t, row in zip(units, bits)]
+    average = sum(row["fraction"] for row in rows) / len(units)
+    full_fraction = Fraction(int(np.count_nonzero(bits)), bits.size)
     best = max(rows, key=lambda row: row["fraction"])
     return {
         "rows": rows,

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from cyclolab._arith import euler_phi
@@ -22,3 +25,28 @@ def _oracle_lattice(m, beta, scale):
 @pytest.fixture
 def oracle_lattice():
     return _oracle_lattice
+
+
+def _marginal_reference(x, eps):
+    """The `rows` and `full_group_fraction` of `marginal_orbit_stats`,
+    recounted elementwise: each conjugate (t, r) x is built with exact
+    `apply_galois` and evaluated on its own, over all units t and all
+    Kummer rotations r, instead of read from the orbit values."""
+    from cyclolab.radical import GaloisElement, _in_band, apply_galois
+
+    ctx = x.context
+    hsize = ctx.orbit_size()
+    counts = {
+        t: sum(bool(_in_band(abs(apply_galois(GaloisElement(t, r), x).evaluate()) ** 2, eps))
+               for r in ctx.kummer_elements())
+        for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1
+    }
+    return {
+        "rows": [{"t": t, "fraction": Fraction(c, hsize)} for t, c in counts.items()],
+        "full_group_fraction": Fraction(sum(counts.values()), len(counts) * hsize),
+    }
+
+
+@pytest.fixture
+def marginal_reference():
+    return _marginal_reference

@@ -222,7 +222,7 @@ def test_criterion_09_cosine_expansion(capsys):
                worst < 1e-9, time.perf_counter() - t0, 30.0)
 
 
-def test_criterion_10_averaging_identity(capsys):
+def test_criterion_10_averaging_identity(capsys, marginal_reference):
     t0 = time.perf_counter()
     rng = random.Random(7)
     ok = True
@@ -238,7 +238,11 @@ def test_criterion_10_averaging_identity(capsys):
             for _ in range(rng.randint(1, 2))
         ]
         x = RadicalSum(ctx, terms)
-        st = marginal_orbit_stats(x, rng.choice([0.1, 0.5, 1.0]))
+        eps = rng.choice([0.1, 0.5, 1.0])
+        st = marginal_orbit_stats(x, eps)
+        ref = marginal_reference(x, eps)
+        ok &= st["rows"] == ref["rows"]
+        ok &= st["full_group_fraction"] == ref["full_group_fraction"]
         ok &= st["identity_exact"]
         ok &= st["average"] == st["full_group_fraction"]
         ok &= st["max_fraction"] >= st["average"]

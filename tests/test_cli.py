@@ -74,6 +74,49 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "--minpoly" in err and "--radical" in err
 
+    def test_height_minpoly_refuses_n(self, capsys, tmp_path):
+        # also when a cached --minpoly entry would otherwise answer
+        args = ["height", "--minpoly", "x^2-2", "--cache", str(tmp_path)]
+        assert run_cli(capsys, *args)[0] == 0
+        for n in ("3", "1"):
+            code = main([*args, "--n", n])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert "--n belongs to --radical" in err
+
+    def test_height_radical_n_defaults_to_1(self, capsys, tmp_path):
+        # one record and one cache entry with or without --n 1
+        args = ["height", "--radical", "2", "--no-timing", "--cache", str(tmp_path)]
+        code, rec = run_json(capsys, *args)
+        assert code == 0 and rec["inputs"] == {"n": 1, "radical": "2"}
+        code, again = run_json(capsys, *args, "--n", "1")
+        assert code == 0 and again == {**rec, "cached": True}
+        assert len(list(tmp_path.iterdir())) == 1
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (12, 8), (64, 3), (1000, 0), (4096, -6),
+                                     (10007, 100), (65536, 12)])
+    def test_arc_count_hist_out_bytes(self, capsys, tmp_path, m, k):
+        # the file np.histogram of the listed angles writes, byte for byte
+        import numpy as np
+        from cyclolab.cli import _write_hist
+        want = tmp_path / "want.csv"
+        angles = [((r * k) % m) / m for r in range(1, m + 1)]
+        _write_hist(want, *np.histogram(angles, bins=64, range=(0.0, 1.0)))
+        got = tmp_path / "got.csv"
+        code, _ = run_cli(capsys, "arc-count", "--m", str(m), "--k", str(k),
+                          "--arcs", "0:0.5", "--threads", "1", "--hist-out", str(got))
+        assert code == 0 and got.read_bytes() == want.read_bytes()
+
+    def test_arc_count_hist_at_the_cap(self):
+        from cyclolab.cli import _turn_histogram
+        from cyclolab.equidist import ARC_M_CAP
+        _turn_histogram(64, 1)  # imports numpy before the timed call
+        t0 = time.perf_counter()
+        counts, edges = _turn_histogram(ARC_M_CAP, 128 * 7)  # each residue 128 times
+        assert time.perf_counter() - t0 < 0.05
+        assert sum(counts) == ARC_M_CAP and len(edges) == 65
+        assert all(c % 128 == 0 and abs(c - ARC_M_CAP / 64) < 128 for c in counts)
+
     def test_flat_verify(self, capsys):
         code, rec = run_json(
             capsys, "flat-verify", "--d", "2", "--exponents", "0,1",

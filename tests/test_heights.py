@@ -261,18 +261,23 @@ class TestPolyTools:
                     f(p)
 
     def test_reducible_probes(self):
-        with pytest.raises(ValueError):
-            AlgebraicNumber((-1, 0, 1))  # x^2 - 1 has rational roots
-        with pytest.raises(ValueError):
-            AlgebraicNumber((-4, 0, 1))  # x^2 - 4 splits
-        with pytest.raises(ValueError):
-            AlgebraicNumber((2, 3, 1))  # (x+1)(x+2)
+        for minpoly in (
+            (-1, 0, 1),  # x^2 - 1
+            (-4, 0, 1),  # x^2 - 4
+            (2, 3, 1),  # (x+1)(x+2)
+            (1, 2, 1),  # (x+1)^2: its squarefree part has the root -1
+            (0, 0, 1),  # x^2
+        ):
+            with pytest.raises(ValueError, match="rational root"):
+                AlgebraicNumber(minpoly)
 
     def test_big_irreducible_quadratic(self):
-        # x^2 + pq with primes p, q near 10^18: the discriminant decides a
-        # quadratic, so nothing is factored
+        # x^2 + pq with primes p, q near 10^18: the Hensel probe finds no
+        # rational root without factoring p*q
         p, q = 10**18 + 3, 10**18 + 9
+        t0 = time.perf_counter()
         alpha = AlgebraicNumber((p * q, 0, 1))
+        assert time.perf_counter() - t0 < 0.05
         assert alpha.minpoly == (p * q, 0, 1) and alpha.degree == 2
 
 

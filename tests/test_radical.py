@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,20 @@ def random_sum(rng, ctx, nterms=2):
 
 
 class TestContext:
+    def test_frozen_and_compared_by_fields(self):
+        ctx = RadicalContext([F(2)], [2], D=8, failures=[1])
+        same = RadicalContext([2], (2,), 8, (1,))
+        assert ctx == same and hash(ctx) == hash(same)
+        assert ctx.group == (2,) and ctx.D_work == 8
+        # group and D_work are derived: equality does not read them
+        object.__setattr__(same, "group", (1,))
+        object.__setattr__(same, "D_work", 1)
+        assert ctx == same
+        assert ctx != RadicalContext([F(2)], [2], D=8)  # failures (2,)
+        for name, value in (("D", 3), ("group", (1,)), ("generators", ())):
+            with pytest.raises(AttributeError):
+                setattr(ctx, name, value)
+
     def test_failures_computed(self):
         ctx = RadicalContext([F(2)], [2], D=8)
         assert ctx.failures == (2,) and ctx.group == (1,)
@@ -202,14 +217,44 @@ class TestMarginalStats:
         assert len(fracs) == 1
         assert st["average"] == next(iter(fracs))
 
-    def test_eq_identity_random(self):
+    def test_rows_depend_on_t(self, marginal_reference):
+        # |1/2 + 1/2 z5 sqrt(2)|^2 over r = 0, 1 is 3/4 +- cos(2 pi t/5)/sqrt(2):
+        # {0.97, 0.53} for t = 1, 4 and {0.18, 1.32} for t = 2, 3
+        ctx = RadicalContext([F(2)], [2], D=5)
+        x = RadicalSum(ctx, [(F(1, 2), (0,)), (zeta(5) * F(1, 2), (1,))])
+        st = marginal_orbit_stats(x, 0.1)
+        assert [row["fraction"] for row in st["rows"]] == [F(1, 2), 0, 0, F(1, 2)]
+        assert st["average"] == st["full_group_fraction"] == F(1, 4)
+        assert (st["max_t"], st["max_fraction"]) == (1, F(1, 2))
+        assert st["rows"] == marginal_reference(x, 0.1)["rows"]
+
+    def test_eq_identity_random(self, marginal_reference):
         rng = random.Random(23)
         for _ in range(30):
             ctx = small_context(rng)
             x = random_sum(rng, ctx, rng.randint(1, 2))
-            st = marginal_orbit_stats(x, rng.choice([0.1, 0.5, 1.0]))
+            eps = rng.choice([0.1, 0.5, 1.0])
+            st = marginal_orbit_stats(x, eps)
+            ref = marginal_reference(x, eps)
+            assert st["rows"] == ref["rows"]
+            assert st["full_group_fraction"] == ref["full_group_fraction"]
             assert st["identity_exact"]
             assert st["max_fraction"] >= st["average"]
+
+    def test_work_cap(self):
+        # 1030 units times a Kummer group of order 1024, one term
+        ctx = RadicalContext([F(2)], [1024], D=1031, failures=[1])
+        with pytest.raises(ValueError, match="too large"):
+            marginal_orbit_stats(RadicalSum(ctx, [(1, (1,))]), 0.5)
+        # refused before the units of a huge D are listed
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            marginal_orbit_stats(RadicalSum(RadicalContext([], [], 10**12), [(1, ())]), 0.5)
+        assert time.perf_counter() - t0 < 5.0
+        # 1030 * 960 just fits
+        ctx = RadicalContext([F(2)], [960], D=1031, failures=[1])
+        st = marginal_orbit_stats(RadicalSum(ctx, [(zeta(1031, 5), (1,))]), 0.5)
+        assert len(st["rows"]) == 1030 and st["identity_exact"]
 
 
 class TestSigmaSearch:
