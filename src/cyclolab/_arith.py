@@ -1,5 +1,9 @@
 """Exact integer and Q[x] primitives, the one home of each for every module.
 
+Exact input: every layer takes a caller's rational through `as_fraction`,
+which refuses a float (0.1 would read as 3602879701896397/36028797018963968),
+a complex, a Decimal or text (the parsers' business) with TypeError.
+
 Integers: the primes, divisors, Euler's phi, factorization and the floor
 k-th root, all in integer arithmetic.  Polynomials in Q[x] are ascending
 coefficient lists of Fractions; a trimmed list has a nonzero last entry, so
@@ -12,8 +16,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from numbers import Rational
 
 _ZERO = Fraction(0)
+
+
+def as_fraction(x) -> Fraction:
+    """x as a Fraction when it is a numbers.Rational (int, bool, Fraction,
+    numpy integer); TypeError otherwise."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, Rational):  # numpy integers: keep no numpy scalar inside
+        return Fraction(int(x.numerator), int(x.denominator))
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 # ------------------------------------------------------------------ integers

@@ -36,6 +36,7 @@ if TYPE_CHECKING:
     from . import equidist, radical
 
 CACHE_ENV = "CYCLOLAB_CACHE"
+BINS_CAP = 10**4  # largest `orbit --bins`
 
 
 # ------------------------------------------------------------- serialization
@@ -265,6 +266,8 @@ def _handle_strict_check(args):
 
 
 def _handle_orbit(args):
+    if not 1 <= args.bins <= BINS_CAP:
+        raise ValueError(f"--bins must be between 1 and {BINS_CAP}")
     import numpy as np
     from . import radical
     x = _radical_from_args(args)
@@ -328,8 +331,8 @@ def _handle_height(args):
                    "mahler_measure": float(np.exp(h * args.n))}
     else:
         poly = _parse_minpoly(args.minpoly)
-        results = {"height": heights.weil_height(poly), "degree": len(poly) - 1,
-                   "mahler_measure": heights.mahler_measure(poly)}
+        h, mahler = heights.height_and_measure(poly)
+        results = {"height": h, "degree": len(poly) - 1, "mahler_measure": mahler}
     return results, "ok"
 
 

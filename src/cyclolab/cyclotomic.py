@@ -18,7 +18,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 # euler_phi stays importable from here (tests and bench/make_reference.py use it)
-from ._arith import euler_phi, factorize, poly_divmod, poly_mul, poly_sub, poly_trim  # noqa: F401
+from ._arith import (  # noqa: F401
+    as_fraction, euler_phi, factorize, poly_divmod, poly_mul, poly_sub, poly_trim)
 
 __all__ = [
     "CyclotomicNumber",
@@ -53,12 +54,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if r:
         raise ArithmeticError("division is not exact")
     return tuple(int(c) for c in q)
-
-
-def _exact(x):
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def _init(x: "CyclotomicNumber", order: int, num: dict, den: int) -> None:
@@ -103,7 +98,7 @@ class CyclotomicNumber:
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be positive")
-        coeffs = [_exact(c) for c in coeffs]
+        coeffs = [as_fraction(c) for c in coeffs]
         if len(coeffs) != order:
             raise ValueError("coefficient vector must have length equal to the order")
         _init(self, order, *_over_lcm({j: c for j, c in enumerate(coeffs) if c}))
@@ -133,7 +128,7 @@ class CyclotomicNumber:
     def from_rational(cls, q, order: int = 1) -> "CyclotomicNumber":
         if order < 1:
             raise ValueError("order must be positive")
-        q = Fraction(q)
+        q = as_fraction(q)
         return _wrap(order, {0: q.numerator} if q else {}, q.denominator)
 
     @classmethod
@@ -153,8 +148,7 @@ class CyclotomicNumber:
         return _wrap(order, {j * step: n for j, n in self._num.items()}, self._den)
 
     def _pair(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.from_rational(Fraction(other))
+        other = as_cyclotomic(other)
         if other.order == self.order:
             return self, other
         D = lcm(self.order, other.order)
@@ -190,7 +184,7 @@ class CyclotomicNumber:
         return _wrap(self.order, {j: -n for j, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CyclotomicNumber) else -Fraction(other))
+        return self + -as_cyclotomic(other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -224,10 +218,7 @@ class CyclotomicNumber:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / q)
+            return self * (1 / as_fraction(other))  # ZeroDivisionError on 0
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         return self * other.inverse()
@@ -264,11 +255,10 @@ class CyclotomicNumber:
         return not any(self.canonical())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(Fraction(other))
-        if not isinstance(other, CyclotomicNumber):
+        try:
+            a, b = self._pair(other)
+        except TypeError:  # x == 0.5 is False, not an error
             return NotImplemented
-        a, b = self._pair(other)
         return (a - b).is_zero()
 
     __hash__ = None  # semantic equality across orders; not hashable
@@ -365,4 +355,10 @@ def zeta(order: int, k: int = 1) -> CyclotomicNumber:
 
 def rational(q, order: int = 1) -> CyclotomicNumber:
     """Shorthand for a rational number as a cyclotomic value."""
-    return CyclotomicNumber.from_rational(Fraction(q), order)
+    return CyclotomicNumber.from_rational(q, order)
+
+
+def as_cyclotomic(x) -> CyclotomicNumber:
+    """x itself when it is a CyclotomicNumber, else the exact rational x in
+    Q(zeta_1); TypeError on anything else, as `as_fraction`."""
+    return x if isinstance(x, CyclotomicNumber) else CyclotomicNumber.from_rational(x)

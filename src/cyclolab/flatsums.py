@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Sequence
 
 import numpy as np
 
-from ._arith import prime_root_of_unity
-from .cyclotomic import CyclotomicNumber, zeta
+from ._arith import as_fraction, prime_root_of_unity
+from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 
 __all__ = [
     "SparseExpSum",
@@ -49,14 +50,6 @@ BARRIER_RADIUS = 0.05  # coefficients below this modulus are penalised
 BARRIER_WEIGHT = 10.0
 
 
-def _coerce_exact(c):
-    if isinstance(c, CyclotomicNumber):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return CyclotomicNumber.from_rational(Fraction(c))
-    raise TypeError("exact coefficients must be rational or cyclotomic")
-
-
 @dataclass(frozen=True)
 class SparseExpSum:
     """f(z) = sum_j a_j z^(b_j) with a squared-modulus target mu on mu_d.
@@ -78,20 +71,11 @@ class SparseExpSum:
             raise ValueError("exponents must be pairwise distinct")
         if self.mode not in ("exact", "numeric"):
             raise ValueError("mode must be 'exact' or 'numeric'")
-        if self.mode == "exact":
-            object.__setattr__(
-                self,
-                "terms",
-                tuple((int(b), _coerce_exact(a)) for b, a in self.terms),
-            )
-            object.__setattr__(self, "mu", Fraction(self.mu))
-            if self.mu <= 0:
-                raise ValueError("mu must be positive")
-        else:
-            object.__setattr__(
-                self, "terms", tuple((int(b), complex(a)) for b, a in self.terms)
-            )
-            object.__setattr__(self, "mu", float(self.mu))
+        coeff, level = (as_cyclotomic, as_fraction) if self.mode == "exact" else (complex, float)
+        object.__setattr__(self, "terms", tuple((index(b), coeff(a)) for b, a in self.terms))
+        object.__setattr__(self, "mu", level(self.mu))
+        if self.mode == "exact" and self.mu <= 0:
+            raise ValueError("mu must be positive")
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -133,7 +117,7 @@ def chirp(d: int) -> SparseExpSum:
     Flat for odd d: the grouped autocorrelation telescopes to a geometric
     sum that vanishes off 0.
     """
-    return exact_sum(d, [(j, zeta(d, (j * j) % d)) for j in range(d)], Fraction(d))
+    return exact_sum(d, [(j, zeta(d, (j * j) % d)) for j in range(d)], d)
 
 
 # --------------------------------------------------------------- validity

@@ -1,10 +1,12 @@
 """Weil heights and Mahler measures of algebraic numbers given by primitive
 integer minimal polynomials, with the power and root transformation laws.
 
-Minimal-polynomial input (ascending int or Fraction coefficients) is read
-only here: `_primitive_int` refuses a zero or constant polynomial, and
+Minimal-polynomial input (ascending exact rationals, taken through
+`_arith.as_fraction`, so a float coefficient is a TypeError) is read only
+here: `_primitive_int` refuses a zero or constant polynomial, and
 `weil_height` and `mahler_measure` refuse a repeated factor, whose multiple
-roots float root-finding cannot separate (M((x-2)^3) would read 8.00004)."""
+roots float root-finding cannot separate (M((x-2)^3) would read 8.00004);
+`height_and_measure` gives both from one root pass."""
 from __future__ import annotations
 
 import math
@@ -13,12 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._arith import euler_phi, poly_deriv, poly_divmod, poly_gcd, poly_trim, primes
+from ._arith import as_fraction, euler_phi, poly_deriv, poly_divmod, poly_gcd, poly_trim, primes
 
 __all__ = [
     "AlgebraicNumber",
     "weil_height",
     "mahler_measure",
+    "height_and_measure",
     "power_transform",
     "is_root_of_unity",
     "radical_height",
@@ -36,22 +39,19 @@ POLISH_ITERS = 6  # Newton steps per root in `poly_roots`
 def _primitive_int(p) -> list[int]:
     """Clear denominators, divide by the content, make the lead positive;
     a zero or constant polynomial is refused."""
-    p = poly_trim([Fraction(x) for x in p])
+    p = poly_trim([as_fraction(x) for x in p])
     if len(p) < 2:
         raise ValueError("polynomial must have positive degree")
     den = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * den) for c in p]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)  # lead made positive
+    return [c // g for c in ints]
 
 
 def resultant(f, g) -> Fraction:
     """Res(f, g) over Q via the classical Euclidean recursion."""
-    f = poly_trim([Fraction(x) for x in f])
-    g = poly_trim([Fraction(x) for x in g])
+    f = poly_trim([as_fraction(x) for x in f])
+    g = poly_trim([as_fraction(x) for x in g])
     m, n = len(f) - 1, len(g) - 1
     if m < 0 or n < 0:
         return Fraction(0)
@@ -197,37 +197,36 @@ class AlgebraicNumber:
         return poly_roots(list(self.minpoly))[self.root_index]
 
 
-def _squarefree_ints(minpoly) -> list[int]:
-    """The primitive integer form of `minpoly`, refused when it has a
-    repeated factor."""
-    ints = _primitive_int(minpoly)
-    if len(_squarefree_part(ints)) < len(ints):
-        raise ValueError("polynomial has a repeated factor")
-    return ints
-
-
-def mahler_measure(minpoly) -> float:
-    """|lc| * prod over roots of max(1, |root|) of a squarefree polynomial."""
-    ints = _squarefree_ints(minpoly)
+def height_and_measure(alpha) -> tuple[float, float]:
+    """(weil_height, mahler_measure) of an `AlgebraicNumber` (squarefree by
+    construction) or a squarefree polynomial, from one `poly_roots` call:
+    with a = |root| > 1 in root order, h = (log |lc| + sum log a)/deg and
+    M = |lc| * prod a, each accumulated in that order."""
+    if isinstance(alpha, AlgebraicNumber):
+        ints = list(alpha.minpoly)
+    else:
+        ints = _primitive_int(alpha)
+        if len(_squarefree_part(ints)) < len(ints):
+            raise ValueError("polynomial has a repeated factor")
     rts = poly_roots(ints)
-    m = abs(ints[-1])
-    for r in rts:
-        m *= max(1.0, abs(r))
-    return m
-
-
-def weil_height(alpha) -> float:
-    """(1/deg) * (log |lc| + sum over roots of log max(1, |root|)) for an
-    `AlgebraicNumber` (squarefree by construction) or a squarefree polynomial."""
-    ints = list(alpha.minpoly) if isinstance(alpha, AlgebraicNumber) else _squarefree_ints(alpha)
-    deg = len(ints) - 1
-    rts = poly_roots(ints)
-    total = math.log(abs(ints[-1]))
+    lc = abs(ints[-1])
+    h, m = math.log(lc), float(lc)
     for r in rts:
         a = abs(r)
         if a > 1.0:
-            total += math.log(a)
-    return total / deg
+            h += math.log(a)
+            m *= a
+    return h / (len(ints) - 1), m
+
+
+def mahler_measure(alpha) -> float:
+    """|lc| * prod over roots of max(1, |root|)."""
+    return height_and_measure(alpha)[1]
+
+
+def weil_height(alpha) -> float:
+    """(1/deg) * (log |lc| + sum over roots of log max(1, |root|))."""
+    return height_and_measure(alpha)[0]
 
 
 def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
@@ -285,7 +284,7 @@ def is_root_of_unity(alpha: AlgebraicNumber) -> bool:
 
 def radical_height(a, n: int) -> float:
     """h(a^(1/n)) = h(a)/n for positive rational a: log max(num, den) / n."""
-    a = Fraction(a)
+    a = as_fraction(a)
     if a <= 0:
         raise ValueError("radicand must be a positive rational")
     if n < 1:
@@ -295,5 +294,5 @@ def radical_height(a, n: int) -> float:
 
 def radical_minpoly(a, n: int) -> tuple[int, ...]:
     """The cleared-denominator polynomial q*x^n - p for a = p/q."""
-    a = Fraction(a)
+    a = as_fraction(a)
     return tuple([-a.numerator] + [0] * (n - 1) + [a.denominator])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._arith import divisors, euler_phi, factorize, iroot
+from ._arith import as_fraction, divisors, euler_phi, factorize, iroot
 from .cyclotomic import CyclotomicNumber, zeta
 from .lattice import hnf, lll_reduce
 
@@ -79,7 +79,7 @@ def conductor_of_sqrt(a: Fraction) -> int:
     With s the squarefree part of numerator*denominator: |s| if s = 1 mod 4,
     else 4|s|.
     """
-    a = Fraction(a)
+    a = as_fraction(a)
     s = squarefree_part(a.numerator * a.denominator)
     if s == 1:
         return 1
@@ -88,7 +88,7 @@ def conductor_of_sqrt(a: Fraction) -> int:
 
 def sqrt_in_cyclotomic(a, m: int) -> bool:
     """Exact test sqrt(a) in Q(zeta_m) via the conductor criterion."""
-    a = Fraction(a)
+    a = as_fraction(a)
     if a == 0:
         raise ValueError("zero radicand")
     return m % conductor_of_sqrt(a) == 0
@@ -114,7 +114,7 @@ def _gauss_sum(p: int) -> CyclotomicNumber:
 def sqrt_as_cyclotomic(rho: Fraction, order: int) -> CyclotomicNumber:
     """The positive square root of a positive rational, exactly, inside
     Q(zeta_order); raises if the conductor does not divide the order."""
-    rho = Fraction(rho)
+    rho = as_fraction(rho)
     if rho <= 0:
         raise ValueError("need a positive rational")
     cond = conductor_of_sqrt(rho)
@@ -156,7 +156,7 @@ def has_nth_root_in_cyclotomic(a, e: int, m: int) -> bool:
     the square root of a rational; the twisted case is decided by conductors
     alone (see the module docstring).
     """
-    a = Fraction(a)
+    a = as_fraction(a)
     if a == 0:
         raise ValueError("zero has no root data")
     if e < 1:
@@ -203,7 +203,7 @@ class KummerQuery:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "a", as_fraction(self.a))
         if self.a == 0 or self.a == 1 or self.a == -1:
             raise ValueError("torsion generator")
         if self.d < 1 or self.m < 1 or not _zeta_order_in_cyclotomic(self.d, self.m):
@@ -213,7 +213,7 @@ class KummerQuery:
 def rank1_failure(a, d: int, m: int) -> tuple[int, int]:
     """(c, degree) for one generator: c = largest e | d with an e-th root of
     a in Q(zeta_m); degree = d/c = [Q(zeta_m, a^(1/d)) : Q(zeta_m)]."""
-    q = KummerQuery(Fraction(a), d, m)
+    q = KummerQuery(a, d, m)
     for e in reversed(divisors(q.d)):
         if has_nth_root_in_cyclotomic(q.a, e, q.m):
             return e, q.d // e
@@ -225,7 +225,7 @@ def rank1_failure(a, d: int, m: int) -> tuple[int, int]:
 
 def multiplicatively_independent(gens) -> bool:
     """Full-rank test of the integer prime-exponent matrix."""
-    gens = [Fraction(g) for g in gens]
+    gens = [as_fraction(g) for g in gens]
     if any(g <= 0 or g == 1 for g in gens):
         raise ValueError("generators must be positive rationals != 1")
     fs = [(factorize(g.numerator), factorize(g.denominator)) for g in gens]
@@ -242,7 +242,7 @@ def tower_degrees(generators, d: list[int], m: int) -> tuple[list[int], list[int
     both regimes the 2-layers cannot entangle across generators, so each
     level's failure equals its rank-1 value.  Anything else is refused.
     """
-    gens = [Fraction(g) for g in generators]
+    gens = [as_fraction(g) for g in generators]
     if len(gens) != len(d):
         raise ValueError("one denominator per generator")
     if not multiplicatively_independent(gens):
@@ -295,7 +295,7 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     """
     import mpmath as mp
 
-    a = Fraction(a)
+    a = as_fraction(a)
     if a == 0:
         raise ValueError("zero has no root data")
     phi = euler_phi(m)

@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, zeta
+from ._arith import as_fraction
+from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 from .equidist import ArcBox
 from .kummer import rank1_failure, multiplicatively_independent
 from .lattice import relation_lattice_basis, shortest_relation, lll_reduce
@@ -71,8 +73,8 @@ class RadicalContext:
     D_work: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = tuple(Fraction(g) for g in self.generators)
-        dens = tuple(int(d) for d in self.denominators)
+        gens = tuple(as_fraction(g) for g in self.generators)
+        dens = tuple(map(index, self.denominators))
         if len(gens) != len(dens):
             raise ValueError("one denominator per generator")
         if any(d < 1 for d in dens):
@@ -86,7 +88,7 @@ class RadicalContext:
                 rank1_failure(g, d, lcm(self.D, d))[0] for g, d in zip(gens, dens)
             )
         else:
-            failures = tuple(int(c) for c in self.failures)
+            failures = tuple(map(index, self.failures))
             for c, d in zip(failures, dens):
                 if c < 1 or d % c:
                     raise ValueError("failures must divide the denominators")
@@ -132,7 +134,7 @@ class GaloisElement:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
+        object.__setattr__(self, "r", tuple(map(index, self.r)))
 
 
 @dataclass(frozen=True)
@@ -162,9 +164,8 @@ class RadicalSum:
     def __init__(self, context: RadicalContext, terms):
         merged: dict[tuple, CyclotomicNumber] = {}  # in order of first appearance
         for coeff, kvec in terms:
-            if not isinstance(coeff, CyclotomicNumber):
-                coeff = CyclotomicNumber.from_rational(Fraction(coeff))
-            kvec = tuple(int(k) for k in kvec)
+            coeff = as_cyclotomic(coeff)
+            kvec = tuple(map(index, kvec))
             if len(kvec) != context.rank:
                 raise ValueError("exponent vector length must equal the rank")
             merged[kvec] = merged[kvec] + coeff if kvec in merged else coeff
@@ -427,7 +428,7 @@ def exponent_relation_basis(kmatrix, m: int, threshold: int | None = None) -> di
     The combined data theta, Lambda, K satisfies
     theta * k_(j,l) = K_(j,l) (mod m).
     """
-    kmatrix = [list(map(int, row)) for row in kmatrix]
+    kmatrix = [list(map(index, row)) for row in kmatrix]
     if m < 1:
         raise ValueError("modulus must be positive")
     if threshold is None:

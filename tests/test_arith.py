@@ -1,10 +1,14 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cyclolab import cyclotomic, flatsums, heights, kummer, radical
 from cyclolab._arith import (
+    as_fraction,
     divisors,
     euler_phi,
     factorize,
@@ -113,3 +117,75 @@ class TestPolynomials:
         assert poly_gcd(f, g) == [F(-2), F(1)]
         assert poly_gcd([F(0), F(2)], []) == [F(0), F(1)]
         assert poly_gcd([], []) == []
+
+
+# Every library entry point that takes a caller's exact value, as a function
+# of that value: rationals go through `as_fraction`, exponents and radical
+# denominators through `operator.index`.
+X = cyclotomic.zeta(5)
+CTX = radical.RadicalContext([2], [2])
+EXACT_ENTRY_POINTS = {
+    "as_fraction": as_fraction,
+    "CyclotomicNumber": lambda v: cyclotomic.CyclotomicNumber(2, [v, 0]),
+    "from_rational": cyclotomic.CyclotomicNumber.from_rational,
+    "rational": cyclotomic.rational,
+    "x_plus_v": lambda v: X + v,
+    "v_plus_x": lambda v: v + X,
+    "x_minus_v": lambda v: X - v,
+    "v_minus_x": lambda v: v - X,
+    "x_times_v": lambda v: X * v,
+    "x_over_v": lambda v: X / v,
+    "SparseExpSum_coefficient": lambda v: flatsums.exact_sum(1, [(0, v)]),
+    "SparseExpSum_mu": lambda v: flatsums.exact_sum(1, [(0, 1)], mu=v),
+    "SparseExpSum_exponent": lambda v: flatsums.exact_sum(1, [(v, 1)]),
+    "weil_height": lambda v: heights.weil_height([v, 1]),
+    "mahler_measure": lambda v: heights.mahler_measure([v, 1]),
+    "height_and_measure": lambda v: heights.height_and_measure([v, 1]),
+    "AlgebraicNumber": lambda v: heights.AlgebraicNumber((v, 1)),
+    "poly_roots": lambda v: heights.poly_roots([v, 1]),
+    "resultant": lambda v: heights.resultant([v, 1], [1, 1]),
+    "radical_height": lambda v: heights.radical_height(v, 2),
+    "radical_minpoly": lambda v: heights.radical_minpoly(v, 2),
+    "conductor_of_sqrt": kummer.conductor_of_sqrt,
+    "sqrt_in_cyclotomic": lambda v: kummer.sqrt_in_cyclotomic(v, 8),
+    "sqrt_as_cyclotomic": lambda v: kummer.sqrt_as_cyclotomic(v, 8),
+    "has_nth_root_in_cyclotomic": lambda v: kummer.has_nth_root_in_cyclotomic(v, 2, 8),
+    "KummerQuery": lambda v: kummer.KummerQuery(v, 2, 8),
+    "rank1_failure": lambda v: kummer.rank1_failure(v, 2, 8),
+    "multiplicatively_independent": lambda v: kummer.multiplicatively_independent([v]),
+    "tower_degrees": lambda v: kummer.tower_degrees([v], [2], 8),
+    "root_membership_oracle": lambda v: kummer.root_membership_oracle(v, 2, 8),
+    "RadicalContext": lambda v: radical.RadicalContext([v], [2]),
+    "RadicalContext_denominator": lambda v: radical.RadicalContext([2], [v]),
+    "RadicalSum": lambda v: radical.RadicalSum(CTX, [(v, (0,))]),
+    "RadicalSum_exponent": lambda v: radical.RadicalSum(CTX, [(1, (v,))]),
+    "GaloisElement_rotation": lambda v: radical.GaloisElement(1, (v,)),
+    "exponent_relation_basis": lambda v: radical.exponent_relation_basis([[v]], 4),
+}
+
+
+class TestExactGate:
+    @pytest.mark.parametrize("value", [0.5, "1/2", Decimal("0.5"), 0.5 + 0j],
+                             ids=["float", "str", "Decimal", "complex"])
+    @pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+    def test_refuses_inexact_values(self, entry, value):
+        with pytest.raises(TypeError):
+            EXACT_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("value", [0.5, "1/2", Decimal("0.5")])
+    def test_equality_with_inexact_is_false(self, value):
+        assert not (X == value) and X != value
+        assert not (cyclotomic.rational(1, 2) == value)
+
+    @pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+    def test_accepts_numpy_integers(self, entry):
+        EXACT_ENTRY_POINTS[entry](np.int64(2))
+
+    def test_numpy_integer_values(self):
+        q = as_fraction(np.int64(-6))
+        assert q == -6 and type(q.numerator) is int and type(q.denominator) is int
+        assert as_fraction(True) == 1 and as_fraction(F(1, 3)) == F(1, 3)
+        assert cyclotomic.CyclotomicNumber(2, [np.int32(3), 0]) == 3
+        assert X + np.int64(2) == X + 2 and X == X + np.int64(0)
+        assert kummer.rank1_failure(np.int64(4), 2, 4) == kummer.rank1_failure(4, 2, 4)
+        assert heights.weil_height(np.array([-2, 0, 1])) == heights.weil_height([-2, 0, 1])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclolab.cli import HANDLERS, build_parser, main, _parse_minpoly, _parse_arcs
+from cyclolab.cli import BINS_CAP, HANDLERS, build_parser, main, _parse_minpoly, _parse_arcs
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,16 @@ class TestCommands:
         assert code == 0 and rec["status"] == "ok"
         assert rec["results"] == {"degree": 3, "height": 0.23104906018664848,
                                   "mahler_measure": 2.0}
+
+    def test_height_minpoly_one_root_pass(self, capsys, monkeypatch):
+        from cyclolab import heights
+        calls = []
+        poly_roots = heights.poly_roots
+        monkeypatch.setattr(heights, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+        code, rec = run_json(capsys, "height", "--minpoly", "x^3-2", "--no-timing")
+        assert code == 0 and len(calls) == 1
+        assert rec["results"] == {"degree": 3, "height": heights.weil_height([-2, 0, 0, 1]),
+                                  "mahler_measure": heights.mahler_measure([-2, 0, 0, 1])}
 
     def test_height_minpoly_degree_after_trim(self, capsys):
         code, rec = run_json(capsys, "height", "--minpoly", "0x^3+x-1", "--no-timing")
@@ -187,6 +197,20 @@ class TestCommands:
             capsys, "strict-check", "--seq", "7:1,1;11:1,1;13:1,1",
         )
         assert code == 0 and rec["status"] == "obstructed"
+
+    @pytest.mark.parametrize("bins", ["0", "-3", str(BINS_CAP + 1), str(10**9)])
+    def test_orbit_bins_bounded(self, capsys, monkeypatch, bins):
+        # refused before the sum is even parsed
+        from cyclolab import radical
+        monkeypatch.setattr(radical, "parse_radical_sum", None)
+        code = main(["orbit", "--sum", "1 * 2^(1/3)", "--bins", bins])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and f"between 1 and {BINS_CAP}" in err
+
+    @pytest.mark.parametrize("bins", [1, BINS_CAP])
+    def test_orbit_bins_bounds_accepted(self, capsys, bins):
+        code, rec = run_json(capsys, "orbit", "--sum", "1 * 2^(1/3)", "--bins", str(bins))
+        assert code == 0 and len(rec["results"]["histogram"]) == bins
 
     def test_orbit_dgamma_sigma_factor(self, capsys, tmp_path):
         code, rec = run_json(capsys, "orbit", "--sum", "1 * 2^(1/3)", "--bins", "4",
