@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Sequence
 
 from .lattice import (
@@ -29,23 +30,31 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ARC_M_CAP = 10**9  # arc_count forms r * (k_j mod m) in int64 with r <= m
-# least residues per arc_count chunk.  Medians on 2 CPUs, serial vs 2 threads,
-# exact 2-D box: 1.2 vs 1.9 ms at m = 50,021 and 4.2 vs 3.3 ms at m = 100,003;
-# radian box: 3.9 vs 3.4 and 7.5 vs 6.3 ms
-_CHUNK_MIN = 50_000
+# least residues per arc_count pool thread.  Medians on 2 CPUs (41
+# interleaved calls) at m = 200,003 on a radian 2-D box: serial 10.1-12.2 ms,
+# 2 threads 8.5-11.7 ms, where a pool on unblocked chunks read 9.6-15.5 ms;
+# below m = 200,000 the pool reads 0.80-1.19x of serial (BENCH_20.json)
+_CHUNK_MIN = 100_000
+# residues per arc_count block, 128 KB per int64 array: serial medians at
+# m = 500,009, radian/exact box, 31.4/15.0 ms against 56.1/27.9 unblocked
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
 class RootTupleOrbit:
-    """The orbit {(zeta_m^(s*k_1), ..., zeta_m^(s*k_M)) : s = 1..m}."""
+    """The orbit {(zeta_m^(s*k_1), ..., zeta_m^(s*k_M)) : s = 1..m}.
+
+    m and the k_j are integers (`operator.index`): a float raises TypeError
+    instead of being truncated."""
 
     m: int
     k: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", index(self.m))
         if self.m < 1:
             raise ValueError("m must be positive")
-        object.__setattr__(self, "k", tuple(int(a) for a in self.k))
+        object.__setattr__(self, "k", tuple(map(index, self.k)))
 
     @property
     def dim(self) -> int:
@@ -67,7 +76,7 @@ def weyl_sum(orbit: RootTupleOrbit, n: Sequence[int]) -> Fraction:
 
     By the geometric-sum law this is 1 if m | n.k and 0 otherwise.
     """
-    n = [int(a) for a in n]
+    n = list(map(index, n))
     if len(n) != orbit.dim:
         raise ValueError("character length must match the orbit dimension")
     if not any(n):
@@ -85,7 +94,7 @@ def strictness_window(window: Sequence[tuple[int, Sequence[int]]],
     a property of infinite sequences, a finite window can only exhibit an
     obstruction, never certify its absence.
     """
-    window = [(int(m), [int(a) for a in k]) for m, k in window]
+    window = [(index(m), list(map(index, k))) for m, k in window]
     if len(window) < 2:
         raise ValueError("window must contain at least 2 instances")
     dims = {len(k) for _, k in window}
@@ -200,40 +209,45 @@ class ArcCountReport:
 def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) -> int:
     """Count of r in [lo, hi) whose point ((r*k_j mod m)/m turns)_j lies in
     the box: one int64 pass of `Arc.contains` per arc, any mix of turn and
-    radian arcs; r*(k_j mod m) <= m^2 fits int64 for m <= ARC_M_CAP."""
+    radian arcs; r*(k_j mod m) <= m^2 fits int64 for m <= ARC_M_CAP.  The
+    range is walked in blocks of _BLOCK residues, so its working memory is a
+    few block-long arrays however long the range is."""
     import numpy as np
-    r = np.arange(lo, hi, dtype=np.int64)
-    inside = np.ones(hi - lo, dtype=bool)
-    for kj, arc in zip(k, box.arcs):
-        inside &= arc.contains(r * (kj % m) % m, m)
-    return int(inside.sum())
+    count = 0
+    for start in range(lo, hi, _BLOCK):
+        r = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
+        inside = np.ones(len(r), dtype=bool)
+        for kj, arc in zip(k, box.arcs):
+            inside &= arc.contains(r * (kj % m) % m, m)
+        count += int(np.count_nonzero(inside))
+    return count
 
 
 def arc_count(orbit: RootTupleOrbit, box: ArcBox, threads: int = 1) -> ArcCountReport:
     """Count r in {1..m} whose orbit point lies in the box, exactly.
 
-    Partitionable over residue ranges: the count is a sum of independent
-    chunk counts, so the result does not depend on the partition.  Up to
-    `threads` chunks of at least _CHUNK_MIN residues run on a thread pool,
-    which starts only when there are two or more.  Raises ValueError for m
-    above ARC_M_CAP.
+    The count is a sum of independent block counts, so it does not depend
+    on how the residues are split.  When {1..m} holds two or more ranges of
+    _CHUNK_MIN residues, a pool of `threads` threads counts up to `threads`
+    equal ranges; otherwise the calling thread counts them all.  Each worker
+    walks its range in blocks of _BLOCK residues, so memory does not grow
+    with m.  Raises ValueError for m above ARC_M_CAP.
     """
     if len(box.arcs) != orbit.dim:
         raise ValueError("box dimension must match the orbit dimension")
     if orbit.m > ARC_M_CAP:
         raise ValueError(f"arc-count refuses m = {orbit.m} above {ARC_M_CAP}")
     m, k = orbit.m, orbit.k
-    parts = max(1, min(threads, m // _CHUNK_MIN))
-    chunk = min(-(-m // parts), 10**6)  # bound per-chunk memory
-    bounds = [(lo, min(lo + chunk, m + 1)) for lo in range(1, m + 1, chunk)]
-    if threads > 1 and len(bounds) > 1:
+    parts = min(threads, m // _CHUNK_MIN)
+    if parts > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        cuts = [1 + i * m // parts for i in range(parts + 1)]
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            counts = list(ex.map(lambda b: _arc_count_chunk(m, k, box, *b), bounds))
-        count = sum(counts)
+            count = sum(ex.map(lambda lo, hi: _arc_count_chunk(m, k, box, lo, hi),
+                               cuts, cuts[1:]))
     else:
-        count = sum(_arc_count_chunk(m, k, box, lo, hi) for lo, hi in bounds)
+        count = _arc_count_chunk(m, k, box, 1, m + 1)
     ratio = Fraction(count, m)
     eps = box.uniform_eps()
     if eps is not None:

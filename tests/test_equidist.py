@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclolab.equidist import (
@@ -15,6 +16,7 @@ from cyclolab.equidist import (
     arc_count,
     ARC_M_CAP,
     _arc_count_chunk,
+    _BLOCK,
     _CHUNK_MIN,
 )
 from cyclolab.lattice import in_lattice, hnf_det
@@ -88,6 +90,31 @@ def primes_above(n, count):
             out.append(p)
         p += 1
     return out
+
+
+class TestIntegerInputs:
+    """m, k and characters are integers: a float is refused, not truncated."""
+
+    @pytest.mark.parametrize("bad", [2.5, 3.9, 12.0])
+    def test_float_refused(self, bad):
+        with pytest.raises(TypeError):
+            RootTupleOrbit(bad, (1,))
+        with pytest.raises(TypeError):
+            RootTupleOrbit(12, (bad, 3))
+        with pytest.raises(TypeError):
+            weyl_sum(RootTupleOrbit(12, (2, 3)), [bad, 2])
+        with pytest.raises(TypeError):
+            strictness_window([(bad, [1, 1]), (11, [1, 1])])
+        with pytest.raises(TypeError):
+            strictness_window([(7, [1, bad]), (11, [1, 1])])
+
+    def test_numpy_integers_accepted(self):
+        orbit = RootTupleOrbit(np.int64(12), np.array([2, 3]))
+        assert orbit == RootTupleOrbit(12, (2, 3))
+        assert type(orbit.m) is int and all(type(a) is int for a in orbit.k)
+        assert weyl_sum(orbit, np.array([3, 2])) == 1
+        window = [(np.int32(7), np.array([1, 1])), (np.int64(11), [np.int8(1), 1])]
+        assert strictness_window(window) == strictness_window([(7, [1, 1]), (11, [1, 1])])
 
 
 class TestOrbitPeriod:
@@ -256,6 +283,24 @@ class TestArcs:
         assert arc_count(big, box, threads=4).count == serial
         assert started == [4]
 
+    def test_memory_bounded(self):
+        # blocks bound the working memory at any m; tracemalloc sees numpy's
+        # buffers (a 2,000,003-residue int64 array alone is 16 MB)
+        import tracemalloc
+
+        orbit = RootTupleOrbit(2_000_003, (1, 1237))
+        radian = ArcBox([Arc(0.0, 0.5), Arc(1.0, 0.5)])
+        turn = ArcBox([Arc(Fraction(0), Fraction(1, 8)), Arc(Fraction(1, 4), Fraction(1, 8))])
+        for box in (radian, turn):
+            for threads in (1, 2):
+                tracemalloc.start()
+                try:
+                    arc_count(orbit, box, threads=threads)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 8 * 2**20, (box.arcs[0].exact, threads, peak)
+
     def test_exact_vs_float_agree_generic(self):
         # generic arcs: both representations count identically
         orbit = RootTupleOrbit(997, (3,))
@@ -292,6 +337,28 @@ class TestExactMembershipDifferential:
             box = random_box(rng, [m] * len(k), kind)
             rep = arc_count(RootTupleOrbit(m, k), box, threads=rng.choice([1, 2]))
             assert rep.count == ref_count(m, k, box)
+
+    @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
+    def test_block_boundaries(self, kind, monkeypatch):
+        # chunk ranges that start or end at, one before or one after a
+        # multiple of _BLOCK, and whole counts at m = 2 * _BLOCK +- 1, the
+        # pool (started here below its threshold) splitting m next to a block edge
+        monkeypatch.setattr("cyclolab.equidist._CHUNK_MIN", _BLOCK // 2)
+        rng = random.Random(f"block-{kind}")
+        for m in (2 * _BLOCK - 1, 2 * _BLOCK + 1):
+            k = (1, rng.randrange(2, m))
+            box = random_box(rng, [m, m], kind)
+            prefix = [0]
+            for r in range(1, m + 1):
+                prefix.append(prefix[-1] + ref_count(m, k, box, r, r + 1))
+            for threads in (1, 2):
+                assert arc_count(RootTupleOrbit(m, k), box, threads=threads).count == prefix[m]
+            edges = [e for j in (1, 2) for e in (j * _BLOCK - 1, j * _BLOCK, j * _BLOCK + 1)]
+            edges = [1] + [e for e in edges if e <= m] + [m + 1]
+            for lo in edges:
+                for hi in edges:
+                    if lo <= hi:
+                        assert _arc_count_chunk(m, k, box, lo, hi) == prefix[hi - 1] - prefix[lo - 1]
 
     @pytest.mark.parametrize("kind", ["turn", "radian"])
     def test_contains_turn(self, kind):
