@@ -4,12 +4,12 @@ Exact input: every layer takes a caller's rational through `as_fraction`,
 which refuses a float (0.1 would read as 3602879701896397/36028797018963968),
 a complex, a Decimal or text (the parsers' business) with TypeError.
 
-Integers: the primes, divisors, Euler's phi, factorization and the floor
-k-th root, all in integer arithmetic.  Polynomials in Q[x] are ascending
-coefficient lists of Fractions; a trimmed list has a nonzero last entry, so
-the zero polynomial is [] and a trimmed p has degree len(p) - 1.  The
-algorithms are the textbook ones (Cohen, A Course in Computational
-Algebraic Number Theory, chapters 1 and 3).
+Integers: the primes, divisors, Euler's phi, factorization, the floor
+k-th root and floor sums, all in integer arithmetic.  Polynomials in Q[x]
+are ascending coefficient lists of Fractions; a trimmed list has a nonzero
+last entry, so the zero polynomial is [] and a trimmed p has degree
+len(p) - 1.  The algorithms are the textbook ones (Cohen, A Course in
+Computational Algebraic Number Theory, chapters 1 and 3).
 """
 from __future__ import annotations
 
@@ -184,6 +184,27 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b)/m) for n >= 0, m >= 1 and integers a,
+    b of any sign, in O(log m) steps: split off the whole parts of a/m and
+    b/m, then count the lattice points under the line with the roles of a
+    and m swapped, as in Euclid (the AtCoder Library's floor_sum;
+    Graham-Knuth-Patashnik, Concrete Mathematics, section 3.5)."""
+    if n < 0 or m < 1:
+        raise ValueError("floor_sum needs n >= 0 and m >= 1")
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += n * (n - 1) // 2 * q
+        q, b = divmod(b, m)
+        total += n * q
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,9 @@
 """Root-of-unity tuple orbits on the torus: relation lattices, Weyl sums,
-orbit periods and exact arc-box counting against the Haar bound."""
+orbit periods and exact arc-box counting against the Haar bound.
+
+A box of at most two arcs is counted on the orbit lattice in O(log m)
+integer steps and loads no numpy; a box of three or more arcs walks the m
+residues in numpy blocks, on a thread pool when m is large."""
 from __future__ import annotations
 
 import math
@@ -9,7 +13,9 @@ from math import gcd
 from operator import index
 from typing import Sequence
 
+from ._arith import floor_sum
 from .lattice import (
+    hnf,
     relation_lattice_basis,
     intersect_lattices,
     shortest_relation,
@@ -29,9 +35,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-ARC_M_CAP = 10**9  # arc_count forms r * (k_j mod m) in int64 with r <= m
+# the block path of arc_count (3 or more arcs) forms r * (k_j mod m) in
+# int64 with r <= m; arc_count refuses m above it at every dimension
+ARC_M_CAP = 10**9
 # least residues per arc_count pool thread.  Medians on 2 CPUs (41
-# interleaved calls) at m = 200,003 on a radian 2-D box: serial 10.1-12.2 ms,
+# interleaved calls) of the block path at m = 200,003 on a radian 2-D box,
+# measured before such boxes moved to the lattice count: serial 10.1-12.2 ms,
 # 2 threads 8.5-11.7 ms, where a pool on unblocked chunks read 9.6-15.5 ms;
 # below m = 200,000 the pool reads 0.80-1.19x of serial (BENCH_20.json)
 _CHUNK_MIN = 100_000
@@ -124,7 +133,8 @@ class Arc:
     Turn arcs take Fraction center/halfwidth measured in turns (fractions of
     a full circle) and are decided in exact integer arithmetic at any
     denominator size; radian arcs take floats and compare with a 1e-12
-    tolerance at the boundary.  `contains` is the one membership test.
+    tolerance at the boundary.  `contains` is the one membership test, and
+    `members` lists the same points as integer intervals.
     """
 
     __slots__ = ("exact", "center_turns", "half_turns", "center", "half")
@@ -151,28 +161,97 @@ class Arc:
             return float(min(2 * self.half_turns, Fraction(1)))
         return min(self.half / math.pi, 1.0)
 
-    def contains(self, x, q: int):
-        """Closed-arc membership of the point x/q turns, x an int or an int64
-        array in [0, q).  Turn arc: with lo = center - halfwidth (mod 1) and
-        w = 2*halfwidth, x/q is inside iff (x - A) mod q <= B - A for the
-        exact ints A = ceil(lo*q), B = floor((lo + w)*q).  Radian arc: the
-        angle x * (2 pi/q) within the 1e-12 boundary band."""
+    def _full(self) -> bool:
         if self.exact:
-            w = 2 * self.half_turns
-            if w >= 1:
-                return True
-            lo = (self.center_turns - self.half_turns) % 1
-            a, b = math.ceil(lo * q), math.floor((lo + w) * q)
-            return b >= a and (x - a) % q <= b - a
-        if 2 * self.half >= TWO_PI:
-            return True
-        import numpy as np
-        d = np.mod(x * (TWO_PI / q) - (self.center - self.half), TWO_PI)
+            return 2 * self.half_turns >= 1
+        return 2 * self.half >= TWO_PI
+
+    def _turn_ends(self, q: int) -> tuple[int, int]:
+        """The exact ints A = ceil(lo*q), B = floor((lo + w)*q) of a turn
+        arc, lo = center - halfwidth (mod 1) and w = 2*halfwidth: x/q turns
+        is inside iff B >= A and (x - A) mod q <= B - A."""
+        lo = (self.center_turns - self.half_turns) % 1
+        return math.ceil(lo * q), math.floor((lo + 2 * self.half_turns) * q)
+
+    def _offset(self, x, q: int):
+        """The radian angle of x/q turns above the arc's low end, before
+        reduction mod 2 pi; nondecreasing in x."""
+        return x * (TWO_PI / q) - (self.center - self.half)
+
+    def _inside(self, d):
+        """A reduced radian offset within the arc or its 1e-12 boundary band;
+        `members` bisects on the same two bounds."""
         return (d <= 2 * self.half + 1e-12) | (d >= TWO_PI - 1e-12)
 
+    def contains(self, x, q: int):
+        """Closed-arc membership of the point x/q turns, x an int or an int64
+        array in [0, q): `_turn_ends` decides a turn arc exactly, and a
+        radian arc tests `_offset` mod 2 pi against the boundary band, in
+        the same bits for an int and for an array element."""
+        if self._full():
+            return True
+        if self.exact:
+            a, b = self._turn_ends(q)
+            return b >= a and (x - a) % q <= b - a
+        return self._inside(self._offset(x, q) % TWO_PI)
+
     def contains_turn(self, t: Fraction) -> bool:
-        """Closed-arc membership of the point at `t` turns."""
-        return bool(self.contains(t.numerator % t.denominator, t.denominator))
+        """Closed-arc membership of the point at `t` turns.  A radian arc
+        whose denominator does not convert to a float takes the angle from
+        the exact quotient x/q instead."""
+        x, q = t.numerator % t.denominator, t.denominator
+        try:
+            return bool(self.contains(x, q))
+        except OverflowError:  # x/q as one correctly rounded float, out of 1 turn
+            return bool(self._inside(self._offset(x / q, 1) % TWO_PI))
+
+    def members(self, q: int) -> list[tuple[int, int]]:
+        """The x in [0, q) with `contains(x, q)`, as disjoint ascending closed
+        intervals (lo, hi).
+
+        A turn arc gives them from `_turn_ends`.  A radian arc's `_offset`
+        is nondecreasing in x, so it is cut where the offset reaches 0, 2 pi
+        and 4 pi; within each piece the reduced offset is nondecreasing too,
+        and the members form a prefix (offset <= 2*halfwidth + 1e-12) and a
+        suffix (offset >= 2 pi - 1e-12), both found by bisection on the
+        same float expression as `contains`."""
+        if self._full():
+            return [(0, q - 1)]
+        if self.exact:
+            a, b = self._turn_ends(q)
+            if b < a:
+                return []
+            if b - a >= q - 1:
+                return [(0, q - 1)]
+            wrapped = [(max(a, q) - q, b - q)] if b >= q else []
+            return wrapped + ([(a, min(b, q - 1))] if a < q else [])
+        low, high = 2 * self.half + 1e-12, TWO_PI - 1e-12  # the band of `_inside`
+        cuts = [_first(lambda x: self._offset(x, q) >= w, 0, q) for w in (0.0, TWO_PI, 2 * TWO_PI)]
+        out: list[tuple[int, int]] = []
+        for lo, hi in zip([0] + cuts, cuts + [q]):
+            # members are [lo, end) and [start, hi); "not <=" keeps a NaN out
+            end = _first(lambda x: not self._offset(x, q) % TWO_PI <= low, lo, hi)
+            start = _first(lambda x: self._offset(x, q) % TWO_PI >= high, lo, hi)
+            for a, b in ((lo, hi - 1),) if start <= end else ((lo, end - 1), (start, hi - 1)):
+                if a > b:
+                    continue
+                if out and out[-1][1] + 1 >= a:
+                    out[-1] = (out[-1][0], b)
+                else:
+                    out.append((a, b))
+        return out
+
+
+def _first(pred, lo: int, hi: int) -> int:
+    """The least x in [lo, hi) with pred(x), or hi; pred must be false and
+    then true on [lo, hi)."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -211,7 +290,9 @@ def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) 
     the box: one int64 pass of `Arc.contains` per arc, any mix of turn and
     radian arcs; r*(k_j mod m) <= m^2 fits int64 for m <= ARC_M_CAP.  The
     range is walked in blocks of _BLOCK residues, so its working memory is a
-    few block-long arrays however long the range is."""
+    few block-long arrays however long the range is.  `arc_count` uses it
+    for boxes of three or more arcs; at any dimension it is the residue-walk
+    reference of the lattice count."""
     import numpy as np
     count = 0
     for start in range(lo, hi, _BLOCK):
@@ -223,15 +304,47 @@ def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) 
     return count
 
 
+def _lattice_count(orbit: RootTupleOrbit, box: ArcBox) -> int:
+    """`arc_count`'s count for a box of at most two arcs, in integers.
+
+    The points r*k mod m, r = 1..m, are the points of the lattice
+    L = Z*k + m*Z^M in [0, m)^M, each hit m/P times (P = orbit_period).
+    In 1-D, L = gZ with g = gcd(k, m) = m/P.  In 2-D, L has the HNF rows
+    (a, b) and (0, c), so its points are (a*s, b*s + c*t); in a product
+    [A1, B1] x [A2, B2] of member intervals they number the sum, over the s
+    with a*s in [A1, B1], of floor((B2 - b*s)/c) - floor((A2 - 1 - b*s)/c):
+    two floor sums."""
+    m, k = orbit.m, orbit.k
+    if not k:
+        return m
+    spans = [arc.members(m) for arc in box.arcs]
+    if len(k) == 1:
+        g = gcd(k[0], m)
+        return g * sum(hi // g - (lo - 1) // g for lo, hi in spans[0])
+    (a, b), (_, c) = hnf([list(k), [m, 0], [0, m]])
+    points = 0
+    for lo1, hi1 in spans[0]:
+        s0 = -(-lo1 // a)
+        n = hi1 // a - s0 + 1
+        if n > 0:
+            for lo2, hi2 in spans[1]:
+                points += (floor_sum(n, c, -b, hi2 - b * s0)
+                           - floor_sum(n, c, -b, lo2 - 1 - b * s0))
+    return m // orbit_period(orbit) * points
+
+
 def arc_count(orbit: RootTupleOrbit, box: ArcBox, threads: int = 1) -> ArcCountReport:
     """Count r in {1..m} whose orbit point lies in the box, exactly.
 
-    The count is a sum of independent block counts, so it does not depend
-    on how the residues are split.  When {1..m} holds two or more ranges of
+    A box of at most two arcs is counted on the orbit lattice
+    (`_lattice_count`) in O(log m) integer steps, without numpy, and
+    `threads` is not used.  A box of three or more arcs walks the residues:
+    the count is a sum of independent block counts, so it does not depend
+    on how they are split.  When {1..m} holds two or more ranges of
     _CHUNK_MIN residues, a pool of `threads` threads counts up to `threads`
     equal ranges; otherwise the calling thread counts them all.  Each worker
     walks its range in blocks of _BLOCK residues, so memory does not grow
-    with m.  Raises ValueError for m above ARC_M_CAP.
+    with m.  Raises ValueError for m above ARC_M_CAP at every dimension.
     """
     if len(box.arcs) != orbit.dim:
         raise ValueError("box dimension must match the orbit dimension")
@@ -239,7 +352,9 @@ def arc_count(orbit: RootTupleOrbit, box: ArcBox, threads: int = 1) -> ArcCountR
         raise ValueError(f"arc-count refuses m = {orbit.m} above {ARC_M_CAP}")
     m, k = orbit.m, orbit.k
     parts = min(threads, m // _CHUNK_MIN)
-    if parts > 1:
+    if orbit.dim <= 2:
+        count = _lattice_count(orbit, box)
+    elif parts > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         cuts = [1 + i * m // parts for i in range(parts + 1)]

@@ -1,3 +1,5 @@
+import math
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +14,7 @@ from cyclolab._arith import (
     divisors,
     euler_phi,
     factorize,
+    floor_sum,
     iroot,
     poly_deriv,
     poly_divmod,
@@ -84,6 +87,31 @@ class TestIntegers:
         assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
         with pytest.raises(ValueError):
             euler_phi(0)
+
+    @pytest.mark.parametrize("sa", [-1, 0, 1])
+    @pytest.mark.parametrize("sb", [-1, 0, 1])
+    def test_floor_sum_vs_direct(self, sa, sb):
+        # every sign of slope and offset, against the sum term by term
+        rng = random.Random(f"floor-sum-{sa}-{sb}")
+        for _ in range(300):
+            n, m = rng.randint(0, 40), rng.randint(1, 60)
+            a, b = sa * rng.randint(0, 200), sb * rng.randint(0, 200)
+            assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+
+    def test_floor_sum_large(self):
+        # O(log m) steps at 10^30-size arguments, against the closed form
+        # for the multiples of a/m: sum floor(a*i/m) = ((a-1)(m-1) + gcd - 1)/2
+        # over i < m for a, m >= 1
+        m, a = 10**30 + 57, 10**29 + 3
+        g = math.gcd(a, m)
+        assert floor_sum(m, m, a, 0) == ((a - 1) * (m - 1) + g - 1) // 2
+        assert floor_sum(m, m, -a, 0) == -floor_sum(m, m, a, 0) - (m - 1) + (g - 1)
+
+    def test_floor_sum_refuses(self):
+        with pytest.raises(ValueError):
+            floor_sum(-1, 5, 1, 1)
+        with pytest.raises(ValueError):
+            floor_sum(3, 0, 1, 1)
 
 
 class TestPolynomials:

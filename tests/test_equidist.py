@@ -253,15 +253,18 @@ class TestArcs:
         assert mixed.uniform_eps is None and mixed.bound_satisfied is None
 
     def test_threads_agree(self):
-        orbit = RootTupleOrbit(10007, (1, 100))
-        for box in (ArcBox([Arc(0.0, 0.5), Arc(0.0, 0.5)]),
+        # 3-D boxes: the block path, the only one that reads `threads`
+        orbit = RootTupleOrbit(10007, (1, 100, 37))
+        for box in (ArcBox([Arc(0.0, 0.5), Arc(0.0, 0.5), Arc(2.0, 1.5)]),
                     ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)),
-                            Arc(Fraction(3, 10**13 + 37), Fraction(1, 5))])):
+                            Arc(Fraction(3, 10**13 + 37), Fraction(1, 5)),
+                            Arc(Fraction(1, 2), Fraction(1, 3))])):
             assert arc_count(orbit, box, threads=4).count == arc_count(orbit, box).count
 
     def test_pool_only_for_two_full_chunks(self, monkeypatch):
-        # the pool starts only when m holds two chunks of _CHUNK_MIN residues,
-        # and the count equals a serial sum over another partition
+        # the pool starts only for a box of three or more arcs when m holds
+        # two chunks of _CHUNK_MIN residues, and the count equals a serial
+        # sum over another partition; a 2-D box never starts it
         import concurrent.futures
 
         started = []
@@ -272,25 +275,32 @@ class TestArcs:
             return pool(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        box = ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)), Arc(0.5, 2.0)])
-        small = RootTupleOrbit(2 * _CHUNK_MIN - 1, (1, 100))
+        box = ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)), Arc(0.5, 2.0),
+                      Arc(Fraction(0), Fraction(1, 3))])
+        small = RootTupleOrbit(2 * _CHUNK_MIN - 1, (1, 100, 7))
         assert arc_count(small, box, threads=4).count == arc_count(small, box).count
         assert started == []
         m = 2 * _CHUNK_MIN + 7
-        big = RootTupleOrbit(m, (1, 100))
+        big = RootTupleOrbit(m, (1, 100, 7))
         cuts = [1, 12_345, 70_001, m + 1]
         serial = sum(_arc_count_chunk(m, big.k, box, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
         assert arc_count(big, box, threads=4).count == serial
         assert started == [4]
+        flat = ArcBox(box.arcs[:2])
+        assert arc_count(RootTupleOrbit(m, (1, 100)), flat, threads=4).count == \
+            _arc_count_chunk(m, (1, 100), flat, 1, m + 1)
+        assert started == [4]
 
     def test_memory_bounded(self):
-        # blocks bound the working memory at any m; tracemalloc sees numpy's
-        # buffers (a 2,000,003-residue int64 array alone is 16 MB)
+        # blocks bound the working memory of the 3-D block path at any m;
+        # tracemalloc sees numpy's buffers (a 2,000,003-residue int64 array
+        # alone is 16 MB)
         import tracemalloc
 
-        orbit = RootTupleOrbit(2_000_003, (1, 1237))
-        radian = ArcBox([Arc(0.0, 0.5), Arc(1.0, 0.5)])
-        turn = ArcBox([Arc(Fraction(0), Fraction(1, 8)), Arc(Fraction(1, 4), Fraction(1, 8))])
+        orbit = RootTupleOrbit(2_000_003, (1, 1237, 77))
+        radian = ArcBox([Arc(0.0, 0.5), Arc(1.0, 0.5), Arc(2.0, 0.5)])
+        turn = ArcBox([Arc(Fraction(0), Fraction(1, 8)), Arc(Fraction(1, 4), Fraction(1, 8)),
+                       Arc(Fraction(1, 2), Fraction(1, 8))])
         for box in (radian, turn):
             for threads in (1, 2):
                 tracemalloc.start()
@@ -326,7 +336,8 @@ class TestArcs:
 class TestExactMembershipDifferential:
     """`arc_count`, `sigma_search` and `contains_turn` against the Fraction
     reference on seeded turn, mixed and radian boxes, with denominators up to
-    10^30 and endpoints on orbit points."""
+    10^30 and endpoints on orbit points; `arc_count` (the lattice count in
+    1-D and 2-D) also against the block path."""
 
     @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
     def test_arc_count(self, kind):
@@ -336,18 +347,19 @@ class TestExactMembershipDifferential:
             k = tuple(rng.randint(-5000, 5000) for _ in range(rng.randint(1, 3)))
             box = random_box(rng, [m] * len(k), kind)
             rep = arc_count(RootTupleOrbit(m, k), box, threads=rng.choice([1, 2]))
-            assert rep.count == ref_count(m, k, box)
+            assert rep.count == ref_count(m, k, box) == _arc_count_chunk(m, k, box, 1, m + 1)
 
     @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
     def test_block_boundaries(self, kind, monkeypatch):
-        # chunk ranges that start or end at, one before or one after a
-        # multiple of _BLOCK, and whole counts at m = 2 * _BLOCK +- 1, the
-        # pool (started here below its threshold) splitting m next to a block edge
+        # 3-D boxes, which take the block path: chunk ranges that start or
+        # end at, one before or one after a multiple of _BLOCK, and whole
+        # counts at m = 2 * _BLOCK +- 1, the pool (started here below its
+        # threshold) splitting m next to a block edge
         monkeypatch.setattr("cyclolab.equidist._CHUNK_MIN", _BLOCK // 2)
         rng = random.Random(f"block-{kind}")
         for m in (2 * _BLOCK - 1, 2 * _BLOCK + 1):
-            k = (1, rng.randrange(2, m))
-            box = random_box(rng, [m, m], kind)
+            k = (1, rng.randrange(2, m), rng.randrange(2, m))
+            box = random_box(rng, [m, m, m], kind)
             prefix = [0]
             for r in range(1, m + 1):
                 prefix.append(prefix[-1] + ref_count(m, k, box, r, r + 1))
@@ -359,6 +371,35 @@ class TestExactMembershipDifferential:
                 for hi in edges:
                     if lo <= hi:
                         assert _arc_count_chunk(m, k, box, lo, hi) == prefix[hi - 1] - prefix[lo - 1]
+
+    @pytest.mark.parametrize("kind", ["turn", "radian"])
+    def test_members_are_contains(self, kind):
+        # the member intervals list exactly the x with contains(x, q):
+        # disjoint, ascending, not adjacent, at most four
+        rng = random.Random(f"members-{kind}")
+        for _ in range(300):
+            q = rng.randint(1, 300)
+            arc = random_arc(rng, q, kind)
+            spans = arc.members(q)
+            assert len(spans) <= 4
+            assert all(a <= b for a, b in spans)
+            assert all(b1 + 1 < a2 for (_, b1), (a2, _) in zip(spans, spans[1:]))
+            inside = {x for a, b in spans for x in range(a, b + 1)}
+            assert inside == {x for x in range(q) if arc.contains(x, q)}
+
+    def test_contains_turn_huge_denominator(self):
+        # 10^400 does not convert to a float: the radian angle comes from
+        # the exact quotient instead of raising OverflowError
+        q = 10**400
+        arc = Arc(0.0, 0.5)
+        assert arc.contains_turn(Fraction(1, q))
+        assert arc.contains_turn(Fraction(q - 1, q))
+        assert not arc.contains_turn(Fraction(q // 2 + 1, q))
+        assert not arc.contains_turn(Fraction(q // 2 - 1, q))
+        assert Arc(math.pi, 0.5).contains_turn(Fraction(q // 2 + 1, q))
+        turn = Arc(Fraction(0), Fraction(1, 4))
+        assert turn.contains_turn(Fraction(1, q))
+        assert not turn.contains_turn(Fraction(q // 2 + 1, q))
 
     @pytest.mark.parametrize("kind", ["turn", "radian"])
     def test_contains_turn(self, kind):
@@ -383,3 +424,74 @@ class TestExactMembershipDifferential:
             box = random_box(rng, ctx.group, kind)
             eps = rng.choice([0.5, 1.0, 3.0])
             assert [g.r for g in sigma_search(x, box, eps)] == ref_sigma_search(x, box, eps)
+
+
+def box_edges(rng, m, dim):
+    """Radian arcs with both ends on orbit points x/m, exactly or moved
+    +-1e-12 or +-5e-13 off them."""
+    arcs = []
+    for _ in range(dim):
+        lo, hi = (TWO_PI * rng.randrange(m) / m + rng.choice([0, 1e-12, -1e-12, 5e-13, -5e-13])
+                  for _ in range(2))
+        h = (hi - lo) % TWO_PI / 2
+        arcs.append(Arc(lo + h, h))
+    return ArcBox(arcs)
+
+
+class TestLatticeCount:
+    """The 1-D and 2-D lattice count against the block path on boundary
+    cases; `test_arc_count` compares both with the Fraction reference."""
+
+    def check(self, m, k, box):
+        assert arc_count(RootTupleOrbit(m, k), box).count == \
+            _arc_count_chunk(m, k, box, 1, m + 1), (m, k)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_radian_ends_on_and_off_points(self, dim):
+        # the reference here is the block path, which evaluates the same
+        # float angle x * (2 pi/m); ref_count's float(t) * 2 pi can differ in
+        # the last bits, which decides points 1e-12 off an end
+        rng = random.Random(f"lattice-edges-{dim}")
+        for _ in range(300):
+            m = rng.randint(1, 3000)
+            self.check(m, tuple(rng.randint(-3000, 3000) for _ in range(dim)),
+                       box_edges(rng, m, dim))
+
+    def test_dimension_zero(self):
+        for m in (1, 2, 17):
+            rep = arc_count(RootTupleOrbit(m, ()), ArcBox([]))
+            assert rep.count == m == _arc_count_chunk(m, (), ArcBox([]), 1, m + 1)
+
+    def test_special_orbits(self):
+        # k = 0 and k = m (every point at 0), negative k, m = 1, and full
+        # and empty arcs (turn arcs with B < A)
+        rng = random.Random("lattice-special")
+        full = [Arc(Fraction(0), Fraction(1, 2)), Arc(Fraction(3, 7), Fraction(5, 8)),
+                Arc(0.0, math.pi), Arc(1.0, 4.0)]
+        for m in (1, 2, 3, 12, 97, 2 * _BLOCK - 1, 2 * _BLOCK + 1):
+            empty = [Arc(Fraction(1, 2 * m), Fraction(0)),
+                     Arc(Fraction(1, 2 * m), Fraction(1, 5 * m))]
+            for k in ((0,), (m,), (-1,), (-m - 5,), (0, 0), (m, -m), (0, 5), (-1, -7),
+                      (rng.randint(-10**6, -1), rng.randint(1, 10**6))):
+                arcs = [rng.choice(full + empty + [random_arc(rng, m, kind)
+                                                   for kind in ("turn", "radian")])
+                        for _ in k]
+                self.check(m, k, ArcBox(arcs))
+            for e in empty:
+                assert e.members(m) == []
+                assert arc_count(RootTupleOrbit(m, (1,)), ArcBox([e])).count == 0
+            assert arc_count(RootTupleOrbit(m, (3, 5)), ArcBox(full[:2])).count == m
+
+    def test_near_cap_fast(self):
+        # m = 999,999,937 in O(log m) steps; the pinned counts are the block
+        # path's, which takes 20-30 s on 2 threads there
+        import time
+
+        orbit = RootTupleOrbit(999_999_937, (1, 1237))
+        for box, count in (
+                (ArcBox([Arc(0.0, 0.5), Arc(1.0, 0.5)]), 25_346_421),
+                (ArcBox([Arc(Fraction(0), Fraction(1, 8)), Arc(Fraction(1, 4), Fraction(1, 8))]),
+                 62_449_471)):
+            t0 = time.perf_counter()
+            assert arc_count(orbit, box).count == count
+            assert time.perf_counter() - t0 < 0.1

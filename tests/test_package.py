@@ -41,6 +41,25 @@ def test_integer_equidist_commands_load_no_numpy():
     assert json.loads(proc.stderr.splitlines()[-1]) == [False, 0, 0, False]
 
 
+def test_two_dim_arc_count_loads_no_numpy():
+    # a box of at most two arcs is counted on the orbit lattice in integers;
+    # only the block path of a 3-D box loads numpy
+    code = ("import json, sys, cyclolab.cli as cli; seen = []; "
+            "seen.append(cli.main(['arc-count', '--m', '999999937', '--k', '1,1237', "
+            "'--arcs', '0:0.5,1:0.5', '--no-timing'])); "
+            "seen.append(cli.main(['arc-count', '--m', '1009', '--k', '7', "
+            "'--arcs', '0t:1/8t', '--no-timing'])); "
+            "seen.append('numpy' in sys.modules); "
+            "seen.append(cli.main(['arc-count', '--m', '1009', '--k', '1,7,100', "
+            "'--arcs', '0:0.5,1:0.5,2:0.5', '--no-timing'])); "
+            "seen.append('numpy' in sys.modules); "
+            "print(json.dumps(seen), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, 0, False, 0, True]
+
+
 def test_exports_are_the_defining_objects():
     # a name listed under two submodules would collapse into one entry
     assert len(cyclolab.__all__) == sum(map(len, cyclolab._LAYERS.values()))
