@@ -14,12 +14,7 @@ from operator import index
 from typing import Sequence
 
 from ._arith import floor_sum
-from .lattice import (
-    hnf,
-    relation_lattice_basis,
-    intersect_lattices,
-    shortest_relation,
-)
+from .lattice import hnf, relation_lattice_basis, shortest_relation
 
 __all__ = [
     "RootTupleOrbit",
@@ -77,7 +72,7 @@ def orbit_period(orbit: RootTupleOrbit) -> int:
 
 def relation_lattice(m: int, k: Sequence[int]) -> list[list[int]]:
     """HNF basis of the character relations {n : n . k == 0 (mod m)}."""
-    return relation_lattice_basis(m, list(k))
+    return relation_lattice_basis([(m, list(k))])
 
 
 def weyl_sum(orbit: RootTupleOrbit, n: Sequence[int]) -> Fraction:
@@ -98,23 +93,20 @@ def strictness_window(window: Sequence[tuple[int, Sequence[int]]],
                       threshold: float | None = None) -> dict:
     """Finite-window substitute for strictness of a tuple sequence.
 
-    Intersects the relation lattices over the window and reports a common
-    small relation if one survives.  The verdict is heuristic: strictness is
-    a property of infinite sequences, a finite window can only exhibit an
-    obstruction, never certify its absence.
+    One lattice holds the relations common to the whole window; its least
+    max-norm is exact (`shortest_relation`, ValueError past its node
+    budget).  The verdict stays heuristic: strictness concerns infinite
+    sequences, and a finite window can exhibit an obstruction but never
+    certify its absence.
     """
     window = [(index(m), list(map(index, k))) for m, k in window]
     if len(window) < 2:
         raise ValueError("window must contain at least 2 instances")
-    dims = {len(k) for _, k in window}
-    if len(dims) != 1:
-        raise ValueError("all tuples in the window must have the same length")
     if threshold is None:
         threshold = min(m for m, _ in window) / 2
-    basis = relation_lattice_basis(window[0][0], window[0][1])
-    for m, k in window[1:]:
-        basis = intersect_lattices(basis, relation_lattice_basis(m, k))
-    rel = shortest_relation(basis)
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    rel = shortest_relation(relation_lattice_basis(window))
     norm = max(abs(a) for a in rel) if rel is not None else None
     obstructed = rel is not None and norm < threshold
     return {
@@ -152,6 +144,8 @@ class Arc:
             self.half = float(halfwidth)
             self.center_turns = None
             self.half_turns = None
+            if not math.isfinite(self.center + self.half):
+                raise ValueError("arc center and halfwidth must be finite")
         if self.half < 0:
             raise ValueError("halfwidth must be nonnegative")
 

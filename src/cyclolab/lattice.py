@@ -1,17 +1,20 @@
-"""Exact integer-lattice utilities: HNF, kernels, intersections, LLL.
+"""Exact integer-lattice utilities: HNF, kernels, relation lattices, LLL and
+the shortest relation.
 
 Everything here works on plain Python integers (arbitrary precision) and
-lists of lists; no numpy.  Row convention: a lattice is the set of integer
-combinations of the basis rows.  `_echelon` is the one integer elimination:
-`hnf`, both kernels and, through `hnf`, kummer's rank test are built on it.
+lists of lists; no numpy and no floats.  Row convention: a lattice is the
+set of integer combinations of the basis rows.  `_echelon` is the one
+integer elimination: `hnf`, the kernel and, through `hnf`, kummer's rank
+test are built on it.  `_gram` is the one Gram-Schmidt, shared by
+`lll_reduce` and `shortest_relation`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-import itertools
+from math import lcm, prod
 
 LLL_DELTA = Fraction(3, 4)  # Lovasz constant of `lll_reduce`
-ENUM_COEFF = 3  # `shortest_relation` tries coefficients in [-3, 3]
+ENUM_NODES = 20_000  # `shortest_relation` refuses past this many search nodes
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -85,18 +88,9 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
 def hnf_det(basis: list[list[int]]) -> int:
     """Determinant (covolume) of a full-rank lattice given by any basis."""
     h = hnf(basis)
-    n = len(h[0]) if h else 0
-    if len(h) != n:
+    if len(h) != (len(h[0]) if h else 0):
         raise ValueError("basis is not full rank")
-    det = 1
-    for i, row in enumerate(h):
-        det *= row[i]
-    return abs(det)
-
-
-def kernel_of_form(w: list[int]) -> list[list[int]]:
-    """Basis of the rank n-1 lattice {x in Z^n : sum x_i w_i = 0}, w != 0."""
-    return kernel_of_matrix([[a] for a in w])
+    return prod(row[i] for i, row in enumerate(h))
 
 
 def kernel_of_matrix(rows: list[list[int]]) -> list[list[int]]:
@@ -105,51 +99,56 @@ def kernel_of_matrix(rows: list[list[int]]) -> list[list[int]]:
     return [u for h, u in zip(H, U) if not any(h)]
 
 
-def relation_lattice_basis(m: int, k: list[int]) -> list[list[int]]:
-    """HNF basis of {n in Z^M : n . k == 0 (mod m)}; always contains m*Z^M."""
-    if m < 1:
+def relation_lattice_basis(window: list[tuple[int, list[int]]]) -> list[list[int]]:
+    """HNF basis of {n in Z^M : n . k == 0 (mod m) for every (m, k) of the
+    window}; it always contains lcm(m) * Z^M.
+
+    One kernel: stack the M rows (k_1[j], ..., k_W[j]) over the W rows
+    m_i * e_i.  An x = (n, t) with x . A = 0 has n . k_i = -t_i * m_i for
+    every i, so the projection of the kernel onto n is the lattice."""
+    if any(m < 1 for m, _ in window):
         raise ValueError("modulus must be positive")
-    M = len(k)
-    if M == 0:
-        return []
-    ker = kernel_of_form(list(k) + [m])
-    proj = [row[:M] for row in ker]
-    return hnf(proj)
+    dims = {len(k) for _, k in window}
+    if len(dims) != 1:
+        raise ValueError("the window needs tuples, all of the same length")
+    M = dims.pop()
+    rows = [[k[j] for _, k in window] for j in range(M)]
+    rows += [[m if i == t else 0 for t in range(len(window))] for i, (m, _) in enumerate(window)]
+    return hnf([x[:M] for x in kernel_of_matrix(rows)])
 
 
 def in_lattice(basis_hnf: list[list[int]], vec: list[int]) -> bool:
     """Membership test against a row-HNF basis via back substitution."""
     v = list(vec)
-    pivots = []
     for r in basis_hnf:
         pc = next((i for i, a in enumerate(r) if a != 0), None)
-        pivots.append(pc)
-    for r, pc in zip(basis_hnf, pivots):
-        if pc is None:
-            continue
-        if v[pc] % r[pc] != 0:
-            return False
-        q = v[pc] // r[pc]
-        v = [a - q * b for a, b in zip(v, r)]
-    return all(a == 0 for a in v)
+        if pc is not None:
+            q, rem = divmod(v[pc], r[pc])
+            if rem:
+                return False
+            v = [a - q * b for a, b in zip(v, r)]
+    return not any(v)
 
 
-def intersect_lattices(b1: list[list[int]], b2: list[list[int]]) -> list[list[int]]:
-    """HNF basis of L1 n L2 where Li is spanned by the rows of bi."""
-    if not b1 or not b2:
-        return []
-    stacked = [list(r) for r in b1] + [[-a for a in r] for r in b2]
-    ker = kernel_of_matrix(stacked)
-    n1 = len(b1)
-    M = len(b1[0])
-    vecs = []
-    for uv in ker:
-        x = [0] * M
-        for i in range(n1):
-            for j in range(M):
-                x[j] += uv[i] * b1[i][j]
-        vecs.append(x)
-    return hnf(vecs)
+def _gram(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The integral Gram-Schmidt data (d, lam) of the rows b, as defined in
+    `lll_reduce`: d[i] = d_i for i = 0..n and lam[i][j] = lambda_ij for
+    j < i.  Raises ValueError when the rows are linearly dependent."""
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise ValueError("rows are linearly dependent")
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
@@ -178,21 +177,7 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     if n <= 1:
         return b
     p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
-
-    # d[i + 1] is d_(i+1) above, lam[i][j] is lambda_ij
-    d = [1] * (n + 1)
-    lam = [[0] * i for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            elif u == 0:
-                raise ValueError("rows are linearly dependent")
-            else:
-                d[i + 1] = u
+    d, lam = _gram(b)
 
     def size_reduce(k, j):
         r, rem = divmod(lam[k][j], d[j + 1])
@@ -229,34 +214,53 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
 
 
 def shortest_relation(basis: list[list[int]]) -> list[int] | None:
-    """Heuristically shortest (max-norm) nonzero vector of the lattice.
+    """A nonzero lattice vector of least max-norm, exactly; None for the
+    zero lattice.
 
-    LLL first, then a small enumeration over combinations of the reduced
-    basis.  Exact enough for the desk-scale verdicts used here.
+    Every v = sum c_i b_i (b_i the LLL rows) of max-norm at most R has
+    |v|^2 <= M * R^2, so a depth-first enumeration over c_(n-1), ..., c_0
+    finds them all (Fincke-Pohst 1985, Schnorr-Euchner 1994), R falling to
+    the best max-norm found so far.  Each bound is an integer comparison
+    on the data of `_gram`: |v|^2 = sum_i T_i^2 / (d_i * d_(i+1)) with
+    T_i = d_(i+1) * c_i + sum_(j>i) lambda_ji * c_j.  Ties go to the first
+    LLL row, then to the least (c_0, ..., c_(n-1)); the first nonzero entry
+    is made positive.  Raises ValueError past ENUM_NODES search nodes.
     """
     red = lll_reduce(basis)
     if not red:
         return None
-    best = None
+    n, M = len(red), len(red[0])
+    d, lam = _gram(red)
+    row = min(red, key=lambda v: max(map(abs, v)))
+    best = (max(map(abs, row)), (), row)  # max-norm, coefficients, vector
+    bound = best[0] - 1  # the greatest max-norm still sought
+    # |v|^2 scaled by L, so that each level weighs T_i^2 by an integer
+    L = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    weight = [L // (d[i] * d[i + 1]) for i in range(n)]
+    c = [0] * n
+    nodes = 0
 
-    def maxnorm(v):
-        return max(abs(a) for a in v)
+    def search(i, used):
+        nonlocal best, bound, nodes
+        if i < 0:
+            v = [sum(x * y for x, y in zip(c, col)) for col in zip(*red)]
+            key = (max(map(abs, v)), tuple(c))
+            if any(c) and key < best[:2]:  # () sorts first: ties keep the LLL row
+                best, bound = (*key, v), key[0]
+            return
+        s = sum(lam[j][i] * c[j] for j in range(i + 1, n))
+        mid = (d[i + 1] - 2 * s) // (2 * d[i + 1])  # nearest integer to -s / d_(i+1)
+        # |T_i| grows away from mid, and the radius only shrinks
+        for x, step in ((mid, 1), (mid - 1, -1)):
+            while (u := used + weight[i] * (d[i + 1] * x + s) ** 2) <= M * bound * bound * L:
+                nodes += 1
+                if nodes > ENUM_NODES:
+                    raise ValueError(f"shortest relation needs over {ENUM_NODES} search nodes")
+                c[i] = x
+                search(i - 1, u)
+                x += step
+        c[i] = 0
 
-    for v in red:
-        if any(v) and (best is None or maxnorm(v) < maxnorm(best)):
-            best = list(v)
-    if len(red) <= 4:
-        rng = range(-ENUM_COEFF, ENUM_COEFF + 1)
-        for coeffs in itertools.product(rng, repeat=len(red)):
-            if not any(coeffs):
-                continue
-            v = [0] * len(red[0])
-            for c, row in zip(coeffs, red):
-                if c:
-                    for j in range(len(v)):
-                        v[j] += c * row[j]
-            if any(v) and maxnorm(v) < maxnorm(best):
-                best = v
-    if best is not None and next(a for a in best if a != 0) < 0:
-        best = [-a for a in best]
-    return best
+    search(n - 1, 0)
+    v = best[2]
+    return [-a for a in v] if next(a for a in v if a) < 0 else list(v)

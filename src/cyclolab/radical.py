@@ -268,6 +268,8 @@ def orbit_moduli(x: RadicalSum) -> list[float]:
 
 def _in_band(v, eps: float):
     """[1-eps, 1+eps] membership of a squared modulus or an array of them."""
+    if not math.isfinite(eps):
+        raise ValueError("eps must be finite")
     return (1 - eps - BAND_SLACK <= v) & (v <= 1 + eps + BAND_SLACK)
 
 
@@ -437,7 +439,7 @@ def exponent_relation_basis(kmatrix, m: int, threshold: int | None = None) -> di
     ncols = len(kmatrix[0]) if nrows else 0
 
     def has_small_relation(entries: list[int]) -> bool:
-        basis = relation_lattice_basis(m, entries)
+        basis = relation_lattice_basis([(m, entries)])
         rel = shortest_relation(basis)
         return rel is not None and max(abs(a) for a in rel) <= threshold
 
@@ -456,7 +458,7 @@ def exponent_relation_basis(kmatrix, m: int, threshold: int | None = None) -> di
             else:
                 lam, lam_mu = None, None
                 if J:
-                    basis = relation_lattice_basis(m, [col[j]] + [col[mu] for mu in J])
+                    basis = relation_lattice_basis([(m, [col[j]] + [col[mu] for mu in J])])
                     for vec in lll_reduce(basis):
                         if vec[0] != 0:
                             lam = vec[0]

@@ -198,6 +198,36 @@ class TestCommands:
         )
         assert code == 0 and rec["status"] == "obstructed"
 
+    def test_strict_check_exact_norm(self, capsys):
+        k = "112816,120358,179675,104136,73252,212178"
+        code, rec = run_json(capsys, "strict-check", "--seq", f"322735:{k};322735:{k}",
+                             "--threshold", "6", "--no-timing")
+        assert code == 0 and rec["status"] == "obstructed"
+        assert rec["results"]["shortest_norm"] == 5
+        assert rec["results"]["relation"] == [4, -2, 3, -4, 3, 5]
+
+    def test_strict_check_past_node_budget_exit_2(self, capsys, monkeypatch):
+        from cyclolab import lattice
+        monkeypatch.setattr(lattice, "ENUM_NODES", 5)
+        k = "112816,120358,179675,104136,73252,212178"
+        code = main(["strict-check", "--seq", f"322735:{k};322735:{k}", "--threshold", "6"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "search nodes" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["arc-count", "--m", "101", "--k", "1,3", "--arcs", "0:nan,0:0.5"],
+        ["arc-count", "--m", "101", "--k", "1,3", "--arcs", "inf:0.5,0:0.5"],
+        ["strict-check", "--seq", "7:1,1;11:1,1", "--threshold", "nan"],
+        ["strict-check", "--seq", "7:1,1;11:1,1", "--threshold", "inf"],
+        ["dgamma", "--sum", "1 * 2^(1/3)", "--eps", "nan"],
+        ["sigma-search", "--sum", "1 * 2^(1/3)", "--eps", "inf", "--arcs", "0:1"],
+        ["sigma-search", "--sum", "1 * 2^(1/3)", "--eps", "0.1", "--arcs", "nan:1"],
+    ])
+    def test_nonfinite_input_exit_2(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "finite" in err
+
     @pytest.mark.parametrize("bins", ["0", "-3", str(BINS_CAP + 1), str(10**9)])
     def test_orbit_bins_bounded(self, capsys, monkeypatch, bins):
         # refused before the sum is even parsed

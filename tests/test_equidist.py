@@ -187,8 +187,28 @@ class TestStrictness:
         with pytest.raises(ValueError):
             strictness_window([(7, [1, 1])])
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_threshold_refused(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            strictness_window([(7, [1, 1]), (11, [1, 1])], threshold=threshold)
+
+    def test_exact_norm_beyond_lll_rows(self):
+        # the LLL rows reach max-norm 6 only; the shortest relation has 5
+        k = [112816, 120358, 179675, 104136, 73252, 212178]
+        r = strictness_window([(322735, k), (322735, k)], threshold=6)
+        assert r["verdict"] == "obstructed" and r["shortest_norm"] == 5
+        assert sum(a * b for a, b in zip(r["relation"], k)) % 322735 == 0
+
 
 class TestArcs:
+    @pytest.mark.parametrize("center, half", [
+        (math.nan, 0.5), (0.0, math.nan), (math.inf, 0.5), (-math.inf, 0.5),
+        (0.0, math.inf), (0.0, -1.0),
+    ])
+    def test_refuses_nonfinite_or_negative(self, center, half):
+        with pytest.raises(ValueError):
+            Arc(center, half)
+
     def test_haar_measure(self):
         assert Arc(0.0, math.pi / 4).haar() == pytest.approx(0.25)
         assert Arc(Fraction(0), Fraction(1, 2)).haar() == 1.0

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,27 +7,38 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cyclolab import lattice
 from cyclolab.kummer import ORACLE_SCALES
 from cyclolab.lattice import (
     LLL_DELTA,
     hnf,
     hnf_det,
-    kernel_of_form,
     kernel_of_matrix,
     relation_lattice_basis,
     in_lattice,
-    intersect_lattices,
     lll_reduce,
     shortest_relation,
 )
 
+# a 6-row relation lattice whose LLL rows have max-norm 6 and whose
+# shortest relation has max-norm 5
+K_MOD = 322735
+K_ROW = [112816, 120358, 179675, 104136, 73252, 212178]
+
+
+def _relations(window):
+    """Membership in the window's relation lattice, straight from the
+    congruences n . k == 0 (mod m)."""
+    return lambda n: all(sum(a * b for a, b in zip(n, k)) % m == 0 for m, k in window)
+
 
 def test_kernel_of_form():
+    # the kernel of one column w: {x : x . w = 0}
     rng = random.Random(0)
     for _ in range(100):
         n = rng.randint(1, 5)
         w = [rng.randint(-9, 9) for _ in range(n)]
-        ker = kernel_of_form(w)
+        ker = kernel_of_matrix([[a] for a in w])
         expected_rank = n if not any(w) else n - 1
         assert len(ker) == expected_rank
         for v in ker:
@@ -33,12 +46,43 @@ def test_kernel_of_form():
 
 
 def test_relation_lattice_examples():
-    b = relation_lattice_basis(12, [2, 3])
+    b = relation_lattice_basis([(12, [2, 3])])
     assert in_lattice(b, [3, 2])
     assert hnf_det(b) == 12
-    assert relation_lattice_basis(5, [1, 0]) == [[5, 0], [0, 1]]
-    b1 = relation_lattice_basis(1, [4, 7])
+    assert relation_lattice_basis([(5, [1, 0])]) == [[5, 0], [0, 1]]
+    b1 = relation_lattice_basis([(1, [4, 7])])
     assert in_lattice(b1, [1, 0]) and in_lattice(b1, [0, 1])
+    assert relation_lattice_basis([(7, []), (11, [])]) == []
+
+
+@pytest.mark.parametrize("window, message", [
+    ([], "needs tuples"),
+    ([(0, [1, 2])], "positive"),
+    ([(7, [1, 1]), (-3, [1, 1])], "positive"),
+    ([(7, [1, 1]), (11, [1])], "same length"),
+])
+def test_relation_lattice_refuses(window, message):
+    with pytest.raises(ValueError, match=message):
+        relation_lattice_basis(window)
+
+
+def test_relation_lattice_window_brute_force():
+    # n is in the window's lattice iff n . k_i == 0 (mod m_i) for every i,
+    # on every n of a box; where it is small, the box [0, L)^M, L = lcm(m_i),
+    # is a full period and gives the index L^M / count as well
+    rng = random.Random(17)
+    for _ in range(60):
+        M = rng.randint(1, 3)
+        window = [(rng.randint(1, 9), [rng.randint(-12, 12) for _ in range(M)])
+                  for _ in range(rng.randint(1, 4))]
+        basis = relation_lattice_basis(window)
+        member = _relations(window)
+        for n in itertools.product(range(-5, 6), repeat=M):
+            assert in_lattice(basis, list(n)) == member(n), (window, n)
+        L = math.lcm(*(m for m, _ in window))
+        if L**M <= 20_000:
+            count = sum(map(member, itertools.product(range(L), repeat=M)))
+            assert hnf_det(basis) == L**M // count
 
 
 def test_relation_lattice_brute_force():
@@ -47,7 +91,7 @@ def test_relation_lattice_brute_force():
         m = rng.randint(1, 10)
         M = rng.randint(1, 3)
         k = [rng.randint(-6, 6) for _ in range(M)]
-        basis = relation_lattice_basis(m, k)
+        basis = relation_lattice_basis([(m, k)])
         count = 0
         idx = [0] * M
 
@@ -73,9 +117,10 @@ def test_relation_lattice_brute_force():
 
 
 def test_intersection():
-    b1 = relation_lattice_basis(7, [1, 1])
-    b2 = relation_lattice_basis(11, [1, 1])
-    inter = intersect_lattices(b1, b2)
+    # a window's lattice is the intersection of its instances' lattices
+    b1 = relation_lattice_basis([(7, [1, 1])])
+    b2 = relation_lattice_basis([(11, [1, 1])])
+    inter = relation_lattice_basis([(7, [1, 1]), (11, [1, 1])])
     assert in_lattice(inter, [1, -1])
     assert not in_lattice(inter, [1, 0])
     # intersection membership = membership in both
@@ -127,19 +172,129 @@ def test_lll_first_vector_quality():
 
 
 def test_shortest_relation():
-    inter = intersect_lattices(
-        intersect_lattices(
-            relation_lattice_basis(7, [1, 1]), relation_lattice_basis(11, [1, 1])
-        ),
-        relation_lattice_basis(13, [1, 1]),
-    )
+    inter = relation_lattice_basis([(7, [1, 1]), (11, [1, 1]), (13, [1, 1])])
     assert shortest_relation(inter) == [1, -1]
+    assert shortest_relation([]) is None
+    assert shortest_relation([[0, 0, 0]]) is None
+
+
+def test_shortest_relation_beats_lll_rows():
+    basis = relation_lattice_basis([(K_MOD, K_ROW), (K_MOD, K_ROW)])
+    assert min(max(map(abs, v)) for v in lll_reduce(basis)) == 6
+    rel = shortest_relation(basis)
+    assert rel == [4, -2, 3, -4, 3, 5]
+    assert in_lattice(basis, rel) and sum(a * b for a, b in zip(rel, K_ROW)) % K_MOD == 0
+
+
+def _coefficients(rows, v):
+    """The c with sum_j c_j * rows[j] = v, for square invertible rows, by
+    Gauss-Jordan elimination on Fractions."""
+    n = len(rows)
+    a = [[Fraction(rows[j][i]) for j in range(n)] + [Fraction(v[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+# lattices with two shortest relations that differ beyond their sign, neither
+# an LLL row
+TIES = [[(989, [831, 404, 488])], [(618, [113, 117, 219])], [(454, [48, 308, 213])],
+        [(285, [270, 101, 75, 16])]]
+
+
+def test_shortest_relation_brute_force():
+    # against every relation in [-R, R]^M, R the returned max-norm: none is
+    # shorter, and the tie rule picks the first LLL row of max-norm R, else
+    # the least coefficient vector on the LLL basis, sign-normalized
+    rng = random.Random(23)
+    windows = [[(rng.randint(2, 40), [rng.randint(0, 39) for _ in range(M)])
+                for _ in range(rng.randint(1, 2))]
+               for M in (rng.randint(1, 4) for _ in range(150))]
+    for window in TIES + windows:
+        M = len(window[0][1])
+        basis = relation_lattice_basis(window)
+        red = lll_reduce(basis)
+        rel = shortest_relation(basis)
+        R = max(map(abs, rel))
+        member = _relations(window)
+        shortest = [n for n in itertools.product(range(-R, R + 1), repeat=M)
+                    if any(n) and member(n)]
+        assert min(max(map(abs, n)) for n in shortest) == R, (window, rel)
+        rows = [v for v in red if max(map(abs, v)) == R]
+        want = rows[0] if rows else min(
+            (n for n in shortest if max(map(abs, n)) == R),
+            key=lambda n: _coefficients(red, n))
+        want = list(want) if next(a for a in want if a) > 0 else [-a for a in want]
+        assert rel == want, (window, rel)
+
+
+def _short_combinations(rows, r2):
+    """Every nonzero c with |sum c_i rows_i|^2 <= r2, by a fixed-radius
+    enumeration on Fraction Gram-Schmidt data (mu, |b*_i|^2)."""
+    n = len(rows)
+    star, mu = [], [[Fraction(0)] * n for _ in range(n)]
+    for i, b in enumerate(rows):
+        v = [Fraction(x) for x in b]
+        for j, s in enumerate(star):
+            mu[i][j] = sum(x * y for x, y in zip(b, s)) / sum(y * y for y in s)
+            v = [x - mu[i][j] * y for x, y in zip(v, s)]
+        star.append(v)
+    B = [sum(x * x for x in s) for s in star]
+    out = []
+
+    def rec(i, c, used):
+        if i < 0:
+            if any(c):
+                out.append(tuple(c))
+            return
+        center = -sum(c[j] * mu[j][i] for j in range(i + 1, n))
+        reach = math.isqrt(math.floor((r2 - used) / B[i])) + 1
+        for x in range(math.floor(center) - reach, math.ceil(center) + reach + 1):
+            u = used + B[i] * (x - center) ** 2
+            if u <= r2:
+                rec(i - 1, c[:i] + [x] + c[i + 1:], u)
+
+    rec(n - 1, [0] * n, Fraction(0))
+    return out
+
+
+def test_shortest_relation_matches_fraction_enumeration():
+    # on lattices whose LLL rows miss the least max-norm R: no relation is
+    # shorter, and of those of max-norm R the one with the least coefficient
+    # vector on the LLL basis is returned, sign-normalized
+    rng = random.Random(0)
+    checked = 0
+    while checked < 6:
+        M, m = rng.randint(5, 6), rng.randint(2, 10**6)
+        basis = relation_lattice_basis([(m, [rng.randrange(m) for _ in range(M)])])
+        red, rel = lll_reduce(basis), shortest_relation(basis)
+        R = max(map(abs, rel))
+        if min(max(map(abs, v)) for v in red) == R:
+            continue
+        checked += 1
+        vecs = [(c, [sum(x * y for x, y in zip(c, col)) for col in zip(*red)])
+                for c in _short_combinations(red, M * R * R)]
+        norm, _, want = min((max(map(abs, v)), c, v) for c, v in vecs)
+        assert norm == R
+        assert rel == (want if next(a for a in want if a) > 0 else [-a for a in want])
+
+
+def test_shortest_relation_node_budget(monkeypatch):
+    basis = relation_lattice_basis([(K_MOD, K_ROW)])
+    monkeypatch.setattr(lattice, "ENUM_NODES", 5)
+    with pytest.raises(ValueError, match="over 5 search nodes"):
+        shortest_relation(basis)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.lists(st.integers(-9, 9), min_size=1, max_size=3))
 def test_relation_lattice_membership_property(m, k):
-    basis = relation_lattice_basis(m, k)
+    basis = relation_lattice_basis([(m, k)])
     for n in ([1] + [0] * (len(k) - 1), list(k), [m] * len(k)):
         direct = sum(a * b for a, b in zip(n, k)) % m == 0
         assert in_lattice(basis, n) == direct
