@@ -3,6 +3,8 @@
 Exact input: every layer takes a caller's rational through `as_fraction`,
 which refuses a float (0.1 would read as 3602879701896397/36028797018963968),
 a complex, a Decimal or text (the parsers' business) with TypeError.
+Numeric input goes through `as_float` and `as_complex`, which refuse a
+Decimal and text.
 
 Integers: the primes, divisors, Euler's phi, factorization, the floor
 k-th root and floor sums, all in integer arithmetic.  Polynomials in Q[x]
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from numbers import Rational
+from numbers import Complex, Rational, Real
 
 _ZERO = Fraction(0)
 
@@ -31,6 +33,20 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, Rational):  # numpy integers: keep no numpy scalar inside
         return Fraction(int(x.numerator), int(x.denominator))
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def as_float(x) -> float:
+    """float(x) for a numbers.Real; TypeError otherwise (text, a Decimal)."""
+    if not isinstance(x, Real):
+        raise TypeError(f"expected a real number, got {type(x).__name__}")
+    return float(x)
+
+
+def as_complex(x) -> complex:
+    """complex(x) for a numbers.Complex; TypeError otherwise (text, a Decimal)."""
+    if not isinstance(x, Complex):
+        raise TypeError(f"expected a complex number, got {type(x).__name__}")
+    return complex(x)
 
 
 # ------------------------------------------------------------------ integers

@@ -13,7 +13,7 @@ from math import gcd
 from operator import index
 from typing import Sequence
 
-from ._arith import floor_sum
+from ._arith import as_float, floor_sum
 from .lattice import hnf, relation_lattice_basis, shortest_relation
 
 __all__ = [
@@ -33,14 +33,13 @@ TWO_PI = 2.0 * math.pi
 # the block path of arc_count (3 or more arcs) forms r * (k_j mod m) in
 # int64 with r <= m; arc_count refuses m above it at every dimension
 ARC_M_CAP = 10**9
-# least residues per arc_count pool thread.  Medians on 2 CPUs (41
-# interleaved calls) of the block path at m = 200,003 on a radian 2-D box,
-# measured before such boxes moved to the lattice count: serial 10.1-12.2 ms,
-# 2 threads 8.5-11.7 ms, where a pool on unblocked chunks read 9.6-15.5 ms;
-# below m = 200,000 the pool reads 0.80-1.19x of serial (BENCH_20.json)
-_CHUNK_MIN = 100_000
+# least residues per arc_count pool thread.  Medians on 2 CPUs (41-61
+# interleaved calls) of the interval walk on a radian 3-D box, serial/2
+# threads: 2.9/3.5 ms at m = 100,003, 5.3/6.1 at 200,003, 7.4/8.3 at 300,007,
+# 12.5/11.1 at 400,009, 14.7/13.1 at 500,009, 27.7/21.7 at 1,000,003
+_CHUNK_MIN = 200_000
 # residues per arc_count block, 128 KB per int64 array: serial medians at
-# m = 500,009, radian/exact box, 31.4/15.0 ms against 56.1/27.9 unblocked
+# m = 500,009, radian/turn 3-D box, 13.5/13.4 ms; 2^12 16.7/17.1, 2^20 23.8/23.0
 _BLOCK = 1 << 14
 
 
@@ -124,9 +123,9 @@ class Arc:
 
     Turn arcs take Fraction center/halfwidth measured in turns (fractions of
     a full circle) and are decided in exact integer arithmetic at any
-    denominator size; radian arcs take floats and compare with a 1e-12
-    tolerance at the boundary.  `contains` is the one membership test, and
-    `members` lists the same points as integer intervals.
+    denominator size; radian arcs take real numbers (TypeError otherwise)
+    and compare with a 1e-12 tolerance at the boundary.  `members`, the one
+    membership rule, lists the points x/q turns inside as integer intervals.
     """
 
     __slots__ = ("exact", "center_turns", "half_turns", "center", "half")
@@ -140,8 +139,8 @@ class Arc:
             self.half = float(halfwidth) * TWO_PI
         else:
             self.exact = False
-            self.center = float(center) % TWO_PI
-            self.half = float(halfwidth)
+            self.center = as_float(center) % TWO_PI
+            self.half = as_float(halfwidth)
             self.center_turns = None
             self.half_turns = None
             if not math.isfinite(self.center + self.half):
@@ -160,71 +159,42 @@ class Arc:
             return 2 * self.half_turns >= 1
         return 2 * self.half >= TWO_PI
 
-    def _turn_ends(self, q: int) -> tuple[int, int]:
-        """The exact ints A = ceil(lo*q), B = floor((lo + w)*q) of a turn
-        arc, lo = center - halfwidth (mod 1) and w = 2*halfwidth: x/q turns
-        is inside iff B >= A and (x - A) mod q <= B - A."""
-        lo = (self.center_turns - self.half_turns) % 1
-        return math.ceil(lo * q), math.floor((lo + 2 * self.half_turns) * q)
-
     def _offset(self, x, q: int):
         """The radian angle of x/q turns above the arc's low end, before
         reduction mod 2 pi; nondecreasing in x."""
         return x * (TWO_PI / q) - (self.center - self.half)
 
-    def _inside(self, d):
-        """A reduced radian offset within the arc or its 1e-12 boundary band;
-        `members` bisects on the same two bounds."""
-        return (d <= 2 * self.half + 1e-12) | (d >= TWO_PI - 1e-12)
-
-    def contains(self, x, q: int):
-        """Closed-arc membership of the point x/q turns, x an int or an int64
-        array in [0, q): `_turn_ends` decides a turn arc exactly, and a
-        radian arc tests `_offset` mod 2 pi against the boundary band, in
-        the same bits for an int and for an array element."""
-        if self._full():
-            return True
-        if self.exact:
-            a, b = self._turn_ends(q)
-            return b >= a and (x - a) % q <= b - a
-        return self._inside(self._offset(x, q) % TWO_PI)
-
-    def contains_turn(self, t: Fraction) -> bool:
-        """Closed-arc membership of the point at `t` turns.  A radian arc
-        whose denominator does not convert to a float takes the angle from
-        the exact quotient x/q instead."""
-        x, q = t.numerator % t.denominator, t.denominator
-        try:
-            return bool(self.contains(x, q))
-        except OverflowError:  # x/q as one correctly rounded float, out of 1 turn
-            return bool(self._inside(self._offset(x / q, 1) % TWO_PI))
-
     def members(self, q: int) -> list[tuple[int, int]]:
-        """The x in [0, q) with `contains(x, q)`, as disjoint ascending closed
-        intervals (lo, hi).
+        """The x in [0, q) whose point x/q turns lies in the arc, as disjoint
+        ascending closed intervals (lo, hi).
 
-        A turn arc gives them from `_turn_ends`.  A radian arc's `_offset`
-        is nondecreasing in x, so it is cut where the offset reaches 0, 2 pi
-        and 4 pi; within each piece the reduced offset is nondecreasing too,
-        and the members form a prefix (offset <= 2*halfwidth + 1e-12) and a
-        suffix (offset >= 2 pi - 1e-12), both found by bisection on the
-        same float expression as `contains`."""
+        A turn arc with start lo = center - halfwidth (mod 1) and width w
+        holds x iff B >= A and (x - A) mod q <= B - A, A = ceil(lo*q) and
+        B = floor((lo + w)*q).  A radian arc holds x iff d = `_offset`(x, q)
+        mod 2 pi is <= 2*halfwidth + 1e-12 or >= 2 pi - 1e-12.  For a
+        non-full arc and q < 2^50 (callers bound q by ARC_M_CAP or ORBIT_CAP)
+        the offset lies in (-2 pi, 3 pi) and spans less than 2 pi: one cut,
+        where it reaches 0 (if it starts below 0) or else 2 pi, leaves two
+        pieces on which d is nondecreasing, and on each the members form a
+        prefix and a suffix, found by bisection."""
         if self._full():
             return [(0, q - 1)]
         if self.exact:
-            a, b = self._turn_ends(q)
+            lo = (self.center_turns - self.half_turns) % 1
+            a, b = math.ceil(lo * q), math.floor((lo + 2 * self.half_turns) * q)
             if b < a:
                 return []
             if b - a >= q - 1:
                 return [(0, q - 1)]
             wrapped = [(max(a, q) - q, b - q)] if b >= q else []
             return wrapped + ([(a, min(b, q - 1))] if a < q else [])
-        low, high = 2 * self.half + 1e-12, TWO_PI - 1e-12  # the band of `_inside`
-        cuts = [_first(lambda x: self._offset(x, q) >= w, 0, q) for w in (0.0, TWO_PI, 2 * TWO_PI)]
+        low, high = 2 * self.half + 1e-12, TWO_PI - 1e-12
+        wrap = 0.0 if self._offset(0, q) < 0 else TWO_PI
+        cut = _first(lambda x: self._offset(x, q) >= wrap, 0, q)
         out: list[tuple[int, int]] = []
-        for lo, hi in zip([0] + cuts, cuts + [q]):
-            # members are [lo, end) and [start, hi); "not <=" keeps a NaN out
-            end = _first(lambda x: not self._offset(x, q) % TWO_PI <= low, lo, hi)
+        for lo, hi in ((0, cut), (cut, q)):
+            # members are [lo, end) and [start, hi)
+            end = _first(lambda x: self._offset(x, q) % TWO_PI > low, lo, hi)
             start = _first(lambda x: self._offset(x, q) % TWO_PI >= high, lo, hi)
             for a, b in ((lo, hi - 1),) if start <= end else ((lo, end - 1), (start, hi - 1)):
                 if a > b:
@@ -281,19 +251,22 @@ class ArcCountReport:
 
 def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) -> int:
     """Count of r in [lo, hi) whose point ((r*k_j mod m)/m turns)_j lies in
-    the box: one int64 pass of `Arc.contains` per arc, any mix of turn and
-    radian arcs; r*(k_j mod m) <= m^2 fits int64 for m <= ARC_M_CAP.  The
-    range is walked in blocks of _BLOCK residues, so its working memory is a
-    few block-long arrays however long the range is.  `arc_count` uses it
-    for boxes of three or more arcs; at any dimension it is the residue-walk
-    reference of the lattice count."""
+    the box.  Behind a sentinel (-1, -1), a residue x = r*(k_j mod m) mod m
+    is in arc j iff x is at most the end of the last interval of
+    `members(m)` starting at or below it (`np.searchsorted`); r*(k_j mod m)
+    <= m^2 fits int64 for m <= ARC_M_CAP.  The range is walked in blocks of
+    _BLOCK residues, so its working memory does not grow with its length.
+    `arc_count` uses it for boxes of three or more arcs; at any dimension it
+    is the residue-walk check of the lattice count."""
     import numpy as np
+    spans = [np.array([(-1, -1)] + arc.members(m), dtype=np.int64).T for arc in box.arcs]
     count = 0
     for start in range(lo, hi, _BLOCK):
         r = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
         inside = np.ones(len(r), dtype=bool)
-        for kj, arc in zip(k, box.arcs):
-            inside &= arc.contains(r * (kj % m) % m, m)
+        for kj, (starts, ends) in zip(k, spans):
+            x = r * (kj % m) % m
+            inside &= x <= ends[np.searchsorted(starts, x, side="right") - 1]
         count += int(np.count_nonzero(inside))
     return count
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._arith import as_fraction, prime_root_of_unity
+from ._arith import as_complex, as_float, as_fraction, prime_root_of_unity
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 
 __all__ = [
@@ -55,7 +55,8 @@ class SparseExpSum:
     """f(z) = sum_j a_j z^(b_j) with a squared-modulus target mu on mu_d.
 
     Exactly one of two modes: exact (cyclotomic coefficients) or numeric
-    (complex doubles).  Exponents are pairwise distinct integers.
+    (complex doubles from numbers.Complex coefficients and a numbers.Real
+    mu; text raises TypeError).  Exponents are pairwise distinct integers.
     """
 
     d: int
@@ -71,7 +72,8 @@ class SparseExpSum:
             raise ValueError("exponents must be pairwise distinct")
         if self.mode not in ("exact", "numeric"):
             raise ValueError("mode must be 'exact' or 'numeric'")
-        coeff, level = (as_cyclotomic, as_fraction) if self.mode == "exact" else (complex, float)
+        coeff, level = ((as_cyclotomic, as_fraction) if self.mode == "exact"
+                        else (as_complex, as_float))
         object.__setattr__(self, "terms", tuple((index(b), coeff(a)) for b, a in self.terms))
         object.__setattr__(self, "mu", level(self.mu))
         if self.mode == "exact" and self.mu <= 0:
@@ -447,7 +449,8 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     accepted points only.  The reported residual is the pure flatness
     penalty at the best point found.
     Verdicts: residual < 1e-16 "numeric_member", residual > 1e-6 after all
-    restarts "numeric_infeasible", otherwise "unresolved".
+    restarts "numeric_infeasible", otherwise "unresolved".  mu must be a
+    numbers.Real (TypeError otherwise).
     """
     b = list(b)
     if len(set(b)) != len(b):
@@ -457,7 +460,7 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     N = len(b)
     V = _unit_matrix(b, d)
     VH = V.conj().T
-    mu = float(mu)
+    mu = as_float(mu)
     best_total, best_a, best_F = math.inf, None, math.inf
     rng = np.random.default_rng(seed)
     for _ in range(max(1, restarts)):

@@ -353,9 +353,9 @@ def sigma_search(x: RadicalSum, box: ArcBox, eps: float) -> list[GaloisElement]:
     """All Kummer elements whose rotation tuple lies in the box and whose
     conjugate squared modulus lies in [1-eps, 1+eps].
 
-    The l-th rotation angle of r is r_l c_l / d_l = r_l / (d_l/c_l) turns;
-    every r is tested at once by `Arc.contains` on the residues r_l, laid
-    out in itertools.product order like the orbit values.
+    The l-th rotation angle of r is r_l / n_l turns, n_l = d_l/c_l: every r
+    is tested at once by indexing a mask of `Arc.members(n_l)` with the
+    residues r_l, laid out in itertools.product order like the orbit values.
     """
     ctx = x.context
     if len(box.arcs) != ctx.rank:
@@ -363,7 +363,10 @@ def sigma_search(x: RadicalSum, box: ArcBox, eps: float) -> list[GaloisElement]:
     ok = _in_band(np.abs(_orbit_values(x)) ** 2, eps)
     rot = np.indices(ctx.group, dtype=np.int64).reshape(ctx.rank, ctx.orbit_size())
     for arc, r_l, n_l in zip(box.arcs, rot, ctx.group):
-        ok &= arc.contains(r_l, n_l)
+        mask = np.zeros(n_l, dtype=bool)
+        for lo, hi in arc.members(n_l):
+            mask[lo:hi + 1] = True
+        ok &= mask[r_l]
     return [GaloisElement(1, r) for r in itertools.compress(ctx.kummer_elements(), ok)]
 
 

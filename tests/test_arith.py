@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclolab import cyclotomic, flatsums, heights, kummer, radical
+from cyclolab import cyclotomic, equidist, flatsums, heights, kummer, radical
 from cyclolab._arith import (
+    as_complex,
+    as_float,
     as_fraction,
     divisors,
     euler_phi,
@@ -217,3 +219,62 @@ class TestExactGate:
         assert X + np.int64(2) == X + 2 and X == X + np.int64(0)
         assert kummer.rank1_failure(np.int64(4), 2, 4) == kummer.rank1_failure(4, 2, 4)
         assert heights.weil_height(np.array([-2, 0, 1])) == heights.weil_height([-2, 0, 1])
+
+
+# Every library entry point that takes a caller's numeric value, as a
+# function of that value: reals go through `as_float`, complex coefficients
+# through `as_complex`.  Text is read only by the parsers and the CLI.
+REAL_ENTRY_POINTS = {
+    "as_float": as_float,
+    "Arc_center": lambda v: equidist.Arc(v, 0.25),
+    "Arc_halfwidth": lambda v: equidist.Arc(0.5, v),
+    "numeric_sum_mu": lambda v: flatsums.numeric_sum(2, [(0, 1)], v),
+    "flat_search_mu": lambda v: flatsums.flat_search([0, 1], 3, v, restarts=1),
+}
+COMPLEX_ENTRY_POINTS = {
+    "as_complex": as_complex,
+    "numeric_sum_coefficient": lambda v: flatsums.numeric_sum(2, [(0, 1), (1, v)]),
+}
+
+
+class TestNumericGate:
+    @pytest.mark.parametrize("value", ["0.5", Decimal("0.5"), 0.5 + 0j],
+                             ids=["str", "Decimal", "complex"])
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_real_refuses_text(self, entry, value):
+        with pytest.raises(TypeError):
+            REAL_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("value", ["1j", Decimal("0.5")], ids=["str", "Decimal"])
+    @pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRY_POINTS))
+    def test_complex_refuses_text(self, entry, value):
+        with pytest.raises(TypeError):
+            COMPLEX_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("value", [1, 0.5, F(1, 2), np.float64(0.5), np.int64(1), True],
+                             ids=["int", "float", "Fraction", "float64", "int64", "bool"])
+    def test_accepts_reals(self, value):
+        for entry in REAL_ENTRY_POINTS.values():
+            entry(value)
+        for entry in COMPLEX_ENTRY_POINTS.values():
+            entry(value)
+        assert type(as_float(value)) is float and as_float(value) == float(value)
+
+    def test_accepts_complex(self):
+        for value in (0.5j, np.complex128(1 - 2j)):
+            assert as_complex(value) == complex(value)
+            f = flatsums.numeric_sum(2, [(0, 1), (1, value)])
+            assert type(f.terms[1][1]) is complex
+
+    def test_text_sums_refused(self):
+        # each of these built a flat sum, an arc or a search from text
+        with pytest.raises(TypeError):
+            flatsums.numeric_sum(2, [(0, "1"), (1, "1j")], "2")
+        with pytest.raises(TypeError):
+            flatsums.numeric_sum(2, [(0, 1), (1, 1j)], "2")
+        with pytest.raises(TypeError):
+            equidist.Arc("0.5", "0.25")
+        with pytest.raises(TypeError):
+            equidist.Arc(Decimal("0.5"), 0.25)
+        with pytest.raises(TypeError):
+            flatsums.flat_search([0, 1], 3, "1")

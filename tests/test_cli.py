@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import shlex
 import subprocess
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from cyclolab.cli import BINS_CAP, HANDLERS, build_parser, main, _parse_minpoly, _parse_arcs
+from cyclolab import __version__
+from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _csv_cell, _parse_arcs,
+                          _parse_minpoly, _to_csv)
 
 
 def run_cli(capsys, *argv):
@@ -313,10 +317,52 @@ class TestPlumbing:
         code, rec = run_json(capsys, *args)
         assert code == 0 and rec["results"]["value"] == "0"
 
+    def test_cache_other_version_recomputed(self, capsys, tmp_path):
+        # an entry stored by another version is a miss: the record is
+        # computed again and overwrites the entry
+        cache = tmp_path / "cache"
+        args = ["weyl", "--m", "12", "--k", "2,3", "--n", "3,2", "--cache", str(cache),
+                "--no-timing"]
+        _, fresh = run_json(capsys, *args)
+        entry = next(cache.glob("*.json"))
+        entry.write_text(json.dumps({**fresh, "version": "0.0.0", "results": "stale"}))
+        code, rec = run_json(capsys, *args)
+        assert code == 0 and rec == fresh and "cached" not in rec
+        assert json.loads(entry.read_text()) == fresh
+        assert fresh["version"] == __version__
+
     def test_csv_format(self, capsys):
         code, out = run_cli(capsys, "weyl", "--m", "12", "--k", "2,3", "--n", "3,2",
                             "--format", "csv")
         assert code == 0 and out.startswith("key,value")
+
+    def test_csv_list_rows_round_trip(self, capsys):
+        # a list of result dicts: one row per result under the union of the
+        # flattened keys, blank where a result lacks one; a cell with a
+        # comma is quoted and reads back through csv.reader
+        argv = ["sn-survey", "--N", "1", "--dmax", "2", "--no-timing"]
+        _, rec = run_json(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        reason = rec["results"][1]["evidence"]["reason"]
+        assert code == 0 and reason.startswith("gcd(0, d) = d > 1:")
+        assert f'"{reason}"' in out
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["d", "evidence.mu", "evidence.reason", "evidence.verified_exact",
+                          "evidence.witness_coefficients.0", "evidence.witness_exponents.0",
+                          "status"]
+        assert rows == [["1", "1", "", "True", "1 @ 1", "0", "member"],
+                        ["2", "", reason, "", "", "", "excluded"]]
+
+    def test_csv_cells_quote(self):
+        # quotes are doubled inside a quoted cell; commas, quotes and
+        # newlines all round-trip
+        cells = ['say "hi"', "a,b", "two\nlines", "plain"]
+        assert _csv_cell(cells[0]) == '"say ""hi"""' and _csv_cell("plain") == "plain"
+        record = {"results": [{"v": c, "i": i} for i, c in enumerate(cells)]}
+        header, *rows = csv.reader(io.StringIO(_to_csv(record)))
+        assert header == ["i", "v"] and rows == [[str(i), c] for i, c in enumerate(cells)]
+        record = {"results": {"k,1": 'x"y'}}
+        assert list(csv.reader(io.StringIO(_to_csv(record)))) == [["key", "value"], ["k,1", 'x"y']]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rec.json"

@@ -69,6 +69,32 @@ def test_division_by_zero():
         (rational(1, 3) + zeta(3) + zeta(3, 2)).inverse()
 
 
+def test_division_and_negative_powers():
+    rng = random.Random(23)
+    for _ in range(100):
+        x = random_cyclo(rng, D_max=12, coeff_bound=6)
+        y = random_cyclo(rng, D_max=12, coeff_bound=6)
+        if x.is_zero() or y.is_zero():
+            continue
+        q = x / y  # by a cyclotomic, across orders
+        assert q * y == x and q == x * y.inverse()
+        assert 2 / y == 2 * y.inverse() and Fraction(1, 3) / y * y == Fraction(1, 3)
+        n = rng.randint(1, 4)
+        assert y ** -n == (y ** n).inverse() and y ** -n * y ** n == 1
+    assert zeta(5) ** -1 == zeta(5, 4) and zeta(5) ** 0 == 1
+
+
+def test_zero_divisor_raises():
+    x = zeta(5) + 2
+    zero = rational(1, 3) + zeta(3) + zeta(3, 2)  # zero, in a nonzero vector
+    for divide in (lambda: x / CyclotomicNumber.zero(5), lambda: x / zero,
+                   lambda: x / 0, lambda: x / Fraction(0), lambda: 1 / zero,
+                   lambda: Fraction(2, 3) / CyclotomicNumber.zero(4),
+                   lambda: zero ** -1, lambda: CyclotomicNumber.zero(7) ** -3):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+
+
 def test_ring_laws_random():
     rng = random.Random(101)
     for _ in range(500):

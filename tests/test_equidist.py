@@ -25,36 +25,37 @@ from cyclolab.radical import RadicalContext, RadicalSum, _in_band, _orbit_values
 TWO_PI = 2 * math.pi
 
 
-def ref_contains(arc, t):
-    """Reference closed-arc membership of the point at t turns: exact
-    Fraction arithmetic for turn arcs, the float angle float(t) * 2 pi with
-    a 1e-12 boundary band for radian arcs."""
+def ref_member(arc, x, q):
+    """The point rule, the tests' reference for `Arc.members`: is the point
+    x/q turns in the closed arc?  A turn arc is decided in exact Fractions;
+    a radian arc reduces its offset (x * (2 pi/q) - (center - half)) mod 2 pi
+    and compares it with the 1e-12 band at both ends."""
     if arc.exact:
         w = 2 * arc.half_turns
-        return w >= 1 or (t - (arc.center_turns - arc.half_turns)) % 1 <= w
+        return w >= 1 or (Fraction(x, q) - (arc.center_turns - arc.half_turns)) % 1 <= w
     if 2 * arc.half >= TWO_PI:
         return True
-    d = (float(t) * TWO_PI - (arc.center - arc.half)) % TWO_PI
+    d = (x * (TWO_PI / q) - (arc.center - arc.half)) % TWO_PI
     return d <= 2 * arc.half + 1e-12 or d >= TWO_PI - 1e-12
 
 
 def ref_count(m, k, box, lo=1, hi=None):
-    """Brute-force arc count over r in [lo, hi): one Fraction per point."""
+    """Brute-force arc count over r in [lo, hi): the point rule per point."""
     hi = m + 1 if hi is None else hi
     return sum(
-        all(ref_contains(arc, Fraction((r * kj) % m, m)) for kj, arc in zip(k, box.arcs))
+        all(ref_member(arc, (r * kj) % m, m) for kj, arc in zip(k, box.arcs))
         for r in range(lo, hi)
     )
 
 
 def ref_sigma_search(x, box, eps):
-    """Brute-force sigma_search: rotation r_l c_l / d_l turns per coordinate."""
+    """Brute-force sigma_search: rotation r_l / (d_l/c_l) turns per coordinate."""
     ctx = x.context
     vals = abs(_orbit_values(x)) ** 2
     found = []
     for v, r in zip(vals, ctx.kummer_elements()):
         if _in_band(float(v), eps) and all(
-            ref_contains(arc, Fraction(r_l * c_l, d_l) % 1)
+            ref_member(arc, r_l, d_l // c_l)
             for arc, r_l, c_l, d_l in zip(box.arcs, r, ctx.failures, ctx.denominators)
         ):
             found.append(r)
@@ -218,9 +219,10 @@ class TestArcs:
 
     def test_closed_endpoints_exact(self):
         arc = Arc(Fraction(0), Fraction(1, 8))  # [-1/8, 1/8] turns
-        assert arc.contains_turn(Fraction(1, 8))
-        assert arc.contains_turn(Fraction(7, 8))
-        assert not arc.contains_turn(Fraction(1, 7))
+        assert arc.members(8) == [(0, 1), (7, 7)]  # 1/8 and 7/8 turns are inside
+        assert arc.members(7) == [(0, 0)]  # 1/7 and 6/7 turns are not
+        assert ref_member(arc, 1, 8) and ref_member(arc, 7, 8)
+        assert not ref_member(arc, 1, 7) and not ref_member(arc, 6, 7)
 
     def test_count_quarter(self):
         rep = arc_count(RootTupleOrbit(4, (1,)), ArcBox([Arc(0.0, math.pi / 4)]))
@@ -255,7 +257,7 @@ class TestArcs:
             1
             for s in range(1, r + 1)
             if all(
-                box.arcs[j].contains_turn(Fraction((s * orbit.k[j]) % 12, 12))
+                ref_member(box.arcs[j], (s * orbit.k[j]) % 12, 12)
                 for j in range(2)
             )
         )
@@ -354,10 +356,9 @@ class TestArcs:
 
 
 class TestExactMembershipDifferential:
-    """`arc_count`, `sigma_search` and `contains_turn` against the Fraction
-    reference on seeded turn, mixed and radian boxes, with denominators up to
-    10^30 and endpoints on orbit points; `arc_count` (the lattice count in
-    1-D and 2-D) also against the block path."""
+    """`arc_count` (both count paths), `sigma_search` and `Arc.members`
+    against the point rule `ref_member` on seeded turn, mixed and radian
+    boxes, with denominators up to 10^30 and endpoints on orbit points."""
 
     @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
     def test_arc_count(self, kind):
@@ -394,7 +395,7 @@ class TestExactMembershipDifferential:
 
     @pytest.mark.parametrize("kind", ["turn", "radian"])
     def test_members_are_contains(self, kind):
-        # the member intervals list exactly the x with contains(x, q):
+        # the member intervals list exactly the x that the point rule takes:
         # disjoint, ascending, not adjacent, at most four
         rng = random.Random(f"members-{kind}")
         for _ in range(300):
@@ -405,30 +406,20 @@ class TestExactMembershipDifferential:
             assert all(a <= b for a, b in spans)
             assert all(b1 + 1 < a2 for (_, b1), (a2, _) in zip(spans, spans[1:]))
             inside = {x for a, b in spans for x in range(a, b + 1)}
-            assert inside == {x for x in range(q) if arc.contains(x, q)}
-
-    def test_contains_turn_huge_denominator(self):
-        # 10^400 does not convert to a float: the radian angle comes from
-        # the exact quotient instead of raising OverflowError
-        q = 10**400
-        arc = Arc(0.0, 0.5)
-        assert arc.contains_turn(Fraction(1, q))
-        assert arc.contains_turn(Fraction(q - 1, q))
-        assert not arc.contains_turn(Fraction(q // 2 + 1, q))
-        assert not arc.contains_turn(Fraction(q // 2 - 1, q))
-        assert Arc(math.pi, 0.5).contains_turn(Fraction(q // 2 + 1, q))
-        turn = Arc(Fraction(0), Fraction(1, 4))
-        assert turn.contains_turn(Fraction(1, q))
-        assert not turn.contains_turn(Fraction(q // 2 + 1, q))
+            assert inside == {x for x in range(q) if ref_member(arc, x, q)}
 
     @pytest.mark.parametrize("kind", ["turn", "radian"])
     def test_contains_turn(self, kind):
+        # the point at t turns, t anywhere in [-3, 3), is the point x/q of
+        # t mod 1 in lowest terms: `members` at that q takes it iff the rule
+        # does, for arcs drawn against a multiple of q
         rng = random.Random(f"turn-{kind}")
         for _ in range(500):
             q = rng.randint(1, 200)
             arc = random_arc(rng, q, kind)
-            t = Fraction(rng.randrange(-3 * q, 3 * q), q)
-            assert arc.contains_turn(t) == ref_contains(arc, t)
+            t = Fraction(rng.randrange(-3 * q, 3 * q), q) % 1
+            x, q = t.numerator, t.denominator
+            assert any(a <= x <= b for a, b in arc.members(q)) == ref_member(arc, x, q)
 
     @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
     def test_sigma_search(self, kind):
@@ -459,18 +450,17 @@ def box_edges(rng, m, dim):
 
 
 class TestLatticeCount:
-    """The 1-D and 2-D lattice count against the block path on boundary
-    cases; `test_arc_count` compares both with the Fraction reference."""
+    """The 1-D and 2-D lattice count and the block path against a brute walk
+    of the point rule on boundary cases."""
 
     def check(self, m, k, box):
-        assert arc_count(RootTupleOrbit(m, k), box).count == \
+        assert arc_count(RootTupleOrbit(m, k), box).count == ref_count(m, k, box) == \
             _arc_count_chunk(m, k, box, 1, m + 1), (m, k)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_radian_ends_on_and_off_points(self, dim):
-        # the reference here is the block path, which evaluates the same
-        # float angle x * (2 pi/m); ref_count's float(t) * 2 pi can differ in
-        # the last bits, which decides points 1e-12 off an end
+        # the rule evaluates the same float angle x * (2 pi/m) as `members`,
+        # whose last bits decide points 1e-12 off an end
         rng = random.Random(f"lattice-edges-{dim}")
         for _ in range(300):
             m = rng.randint(1, 3000)
