@@ -124,14 +124,19 @@ class Arc:
     Turn arcs take Fraction center/halfwidth measured in turns (fractions of
     a full circle) and are decided in exact integer arithmetic at any
     denominator size; radian arcs take real numbers (TypeError otherwise)
-    and compare with a 1e-12 tolerance at the boundary.  `members`, the one
-    membership rule, lists the points x/q turns inside as integer intervals.
+    and compare with a 1e-12 tolerance at the boundary.  A Fraction paired
+    with any other number is neither, and raises TypeError.  `members`, the
+    one membership rule, lists the points x/q turns inside as integer
+    intervals.
     """
 
     __slots__ = ("exact", "center_turns", "half_turns", "center", "half")
 
     def __init__(self, center, halfwidth):
-        if isinstance(center, Fraction) and isinstance(halfwidth, Fraction):
+        exact = isinstance(center, Fraction)
+        if exact != isinstance(halfwidth, Fraction):
+            raise TypeError("arc center and halfwidth must both be Fractions (turns) or both not")
+        if exact:
             self.exact = True
             self.center_turns = center % 1
             self.half_turns = halfwidth

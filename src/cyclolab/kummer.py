@@ -21,7 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 from ._arith import as_fraction, divisors, euler_phi, factorize, iroot
 from .cyclotomic import CyclotomicNumber, zeta
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 ORACLE_SCALES = (10**25, 10**40)  # lattice scales of `root_membership_oracle`
+_ORACLE_DPS = max(len(str(s)) for s in ORACLE_SCALES) + 25  # its working digits
 
 
 # ----------------------------------------------------------- integer helpers
@@ -55,6 +58,15 @@ def squarefree_part(n: int) -> int:
         if e % 2:
             s *= p
     return s
+
+
+def _positive(n, what: str) -> int:
+    """n as an int (`operator.index`: a float raises TypeError), refused
+    with ValueError unless n >= 1."""
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"{what} must be positive")
+    return n
 
 
 def _nth_root_rational(a: Fraction, n: int) -> Fraction | None:
@@ -91,6 +103,7 @@ def sqrt_in_cyclotomic(a, m: int) -> bool:
     a = as_fraction(a)
     if a == 0:
         raise ValueError("zero radicand")
+    m = _positive(m, "field order m")
     return m % conductor_of_sqrt(a) == 0
 
 
@@ -159,8 +172,8 @@ def has_nth_root_in_cyclotomic(a, e: int, m: int) -> bool:
     a = as_fraction(a)
     if a == 0:
         raise ValueError("zero has no root data")
-    if e < 1:
-        raise ValueError("root order must be positive")
+    e = _positive(e, "root order")
+    m = _positive(m, "field order m")
     if e == 1:
         return True
     mag = abs(a)
@@ -272,6 +285,33 @@ class OracleReport:
     detail: dict
 
 
+@lru_cache(maxsize=None)
+def _zeta_powers(m: int) -> tuple:
+    """zeta_m^i for i < phi(m), at the oracle's working precision."""
+    import mpmath as mp
+
+    with mp.workdps(_ORACLE_DPS):
+        return tuple(mp.e ** (2j * mp.pi * i / m) for i in range(euler_phi(m)))
+
+
+@lru_cache(maxsize=None)
+def _zeta_block(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The phi(m) zeta rows of the oracle's lattice at ORACLE_SCALES[k],
+    LLL-reduced.  Block k > 0 starts from U times its raw rows, U the
+    identity part of block k - 1 (see `root_membership_oracle`)."""
+    import mpmath as mp
+
+    phi = euler_phi(m)
+    U = ([list(r[:phi]) for r in _zeta_block(m, k - 1)] if k else
+         [[1 if j == i else 0 for j in range(phi)] for i in range(phi)])
+    with mp.workdps(_ORACLE_DPS):
+        S = mp.mpf(ORACLE_SCALES[k])
+        pts = [(int(mp.nint(S * z.real)), int(mp.nint(S * z.imag))) for z in _zeta_powers(m)]
+    return tuple(map(tuple, lll_reduce(
+        [u + [0, sum(c * x for c, (x, _) in zip(u, pts)),
+              sum(c * y for c, (_, y) in zip(u, pts))] for u in U])))
+
+
 def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     """Independent membership oracle by integer-relation detection.
 
@@ -284,42 +324,37 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     At each scale S the lattice has one row per power zeta_m^i (i <
     phi(m)): the identity part, a 0 in the beta column, then S times the
     real and imaginary parts, rounded; a last row holds beta.  The phi(m)
-    zeta rows are the same for every tau, so each scale's block is
-    LLL-reduced once per call, when first needed, and every tau reduces
-    only that block plus its beta row.  The reduced block's identity part
-    is the unimodular transform U it applied, so the next scale's block
-    starts from U times its raw zeta rows: the same lattice, already close
-    to reduced (the gradual precision of van Hoeij and Novocin, "Gradual
-    sub-lattice reduction and a new complexity for factoring polynomials",
-    LATIN 2010).
+    zeta rows depend only on m and the scale, so each scale's block is
+    LLL-reduced once per process per (m, scale), when first needed, and
+    kept (`_zeta_block`); every tau reduces only that block plus its beta
+    row.  The inputs are checked before the cache is read, and e * phi(m)
+    <= 64 admits 127 moduli, so at most 254 blocks are ever kept.  The
+    reduced block's identity part is the unimodular transform U it
+    applied, so the next scale's block starts from U times its raw zeta
+    rows: the same lattice, already close to reduced (the gradual
+    precision of van Hoeij and Novocin, "Gradual sub-lattice reduction and
+    a new complexity for factoring polynomials", LATIN 2010).
     """
     import mpmath as mp
 
     a = as_fraction(a)
     if a == 0:
         raise ValueError("zero has no root data")
+    e = _positive(e, "root order")
+    m = _positive(m, "field order m")
     phi = euler_phi(m)
     if e * phi > 64:
         raise ValueError("oracle restricted to tiny cases (e * phi(m) <= 64)")
     parity = 0 if a > 0 else 1
     near_miss = False
-    digits = max(len(str(s)) for s in ORACLE_SCALES) + 25
-    with mp.workdps(digits):
+    zs = _zeta_powers(m)
+    with mp.workdps(_ORACLE_DPS):
         mag = mp.root(abs(mp.mpf(a.numerator)) / mp.mpf(a.denominator), e)
-        zs = [mp.e ** (2j * mp.pi * i / m) for i in range(phi)]
-        blocks = []  # blocks[k]: the reduced zeta rows at ORACLE_SCALES[k]
         for tau in range(parity, 2 * e, 2):
             beta = mag * mp.e ** (1j * mp.pi * tau / e)
             for k, scale in enumerate(ORACLE_SCALES):
                 S = mp.mpf(scale)
-                if k == len(blocks):  # first use of this scale: U times its zeta rows
-                    U = ([r[:phi] for r in blocks[-1]] if blocks else
-                         [[1 if j == i else 0 for j in range(phi)] for i in range(phi)])
-                    pts = [(int(mp.nint(S * z.real)), int(mp.nint(S * z.imag))) for z in zs]
-                    blocks.append(lll_reduce(
-                        [u + [0, sum(c * x for c, (x, _) in zip(u, pts)),
-                              sum(c * y for c, (_, y) in zip(u, pts))] for u in U]))
-                reduced = lll_reduce(blocks[k] + [
+                reduced = lll_reduce(list(_zeta_block(m, k)) + [
                     [0] * phi + [1, int(mp.nint(S * beta.real)), int(mp.nint(S * beta.imag))]])
                 reduced.sort(key=lambda r: max(abs(x) for x in r))
                 for vec in reduced:

@@ -221,13 +221,19 @@ class TestExactGate:
         assert heights.weil_height(np.array([-2, 0, 1])) == heights.weil_height([-2, 0, 1])
 
 
+def _arc_partner(v, x):
+    """x as the other end of an arc with v: a Fraction pairs only with a
+    Fraction (a turn arc), any other real with a float (a radian arc)."""
+    return F(x) if isinstance(v, F) else x
+
+
 # Every library entry point that takes a caller's numeric value, as a
 # function of that value: reals go through `as_float`, complex coefficients
 # through `as_complex`.  Text is read only by the parsers and the CLI.
 REAL_ENTRY_POINTS = {
     "as_float": as_float,
-    "Arc_center": lambda v: equidist.Arc(v, 0.25),
-    "Arc_halfwidth": lambda v: equidist.Arc(0.5, v),
+    "Arc_center": lambda v: equidist.Arc(v, _arc_partner(v, 0.25)),
+    "Arc_halfwidth": lambda v: equidist.Arc(_arc_partner(v, 0.5), v),
     "numeric_sum_mu": lambda v: flatsums.numeric_sum(2, [(0, 1)], v),
     "flat_search_mu": lambda v: flatsums.flat_search([0, 1], 3, v, restarts=1),
 }

@@ -210,6 +210,16 @@ class TestArcs:
         with pytest.raises(ValueError):
             Arc(center, half)
 
+    @pytest.mark.parametrize("center, half", [
+        (Fraction(1, 4), 0), (0, Fraction(1, 8)), (Fraction(1, 4), 0.1), (0.5, Fraction(0)),
+    ])
+    def test_mixed_pair_refused(self, center, half):
+        # neither turns nor radians: Arc(Fraction(1, 4), 0) was a radian arc
+        # at 0.25 rad, with no member x/8, against the turn arc holding 2/8
+        with pytest.raises(TypeError, match="both"):
+            Arc(center, half)
+        assert Arc(Fraction(1, 4), Fraction(0)).members(8) == [(2, 2)]
+
     def test_haar_measure(self):
         assert Arc(0.0, math.pi / 4).haar() == pytest.approx(0.25)
         assert Arc(Fraction(0), Fraction(1, 2)).haar() == 1.0

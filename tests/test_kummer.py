@@ -288,13 +288,56 @@ ORACLE_PIN_CASES = random.Random(16).sample(oracle_grid(), 40) + [
 ORACLE_PIN_DIGEST = "878538e26d154307c8298455510c4546e79aeb673a40a3a0257ef69e27412ffd"
 
 
-def oracle_pin_digest():
+def oracle_pin_digest(reverse=False):
+    """The digest over the reports of ORACLE_PIN_CASES, in their order
+    whichever order they are computed in."""
+    cases = ORACLE_PIN_CASES[::-1] if reverse else ORACLE_PIN_CASES
     reports = []
-    for a, e, m in ORACLE_PIN_CASES:
+    for a, e, m in cases:
         rep = root_membership_oracle(a, e, m)
         reports.append([str(a), e, m, rep.status, rep.certificate, rep.detail])
+    if reverse:
+        reports.reverse()
     blob = json.dumps(reports, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest(), reports
+
+
+class TestOrders:
+    """The root order e and the field order m are positive integers at every
+    entry point that takes them."""
+
+    @pytest.mark.parametrize("entry,args", [
+        ("sqrt_in_cyclotomic", (2, 0)), ("sqrt_in_cyclotomic", (2, -8)),
+        ("has_nth_root_in_cyclotomic", (2, 0, 8)), ("has_nth_root_in_cyclotomic", (2, -1, 8)),
+        ("has_nth_root_in_cyclotomic", (2, 2, 0)), ("has_nth_root_in_cyclotomic", (2, 2, -8)),
+        ("has_nth_root_in_cyclotomic", (2, 1, 0)),
+        ("root_membership_oracle", (2, 0, 8)), ("root_membership_oracle", (2, -1, 8)),
+        ("root_membership_oracle", (2, 2, 0)), ("root_membership_oracle", (2, 2, -8)),
+    ])
+    def test_nonpositive_refused(self, entry, args):
+        with pytest.raises(ValueError, match="must be positive"):
+            getattr(kummer, entry)(*args)
+
+    @pytest.mark.parametrize("entry,args", [
+        ("sqrt_in_cyclotomic", (2, 8.0)),
+        ("has_nth_root_in_cyclotomic", (2, 2.0, 8)), ("has_nth_root_in_cyclotomic", (2, 2, 8.0)),
+        ("root_membership_oracle", (2, 2.0, 8)), ("root_membership_oracle", (2, 2, 8.0)),
+    ])
+    def test_float_refused(self, entry, args):
+        with pytest.raises(TypeError):
+            getattr(kummer, entry)(*args)
+
+    def test_integer_types_accepted(self):
+        import numpy as np
+
+        assert sqrt_in_cyclotomic(2, np.int32(8))
+        assert has_nth_root_in_cyclotomic(2, np.int64(2), np.int32(8))
+        assert has_nth_root_in_cyclotomic(3, True, 5)
+        assert root_membership_oracle(2, np.int64(2), np.int32(8)) == root_membership_oracle(2, 2, 8)
+
+
+def oracle_cache_sizes():
+    return kummer._zeta_block.cache_info().currsize, kummer._zeta_powers.cache_info().currsize
 
 
 class TestOracle:
@@ -307,31 +350,65 @@ class TestOracle:
         assert {(19, "true"), (19, "false"), (23, "true"), (23, "false")} <= tails
         assert got == ORACLE_PIN_DIGEST
 
+    def test_reports_independent_of_cache_order(self):
+        # the reduced zeta blocks are kept per process: a cold cache filled
+        # in reverse order, then read warm, gives the same reports
+        kummer._zeta_block.cache_clear()
+        kummer._zeta_powers.cache_clear()
+        assert oracle_pin_digest(reverse=True)[0] == ORACLE_PIN_DIGEST
+        assert kummer._zeta_block.cache_info().currsize > 0
+        hits = kummer._zeta_block.cache_info().hits
+        assert oracle_pin_digest()[0] == ORACLE_PIN_DIGEST
+        assert kummer._zeta_block.cache_info().hits > hits
+
     @pytest.mark.parametrize("a,e,m", [(2, 2, 5), (-2, 3, 9), (3, 4, 12), (5, 2, 19)])
     def test_lattice_identity(self, a, e, m, monkeypatch, oracle_lattice):
         # every beta lattice LLL sees is the oracle's lattice at its scale,
-        # and the zeta block is reduced once per scale, not once per beta
+        # and the zeta block is reduced once per (m, scale) in a process:
+        # once per scale on the first call, never on a later call at that m
+        kummer._zeta_block.cache_clear()
         inputs = []
         real = kummer.lll_reduce
         monkeypatch.setattr(kummer, "lll_reduce", lambda rows: inputs.append(rows) or real(rows))
-        assert root_membership_oracle(a, e, m).status == "false"  # every (tau, scale) runs
         phi = euler_phi(m)
-        taus = range(0 if a > 0 else 1, 2 * e, 2)
-        blocks = [rows for rows in inputs if len(rows) == phi]
-        lattices = [rows for rows in inputs if len(rows) == phi + 1]
-        assert len(blocks) + len(lattices) == len(inputs)
-        assert len(blocks) == len(kummer.ORACLE_SCALES)
-        assert len(lattices) == len(taus) * len(kummer.ORACLE_SCALES)
 
-        def beta(tau):
+        def beta(a, tau):
             return lambda mp: mp.root(abs(mp.mpf(a)), e) * mp.e ** (1j * mp.pi * tau / e)
 
-        want = [oracle_lattice(m, beta(tau), scale)
-                for tau in taus for scale in kummer.ORACLE_SCALES]
-        for rows, ref in zip(lattices, want):
-            assert hnf(rows) == hnf(ref)
+        def run(a):
+            inputs.clear()
+            assert root_membership_oracle(a, e, m).status == "false"  # every (tau, scale) runs
+            taus = range(0 if a > 0 else 1, 2 * e, 2)
+            blocks = [rows for rows in inputs if len(rows) == phi]
+            lattices = [rows for rows in inputs if len(rows) == phi + 1]
+            assert len(blocks) + len(lattices) == len(inputs)
+            assert len(lattices) == len(taus) * len(kummer.ORACLE_SCALES)
+            want = [oracle_lattice(m, beta(a, tau), scale)
+                    for tau in taus for scale in kummer.ORACLE_SCALES]
+            for rows, ref in zip(lattices, want):
+                assert hnf(rows) == hnf(ref)
+            return blocks
+
+        blocks = run(a)
+        assert len(blocks) == len(kummer.ORACLE_SCALES)
         for rows, scale in zip(blocks, kummer.ORACLE_SCALES):
-            assert hnf(rows) == hnf(oracle_lattice(m, beta(taus[0]), scale)[:phi])
+            assert hnf(rows) == hnf(oracle_lattice(m, beta(a, 0), scale)[:phi])
+        assert run(-a) == []  # same m, another radicand: its beta lattices only
+
+    def test_cached_rows_are_tuples(self):
+        for k in range(len(kummer.ORACLE_SCALES)):
+            block = kummer._zeta_block(12, k)
+            assert type(block) is tuple and len(block) == euler_phi(12)
+            assert all(type(row) is tuple for row in block)
+        assert type(kummer._zeta_powers(12)) is tuple
+
+    @pytest.mark.parametrize("e,m", [(8, 101), (2, 240), (0, 8), (-1, 8), (2, 0), (2, -8)])
+    def test_refused_input_leaves_cache(self, e, m):
+        root_membership_oracle(2, 2, 8)
+        before = oracle_cache_sizes()
+        with pytest.raises(ValueError):
+            root_membership_oracle(2, e, m)
+        assert oracle_cache_sizes() == before
 
     def test_sqrt2_certificate(self):
         rep = root_membership_oracle(2, 2, 8)
@@ -350,6 +427,10 @@ class TestOracle:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="tiny"):
             root_membership_oracle(2, 8, 101)
+        # phi(m) >= sqrt(m/2), so every m with phi(m) <= 64 is at most 8192:
+        # the oracle's cache keys are at most 127 moduli times the scales
+        small = [m for m in range(1, 8193) if euler_phi(m) <= 64]
+        assert len(small) == 127 and max(small) == 240
 
     def test_agreement_sample(self):
         # the full grid runs in the acceptance suite; spot-check here
