@@ -3,10 +3,11 @@ equidistribution counting on the torus, radical Galois orbits, Weil
 heights and Kummer failure constants, at desk scale.
 
 Importing the package loads no layer: each public name below loads its
-submodule (and numpy, for the numeric layers) the first time it is read,
-through the module ``__getattr__`` of PEP 562, and is then cached here.
-``import cyclolab.cli`` stays as light, so a command pays only for the
-layer it runs.
+submodule the first time it is read, through the module ``__getattr__`` of
+PEP 562, and is then cached here.  No submodule loads numpy on import; the
+numeric functions import it when they run, so exact work never pays for it.
+``import cyclolab.cli`` stays lighter still, so a command pays only for the
+code it runs.
 """
 
 import importlib

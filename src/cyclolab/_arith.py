@@ -53,14 +53,17 @@ def as_complex(x) -> complex:
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor of the real k-th root of n >= 0: math.isqrt for k = 2, integer
-    Newton from above otherwise; no float at any size."""
+    """Floor of the real k-th root of n >= 0: math.isqrt for k = 2, 1 for
+    k >= bits(n) (then n < 2^k), integer Newton from above otherwise; no
+    float at any size."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     if k == 1 or n < 2:
         return n
     if k == 2:
         return isqrt(n)
+    if k >= n.bit_length():  # 1 <= root < 2: Newton would form x^(k-1) first
+        return 1
     x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

@@ -1,10 +1,14 @@
 """Command-line front end: subcommand dispatch, JSON/CSV record emission
 and content-addressed result caching.
 
-Importing this module loads neither numpy nor a layer module: each handler
-imports the layer it runs, so a command pays only for its own layer and a
-cache hit for none.  In a one-shot process wall_ms therefore includes that
-first import.
+Importing this module loads only `os`, `sys`, `time`, `math`, `functools`,
+`re` and `typing`: the parser, JSON, the cache's hashing, the exact types
+and every layer are imported where they are used, and each handler imports
+the layer it runs.  numpy loads only in the numeric branch of a layer, so
+the exact commands (`flat-verify` without --numeric, `reduce`, `sn-survey`
+at N <= 2, `factor-out`, `kummer`) never load it, and a cache hit loads no
+layer.  In a one-shot process wall_ms therefore includes the layer's first
+import.
 
 Every run emits one experiment record {command, inputs, results, status,
 seed, version, wall_ms}.  Records rerun with identical inputs and seed
@@ -14,26 +18,21 @@ Exit codes: 0 success, 2 input error, 3 inconclusive.
 """
 from __future__ import annotations
 
-import argparse
 import functools
-import hashlib
-import json
 import math
 import os
 import re
 import sys
-import tempfile
 import time
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._arith import poly_trim
-from .cyclotomic import CyclotomicNumber
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import equidist, radical
+    from .cyclotomic import CyclotomicNumber
 
 CACHE_ENV = "CYCLOLAB_CACHE"
 BINS_CAP = 10**4  # largest `orbit --bins`
@@ -44,25 +43,33 @@ BINS_CAP = 10**4  # largest `orbit --bins`
 
 def _plain(obj):
     """Recursively convert to JSON-ready data: Fractions as "p/q" strings,
-    complex as {re, im}, cyclotomic values as their text form."""
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
-    if isinstance(obj, CyclotomicNumber):
-        return obj.to_text()
-    if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _plain(v) for k, v in asdict(obj).items()}
+    complex as {re, im}, cyclotomic values as their text form.  A plain
+    None, bool, int, float or str returns before any import."""
+    if obj is None or type(obj) in (bool, int, float, str):
+        return obj
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
+    if isinstance(obj, complex):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    from dataclasses import asdict, is_dataclass
+    from fractions import Fraction
+
+    from .cyclotomic import CyclotomicNumber
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
+    if isinstance(obj, CyclotomicNumber):
+        return obj.to_text()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {k: _plain(v) for k, v in asdict(obj).items()}
     if type(obj).__module__ == "numpy":  # scalars and arrays, without importing numpy
         return _plain(obj.tolist())
     return obj
 
 
 def _dumps(payload) -> str:
+    import json
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
 
 
@@ -110,11 +117,14 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _parse_coeffs(text: str) -> list[CyclotomicNumber]:
+    from .cyclotomic import CyclotomicNumber
     return [CyclotomicNumber.parse(part.strip()) for part in text.split(";")]
 
 
 def _parse_arcs(text: str) -> equidist.ArcBox:
     """"x1:eps1,x2:eps2" with radians floats, or 'p/q t' turns: "1/8t:1/16t"."""
+    from fractions import Fraction
+
     from . import equidist
     arcs = []
     for part in text.split(","):
@@ -134,6 +144,7 @@ _MONOMIAL_RE = re.compile(r"(\d*)(?:(x)(?:\^(\d+))?)?")
 def _parse_minpoly(text: str) -> tuple[int, ...]:
     """"x^3-2" style integer polynomials: ascending coefficients with the
     leading zero coefficients trimmed, so "0x^3+x-1" has degree 1."""
+    from ._arith import poly_trim
     text = text.replace(" ", "")
     terms = _TERM_RE.findall(text)
     monomials = [_MONOMIAL_RE.fullmatch(t.lstrip("+-")) for t in terms]
@@ -192,6 +203,8 @@ def _turn_histogram(m: int, k: int):
 
 
 def _handle_flat_verify(args):
+    from fractions import Fraction
+
     from . import flatsums
     mu = Fraction(args.mu)
     if args.numeric:
@@ -224,6 +237,8 @@ def _handle_sn_survey(args):
 
 
 def _handle_reduce(args):
+    from fractions import Fraction
+
     from . import flatsums
     f = flatsums.exact_sum(args.d, _terms(_parse_ints(args.exponents), _parse_coeffs(args.coeffs)),
                            Fraction(args.mu))
@@ -322,9 +337,11 @@ def _handle_factor_out(args):
 
 
 def _handle_height(args):
-    import numpy as np
+    from fractions import Fraction
+
     from . import heights
     if args.radical is not None:
+        import numpy as np
         a = Fraction(args.radical)
         h = heights.radical_height(a, args.n)
         results = {"height": h, "degree": args.n,
@@ -337,6 +354,8 @@ def _handle_height(args):
 
 
 def _handle_kummer(args):
+    from fractions import Fraction
+
     from . import kummer
     a = Fraction(args.a)
     c, degree = kummer.rank1_failure(a, args.d, args.m)
@@ -382,6 +401,7 @@ def _inputs(args) -> dict:
 @functools.cache
 def _common() -> argparse.ArgumentParser:
     """The options every subcommand shares."""
+    import argparse
     c = argparse.ArgumentParser(add_help=False)
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--out", default=None)
@@ -396,6 +416,7 @@ def _common() -> argparse.ArgumentParser:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     p = argparse.ArgumentParser(prog="cyclolab")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -474,6 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_key(command: str, inputs: dict, seed: int) -> str:
+    import hashlib
+    import json
     blob = json.dumps({"command": command, "inputs": _plain(inputs),
                        "seed": seed, "version": __version__},
                       sort_keys=True, separators=(",", ":"))
@@ -482,6 +505,7 @@ def _cache_key(command: str, inputs: dict, seed: int) -> str:
 
 def _cache_read(path: str) -> dict | None:
     """The stored record at `path`, marked cached, or None for a miss."""
+    import json
     try:
         with open(path) as fh:
             stored = json.load(fh)
@@ -498,6 +522,7 @@ def _cache_read(path: str) -> dict | None:
 def _cache_write(path: str, record: dict) -> None:
     """Write through a temp file in the same directory, then rename, so a
     reader never sees a partial entry."""
+    import tempfile
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:

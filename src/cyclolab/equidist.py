@@ -7,6 +7,7 @@ residues in numpy blocks, on a thread pool when m is large."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -313,8 +314,9 @@ def arc_count(orbit: RootTupleOrbit, box: ArcBox, threads: int = 1) -> ArcCountR
     `threads` is not used.  A box of three or more arcs walks the residues:
     the count is a sum of independent block counts, so it does not depend
     on how they are split.  When {1..m} holds two or more ranges of
-    _CHUNK_MIN residues, a pool of `threads` threads counts up to `threads`
-    equal ranges; otherwise the calling thread counts them all.  Each worker
+    _CHUNK_MIN residues, a pool of one thread per range counts up to
+    `threads` equal ranges, and never more than the CPUs this process may
+    run on; otherwise the calling thread counts them all.  Each worker
     walks its range in blocks of _BLOCK residues, so memory does not grow
     with m.  Raises ValueError for m above ARC_M_CAP at every dimension.
     """
@@ -323,14 +325,15 @@ def arc_count(orbit: RootTupleOrbit, box: ArcBox, threads: int = 1) -> ArcCountR
     if orbit.m > ARC_M_CAP:
         raise ValueError(f"arc-count refuses m = {orbit.m} above {ARC_M_CAP}")
     m, k = orbit.m, orbit.k
-    parts = min(threads, m // _CHUNK_MIN)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = min(threads, cpus or 1, m // _CHUNK_MIN)
     if orbit.dim <= 2:
         count = _lattice_count(orbit, box)
     elif parts > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         cuts = [1 + i * m // parts for i in range(parts + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        with ThreadPoolExecutor(max_workers=parts) as ex:
             count = sum(ex.map(lambda lo, hi: _arc_count_chunk(m, k, box, lo, hi),
                                cuts, cuts[1:]))
     else:

@@ -6,6 +6,11 @@ A sum f(z) = sum_j a_j z^(b_j) is "flat at level mu" on mu_d when
 |f(zeta)|^2 = mu for every d-th root of unity zeta.  With mu = 1 this is
 unimodularity; keeping mu rational lets quadratic-phase (chirp) sums, whose
 squared modulus is d, be certified without irrational scaling.
+
+The exact paths (flatness, admissibility, reduction, the N <= 2 survey) run
+in integers and cyclotomic numbers; numpy is imported only by the numeric
+ones (`is_flat` on a numeric sum, `flat_search`, `exponent_bound_scan` and
+the N = 3 survey probes).
 """
 from __future__ import annotations
 
@@ -15,12 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ._arith import as_complex, as_float, as_fraction, prime_root_of_unity
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
+
+if TYPE_CHECKING:
+    import numpy as np  # bound at run time by the searches, the only users of the global
 
 __all__ = [
     "SparseExpSum",
@@ -141,8 +147,16 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
     """Check the three admissibility conditions on an exact sum.
 
     (i) some exponent is 0, (ii) gcd(b_1, ..., b_N, d) = 1, (iii) every
-    nonempty subset of coefficients has nonzero sum (exact).  Subset
-    enumeration is 2^N - 1, so N is capped at 20.
+    nonempty subset of coefficients has nonzero sum (exact).  N is capped
+    at 20.
+
+    zeta_L -> w maps every coefficient into F_p, so a subset with a nonzero
+    residue cannot sum to 0; only residue-0 subsets get the exact check, in
+    ascending mask order.  They are found by meeting in the middle: the
+    2^ceil(N/2) residues of the low half's subsets are filed by value, and
+    each high-half subset, in ascending order, looks up the low masks that
+    cancel it.  Ascending (high, low) is ascending mask order, so the first
+    exact zero found is the one a scan of all 2^N masks finds first.
     """
     if f.mode != "exact":
         raise ValueError("validation requires exact coefficients")
@@ -153,9 +167,6 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
     gcd_one = gcd(f.d, *bs) == 1
     coeffs = [a for _, a in f.terms]
     n = len(coeffs)
-    # exact one-sided filter: zeta_L -> w maps every coefficient into F_p,
-    # so a subset with a nonzero residue cannot sum to 0; only residue-0
-    # subsets get the exact check, in ascending mask order
     L = math.lcm(*(a.order for a in coeffs))
     p = 1 << 61
     while True:
@@ -164,11 +175,21 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
             break
     res = [sum(c.numerator * pow(c.denominator, -1, p) * pow(w, j * (L // a.order), p)
                for j, c in enumerate(a.coeffs) if c) % p for a in coeffs]
-    sums = np.zeros(1 << n, dtype=np.int64 if p < 1 << 62 else object)
-    for i, v in enumerate(res):  # entries stay below 2p < 2^63 before the mod
-        sums[1 << i:2 << i] = (sums[:1 << i] + v) % p
+
+    def subset_residues(values):  # entry `mask` is the residue of that subset
+        sums = [0]
+        for v in values:
+            sums += [(s + v) % p for s in sums]
+        return sums
+
+    h = (n + 1) // 2
+    low: dict[int, list[int]] = {}
+    for lo, s in enumerate(subset_residues(res[:h])):
+        low.setdefault(s, []).append(lo)
+    zero_masks = (hi << h | lo for hi, s in enumerate(subset_residues(res[h:]))
+                  for lo in low.get(-s % p, ()))
     failing = None
-    for mask in map(int, np.flatnonzero(sums == 0)[1:]):
+    for mask in itertools.islice(zero_masks, 1, None):  # the first is the empty set
         subset = tuple(i for i in range(n) if mask >> i & 1)
         if sum((coeffs[i] for i in subset), CyclotomicNumber.zero(1)).is_zero():
             failing = subset
@@ -229,6 +250,7 @@ def is_flat(f: SparseExpSum) -> FlatReport:
         if not (a0 == f.mu):
             return FlatReport(False, 0, None, "exact")
         return FlatReport(True, None, None, "exact")
+    import numpy as np
     vals = _unit_matrix(f.exponents, f.d) @ np.array([a for _, a in f.terms])
     dev = np.abs(np.abs(vals) ** 2 - f.mu)
     worst = int(np.argmax(dev))
@@ -263,6 +285,7 @@ def exponent_bound_scan(M: int, d: int, trials: int, seed: int) -> dict:
             "min_deviation": None,
             "vacuous": True,
         }
+    import numpy as np
 
     def run_trial(t: int) -> tuple[float, dict | None]:
         rng = np.random.default_rng([seed, t])
@@ -405,6 +428,7 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
 
 def _unit_matrix(b: Sequence[int], d: int) -> np.ndarray:
     """V[l, j] = zeta_d^(l * b_j) as complex doubles: f(zeta_d^l) = (V @ a)[l]."""
+    import numpy as np
     return np.exp(2j * np.pi * np.outer(np.arange(d), np.array(b)) / d)
 
 
@@ -415,6 +439,8 @@ def _penalty(a: np.ndarray, V: np.ndarray, mu: float):
     F(a) = sum_l (|f_l|^2 - mu)^2; the barrier pushes coefficients away
     from 0 so the search looks for witnesses with genuinely nonzero terms
     (a sum with a dropped term answers a different membership question).
+    `np` is the module global that the calling search binds, so this inner
+    loop runs no import statement.
     """
     fvals = V @ a
     err = np.abs(fvals) ** 2 - mu
@@ -429,7 +455,7 @@ def _penalty(a: np.ndarray, V: np.ndarray, mu: float):
 def _gradient(a: np.ndarray, VH: np.ndarray, state) -> np.ndarray:
     """Wirtinger gradient d/d(conj a) of F + B from the `state` that
     `_penalty(a, ...)` returned; `VH` is `V.conj().T`, computed once by the
-    caller."""
+    caller; like `_penalty`, it reads the module global `np`."""
     fvals, err, mags, t, active = state
     g = 2.0 * (VH @ (err * fvals))
     if np.any(active):
@@ -450,20 +476,27 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     penalty at the best point found.
     Verdicts: residual < 1e-16 "numeric_member", residual > 1e-6 after all
     restarts "numeric_infeasible", otherwise "unresolved".  mu must be a
-    numbers.Real (TypeError otherwise).
+    finite numbers.Real (TypeError for text, ValueError for NaN or an
+    infinity) and restarts at least 1 (ValueError).
     """
+    global np  # read by `_penalty` and `_gradient`
     b = list(b)
     if len(set(b)) != len(b):
         raise ValueError("exponents must be pairwise distinct")
     if d < 1:
         raise ValueError("d must be positive")
+    mu = as_float(mu)
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    import numpy as np
     N = len(b)
     V = _unit_matrix(b, d)
     VH = V.conj().T
-    mu = as_float(mu)
     best_total, best_a, best_F = math.inf, None, math.inf
     rng = np.random.default_rng(seed)
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         a = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2.0)
         F, B, state = _penalty(a, V, mu)
         g = _gradient(a, VH, state)
@@ -503,6 +536,8 @@ def flat_search_gradient_check(b: Sequence[int], d: int, mu: float = 1.0,
                                h: float = 1e-5) -> float:
     """Max relative error of the analytic gradient against central finite
     differences of the search objective, over random coefficient points."""
+    global np  # read by `_penalty` and `_gradient`
+    import numpy as np
     N = len(b)
     V = _unit_matrix(b, d)
     VH = V.conj().T
@@ -619,6 +654,7 @@ def _survey_one_d(N: int, d: int, restarts: int, seed: int) -> dict:
             },
         }
     # N == 3: numeric probes over exponent patterns modulo d
+    import numpy as np
     reps = sorted(range(-(d // 2) + (0 if d % 2 else 1), d // 2 + 1), key=abs)
     nonzero = [r for r in reps if r % d != 0]
     patterns = [(0, b2, b3) for b2, b3 in itertools.combinations(nonzero, 2)
@@ -647,10 +683,13 @@ def sn_survey(N: int, d_max: int, restarts: int = 8, seed: int = 0) -> list[dict
     Combines exact certificates (stored witnesses, re-verified), exact
     exclusion (no admissible patterns for N = 1, residue-class
     infeasibility for N = 2), the 4^N (N^2 - 1) upper bound, and numeric
-    probes (N = 3, reported as unresolved evidence).
+    probes (N = 3, reported as unresolved evidence).  restarts must be at
+    least 1, as for `flat_search`, even where no probe runs.
     """
     if N > 3:
         raise ValueError("survey too large")
     if N < 1 or d_max < 1:
         raise ValueError("bad survey parameters")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     return [_survey_one_d(N, d, restarts, seed) for d in range(1, d_max + 1)]

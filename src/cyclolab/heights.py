@@ -6,14 +6,15 @@ Minimal-polynomial input (ascending exact rationals, taken through
 here: `_primitive_int` refuses a zero or constant polynomial, and
 `weil_height` and `mahler_measure` refuse a repeated factor, whose multiple
 roots float root-finding cannot separate (M((x-2)^3) would read 8.00004);
-`height_and_measure` gives both from one root pass."""
+`height_and_measure` gives both from one root pass.
+
+numpy is imported by `poly_roots`, the one numeric step, so building an
+`AlgebraicNumber` or its power transform's polynomial loads none."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from ._arith import as_fraction, euler_phi, poly_deriv, poly_divmod, poly_gcd, poly_trim, primes
 
@@ -75,6 +76,7 @@ def poly_roots(coeffs) -> list[complex]:
     ints = _primitive_int(coeffs)
     if len(ints) - 1 > DEGREE_CAP:
         raise ValueError(f"degree exceeds the cap of {DEGREE_CAP}")
+    import numpy as np
     roots = np.roots(list(reversed([float(c) for c in ints])))
     dp = poly_deriv(ints)
 

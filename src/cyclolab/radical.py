@@ -8,6 +8,10 @@ positive real branch alpha^(1/d) > 0 of the fixed embedding; the acting
 Kummer group H = prod_l Z/(d_l/c_l) rotates the l-th radical by
 zeta_(d_l/c_l)^(r_l).  The cyclotomic part acts through coefficients only
 and is enumerated separately (marginal statistics).
+
+numpy is imported by the orbit and energy functions that use it, never by
+a constructor: building a `RadicalContext` or `RadicalSum`, parsing one,
+applying a Galois element or factoring out a division point loads none.
 """
 from __future__ import annotations
 
@@ -18,14 +22,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._arith import as_fraction
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 from .equidist import ArcBox
 from .kummer import rank1_failure, multiplicatively_independent
 from .lattice import relation_lattice_basis, shortest_relation, lll_reduce
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RadicalContext",
@@ -178,12 +184,16 @@ class RadicalSum:
 
     def term_values(self) -> np.ndarray:
         """Complex values z_j of the individual terms at the identity."""
+        import numpy as np
         return np.array([
             a.embed() * self.context.radical_value(k) for a, k in self.terms
         ])
 
     def evaluate(self) -> complex:
-        return complex(self.term_values().sum()) if self.terms else 0j
+        """The value at the identity, summed term by term in Python complex
+        arithmetic."""
+        ctx = self.context
+        return sum((a.embed() * ctx.radical_value(k) for a, k in self.terms), 0j)
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a, _ in self.terms)
@@ -250,6 +260,7 @@ def _orbit_values(x: RadicalSum) -> np.ndarray:
     size = ctx.orbit_size()
     if size > ORBIT_CAP:
         raise ValueError("orbit too large")
+    import numpy as np
     zs = x.term_values()
     total = np.zeros(size, dtype=complex)
     for j, (_, kvec) in enumerate(x.terms):
@@ -263,6 +274,7 @@ def _orbit_values(x: RadicalSum) -> np.ndarray:
 
 def orbit_moduli(x: RadicalSum) -> list[float]:
     """Multiset {|sigma x|^2 : sigma in H}, sorted."""
+    import numpy as np
     return sorted(float(v) for v in np.abs(_orbit_values(x)) ** 2)
 
 
@@ -276,6 +288,7 @@ def _in_band(v, eps: float):
 def d_gamma_eps(x: RadicalSum, eps: float) -> tuple[Fraction, bool]:
     """Fraction of the Kummer orbit with squared modulus in [1-eps, 1+eps],
     plus a concyclicity flag (all orbit moduli equal within 1e-10)."""
+    import numpy as np
     vals = np.abs(_orbit_values(x)) ** 2
     count = int(np.count_nonzero(_in_band(vals, eps)))
     concyclic = bool(np.max(vals) - np.min(vals) < 1e-10)
@@ -293,6 +306,7 @@ def cosine_expansion(x: RadicalSum, sigma: GaloisElement) -> float:
     ctx = x.context
     if ctx.lift_t(sigma.t) != 1:
         raise ValueError("cosine expansion applies to Kummer elements (t = 1)")
+    import numpy as np
     zs = x.term_values()
     mags = np.abs(zs)
     total = float(np.sum(mags**2))
@@ -322,6 +336,7 @@ def marginal_orbit_stats(x: RadicalSum, eps: float) -> dict:
     Those membership bits, one per (t, r), also give the whole-group
     fraction, so the average of the rows must equal it exactly.
     """
+    import numpy as np
     ctx = x.context
     hsize = ctx.orbit_size()
     limit = ORBIT_CAP // (hsize * max(1, x.n_terms))  # units allowed
@@ -360,6 +375,7 @@ def sigma_search(x: RadicalSum, box: ArcBox, eps: float) -> list[GaloisElement]:
     ctx = x.context
     if len(box.arcs) != ctx.rank:
         raise ValueError("box dimension must equal the rank")
+    import numpy as np
     ok = _in_band(np.abs(_orbit_values(x)) ** 2, eps)
     rot = np.indices(ctx.group, dtype=np.int64).reshape(ctx.rank, ctx.orbit_size())
     for arc, r_l, n_l in zip(box.arcs, rot, ctx.group):
@@ -509,6 +525,7 @@ def cosine_identity_sides(xs, eta) -> tuple[float, float]:
           = -eta/2 sum_(i!=j) (x_i - x_j)^2 + (1 + eta(n-1)) sum x_j^2,
 
     each evaluated from numpy outer products of xs."""
+    import numpy as np
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
     sq = float(np.sum(xs**2))
@@ -522,6 +539,7 @@ def cosine_identity_sides(xs, eta) -> tuple[float, float]:
 def term_energy_profile(x: RadicalSum, eps: float, gamma: float | None = None) -> dict:
     """Term energies |z_j|^2, their total, the band fraction, and the
     rearrangement identity at eta = +-sin(gamma * eps)."""
+    import numpy as np
     zs = x.term_values()
     energies = [float(abs(z)) ** 2 for z in zs]
     frac, concyclic = d_gamma_eps(x, eps)

@@ -63,6 +63,20 @@ class TestIntegers:
         if delta == 0:
             assert r == x
 
+    def test_iroot_vs_brute_force_past_bit_length(self):
+        # k up to bits(n) + 3: from k = bits(n) on the root is 1
+        rng = random.Random(5)
+        cases = [(n, k) for n in range(600) for k in range(1, n.bit_length() + 4)]
+        for _ in range(200):
+            n = rng.randrange(2, 2 ** rng.randint(2, 300))
+            bits = n.bit_length()
+            cases += [(n, k) for k in range(max(1, bits - 8), bits + 4)]
+        for n, k in cases:
+            r = 0
+            while (r + 1) ** k <= n:
+                r += 1
+            assert iroot(n, k) == r, (n, k)
+
     def test_factorize(self):
         assert factorize(1) == {}
         assert factorize(-360) == {2: 3, 3: 2, 5: 1}

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -232,6 +234,20 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["flat-search", "--d", "5", "--exponents", "0,1", "--mu", "nan"],
+        ["flat-search", "--d", "5", "--exponents", "0,1", "--mu", "inf"],
+        ["flat-search", "--d", "5", "--exponents", "0,1", "--mu=-inf"],
+        ["flat-search", "--d", "5", "--exponents", "0,1", "--restarts", "0"],
+        ["flat-search", "--d", "5", "--exponents", "0,1", "--restarts", "-3"],
+        ["sn-survey", "--N", "2", "--dmax", "5", "--restarts", "0"],
+        ["sn-survey", "--N", "3", "--dmax", "2", "--restarts", "-3"],
+    ])
+    def test_bad_mu_or_restarts_exit_2(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     @pytest.mark.parametrize("bins", ["0", "-3", str(BINS_CAP + 1), str(10**9)])
     def test_orbit_bins_bounded(self, capsys, monkeypatch, bins):
         # refused before the sum is even parsed
@@ -456,6 +472,23 @@ class TestCacheAndBounds:
     def test_radicand_beyond_float_range(self, capsys):
         code, rec = run_json(capsys, "kummer", "--a", str(10**400), "--d", "2", "--m", "8")
         assert code == 0 and rec["results"] == {"c": 2, "degree": 1}
+
+    @pytest.mark.parametrize("argv", [
+        ["factor-out", "--sum", "1 * 2^(3/100000000000) + 1 * 2^(5/6)"],
+        ["kummer", "--a", "2", "--d", "1000000007", "--m", "1000000007"],
+    ])
+    def test_root_order_past_bit_length_bounded(self, argv):
+        # radical orders far beyond the radicand's bit length: the integer
+        # k-th roots there are 1, and taking them builds no k-bit power
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "cyclolab.cli", *argv, "--no-timing"],
+                              env=env, preexec_fn=cap_memory, capture_output=True, text=True,
+                              timeout=10)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert json.loads(proc.stdout)["status"] == "ok"
 
     def test_unfactorable_radicand_exit_2(self, capsys):
         t0 = time.perf_counter()

@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 
 from cyclolab._arith import euler_phi, factorize, iroot
-from cyclolab.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta
+from cyclolab.cyclotomic import CyclotomicNumber, as_cyclotomic, cyclotomic_polynomial, rational, zeta
+from cyclolab.flatsums import exact_sum, validate_definition
 from cyclolab.heights import resultant
 from cyclolab.kummer import ORACLE_SCALES, squarefree_part
 from cyclolab.lattice import LLL_DELTA, hnf, lll_reduce
@@ -201,3 +202,53 @@ def test_inverse_of_hidden_zero_raises(x):
         x.inverse()
     with pytest.raises(ZeroDivisionError):
         norm_product_inverse(x)
+
+
+def _first_zero_subset(coeffs):
+    """The reference for `validate_definition`'s subset check: the exact sum
+    of every subset, built by doubling, scanned in ascending mask order."""
+    sums = [0 * coeffs[0]] if coeffs else [0]
+    for c in coeffs:
+        sums += [s + c for s in sums]
+    for mask in range(1, len(sums)):
+        if sums[mask] == 0:
+            return tuple(i for i in range(len(coeffs)) if mask >> i & 1)
+    return None
+
+
+def test_validate_definition_vs_subset_scan():
+    # draws from a small pool repeat residues and pair opposites, so most
+    # sets have zero subsets, at varied positions across both halves
+    pool = [rational(1), rational(-1), rational(2), Fraction(1, 2), zeta(3), -zeta(3),
+            zeta(3, 2), zeta(4), -zeta(4), zeta(6), zeta(8) + zeta(8, 7), -zeta(8, 3)]
+    rng = random.Random(7)
+    zero_found = 0
+    for trial in range(120):
+        n = rng.randint(1, 14 if trial % 10 == 0 else 10)
+        coeffs = [rng.choice(pool) for _ in range(n)]
+        if trial % 3 == 0:  # mostly distinct values, one opposite pair
+            coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 9)) * zeta(12, rng.randrange(12))
+                      for _ in range(n)]
+            if n >= 2:
+                i, j = sorted(rng.sample(range(n), 2))
+                coeffs[j] = -coeffs[i]
+        want = _first_zero_subset([as_cyclotomic(c) for c in coeffs])
+        got = validate_definition(exact_sum(1, list(enumerate(coeffs))))
+        assert got.failing_subset == want, coeffs
+        assert got.subset_sums_nonzero == (want is None)
+        zero_found += want is not None
+    assert 40 <= zero_found <= 110
+
+
+_RNG20 = random.Random(20)
+
+
+@pytest.mark.parametrize("ints", [
+    [1, -1] * 10,  # 184,756 zero-sum subsets, the empty one included
+    [2**i for i in range(19)] + [-(2**18 + 1)],  # the only zero: {0, 18, 19}
+    [_RNG20.choice([-1, 1]) * _RNG20.randint(1, 60) for _ in range(20)],
+    [_RNG20.randint(1, 10**6) for _ in range(20)],  # no zero subset
+])
+def test_validate_definition_vs_subset_scan_n20(ints):
+    got = validate_definition(exact_sum(1, [(i, rational(c)) for i, c in enumerate(ints)]))
+    assert got.failing_subset == _first_zero_subset(ints)

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -295,8 +296,9 @@ class TestArcs:
 
     def test_pool_only_for_two_full_chunks(self, monkeypatch):
         # the pool starts only for a box of three or more arcs when m holds
-        # two chunks of _CHUNK_MIN residues, and the count equals a serial
-        # sum over another partition; a 2-D box never starts it
+        # two chunks of _CHUNK_MIN residues and the process may run on two
+        # CPUs, with one thread per chunk, and the count equals a serial sum
+        # over another partition; a 2-D box never starts it
         import concurrent.futures
 
         started = []
@@ -317,11 +319,44 @@ class TestArcs:
         cuts = [1, 12_345, 70_001, m + 1]
         serial = sum(_arc_count_chunk(m, big.k, box, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
         assert arc_count(big, box, threads=4).count == serial
-        assert started == [4]
+        chunks = min(4, len(os.sched_getaffinity(0)), m // _CHUNK_MIN)
+        pools = [chunks] if chunks > 1 else []
+        assert started == pools
         flat = ArcBox(box.arcs[:2])
         assert arc_count(RootTupleOrbit(m, (1, 100)), flat, threads=4).count == \
             _arc_count_chunk(m, (1, 100), flat, 1, m + 1)
-        assert started == [4]
+        assert started == pools
+
+    def test_pool_threads_capped_by_cpus(self, monkeypatch):
+        # a huge --threads starts no more pool threads than the CPUs the
+        # process may run on; the stand-in pool maps serially and starts no
+        # thread, and the count equals the serial walk
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        m = 400_009
+        orbit = RootTupleOrbit(m, (1, 100, 7))
+        box = ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)), Arc(0.5, 2.0),
+                      Arc(Fraction(0), Fraction(1, 3))])
+        count = arc_count(orbit, box, threads=10**6).count
+        assert count == _arc_count_chunk(m, orbit.k, box, 1, m + 1)
+        assert all(workers <= len(os.sched_getaffinity(0)) for workers in started)
+        assert len(started) <= 1
 
     def test_memory_bounded(self):
         # blocks bound the working memory of the 3-D block path at any m;

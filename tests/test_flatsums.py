@@ -339,6 +339,12 @@ class TestFlatSearch:
         assert n_gradient == 1 + accepted
         assert n_gradient < len(totals)
 
+    @pytest.mark.parametrize("kwargs", [{"mu": math.nan}, {"mu": math.inf}, {"mu": -math.inf},
+                                        {"restarts": 0}, {"restarts": -3}])
+    def test_bad_mu_or_restarts_refused(self, kwargs):
+        with pytest.raises(ValueError, match="finite|restarts"):
+            flat_search([0, 1], 5, **{"mu": 1.0, "restarts": 2, **kwargs})
+
 
 class TestSurvey:
     def test_upper_bounds(self):

@@ -1,6 +1,7 @@
 """The package's import boundary: `import cyclolab` and `import cyclolab.cli`
-load no layer module and no numpy; each public name loads its submodule on
-first use and is the object that submodule defines."""
+load no layer module and no numpy; the layers load numpy only in their
+numeric branches, so the exact commands never do; each public name loads
+its submodule on first use and is the object that submodule defines."""
 import importlib
 import json
 import os
@@ -16,15 +17,72 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 LAZY = ("numpy", "mpmath", "cyclolab.flatsums", "cyclolab.equidist", "cyclolab.radical",
         "cyclolab.heights", "cyclolab.kummer", "cyclolab.lattice")
+# what `import cyclolab.cli` leaves to the code that uses it
+CLI_DEFERRED = ("argparse", "hashlib", "json", "dataclasses", "fractions", "tempfile",
+                "cyclolab._arith", "cyclolab.cyclotomic")
+COEFFS = "1/2*z^1 + 1/2*z^7 @ 8;1/2*z^1 + 1/2*z^3 @ 8"
+
+
+def _last_stderr_json(code: str):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 def test_import_loads_no_layer():
     code = ("import json, sys, cyclolab, cyclolab.cli; "
-            f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert json.loads(proc.stdout) == []
+            f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]), file=sys.stderr)")
+    assert _last_stderr_json(code) == []
+
+
+def test_cli_import_defers_its_helpers():
+    # against sys.modules just before the import, since `site` may preload
+    # some of the standard library
+    code = ("import sys; before = set(sys.modules); import cyclolab.cli; "
+            "new = sorted(set(sys.modules) - before); "
+            "import json; print(json.dumps(new), file=sys.stderr)")
+    loaded = _last_stderr_json(code)
+    assert "cyclolab.cli" in loaded
+    assert [m for m in CLI_DEFERRED if m in loaded] == []
+
+
+def test_layer_imports_and_constructors_load_no_numpy():
+    # numpy loads in the numeric functions, never on import or in the
+    # constructors and exact steps of the flatsums, heights and radical layers
+    code = ("import json, sys, cyclolab.flatsums, cyclolab.heights, cyclolab.radical as R; "
+            "from cyclolab.heights import AlgebraicNumber; "
+            "seen = ['numpy' in sys.modules]; "
+            "AlgebraicNumber((-2, 0, 0, 1)); "
+            "x = R.parse_radical_sum('(1/2) * z8^1 * 2^(3/6) + 3^(1/4)'); "
+            "R.apply_galois(R.GaloisElement(3, (1, 1)), x); x.evaluate(); "
+            "R.factor_out_division_point(x); "
+            "seen.append('numpy' in sys.modules); "
+            "R.marginal_orbit_stats(x, 0.5); "
+            "seen.append('numpy' in sys.modules); "
+            "print(json.dumps(seen), file=sys.stderr)")
+    assert _last_stderr_json(code) == [False, False, True]
+
+
+def test_exact_commands_load_no_numpy():
+    # the exact README commands: flat-verify, reduce, sn-survey at N = 1 and
+    # 2, factor-out and kummer; a numeric command then loads it
+    code = ("import json, sys, cyclolab.cli as cli; seen = []; "
+            f"seen.append(cli.main(['flat-verify', '--d', '2', '--exponents', '0,1', "
+            f"'--coeffs', {COEFFS!r}, '--no-timing'])); "
+            f"seen.append(cli.main(['reduce', '--d', '2', '--exponents', '0,1', "
+            f"'--coeffs', {COEFFS!r}, '--no-timing'])); "
+            "seen.append(cli.main(['sn-survey', '--N', '1', '--dmax', '50', '--no-timing'])); "
+            "seen.append(cli.main(['sn-survey', '--N', '2', '--dmax', '50', '--no-timing'])); "
+            "seen.append(cli.main(['factor-out', '--sum', '1 * 2^(3/6) + 1 * 2^(5/6)', "
+            "'--no-timing'])); "
+            "seen.append(cli.main(['kummer', '--a', '2', '--d', '2', '--m', '8', '--oracle', "
+            "'--no-timing'])); "
+            "seen.append('numpy' in sys.modules); "
+            "seen.append(cli.main(['height', '--minpoly', 'x^3-2', '--no-timing'])); "
+            "seen.append('numpy' in sys.modules); "
+            "print(json.dumps(seen), file=sys.stderr)")
+    assert _last_stderr_json(code) == [0, 0, 0, 0, 0, 0, False, 0, True]
 
 
 def test_integer_equidist_commands_load_no_numpy():
@@ -35,10 +93,7 @@ def test_integer_equidist_commands_load_no_numpy():
             "seen.append(cli.main(['strict-check', '--seq', '12:2,3;20:2,3'])); "
             "seen.append('numpy' in sys.modules); "
             "print(json.dumps(seen), file=sys.stderr)")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert json.loads(proc.stderr.splitlines()[-1]) == [False, 0, 0, False]
+    assert _last_stderr_json(code) == [False, 0, 0, False]
 
 
 def test_two_dim_arc_count_loads_no_numpy():
@@ -54,10 +109,7 @@ def test_two_dim_arc_count_loads_no_numpy():
             "'--arcs', '0:0.5,1:0.5,2:0.5', '--no-timing'])); "
             "seen.append('numpy' in sys.modules); "
             "print(json.dumps(seen), file=sys.stderr)")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert json.loads(proc.stderr.splitlines()[-1]) == [0, 0, False, 0, True]
+    assert _last_stderr_json(code) == [0, 0, False, 0, True]
 
 
 def test_exports_are_the_defining_objects():
