@@ -70,7 +70,8 @@ def _plain(obj):
 
 def _dumps(payload) -> str:
     import json
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1,
+                      allow_nan=False)
 
 
 def _flatten(d, prefix=""):
@@ -344,13 +345,16 @@ def _handle_height(args):
         import numpy as np
         a = Fraction(args.radical)
         h = heights.radical_height(a, args.n)
-        results = {"height": h, "degree": args.n,
-                   "mahler_measure": float(np.exp(h * args.n))}
+        with np.errstate(over="ignore"):
+            mahler = float(np.exp(h * args.n))
+        degree = args.n
     else:
         poly = _parse_minpoly(args.minpoly)
         h, mahler = heights.height_and_measure(poly)
-        results = {"height": h, "degree": len(poly) - 1, "mahler_measure": mahler}
-    return results, "ok"
+        degree = len(poly) - 1
+    if not math.isfinite(mahler):
+        raise ValueError("the Mahler measure overflows: not finite as a double")
+    return {"height": h, "degree": degree, "mahler_measure": mahler}, "ok"
 
 
 def _handle_kummer(args):

@@ -14,6 +14,7 @@ the N = 3 survey probes).
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -54,6 +55,7 @@ FLAT_TOL = 1e-9  # numeric flatness tolerance of `is_flat`
 SEARCH_MAX_ITERS = 3000  # descent steps per `flat_search` restart
 BARRIER_RADIUS = 0.05  # coefficients below this modulus are penalised
 BARRIER_WEIGHT = 10.0
+UNIT_MATRIX_CAP = 10**6  # largest d * N of `_unit_matrix` (16 MB of complex doubles)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,8 @@ class SparseExpSum:
 
     Exactly one of two modes: exact (cyclotomic coefficients) or numeric
     (complex doubles from numbers.Complex coefficients and a numbers.Real
-    mu; text raises TypeError).  Exponents are pairwise distinct integers.
+    mu, all finite; text raises TypeError, NaN or an infinity ValueError).
+    Exponents are pairwise distinct integers.
     """
 
     d: int
@@ -84,6 +87,9 @@ class SparseExpSum:
         object.__setattr__(self, "mu", level(self.mu))
         if self.mode == "exact" and self.mu <= 0:
             raise ValueError("mu must be positive")
+        if self.mode == "numeric" and not all(
+                map(cmath.isfinite, (self.mu, *(a for _, a in self.terms)))):
+            raise ValueError("coefficients and mu must be finite")
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -427,7 +433,10 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
 
 
 def _unit_matrix(b: Sequence[int], d: int) -> np.ndarray:
-    """V[l, j] = zeta_d^(l * b_j) as complex doubles: f(zeta_d^l) = (V @ a)[l]."""
+    """V[l, j] = zeta_d^(l * b_j) as complex doubles: f(zeta_d^l) = (V @ a)[l].
+    Refuses d * N above `UNIT_MATRIX_CAP` before it allocates anything."""
+    if (size := d * len(b)) > UNIT_MATRIX_CAP:
+        raise ValueError(f"d * N = {size} exceeds the unit matrix cap {UNIT_MATRIX_CAP}")
     import numpy as np
     return np.exp(2j * np.pi * np.outer(np.arange(d), np.array(b)) / d)
 

@@ -28,7 +28,7 @@ from ._arith import as_fraction
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 from .equidist import ArcBox
 from .kummer import rank1_failure, multiplicatively_independent
-from .lattice import relation_lattice_basis, shortest_relation, lll_reduce
+from .lattice import relation_lattice_basis, shortest_relation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -440,13 +440,14 @@ def factor_out_division_point(x: RadicalSum) -> tuple[RadicalSum, Monomial]:
 def exponent_relation_basis(kmatrix, m: int, threshold: int | None = None) -> dict:
     """Per-column relation data for exponent columns modulo m.
 
-    For each column l a maximal subset J_l is grown greedily: an index
-    joins while the subset's relation lattice mod m has no nonzero vector
-    of max-norm <= floor(sqrt(m)) (the finite-instance stand-in for
-    "no relation").  Every index j then gets integers lambda != 0 and
-    (lambda_mu)_(mu in J_l) with
-    lambda * k_(j,l) + sum_mu lambda_mu k_(mu,l) = 0 (mod m).
-    The combined data theta, Lambda, K satisfies
+    For each column l a maximal subset J_l is grown greedily: index j joins
+    unless the relation lattice mod m of k_(j,l) and the earlier members of
+    J_l has a nonzero vector of max-norm <= threshold (floor(sqrt(m)) by
+    default, the finite-instance stand-in for "a relation").  Otherwise j
+    keeps the least max-norm one, found by `lattice.shortest_relation`:
+    lambda * k_(j,l) + sum_mu lambda_mu k_(mu,l) = 0 (mod m) within the
+    threshold, lambda != 0 since J_l alone has no such relation; a member
+    of J_l gets (1, {j: -1}).  The combined data theta, Lambda, K satisfies
     theta * k_(j,l) = K_(j,l) (mod m).
     """
     kmatrix = [list(map(index, row)) for row in kmatrix]
@@ -456,36 +457,20 @@ def exponent_relation_basis(kmatrix, m: int, threshold: int | None = None) -> di
         threshold = math.isqrt(m)
     nrows = len(kmatrix)
     ncols = len(kmatrix[0]) if nrows else 0
-
-    def has_small_relation(entries: list[int]) -> bool:
-        basis = relation_lattice_basis([(m, entries)])
-        rel = shortest_relation(basis)
-        return rel is not None and max(abs(a) for a in rel) <= threshold
-
     columns = []
     all_lambdas = []
     for l in range(ncols):
         col = [kmatrix[j][l] for j in range(nrows)]
         J: list[int] = []
-        for j in range(nrows):
-            if not has_small_relation([col[mu] for mu in J] + [col[j]]):
-                J.append(j)
         per_j = []
         for j in range(nrows):
-            if j in J:
-                lam, lam_mu = 1, {j: -1}
+            entries = [col[mu] for mu in J] + [col[j]]
+            rel = shortest_relation(relation_lattice_basis([(m, entries)]))
+            if rel is not None and max(map(abs, rel)) <= threshold:
+                lam, lam_mu = rel[-1], dict(zip(J, rel))
             else:
-                lam, lam_mu = None, None
-                if J:
-                    basis = relation_lattice_basis([(m, [col[j]] + [col[mu] for mu in J])])
-                    for vec in lll_reduce(basis):
-                        if vec[0] != 0:
-                            lam = vec[0]
-                            lam_mu = {mu: vec[1 + i] for i, mu in enumerate(J)}
-                            break
-                if lam is None:
-                    lam = m // gcd(m, col[j]) if col[j] % m else 1
-                    lam_mu = {}
+                J.append(j)
+                lam, lam_mu = 1, {j: -1}
             per_j.append({"j": j, "lam": lam, "lam_mu": lam_mu})
             all_lambdas.append(abs(lam))
         columns.append({"column": l, "J": J, "relations": per_j})

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import shlex
@@ -13,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from cyclolab import __version__
-from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _csv_cell, _parse_arcs,
-                          _parse_minpoly, _to_csv)
+from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _csv_cell, _dumps,
+                          _parse_arcs, _parse_minpoly, _to_csv)
 
 
 def run_cli(capsys, *argv):
@@ -228,11 +229,36 @@ class TestCommands:
         ["dgamma", "--sum", "1 * 2^(1/3)", "--eps", "nan"],
         ["sigma-search", "--sum", "1 * 2^(1/3)", "--eps", "inf", "--arcs", "0:1"],
         ["sigma-search", "--sum", "1 * 2^(1/3)", "--eps", "0.1", "--arcs", "nan:1"],
+        ["flat-verify", "--d", "5", "--exponents", "0,1", "--coeffs", "nan;1", "--numeric"],
+        ["flat-verify", "--d", "5", "--exponents", "0,1", "--coeffs", "1;-infj", "--numeric"],
+        ["height", "--radical", "1e400", "--n", "1"],
+        ["height", "--radical", "1e309", "--n", "3"],
     ])
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
     def test_nonfinite_input_exit_2(self, capsys, argv):
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["flat-search", "--d", "100000000", "--exponents", "0,1", "--restarts", "1"],
+        ["flat-verify", "--numeric", "--d", "100000000", "--exponents", "0,1", "--coeffs", "1;1"],
+    ])
+    def test_unit_matrix_bounded_exit_2(self, capsys, monkeypatch, argv):
+        import numpy as np
+
+        def arange(*args, **kwargs):  # the matrix's first allocation
+            raise AssertionError("unit matrix built past the cap")
+        monkeypatch.setattr(np, "arange", arange)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "unit matrix cap" in err
+
+    def test_dumps_refuses_nonfinite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                _dumps({"max_deviation": bad})
+        assert _dumps({"x": 1e308}) == '{\n "x": 1e+308\n}'
 
     @pytest.mark.parametrize("argv", [
         ["flat-search", "--d", "5", "--exponents", "0,1", "--mu", "nan"],

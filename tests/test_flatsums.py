@@ -345,6 +345,23 @@ class TestFlatSearch:
         with pytest.raises(ValueError, match="finite|restarts"):
             flat_search([0, 1], 5, **{"mu": 1.0, "restarts": 2, **kwargs})
 
+    @pytest.mark.parametrize("coeff, mu", [(math.nan, 1.0), (complex(1, math.inf), 1.0),
+                                           (1, math.nan), (1, -math.inf)])
+    def test_numeric_sum_refuses_nonfinite(self, coeff, mu):
+        with pytest.raises(ValueError, match="finite"):
+            numeric_sum(5, [(0, 1), (1, coeff)], mu)
+
+    def test_unit_matrix_cap(self, monkeypatch):
+        # 100x above the largest d * N in use: the N = 3 survey probes
+        assert flatsums.UNIT_MATRIX_CAP >= 100 * 3 * sn_upper_bound(3)
+        monkeypatch.setattr(flatsums, "UNIT_MATRIX_CAP", 10)
+        assert flatsums._unit_matrix([0, 1], 5).shape == (5, 2)
+        for call in (lambda: flatsums._unit_matrix([0, 1], 6),
+                     lambda: flat_search([0, 1, 2], 4, restarts=1),
+                     lambda: is_flat(numeric_sum(11, [(0, 1)]))):
+            with pytest.raises(ValueError, match="unit matrix cap"):
+                call()
+
 
 class TestSurvey:
     def test_upper_bounds(self):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import time
@@ -358,7 +359,7 @@ class TestExponentRelations:
 
     def test_theta_congruence_random(self):
         rng = random.Random(13)
-        for _ in range(30):
+        for _ in range(100):
             m = rng.randint(2, 50)
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 3)
@@ -368,6 +369,43 @@ class TestExponentRelations:
             for j in range(rows):
                 for l in range(cols):
                     assert (theta * K[j][l] - res["K"][j][l]) % m == 0
+            for l, column in enumerate(res["columns"]):
+                for rel in column["relations"]:
+                    lam, lam_mu = rel["lam"], rel["lam_mu"]
+                    assert lam != 0
+                    assert max([abs(lam), *map(abs, lam_mu.values())]) <= res["threshold"]
+                    total = lam * K[rel["j"]][l] + sum(v * K[mu][l] for mu, v in lam_mu.items())
+                    assert total % m == 0
+
+    def test_brute_force(self):
+        """J_l is greedy and each relation outside J_l has the least
+        max-norm of any relation among j and the earlier members of J_l,
+        against every vector of [-T, T]^(|J|+1)."""
+
+        def least_norm(entries, m, T):
+            norms = [max(map(abs, v)) for v in itertools.product(range(-T, T + 1),
+                                                                  repeat=len(entries))
+                     if any(v) and sum(a * k for a, k in zip(v, entries)) % m == 0]
+            return min(norms, default=None)
+
+        rng = random.Random(29)
+        for _ in range(60):
+            m = rng.randint(2, 30)
+            rows, cols = rng.randint(1, 4), rng.randint(1, 2)
+            K = [[rng.randint(-m, m) for _ in range(cols)] for _ in range(rows)]
+            res = exponent_relation_basis(K, m)
+            T = res["threshold"]
+            for l, column in enumerate(res["columns"]):
+                J = column["J"]
+                for rel in column["relations"]:
+                    j = rel["j"]
+                    before = [mu for mu in J if mu < j]
+                    best = least_norm([K[mu][l] for mu in before] + [K[j][l]], m, T)
+                    assert (j in J) == (best is None)
+                    if j not in J:
+                        assert sorted(rel["lam_mu"]) == before
+                        norm = max([abs(rel["lam"]), *map(abs, rel["lam_mu"].values())])
+                        assert norm == best
 
 
 class TestEnergyProfile:
