@@ -275,10 +275,6 @@ class CyclotomicNumber:
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois_conjugate(-1)
 
-    def abs_squared(self) -> "CyclotomicNumber":
-        """x * conj(x); fixed by conjugation, nonnegative real under embedding."""
-        return self * self.conjugate()
-
     def inverse(self) -> "CyclotomicNumber":
         """Multiplicative inverse via extended Euclid against Phi_order."""
         D = self.order

@@ -27,7 +27,7 @@ from ._arith import as_complex, as_float, as_fraction, prime_root_of_unity
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 
 if TYPE_CHECKING:
-    import numpy as np  # bound at run time by the searches, the only users of the global
+    import numpy as np  # bound at run time only by `flat_search`, for `_penalty` and `_gradient`
 
 __all__ = [
     "SparseExpSum",
@@ -45,7 +45,6 @@ __all__ = [
     "ReductionCertificate",
     "reduce_instance",
     "flat_search",
-    "flat_search_gradient_check",
     "sn_upper_bound",
     "sn_survey",
     "known_member_witness",
@@ -98,23 +97,6 @@ class SparseExpSum:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
-
-    def to_numeric(self) -> "SparseExpSum":
-        if self.mode == "numeric":
-            return self
-        return SparseExpSum(
-            self.d,
-            tuple((b, a.embed()) for b, a in self.terms),
-            float(self.mu),
-            mode="numeric",
-        )
-
-    def evaluate_exact(self, l: int) -> CyclotomicNumber:
-        """f(zeta_d^l) as an exact cyclotomic number."""
-        total = CyclotomicNumber.zero(self.d)
-        for b, a in self.terms:
-            total = total + a * zeta(self.d, (l * b) % self.d)
-        return total
 
 
 def exact_sum(d: int, terms, mu=Fraction(1)) -> SparseExpSum:
@@ -538,38 +520,6 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
         "residual": best_F,
         "verdict": verdict,
     }
-
-
-def flat_search_gradient_check(b: Sequence[int], d: int, mu: float = 1.0,
-                               points: int = 100, seed: int = 1,
-                               h: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient against central finite
-    differences of the search objective, over random coefficient points."""
-    global np  # read by `_penalty` and `_gradient`
-    import numpy as np
-    N = len(b)
-    V = _unit_matrix(b, d)
-    VH = V.conj().T
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(points):
-        a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-
-        def total_at(vec):
-            F, B, _ = _penalty(vec, V, mu)
-            return F + B
-
-        g = _gradient(a, VH, _penalty(a, V, mu)[2])
-        analytic = np.concatenate([2 * g.real, 2 * g.imag])
-        numeric = np.empty(2 * N)
-        for i in range(N):
-            for part, off in ((1.0, 0), (1j, N)):
-                delta = np.zeros(N, dtype=complex)
-                delta[i] = part * h
-                numeric[i + off] = (total_at(a + delta) - total_at(a - delta)) / (2 * h)
-        rel = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(analytic), 1e-30)
-        worst = max(worst, float(rel))
-    return worst
 
 
 # -------------------------------------------------------------- membership

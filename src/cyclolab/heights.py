@@ -26,7 +26,6 @@ __all__ = [
     "power_transform",
     "is_root_of_unity",
     "radical_height",
-    "radical_minpoly",
     "poly_roots",
 ]
 
@@ -292,9 +291,3 @@ def radical_height(a, n: int) -> float:
     if n < 1:
         raise ValueError("root order must be a positive integer")
     return math.log(max(a.numerator, a.denominator)) / n
-
-
-def radical_minpoly(a, n: int) -> tuple[int, ...]:
-    """The cleared-denominator polynomial q*x^n - p for a = p/q."""
-    a = as_fraction(a)
-    return tuple([-a.numerator] + [0] * (n - 1) + [a.denominator])

@@ -11,7 +11,7 @@ test are built on it.  `_gram` is the one Gram-Schmidt, shared by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 LLL_DELTA = Fraction(3, 4)  # Lovasz constant of `lll_reduce`
 ENUM_NODES = 20_000  # `shortest_relation` refuses past this many search nodes
@@ -85,14 +85,6 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def hnf_det(basis: list[list[int]]) -> int:
-    """Determinant (covolume) of a full-rank lattice given by any basis."""
-    h = hnf(basis)
-    if len(h) != (len(h[0]) if h else 0):
-        raise ValueError("basis is not full rank")
-    return prod(row[i] for i, row in enumerate(h))
-
-
 def kernel_of_matrix(rows: list[list[int]]) -> list[list[int]]:
     """Basis of {x : x . A = 0} for the row-matrix A (x are row vectors)."""
     H, U = _echelon(rows)
@@ -115,19 +107,6 @@ def relation_lattice_basis(window: list[tuple[int, list[int]]]) -> list[list[int
     rows = [[k[j] for _, k in window] for j in range(M)]
     rows += [[m if i == t else 0 for t in range(len(window))] for i, (m, _) in enumerate(window)]
     return hnf([x[:M] for x in kernel_of_matrix(rows)])
-
-
-def in_lattice(basis_hnf: list[list[int]], vec: list[int]) -> bool:
-    """Membership test against a row-HNF basis via back substitution."""
-    v = list(vec)
-    for r in basis_hnf:
-        pc = next((i for i, a in enumerate(r) if a != 0), None)
-        if pc is not None:
-            q, rem = divmod(v[pc], r[pc])
-            if rem:
-                return False
-            v = [a - q * b for a, b in zip(v, r)]
-    return not any(v)
 
 
 def _gram(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:

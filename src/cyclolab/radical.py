@@ -39,7 +39,6 @@ __all__ = [
     "GaloisElement",
     "Monomial",
     "apply_galois",
-    "compose",
     "orbit_moduli",
     "cosine_expansion",
     "d_gamma_eps",
@@ -195,9 +194,6 @@ class RadicalSum:
         ctx = self.context
         return sum((a.embed() * ctx.radical_value(k) for a, k in self.terms), 0j)
 
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a, _ in self.terms)
-
     def __repr__(self):
         ctx = self.context
         bits = []
@@ -236,18 +232,6 @@ def apply_galois(sigma: GaloisElement, x: RadicalSum) -> RadicalSum:
         b = b * _rotation_factor(ctx, sigma.r, k)
         out.append((b, k))
     return RadicalSum(ctx, out)
-
-
-def compose(sigma: GaloisElement, tau: GaloisElement, context: RadicalContext) -> GaloisElement:
-    """sigma o tau in the semidirect structure: (s, r)(t, q) has cyclotomic
-    part s*t and rotations r_l + s*q_l mod (d_l/c_l)."""
-    s = context.lift_t(sigma.t)
-    t = context.lift_t(tau.t)
-    r = tuple(
-        (rl + s * ql) % nl
-        for rl, ql, nl in zip(sigma.r, tau.r, context.group)
-    )
-    return GaloisElement((s * t) % context.D_work, r)
 
 
 # ------------------------------------------------------------ orbit statistics
@@ -437,14 +421,15 @@ def factor_out_division_point(x: RadicalSum) -> tuple[RadicalSum, Monomial]:
     return y, z
 
 
-def exponent_relation_basis(kmatrix, m: int, threshold: int | None = None) -> dict:
+def exponent_relation_basis(kmatrix, m: int) -> dict:
     """Per-column relation data for exponent columns modulo m.
 
     For each column l a maximal subset J_l is grown greedily: index j joins
     unless the relation lattice mod m of k_(j,l) and the earlier members of
-    J_l has a nonzero vector of max-norm <= threshold (floor(sqrt(m)) by
-    default, the finite-instance stand-in for "a relation").  Otherwise j
-    keeps the least max-norm one, found by `lattice.shortest_relation`:
+    J_l has a nonzero vector of max-norm <= threshold, fixed at
+    floor(sqrt(m)) (the finite-instance stand-in for "a relation") and
+    reported as "threshold".  Otherwise j keeps the least max-norm one,
+    found by `lattice.shortest_relation`:
     lambda * k_(j,l) + sum_mu lambda_mu k_(mu,l) = 0 (mod m) within the
     threshold, lambda != 0 since J_l alone has no such relation; a member
     of J_l gets (1, {j: -1}).  The combined data theta, Lambda, K satisfies
@@ -453,8 +438,7 @@ def exponent_relation_basis(kmatrix, m: int, threshold: int | None = None) -> di
     kmatrix = [list(map(index, row)) for row in kmatrix]
     if m < 1:
         raise ValueError("modulus must be positive")
-    if threshold is None:
-        threshold = math.isqrt(m)
+    threshold = math.isqrt(m)
     nrows = len(kmatrix)
     ncols = len(kmatrix[0]) if nrows else 0
     columns = []
@@ -521,15 +505,15 @@ def cosine_identity_sides(xs, eta) -> tuple[float, float]:
     return lhs, rhs
 
 
-def term_energy_profile(x: RadicalSum, eps: float, gamma: float | None = None) -> dict:
+def term_energy_profile(x: RadicalSum, eps: float) -> dict:
     """Term energies |z_j|^2, their total, the band fraction, and the
-    rearrangement identity at eta = +-sin(gamma * eps)."""
+    rearrangement identity at eta = +-sin(gamma * eps) with
+    gamma = max(1, n_terms), reported as "gamma"."""
     import numpy as np
     zs = x.term_values()
     energies = [float(abs(z)) ** 2 for z in zs]
     frac, concyclic = d_gamma_eps(x, eps)
-    if gamma is None:
-        gamma = float(max(1, x.n_terms))
+    gamma = float(max(1, x.n_terms))
     mags = np.abs(zs)
     checks = {}
     for label, eta in (("eta_plus", math.sin(gamma * eps)),

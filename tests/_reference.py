@@ -1,0 +1,129 @@
+"""Test references: small definitions that only the tests read.
+
+Each checks a library result by an independent route (a membership test by
+back substitution, a covolume by HNF, a sum evaluated term by term, ...),
+so it lives with the tests rather than in `src/`.
+"""
+from __future__ import annotations
+
+from math import prod
+from typing import Sequence
+
+import numpy as np
+
+from cyclolab._arith import as_fraction
+from cyclolab.cyclotomic import CyclotomicNumber, zeta
+from cyclolab.flatsums import SparseExpSum, _gradient, _penalty, _unit_matrix
+from cyclolab.lattice import hnf
+from cyclolab.radical import GaloisElement, RadicalContext
+
+
+# ----------------------------------------------------------------- cyclotomic
+
+
+def abs_squared(x: CyclotomicNumber) -> CyclotomicNumber:
+    """x * conj(x); fixed by conjugation, nonnegative real under embedding."""
+    return x * x.conjugate()
+
+
+# ------------------------------------------------------------------- flatsums
+
+
+def to_numeric(f: SparseExpSum) -> SparseExpSum:
+    if f.mode == "numeric":
+        return f
+    return SparseExpSum(
+        f.d,
+        tuple((b, a.embed()) for b, a in f.terms),
+        float(f.mu),
+        mode="numeric",
+    )
+
+
+def evaluate_exact(f: SparseExpSum, l: int) -> CyclotomicNumber:
+    """f(zeta_d^l) as an exact cyclotomic number."""
+    total = CyclotomicNumber.zero(f.d)
+    for b, a in f.terms:
+        total = total + a * zeta(f.d, (l * b) % f.d)
+    return total
+
+
+def flat_search_gradient_check(b: Sequence[int], d: int, mu: float = 1.0,
+                               points: int = 100, seed: int = 1,
+                               h: float = 1e-5) -> float:
+    """Max relative error of the analytic gradient against central finite
+    differences of the search objective, over random coefficient points.
+
+    `_penalty` and `_gradient` read flatsums' module global `np`, which only
+    `flat_search` binds, so a caller binds it first."""
+    N = len(b)
+    V = _unit_matrix(b, d)
+    VH = V.conj().T
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(points):
+        a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+
+        def total_at(vec):
+            F, B, _ = _penalty(vec, V, mu)
+            return F + B
+
+        g = _gradient(a, VH, _penalty(a, V, mu)[2])
+        analytic = np.concatenate([2 * g.real, 2 * g.imag])
+        numeric = np.empty(2 * N)
+        for i in range(N):
+            for part, off in ((1.0, 0), (1j, N)):
+                delta = np.zeros(N, dtype=complex)
+                delta[i] = part * h
+                numeric[i + off] = (total_at(a + delta) - total_at(a - delta)) / (2 * h)
+        rel = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(analytic), 1e-30)
+        worst = max(worst, float(rel))
+    return worst
+
+
+# -------------------------------------------------------------------- lattice
+
+
+def hnf_det(basis: list[list[int]]) -> int:
+    """Determinant (covolume) of a full-rank lattice given by any basis."""
+    h = hnf(basis)
+    if len(h) != (len(h[0]) if h else 0):
+        raise ValueError("basis is not full rank")
+    return prod(row[i] for i, row in enumerate(h))
+
+
+def in_lattice(basis_hnf: list[list[int]], vec: list[int]) -> bool:
+    """Membership test against a row-HNF basis via back substitution."""
+    v = list(vec)
+    for r in basis_hnf:
+        pc = next((i for i, a in enumerate(r) if a != 0), None)
+        if pc is not None:
+            q, rem = divmod(v[pc], r[pc])
+            if rem:
+                return False
+            v = [a - q * b for a, b in zip(v, r)]
+    return not any(v)
+
+
+# -------------------------------------------------------------------- radical
+
+
+def compose(sigma: GaloisElement, tau: GaloisElement, context: RadicalContext) -> GaloisElement:
+    """sigma o tau in the semidirect structure: (s, r)(t, q) has cyclotomic
+    part s*t and rotations r_l + s*q_l mod (d_l/c_l)."""
+    s = context.lift_t(sigma.t)
+    t = context.lift_t(tau.t)
+    r = tuple(
+        (rl + s * ql) % nl
+        for rl, ql, nl in zip(sigma.r, tau.r, context.group)
+    )
+    return GaloisElement((s * t) % context.D_work, r)
+
+
+# -------------------------------------------------------------------- heights
+
+
+def radical_minpoly(a, n: int) -> tuple[int, ...]:
+    """The cleared-denominator polynomial q*x^n - p for a = p/q."""
+    a = as_fraction(a)
+    return tuple([-a.numerator] + [0] * (n - 1) + [a.denominator])

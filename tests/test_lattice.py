@@ -12,13 +12,13 @@ from cyclolab.kummer import ORACLE_SCALES
 from cyclolab.lattice import (
     LLL_DELTA,
     hnf,
-    hnf_det,
     kernel_of_matrix,
     relation_lattice_basis,
-    in_lattice,
     lll_reduce,
     shortest_relation,
 )
+
+from _reference import hnf_det, in_lattice
 
 # a 6-row relation lattice whose LLL rows have max-norm 6 and whose
 # shortest relation has max-norm 5

@@ -16,7 +16,6 @@ from cyclolab.radical import (
     GaloisElement,
     Monomial,
     apply_galois,
-    compose,
     orbit_moduli,
     cosine_expansion,
     d_gamma_eps,
@@ -29,6 +28,8 @@ from cyclolab.radical import (
     cosine_identity_sides,
     parse_radical_sum,
 )
+
+from _reference import compose
 
 F = Fraction
 
@@ -395,6 +396,7 @@ class TestExponentRelations:
             K = [[rng.randint(-m, m) for _ in range(cols)] for _ in range(rows)]
             res = exponent_relation_basis(K, m)
             T = res["threshold"]
+            assert T == math.isqrt(m)
             for l, column in enumerate(res["columns"]):
                 J = column["J"]
                 for rel in column["relations"]:
@@ -414,6 +416,7 @@ class TestEnergyProfile:
             RadicalSum(RadicalContext([], [], 9), [(zeta(9), ())]), 0.5
         )
         assert abs(prof["total_energy"] - 1.0) < 1e-12
+        assert prof["gamma"] == 1.0
 
     def test_half_plus_half_sqrt2(self):
         ctx = RadicalContext([F(2)], [2], D=1)
@@ -421,6 +424,8 @@ class TestEnergyProfile:
         prof = term_energy_profile(x, 0.5)
         assert abs(prof["total_energy"] - 0.75) < 1e-12
         assert all(c["diff"] < 1e-12 for c in prof["identity_checks"].values())
+        assert prof["gamma"] == 2.0
+        assert prof["identity_checks"]["eta_plus"]["eta"] == math.sin(2.0 * 0.5)
 
     def test_identity_random(self):
         rng = np.random.default_rng(0)
@@ -522,7 +527,54 @@ class TestParsing:
         assert (x.context.generators, x.context.denominators, x.context.D) == context
         assert abs(x.evaluate() - value) < 1e-12
 
+    @pytest.mark.parametrize("text,value,context", [
+        ("z5", cmath.exp(2j * math.pi / 5), ((), (), 5)),
+        ("2^(3)", 8.0, ((F(2),), (1,), 1)),
+    ], ids=["zeta-without-power", "radical-without-denominator"])
+    def test_short_forms(self, text, value, context):
+        x = parse_radical_sum(text)
+        assert (x.context.generators, x.context.denominators, x.context.D) == context
+        assert abs(x.evaluate() - value) < 1e-12
+
     def test_monomial_text(self):
         mono = Monomial((F(2), F(3)), (F(1, 2), F(0)))
         assert mono.to_text() == "2^(1/2)"
         assert abs(mono.value() - math.sqrt(2)) < 1e-14
+
+
+def _sqrt2_sum(D=1):
+    return RadicalSum(RadicalContext([2], [2], D), [(1, (1,))])
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: RadicalContext([2, 3], [2]), "one denominator per generator",
+                 id="context-lengths"),
+    pytest.param(lambda: RadicalContext([2], [0]), "denominators must be positive",
+                 id="context-denominator-0"),
+    pytest.param(lambda: RadicalContext([2], [2], D=0), "cyclotomic order must be positive",
+                 id="context-D-0"),
+    pytest.param(lambda: RadicalContext([2], [2], failures=[3]),
+                 "failures must divide the denominators", id="context-failures"),
+    pytest.param(lambda: RadicalSum(RadicalContext([2], [2]), [(1, (1, 0))]),
+                 "exponent vector length must equal the rank", id="sum-rank"),
+    pytest.param(lambda: apply_galois(GaloisElement(1, (0, 0)), _sqrt2_sum()),
+                 "rotation vector length must equal the rank", id="galois-rank"),
+    pytest.param(lambda: orbit_moduli(RadicalSum(
+        RadicalContext([2, 3], [1009, 1013], failures=[1, 1]), [(1, (1, 1))])),
+                 "orbit too large", id="orbit-cap"),
+    pytest.param(lambda: cosine_expansion(_sqrt2_sum(5), GaloisElement(2, (0,))),
+                 "applies to Kummer elements", id="cosine-t-2"),
+    pytest.param(lambda: sigma_search(_sqrt2_sum(), ArcBox((Arc(0, 0.5), Arc(0, 0.5))), 0.5),
+                 "box dimension must equal the rank", id="sigma-box"),
+    pytest.param(lambda: exponent_relation_basis([[1]], 0), "modulus must be positive",
+                 id="relations-m-0"),
+    pytest.param(lambda: parse_radical_sum("1 * 2^(1/2)", D=0),
+                 "cyclotomic order must be positive", id="parse-D-0"),
+    pytest.param(lambda: parse_radical_sum("2^(1/0)"), "radical denominators must be positive",
+                 id="parse-denominator-0"),
+    pytest.param(lambda: parse_radical_sum("(-2)^(1/2)"), "radical bases must be positive",
+                 id="parse-negative-base"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -1,8 +1,12 @@
 """Static checks on the package source."""
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,6 +56,78 @@ def test_no_unused_imports_in_src():
     found = {str(p.relative_to(SRC)): unused_imports(p.read_text())
              for p in sorted(SRC.rglob("*.py"))}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, node) of every function and class under `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def uncalled_definitions(sources: dict[str, str], elsewhere: str = "",
+                         exported=frozenset()) -> list[str]:
+    """Functions and classes of `sources` (file name -> text) that nothing
+    else names: their name is not a code token of any source outside their
+    own definition (string literals and comments do not count), not a word
+    of the text `elsewhere`, and not in `exported`.  Dunders are exempt."""
+    tokens: dict[str, list[tuple[str, int]]] = {}
+    for fname, text in sources.items():
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                tokens.setdefault(tok.string, []).append((fname, tok.start[0]))
+    found = []
+    for fname, text in sources.items():
+        for qualname, node in _definitions(ast.parse(text)):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in exported:
+                continue
+            if any(f != fname or not node.lineno <= line <= node.end_lineno
+                   for f, line in tokens.get(name, ())):
+                continue
+            if re.search(rf"\b{re.escape(name)}\b", elsewhere):
+                continue
+            found.append(f"{fname}:{qualname} (line {node.lineno})")
+    return found
+
+
+def test_checker_flags_uncalled_definition():
+    sources = {
+        "a.py": ("def used(n):\n"
+                 "    return n\n"
+                 "def recursive(n):\n"
+                 "    return recursive(n - 1) if n else 0\n"
+                 "class Box:\n"
+                 "    def __len__(self):\n"
+                 "        return 0\n"
+                 "    def size(self):  # used\n"
+                 "        return 'used'\n"
+                 "def exported():\n"
+                 "    pass\n"
+                 "def benched():\n"
+                 "    pass\n"),
+        "b.py": "from a import Box, used\nprint(used(1), Box)\n",
+    }
+    assert uncalled_definitions(sources, "wraps a.benched by name", {"exported"}) == [
+        "a.py:recursive (line 3)", "a.py:Box.size (line 8)"]
+
+
+def test_every_definition_has_a_library_caller():
+    """A function or class of `src/` must be called or named by library
+    code, be named in bench/ (the tracer names functions in strings),
+    demos/ or README, or be a public layer name; one only tests use
+    belongs in tests/_reference.py."""
+    import cyclolab
+
+    sources = {p.name: p.read_text() for p in sorted((SRC / "cyclolab").glob("*.py"))}
+    elsewhere = "\n".join(p.read_text() for p in [
+        *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "bench").glob("*.md")),
+        *sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md"])
+    exported = {name for names in cyclolab._LAYERS.values() for name in names}
+    assert uncalled_definitions(sources, elsewhere, exported) == []
 
 
 def test_traced_names_resolve():
