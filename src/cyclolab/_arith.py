@@ -11,7 +11,12 @@ k-th root and floor sums, all in integer arithmetic.  Polynomials in Q[x]
 are ascending coefficient lists of Fractions; a trimmed list has a nonzero
 last entry, so the zero polynomial is [] and a trimmed p has degree
 len(p) - 1.  The algorithms are the textbook ones (Cohen, A Course in
-Computational Algebraic Number Theory, chapters 1 and 3).
+Computational Algebraic Number Theory, chapters 1 and 3); the one F_p[x]
+test, `poly_coprime_mod`, lets a Q[x] decision be certified modulo a prime
+first (von zur Gathen and Gerhard, Modern Computer Algebra, chapter 6).
+
+Work: `check_cap` is the one refusal of work whose cost, counted from the
+inputs before any of it runs, exceeds a cap.
 """
 from __future__ import annotations
 
@@ -47,6 +52,14 @@ def as_complex(x) -> complex:
     if not isinstance(x, Complex):
         raise TypeError(f"expected a complex number, got {type(x).__name__}")
     return complex(x)
+
+
+def check_cap(what: str, cost: int, cap_name: str, cap: int) -> None:
+    """ValueError "<what> = <cost> exceeds the <cap_name> <cap>" when
+    cost > cap: the caller counts the cost from its inputs and calls this
+    before any of the work."""
+    if cost > cap:
+        raise ValueError(f"{what} = {cost} exceeds the {cap_name} {cap}")
 
 
 # ------------------------------------------------------------------ integers
@@ -303,3 +316,24 @@ def poly_gcd(a: list, b: list) -> list:
         return a
     lc = Fraction(a[-1])  # int input stays exact
     return [c / lc for c in a]
+
+
+# ---------------------------------------------------------------- F_p[x]
+
+
+def poly_coprime_mod(a: list[int], b: list[int], p: int) -> bool:
+    """Whether the images of the integer polynomials a and b in F_p[x], p
+    prime, are coprime: Euclid over F_p ends in a nonzero constant.  Two
+    zero images are not coprime; a zero and a nonzero constant are."""
+    a = poly_trim([c % p for c in a])
+    b = poly_trim([c % p for c in b])
+    while b:
+        n = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for k in range(len(a) - 1, n - 1, -1):  # a mod b, from the top
+            c = a[k] * inv % p
+            if c:
+                for j in range(n):
+                    a[k - n + j] = (a[k - n + j] - c * b[j]) % p
+        a, b = b, poly_trim(a[:n])
+    return len(a) == 1

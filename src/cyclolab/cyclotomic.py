@@ -292,6 +292,16 @@ class CyclotomicNumber:
         const = r0[0]
         return _wrap(D, *_over_lcm({j: c / const for j, c in enumerate(s0) if c}))
 
+    # ------------------------------------------------------------- residue
+    def residue(self, p: int, w: int) -> int | None:
+        """The image d^-1 * sum n_j w^j mod p of the normal form under
+        zeta_D -> w, where w has order D modulo the prime p; None when p
+        divides d, which (gcd(d, all n_j) = 1) is exactly when p divides the
+        denominator of some coefficient."""
+        if not self._den % p:
+            return None
+        return sum(n * pow(w, j, p) for j, n in self._num.items()) * pow(self._den, -1, p) % p
+
     # ---------------------------------------------------------- embedding
     def embed(self) -> complex:
         """Complex value under the fixed embedding zeta_D -> e^(2*pi*i/D).

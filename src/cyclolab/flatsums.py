@@ -23,7 +23,7 @@ from math import gcd
 from operator import index
 from typing import TYPE_CHECKING, Sequence
 
-from ._arith import as_complex, as_float, as_fraction, prime_root_of_unity
+from ._arith import as_complex, as_float, as_fraction, check_cap, prime_root_of_unity
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 
 if TYPE_CHECKING:
@@ -55,6 +55,11 @@ SEARCH_MAX_ITERS = 3000  # descent steps per `flat_search` restart
 BARRIER_RADIUS = 0.05  # coefficients below this modulus are penalised
 BARRIER_WEIGHT = 10.0
 UNIT_MATRIX_CAP = 10**6  # largest d * N of `_unit_matrix` (16 MB of complex doubles)
+# largest restarts * SEARCH_MAX_ITERS * d * N of one `flat_search`, and of the
+# probes of one N = 3 `sn_survey` summed; a search at the cap took at most
+# 1.0 s (at d * N = 1) on a 2-CPU x86-64 VM
+SEARCH_WORK_CAP = 2 * 10**6
+SURVEY_ROW_CAP = 10**4  # largest d_max of `sn_survey`
 
 
 @dataclass(frozen=True)
@@ -138,11 +143,14 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
     nonempty subset of coefficients has nonzero sum (exact).  N is capped
     at 20.
 
-    zeta_L -> w maps every coefficient into F_p, so a subset with a nonzero
-    residue cannot sum to 0; only residue-0 subsets get the exact check, in
-    ascending mask order.  They are found by meeting in the middle: the
-    2^ceil(N/2) residues of the low half's subsets are filed by value, and
-    each high-half subset, in ascending order, looks up the low masks that
+    zeta_L -> w (L the lcm of the coefficient orders, p = 1 mod L a prime
+    above 2^61 dividing no coefficient denominator) maps every coefficient
+    into F_p, each read from its sparse normal form by
+    `CyclotomicNumber.residue`, so a subset with a nonzero residue cannot
+    sum to 0; only residue-0 subsets get the exact check, in ascending mask
+    order.  They are found by meeting in the middle: the 2^ceil(N/2)
+    residues of the low half's subsets are filed by value, and each
+    high-half subset, in ascending order, looks up the low masks that
     cancel it.  Ascending (high, low) is ascending mask order, so the first
     exact zero found is the one a scan of all 2^N masks finds first.
     """
@@ -159,10 +167,9 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
     p = 1 << 61
     while True:
         p, w = prime_root_of_unity(L, p)
-        if all(c.denominator % p for a in coeffs for c in a.coeffs):
+        res = [a.residue(p, pow(w, L // a.order, p)) for a in coeffs]
+        if None not in res:
             break
-    res = [sum(c.numerator * pow(c.denominator, -1, p) * pow(w, j * (L // a.order), p)
-               for j, c in enumerate(a.coeffs) if c) % p for a in coeffs]
 
     def subset_residues(values):  # entry `mask` is the residue of that subset
         sums = [0]
@@ -417,8 +424,7 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
 def _unit_matrix(b: Sequence[int], d: int) -> np.ndarray:
     """V[l, j] = zeta_d^(l * b_j) as complex doubles: f(zeta_d^l) = (V @ a)[l].
     Refuses d * N above `UNIT_MATRIX_CAP` before it allocates anything."""
-    if (size := d * len(b)) > UNIT_MATRIX_CAP:
-        raise ValueError(f"d * N = {size} exceeds the unit matrix cap {UNIT_MATRIX_CAP}")
+    check_cap("d * N", d * len(b), "unit matrix cap", UNIT_MATRIX_CAP)
     import numpy as np
     return np.exp(2j * np.pi * np.outer(np.arange(d), np.array(b)) / d)
 
@@ -468,7 +474,9 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     Verdicts: residual < 1e-16 "numeric_member", residual > 1e-6 after all
     restarts "numeric_infeasible", otherwise "unresolved".  mu must be a
     finite numbers.Real (TypeError for text, ValueError for NaN or an
-    infinity) and restarts at least 1 (ValueError).
+    infinity) and restarts at least 1 (ValueError).  Before any work, d * N
+    is held to `UNIT_MATRIX_CAP` and restarts * SEARCH_MAX_ITERS * d * N to
+    `SEARCH_WORK_CAP` (ValueError past either).
     """
     global np  # read by `_penalty` and `_gradient`
     b = list(b)
@@ -481,8 +489,11 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
         raise ValueError("mu must be finite")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    import numpy as np
     N = len(b)
+    check_cap("d * N", d * N, "unit matrix cap", UNIT_MATRIX_CAP)
+    check_cap("restarts * SEARCH_MAX_ITERS * d * N", restarts * SEARCH_MAX_ITERS * d * N,
+              "search work cap", SEARCH_WORK_CAP)
+    import numpy as np
     V = _unit_matrix(b, d)
     VH = V.conj().T
     best_total, best_a, best_F = math.inf, None, math.inf
@@ -567,6 +578,15 @@ def known_member_witness(N: int, d: int) -> SparseExpSum | None:
     return None
 
 
+def _n3_patterns(d: int) -> list[tuple[int, int, int]]:
+    """The exponent patterns (0, b2, b3) an N = 3 survey probes at order d:
+    residues by |r|, pairs in index order, kept when gcd(b2, b3, d) = 1."""
+    reps = sorted(range(-(d // 2) + (0 if d % 2 else 1), d // 2 + 1), key=abs)
+    nonzero = [r for r in reps if r % d != 0]
+    return [(0, b2, b3) for b2, b3 in itertools.combinations(nonzero, 2)
+            if gcd(b2, b3, d) == 1]
+
+
 def _survey_one_d(N: int, d: int, restarts: int, seed: int) -> dict:
     witness = known_member_witness(N, d)
     if witness is not None:
@@ -614,12 +634,8 @@ def _survey_one_d(N: int, d: int, restarts: int, seed: int) -> dict:
         }
     # N == 3: numeric probes over exponent patterns modulo d
     import numpy as np
-    reps = sorted(range(-(d // 2) + (0 if d % 2 else 1), d // 2 + 1), key=abs)
-    nonzero = [r for r in reps if r % d != 0]
-    patterns = [(0, b2, b3) for b2, b3 in itertools.combinations(nonzero, 2)
-                if gcd(b2, b3, d) == 1]
     probes = []
-    for idx, pat in enumerate(patterns):
+    for idx, pat in enumerate(_n3_patterns(d)):
         res = flat_search(list(pat), d, 1.0, restarts=restarts,
                           seed=[seed, d, idx])
         coeffs = np.array(res["coefficients"])
@@ -643,7 +659,10 @@ def sn_survey(N: int, d_max: int, restarts: int = 8, seed: int = 0) -> list[dict
     exclusion (no admissible patterns for N = 1, residue-class
     infeasibility for N = 2), the 4^N (N^2 - 1) upper bound, and numeric
     probes (N = 3, reported as unresolved evidence).  restarts must be at
-    least 1, as for `flat_search`, even where no probe runs.
+    least 1, as for `flat_search`, even where no probe runs.  Before any
+    row, d_max is held to `SURVEY_ROW_CAP` and, at N = 3, the probes'
+    summed restarts * SEARCH_MAX_ITERS * d * N to `SEARCH_WORK_CAP`
+    (ValueError past either).
     """
     if N > 3:
         raise ValueError("survey too large")
@@ -651,4 +670,12 @@ def sn_survey(N: int, d_max: int, restarts: int = 8, seed: int = 0) -> list[dict
         raise ValueError("bad survey parameters")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    check_cap("d_max", d_max, "survey row cap", SURVEY_ROW_CAP)
+    if N == 3:  # orders 1 and 2 have witnesses, orders above the bound no probes
+        work, d = 0, 2
+        while work <= SEARCH_WORK_CAP and d < min(d_max, sn_upper_bound(3)):
+            d += 1  # the sum only grows: stop counting once it is past the cap
+            work += len(_n3_patterns(d)) * restarts * SEARCH_MAX_ITERS * d * N
+        check_cap(f"the probes' restarts * SEARCH_MAX_ITERS * d * N summed over d <= {d}",
+                  work, "search work cap", SEARCH_WORK_CAP)
     return [_survey_one_d(N, d, restarts, seed) for d in range(1, d_max + 1)]

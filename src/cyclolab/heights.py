@@ -8,15 +8,22 @@ here: `_primitive_int` refuses a zero or constant polynomial, and
 roots float root-finding cannot separate (M((x-2)^3) would read 8.00004);
 `height_and_measure` gives both from one root pass.
 
-numpy is imported by `poly_roots`, the one numeric step, so building an
-`AlgebraicNumber` or its power transform's polynomial loads none."""
+The exact steps run on integers.  `_squarefree_part` is certified modulo
+`SQUAREFREE_PRIME` and falls back to the gcd over Q only when that prime is
+degenerate; the rational-root probe picks a small prime at which f stays
+squarefree, by the same F_p test, and Hensel-lifts its roots;
+`power_transform` runs Newton's identities on the algebraic integers
+lc * alpha_i.  numpy is imported by `poly_roots`, the one numeric step, so
+building an `AlgebraicNumber` or its power transform's polynomial loads
+none."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._arith import as_fraction, euler_phi, poly_deriv, poly_divmod, poly_gcd, poly_trim, primes
+from ._arith import (
+    as_fraction, euler_phi, poly_coprime_mod, poly_deriv, poly_divmod, poly_gcd, poly_trim, primes)
 
 __all__ = [
     "AlgebraicNumber",
@@ -31,6 +38,7 @@ __all__ = [
 
 DEGREE_CAP = 64
 POLISH_ITERS = 6  # Newton steps per root in `poly_roots`
+SQUAREFREE_PRIME = (1 << 61) - 1  # the prime of `_squarefree_part`'s certificate
 
 
 # ------------------------------------------------------- poly helpers (Q[x])
@@ -118,34 +126,45 @@ def _horner_mod(cs: list[int], x: int, m: int) -> int:
 
 def _squarefree_part(ints: list[int]) -> list[int]:
     """The primitive f / gcd(f, f') of a primitive nonconstant integer
-    polynomial; it is `ints` itself exactly when `ints` is squarefree."""
-    g = poly_gcd(ints, poly_deriv(ints))
-    return _primitive_int(poly_divmod(ints, g)[0]) if len(g) > 1 else list(ints)
+    polynomial f (ints, or Fractions with denominator 1), as ints; it is f
+    itself exactly when f is squarefree.
+
+    With P = `SQUAREFREE_PRIME`: if P does not divide lc(f) and the images
+    of f and f' in F_P[x] are coprime, then gcd(f, f') = 1 over Q, since a
+    nonconstant primitive common divisor g in Z[x] (Gauss) has lc(g) | lc(f),
+    so its image keeps its degree and divides both images.  Otherwise P is
+    degenerate for f and the exact gcd over Q decides.
+    """
+    f = [int(c) for c in ints]
+    df = poly_deriv(f)
+    if f[-1] % SQUAREFREE_PRIME and poly_coprime_mod(f, df, SQUAREFREE_PRIME):
+        return f
+    g = poly_gcd(f, df)
+    return _primitive_int(poly_divmod(f, g)[0]) if len(g) > 1 else f
 
 
 def _squarefree_rational_roots(f: list[int]) -> list[Fraction]:
     """The rational roots of a squarefree nonconstant integer polynomial f.
 
     With a the leading coefficient, take the least prime p not dividing a
-    at which every root of f mod p is simple.  A rational root s/t has
-    t | a, so it is a p-adic integer and its residue is one of those roots,
-    which Hensel lifting pins mod p^k.  With B the Cauchy bound,
-    |a * s/t| <= |a| * B; once p^k > 2|a|B, a * s/t is the symmetric residue
-    of a times the lift, and an exact integer Horner evaluation decides the
-    candidate.
+    at which f stays squarefree (f and f' coprime in F_p[x], so every root
+    of f mod p is simple); f is squarefree, so only the primes dividing
+    a * disc(f) fail, and each candidate costs one reduction of f mod p.
+    The residues are then scanned once, on the reduced coefficients.  A
+    rational root s/t has t | a, so it is a p-adic integer and its residue
+    is one of those roots, which Hensel lifting pins mod p^k.  With B the
+    Cauchy bound, |a * s/t| <= |a| * B; once p^k > 2|a|B, a * s/t is the
+    symmetric residue of a times the lift, and an exact integer Horner
+    evaluation decides the candidate.
     """
     if f[0] == 0:  # f is squarefree, so x divides it once
         return [Fraction(0)] + (_squarefree_rational_roots(f[1:]) if len(f) > 2 else [])
     df = poly_deriv(f)
     a = f[-1]
     bound = 2 * (abs(a) + max(abs(c) for c in f[:-1]))
-    # f is squarefree, so only the finitely many primes dividing a * disc(f)
-    # can have a multiple root
-    for p in primes():
-        if a % p:
-            roots = [r for r in range(p) if not _horner_mod(f, r, p)]
-            if all(_horner_mod(df, r, p) for r in roots):
-                break
+    p = next(p for p in primes() if a % p and poly_coprime_mod(f, df, p))
+    fp = [c % p for c in f]
+    roots = [r for r in range(p) if not _horner_mod(fp, r, p)]
     found = []
     for r in roots:
         m = p
@@ -231,12 +250,18 @@ def weil_height(alpha) -> float:
 
 
 def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
-    """Defining polynomial of alpha^n from Newton power sums.
+    """Defining polynomial of alpha^n from Newton power sums, in integers.
 
-    Newton's identities give the power sums s_j of the roots alpha_i of
-    the minimal polynomial; s_|n|, s_2|n|, ..., s_deg|n| are the power sums
-    of the alpha_i^|n|, and the same identities run backwards give the
-    monic prod (x - alpha_i^|n|), which is made squarefree and primitive.
+    With lc the leading coefficient, the beta_i = lc * alpha_i are algebraic
+    integers, roots of the monic x^deg + sum R_i x^(deg-i) with
+    R_i = lc^(i-1) * p_(deg-i).  Newton's identities give their power sums
+    S_j = lc^j s_j, all integers; S_k, S_2k, ..., S_deg*k (k = |n|) are the
+    power sums of the beta_i^k, and the same identities run backwards give
+    the elementary symmetric functions B_j = lc^(kj) b_j of the beta_i^k,
+    integers too, so the division of the Newton numerator j * B_j by j is
+    exact.  Row j scaled by lc^(k(deg-j)) is lc^(k deg) b_j, so
+    `_primitive_int` gives the primitive multiple of prod (x - alpha_i^k),
+    which is then made squarefree.
     For n < 0 the coefficients of the |n| result are reversed (alpha must
     be nonzero, which holds since the minimal polynomial is irreducible of
     positive degree with nonzero constant term).
@@ -248,16 +273,18 @@ def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
         raise ValueError("cannot invert zero")
     k = abs(n)
     deg = len(p) - 1
-    r = [Fraction(c, p[-1]) for c in reversed(p)]  # r[i]: coefficient of x^(deg-i)
-    s = [Fraction(deg)]  # s[j] = sum of alpha_i^j
+    lc = p[-1]
+    R = [1] + [lc ** (i - 1) * p[deg - i] for i in range(1, deg + 1)]
+    S = [deg]  # S[j] = sum of beta_i^j
     for j in range(1, deg * k + 1):
-        s.append(-sum(r[i] * s[j - i] for i in range(1, min(j, deg + 1)))
-                 - (j * r[j] if j <= deg else 0))
-    t = s[::k]  # t[j] = sum of (alpha_i^k)^j
-    b = [Fraction(1)]  # b[i]: coefficient of x^(deg-i) in prod (x - alpha_i^k)
+        S.append(-sum(R[i] * S[j - i] for i in range(1, min(j, deg + 1)))
+                 - (j * R[j] if j <= deg else 0))
+    T = S[::k]  # T[j] = sum of (beta_i^k)^j
+    B = [1]  # B[j]: coefficient of x^(deg-j) in prod (x - beta_i^k)
     for j in range(1, deg + 1):
-        b.append(-(t[j] + sum(b[i] * t[j - i] for i in range(1, j))) / j)
-    ints = _squarefree_part(_primitive_int(b[::-1]))
+        B.append(-(T[j] + sum(B[i] * T[j - i] for i in range(1, j))) // j)
+    ints = _squarefree_part(_primitive_int([B[j] * lc ** (k * (deg - j))
+                                            for j in range(deg, -1, -1)]))
     if n < 0:
         ints = _primitive_int(ints[::-1])
     target = alpha.root() ** n

@@ -6,14 +6,19 @@ so it lives with the tests rather than in `src/`.
 """
 from __future__ import annotations
 
-from math import prod
+import math
+from fractions import Fraction
+from math import gcd, prod
 from typing import Sequence
 
 import numpy as np
 
-from cyclolab._arith import as_fraction
+from cyclolab._arith import (
+    as_fraction, poly_deriv, poly_divmod, poly_gcd, prime_root_of_unity)
 from cyclolab.cyclotomic import CyclotomicNumber, zeta
-from cyclolab.flatsums import SparseExpSum, _gradient, _penalty, _unit_matrix
+from cyclolab.flatsums import (
+    SparseExpSum, ValidityReport, _gradient, _penalty, _unit_matrix)
+from cyclolab.heights import AlgebraicNumber, _primitive_int, poly_roots
 from cyclolab.lattice import hnf
 from cyclolab.radical import GaloisElement, RadicalContext
 
@@ -46,6 +51,30 @@ def evaluate_exact(f: SparseExpSum, l: int) -> CyclotomicNumber:
     for b, a in f.terms:
         total = total + a * zeta(f.d, (l * b) % f.d)
     return total
+
+
+def dense_validate_definition(f: SparseExpSum) -> ValidityReport:
+    """`validate_definition` by the dense route: every coefficient expanded
+    to its coefficient vector, reduced fractions mapped one by one into
+    F_p, and every one of the 2^N masks scanned in ascending order."""
+    coeffs = [a for _, a in f.terms]
+    n = len(coeffs)
+    L = math.lcm(*(a.order for a in coeffs))
+    p = 1 << 61
+    while True:
+        p, w = prime_root_of_unity(L, p)
+        if all(c.denominator % p for a in coeffs for c in a.coeffs):
+            break
+    res = [sum(c.numerator * pow(c.denominator, -1, p) * pow(w, j * (L // a.order), p)
+               for j, c in enumerate(a.coeffs) if c) % p for a in coeffs]
+    failing = None
+    for mask in range(1, 1 << n):
+        subset = tuple(i for i in range(n) if mask >> i & 1)
+        if sum(res[i] for i in subset) % p == 0 and sum(
+                (coeffs[i] for i in subset), CyclotomicNumber.zero(1)).is_zero():
+            failing = subset
+            break
+    return ValidityReport(0 in f.exponents, gcd(f.d, *f.exponents) == 1, failing is None, failing)
 
 
 def flat_search_gradient_check(b: Sequence[int], d: int, mu: float = 1.0,
@@ -121,6 +150,37 @@ def compose(sigma: GaloisElement, tau: GaloisElement, context: RadicalContext) -
 
 
 # -------------------------------------------------------------------- heights
+
+
+def gcd_squarefree_part(ints: list) -> list[int]:
+    """The primitive f / gcd(f, f') by the gcd over Q alone."""
+    g = poly_gcd(ints, poly_deriv(ints))
+    return _primitive_int(poly_divmod(ints, g)[0]) if len(g) > 1 else [int(c) for c in ints]
+
+
+def fraction_power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
+    """`power_transform` by Newton's identities over Fraction on the roots
+    alpha_i themselves, squarefree part by `gcd_squarefree_part`; the same
+    root selection."""
+    p = list(alpha.minpoly)
+    k = abs(n)
+    deg = len(p) - 1
+    r = [Fraction(c, p[-1]) for c in reversed(p)]  # r[i]: coefficient of x^(deg-i)
+    s = [Fraction(deg)]  # s[j] = sum of alpha_i^j
+    for j in range(1, deg * k + 1):
+        s.append(-sum(r[i] * s[j - i] for i in range(1, min(j, deg + 1)))
+                 - (j * r[j] if j <= deg else 0))
+    t = s[::k]  # t[j] = sum of (alpha_i^k)^j
+    b = [Fraction(1)]  # b[i]: coefficient of x^(deg-i) in prod (x - alpha_i^k)
+    for j in range(1, deg + 1):
+        b.append(-(t[j] + sum(b[i] * t[j - i] for i in range(1, j))) / j)
+    ints = gcd_squarefree_part(_primitive_int(b[::-1]))
+    if n < 0:
+        ints = _primitive_int(ints[::-1])
+    target = alpha.root() ** n
+    rts = poly_roots(ints)
+    idx = min(range(len(rts)), key=lambda i: abs(rts[i] - target))
+    return AlgebraicNumber(tuple(ints), idx)
 
 
 def radical_minpoly(a, n: int) -> tuple[int, ...]:

@@ -260,6 +260,21 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "unit matrix cap" in err
 
+    @pytest.mark.parametrize("argv, cap", [
+        (["flat-search", "--d", "3", "--exponents", "0,1", "--restarts", "100000000"],
+         "search work cap"),
+        (["flat-search", "--d", "120000", "--exponents", "0,1,2,3,4,5,6,7"], "search work cap"),
+        (["sn-survey", "--N", "2", "--dmax", "100000000"], "survey row cap"),
+        (["sn-survey", "--N", "3", "--dmax", "40"], "search work cap"),
+    ])
+    def test_work_bounded_exit_2(self, capsys, argv, cap):
+        # each ran past 15 s before its cost was counted up front
+        t0 = time.perf_counter()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and cap in err
+        assert time.perf_counter() - t0 < 2.0
+
     def test_dumps_refuses_nonfinite(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):

@@ -370,7 +370,37 @@ class TestFlatSearch:
                 call()
 
 
+    def test_search_work_cap(self, monkeypatch):
+        # restarts * SEARCH_MAX_ITERS * d * N: at the cap the search runs, one
+        # restart past it is refused before the unit matrix is built
+        assert flatsums.SEARCH_WORK_CAP > 50 * flatsums.SEARCH_MAX_ITERS * 5 * 2  # README
+        monkeypatch.setattr(flatsums, "SEARCH_WORK_CAP", 2 * flatsums.SEARCH_MAX_ITERS * 5 * 2)
+        assert flat_search([0, 1], 5, restarts=2)["verdict"] == "numeric_infeasible"
+        monkeypatch.setattr(flatsums, "_unit_matrix", None)
+        with pytest.raises(ValueError, match=r"= 90000 exceeds the search work cap 60000"):
+            flat_search([0, 1], 5, restarts=3)
+
+
 class TestSurvey:
+    def test_row_cap(self, monkeypatch):
+        monkeypatch.setattr(flatsums, "SURVEY_ROW_CAP", 10)
+        assert len(sn_survey(2, 10)) == 10
+        monkeypatch.setattr(flatsums, "_survey_one_d", None)  # refused before any row
+        with pytest.raises(ValueError, match="d_max = 11 exceeds the survey row cap 10"):
+            sn_survey(2, 11)
+
+    def test_n3_probe_work_cap(self, monkeypatch):
+        # the pool's largest N = 3 survey: 1 pattern at d = 3 and 3 at d = 4,
+        # 2 restarts each
+        work = 2 * flatsums.SEARCH_MAX_ITERS * 3 * (1 * 3 + 3 * 4)
+        monkeypatch.setattr(flatsums, "SEARCH_WORK_CAP", work)
+        assert [r["status"] for r in sn_survey(3, 4, restarts=2)][2:] == ["unresolved"] * 2
+        monkeypatch.setattr(flatsums, "SEARCH_WORK_CAP", work - 1)
+        assert len(sn_survey(2, 4, restarts=10**9)) == 4  # no probes below N = 3
+        monkeypatch.setattr(flatsums, "_survey_one_d", None)
+        with pytest.raises(ValueError, match=rf"d <= 4 = {work} exceeds the search work cap"):
+            sn_survey(3, 4, restarts=2)
+
     def test_upper_bounds(self):
         assert sn_upper_bound(1) == 1
         assert sn_upper_bound(2) == 48
