@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 from numbers import Complex, Rational, Real
 
@@ -111,14 +112,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_SIEVE_WINDOW = 1 << 14  # integers per window of `primes`' segmented sieve
+
+
 def primes():
-    """The primes in ascending order, without end."""
+    """The primes in ascending order, without end: `_SMALL_PRIMES`, then a
+    segmented sieve of Eratosthenes over windows of `_SIEVE_WINDOW`
+    integers from 1000 on, each crossed off by the primes up to the square
+    root of its end, which a nested `primes()` supplies."""
     yield from _SMALL_PRIMES
-    n = _SMALL_PRIMES[-1] + 2
+    sieving, base = primes(), []
+    lo = 1000
     while True:
-        if _is_prime(n):
-            yield n
-        n += 2
+        hi = lo + _SIEVE_WINDOW
+        while not base or base[-1] ** 2 < hi:
+            base.append(next(sieving))
+        window = bytearray(b"\1") * _SIEVE_WINDOW
+        for p in base:
+            start = max(p * p, -(-lo // p) * p) - lo
+            window[start::p] = bytes(len(range(start, _SIEVE_WINDOW, p)))
+        yield from compress(range(lo, hi), window)
+        lo = hi
 
 
 @lru_cache(maxsize=None)

@@ -80,6 +80,20 @@ def _reduced(order: int, num: dict, den: int) -> "CyclotomicNumber":
     return _wrap(order, num, den)
 
 
+def _convolve(an: dict, bn: dict, D: int, out: dict) -> dict:
+    """Add the product of the integer group-ring vectors an and bn of
+    Z[C_D] (exponents in [0, D)) into out and return it; out may keep
+    zero entries."""
+    for i, ca in an.items():
+        for j, cb in bn.items():
+            k = i + j
+            if k >= D:
+                k -= D
+            p = ca * cb
+            out[k] = out[k] + p if k in out else p
+    return out
+
+
 def _over_lcm(terms: dict) -> tuple[dict, int]:
     """(num, den) of a map j -> nonzero reduced rational, over the lcm of
     its denominators; no numerator then shares a factor with all of den."""
@@ -203,16 +217,8 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
-        D, an, bn = a.order, a._num, b._num
-        out = {}
-        for i, ca in an.items():
-            for j, cb in bn.items():
-                k = i + j
-                if k >= D:
-                    k -= D
-                p = ca * cb
-                out[k] = out[k] + p if k in out else p
-        return _reduced(D, {k: c for k, c in out.items() if c}, a._den * b._den)
+        out = _convolve(a._num, b._num, a.order, {})
+        return _reduced(a.order, {k: c for k, c in out.items() if c}, a._den * b._den)
 
     __rmul__ = __mul__
 

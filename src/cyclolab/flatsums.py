@@ -10,7 +10,10 @@ squared modulus is d, be certified without irrational scaling.
 The exact paths (flatness, admissibility, reduction, the N <= 2 survey) run
 in integers and cyclotomic numbers; numpy is imported only by the numeric
 ones (`is_flat` on a numeric sum, `flat_search`, `exponent_bound_scan` and
-the N = 3 survey probes).
+the N = 3 survey probes).  Exact flatness convolves the coefficients'
+integer numerators in the group ring Z[C_L], L the lcm of their orders,
+and builds one cyclotomic number per autocorrelation residue (see
+`grouped_autocorrelation`).
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from operator import index
 from typing import TYPE_CHECKING, Sequence
 
 from ._arith import as_complex, as_float, as_fraction, check_cap, prime_root_of_unity
-from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
+from .cyclotomic import CyclotomicNumber, _convolve, _reduced, as_cyclotomic, zeta
 
 if TYPE_CHECKING:
     import numpy as np  # bound at run time only by `flat_search`, for `_penalty` and `_gradient`
@@ -208,14 +211,51 @@ class AutocorrelationProfile:
 
 
 def grouped_autocorrelation(f: SparseExpSum) -> AutocorrelationProfile:
-    vals: dict = {}
-    zero = CyclotomicNumber.zero(1) if f.mode == "exact" else 0j
-    conj = [(bj, aj.conjugate()) for bj, aj in f.terms]
-    for bi, ai in f.terms:
-        for bj, cj in conj:
-            rho = (bi - bj) % f.d
-            vals[rho] = vals.get(rho, zero) + ai * cj
-    return AutocorrelationProfile(f.d, vals, f.mode)
+    """The profile A of f, keyed by rho in the order the ordered pairs
+    (i, j), i outer and j inner, first reach it.
+
+    An exact sum is computed in the integer group ring Z[C_L], L the lcm
+    of the coefficient orders, with M the lcm of their denominators: each
+    a_j = n_j / den_j is lifted once to exponents at order L and numerators
+    over M, conj(a_j) negates its exponents mod L, and every pair adds its
+    integer convolution into its A(rho), a vector over M^2.  Each A(rho)
+    then becomes one CyclotomicNumber in normal form, of order
+    lcm(ord a_i, ord a_j) over the pairs that reach rho, its exponents
+    stepped down by L over that order.  That is the order, the
+    representative and the value that summing the products
+    a_i * conj(a_j) as cyclotomic numbers gives.  A numeric sum is summed
+    pair by pair in complex doubles."""
+    d = f.d
+    if f.mode == "numeric":
+        vals: dict = {}
+        conj = [(bj, aj.conjugate()) for bj, aj in f.terms]
+        for bi, ai in f.terms:
+            for bj, cj in conj:
+                rho = (bi - bj) % d
+                vals[rho] = vals.get(rho, 0j) + ai * cj
+        return AutocorrelationProfile(d, vals, f.mode)
+    L = math.lcm(*(a.order for _, a in f.terms))
+    M = math.lcm(*(a._den for _, a in f.terms))
+    lifted = []
+    for b, a in f.terms:
+        step, scale = L // a.order, M // a._den
+        lifted.append((b, a.order, {j * step: n * scale for j, n in a._num.items()}))
+    conj = [(b, o, {-j % L: n for j, n in x.items()}) for b, o, x in lifted]
+    acc: dict = {}
+    orders: dict = {}
+    for bi, oi, xi in lifted:
+        for bj, oj, yj in conj:
+            rho = (bi - bj) % d
+            if rho not in acc:
+                acc[rho], orders[rho] = {}, 1
+            _convolve(xi, yj, L, acc[rho])
+            orders[rho] = math.lcm(orders[rho], oi, oj)
+    vals = {}
+    for rho, out in acc.items():
+        order = orders[rho]
+        step = L // order
+        vals[rho] = _reduced(order, {k // step: n for k, n in out.items() if n}, M * M)
+    return AutocorrelationProfile(d, vals, f.mode)
 
 
 @dataclass(frozen=True)

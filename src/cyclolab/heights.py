@@ -78,13 +78,20 @@ def poly_roots(coeffs) -> list[complex]:
 
     Companion-matrix start (numpy), then Newton iteration with exact
     coefficients evaluated in double precision.  Deterministic sort by
-    (real, imag).  Degree is capped at 64.
+    (real, imag).  Degree is capped at 64, and a primitive coefficient
+    that does not convert to a double (|c| >= ~1.8e308) is refused, both
+    before numpy is imported.
     """
     ints = _primitive_int(coeffs)
     if len(ints) - 1 > DEGREE_CAP:
         raise ValueError(f"degree exceeds the cap of {DEGREE_CAP}")
+    try:
+        floats = [float(c) for c in ints]
+    except OverflowError:
+        raise ValueError("a coefficient exceeds the double limit of ~1.8e308 "
+                         "of the numeric root finder") from None
     import numpy as np
-    roots = np.roots(list(reversed([float(c) for c in ints])))
+    roots = np.roots(floats[::-1])
     dp = poly_deriv(ints)
 
     def horner(cs, z):

@@ -17,7 +17,7 @@ from cyclolab._arith import (
     as_fraction, poly_deriv, poly_divmod, poly_gcd, prime_root_of_unity)
 from cyclolab.cyclotomic import CyclotomicNumber, zeta
 from cyclolab.flatsums import (
-    SparseExpSum, ValidityReport, _gradient, _penalty, _unit_matrix)
+    AutocorrelationProfile, SparseExpSum, ValidityReport, _gradient, _penalty, _unit_matrix)
 from cyclolab.heights import AlgebraicNumber, _primitive_int, poly_roots
 from cyclolab.lattice import hnf
 from cyclolab.radical import GaloisElement, RadicalContext
@@ -51,6 +51,20 @@ def evaluate_exact(f: SparseExpSum, l: int) -> CyclotomicNumber:
     for b, a in f.terms:
         total = total + a * zeta(f.d, (l * b) % f.d)
     return total
+
+
+def object_autocorrelation(f: SparseExpSum) -> AutocorrelationProfile:
+    """`grouped_autocorrelation` of an exact sum by cyclotomic-number
+    arithmetic: one product a_i * conj(a_j) and one sum per ordered pair,
+    in pair order, from the rational 0."""
+    vals: dict = {}
+    zero = CyclotomicNumber.zero(1)
+    conj = [(bj, aj.conjugate()) for bj, aj in f.terms]
+    for bi, ai in f.terms:
+        for bj, cj in conj:
+            rho = (bi - bj) % f.d
+            vals[rho] = vals.get(rho, zero) + ai * cj
+    return AutocorrelationProfile(f.d, vals, f.mode)
 
 
 def dense_validate_definition(f: SparseExpSum) -> ValidityReport:

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from decimal import Decimal
+from itertools import islice
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from cyclolab._arith import (
     poly_sub,
     poly_trim,
     prime_root_of_unity,
+    primes,
 )
 from cyclolab.kummer import squarefree_part
 
@@ -46,6 +48,17 @@ class TestIntegers:
         assert all(pow(w, L // q, p) != 1 for q in factorize(L))
         p2, _ = prime_root_of_unity(L, p)
         assert p2 > p and (p2 - 1) % L == 0 and factorize(p2) == {p2: 1}
+
+    def test_primes_match_a_plain_sieve(self):
+        # the first 5,000 primes (up to 48,611) cross about three sieve windows
+        n = 48612
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+        for i in range(2, math.isqrt(n) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+        want = [i for i in range(n) if sieve[i]]
+        assert len(want) == 5000
+        assert list(islice(primes(), 5000)) == want
 
     def test_iroot_small(self):
         assert [iroot(n, 2) for n in range(10)] == [0, 1, 1, 1, 2, 2, 2, 2, 2, 3]

@@ -91,6 +91,12 @@ class TestCommands:
         code, out = run_cli(capsys, "height", "--minpoly", text)
         assert code == 2 and out == ""
 
+    def test_height_minpoly_past_double_range_exit_2(self, capsys):
+        code = main(["height", "--minpoly", "x^2-2" + "0" * 400])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "exceeds the double limit of ~1.8e308" in err
+
     @pytest.mark.parametrize("argv", [["--minpoly", "x^2-2", "--radical", "3"], ["--n", "2"]])
     def test_height_needs_one_branch(self, capsys, argv):
         assert main(["height", *argv]) == 2

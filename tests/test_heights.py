@@ -377,6 +377,14 @@ class TestRationalRoots:
                  id="root-index"),
     pytest.param(lambda: power_transform(AlgebraicNumber((0, 1)), -1), "cannot invert zero",
                  id="invert-zero"),
+    # coefficients past the double range: 2 * 10^400, and the 836-digit
+    # Lucas number L_4000 in the minimal polynomial of the golden ratio's
+    # 4000th power
+    pytest.param(lambda: weil_height(AlgebraicNumber((-2 * 10**400, 0, 1))), "double limit",
+                 id="height-huge-coefficient"),
+    pytest.param(lambda: power_transform(AlgebraicNumber((-1, -1, 1)), 4000), "double limit",
+                 id="power-huge-coefficient"),
+    pytest.param(lambda: poly_roots([1, 0, -(2**1024)]), "double limit", id="roots-2^1024"),
 ])
 def test_refusals(call, match):
     with pytest.raises(ValueError, match=match):

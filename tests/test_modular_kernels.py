@@ -1,21 +1,22 @@
-"""The modular kernels against the exact routes they replaced (kept in
-`_reference.py`): sparse residues in `validate_definition`, the mod-P
-squarefree certificate, integer Newton sums in `power_transform` and the
-bounded rational-root probe."""
+"""The modular and integer kernels against the exact routes they replaced
+(kept in `_reference.py`): sparse residues in `validate_definition`, the
+group-ring autocorrelation, the mod-P squarefree certificate, integer
+Newton sums in `power_transform` and the bounded rational-root probe."""
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from cyclolab import heights
+from cyclolab import flatsums, heights
 from cyclolab._arith import poly_coprime_mod, poly_mul, prime_root_of_unity, primes
 from cyclolab.cyclotomic import CyclotomicNumber, rational, zeta
-from cyclolab.flatsums import exact_sum, validate_definition
+from cyclolab.flatsums import chirp, exact_sum, grouped_autocorrelation, is_flat, validate_definition
 from cyclolab.heights import (
     SQUAREFREE_PRIME, AlgebraicNumber, _primitive_int, _squarefree_part, power_transform)
 
-from _reference import dense_validate_definition, fraction_power_transform, gcd_squarefree_part
+from _reference import (
+    dense_validate_definition, fraction_power_transform, gcd_squarefree_part, object_autocorrelation)
 
 ORDERS_840 = (1, 2, 3, 4, 5, 6, 7, 8, 12, 14, 15, 21, 24, 28, 35, 40, 56, 105, 120, 168, 280,
               420, 840)
@@ -90,6 +91,84 @@ def test_residue_is_a_ring_map(D):
         # the value, not the representative: the reduced form maps alike
         assert CyclotomicNumber(D, list(x.canonical()) + [0] * (D - len(x.canonical()))
                                 ).residue(p, w) == rx
+
+
+# ------------------------------------------------------------ autocorrelation
+
+
+ORDERS_120 = (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24)  # the orders <= 24 dividing 120
+
+
+def _mixed_coefficient(rng):
+    """A coefficient of an order in `ORDERS_120`, so that every A(rho) and
+    Phi of `is_flat` stays at an order dividing 120: zero (of that order or
+    the rational 0) about one time in eight, else up to three terms
+    q * zeta_o^k with denominators up to 6."""
+    o = rng.choice(ORDERS_120)
+    if rng.random() < 0.125:
+        return rng.choice((0, CyclotomicNumber.zero(o)))
+    x = CyclotomicNumber.zero(o)
+    for _ in range(rng.randint(1, 3)):
+        x = x + Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 6)) * zeta(
+            o, rng.randrange(o))
+    return x
+
+
+def _autocorrelation_corpus():
+    """3,230 seeded exact sums: d in 1-30, N in 0-7, exponents in
+    [-2d - 3, 2d + 3] (negative ones, and several sharing a residue mod d),
+    mixed coefficient orders; most one-term sums are a scaled root of unity
+    at the level of its squared modulus (flat), and the chirps of orders
+    1-30 close the corpus (flat for odd d, not for even d)."""
+    rng = random.Random(35)
+    for _ in range(3200):
+        d, n = rng.randint(1, 30), rng.randint(0, 7)
+        exps = rng.sample(range(-2 * d - 3, 2 * d + 4), n)
+        if n == 1 and rng.random() < 0.7:
+            q, o = Fraction(rng.randint(1, 5), rng.randint(1, 4)), rng.randint(1, 30)
+            yield exact_sum(d, [(exps[0], q * zeta(o, rng.randrange(o)))], q * q)
+            continue
+        mu = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        yield exact_sum(d, [(b, _mixed_coefficient(rng)) for b in exps], mu)
+    yield from (chirp(d) for d in range(1, 31))
+
+
+def _form(x):
+    return x.order, x._num, x._den
+
+
+def test_grouped_autocorrelation_vs_object_reference(monkeypatch):
+    sums = list(_autocorrelation_corpus())
+    got_flat = [is_flat(f) for f in sums]
+    monkeypatch.setattr(flatsums, "grouped_autocorrelation", object_autocorrelation)
+    want_flat = [is_flat(f) for f in sums]
+    shared = flat = 0
+    for f, got_rep, want_rep in zip(sums, got_flat, want_flat):
+        got, want = grouped_autocorrelation(f).values, object_autocorrelation(f).values
+        assert list(got) == list(want), f
+        assert [_form(x) for x in got.values()] == [_form(x) for x in want.values()], f
+        assert (got_rep.flat, got_rep.witness) == (want_rep.flat, want_rep.witness), f
+        shared += len({b % f.d for b in f.exponents}) < f.n_terms
+        flat += got_rep.flat
+    assert len(sums) >= 3000 and shared >= 1000 and 200 <= flat <= 1000
+    assert not is_flat(chirp(30)).flat and is_flat(chirp(29)).flat
+
+
+def test_exact_autocorrelation_multiplies_no_cyclotomic_numbers(monkeypatch):
+    calls = []
+
+    def spy(self, other):
+        calls.append(other)
+        return mul(self, other)
+    mul = CyclotomicNumber.__mul__
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", spy)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", spy)
+    f = exact_sum(12, [(0, Fraction(1, 3) * zeta(8)), (5, zeta(3) - 2), (-7, 3)])
+    assert zeta(3) * zeta(3) == zeta(3, 2) and calls  # the spy sees a product
+    calls.clear()
+    for g in (f, chirp(63)):
+        grouped_autocorrelation(g)
+    assert not calls
 
 
 # ------------------------------------------------------------- squarefree part

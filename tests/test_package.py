@@ -64,6 +64,15 @@ def test_layer_imports_and_constructors_load_no_numpy():
     assert _last_stderr_json(code) == [False, False, True]
 
 
+def test_root_finder_refuses_before_loading_numpy():
+    code = ("import json, sys; from cyclolab.heights import AlgebraicNumber, weil_height\n"
+            "try:\n    weil_height(AlgebraicNumber((-2 * 10**400, 0, 1)))\n"
+            "except ValueError as exc:\n"
+            "    print(json.dumps([str(exc), 'numpy' in sys.modules]), file=sys.stderr)")
+    message, numpy_loaded = _last_stderr_json(code)
+    assert "double limit" in message and not numpy_loaded
+
+
 def test_exact_commands_load_no_numpy():
     # the exact README commands: flat-verify, reduce, sn-survey at N = 1 and
     # 2, factor-out and kummer; a numeric command then loads it
