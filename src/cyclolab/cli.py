@@ -258,7 +258,7 @@ def _handle_arc_count(args):
     from . import equidist
     orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k)))
     box = _parse_arcs(args.arcs)
-    rep = equidist.arc_count(orbit, box, threads=args.threads)
+    rep = equidist.arc_count(orbit, box)
     if args.hist_out:
         _write_hist(args.hist_out, *_turn_histogram(orbit.m, orbit.k[0]))
     return rep, "ok"
@@ -411,9 +411,8 @@ def _common() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None)
     c.add_argument("--cache", default=None)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for arc-count, the only command "
-                        "that uses them (default: CPU count)")
+    c.add_argument("--threads", type=int, default=1,
+                   help="ignored: no command starts a thread of its own")
     c.add_argument("--no-timing", action="store_true")
     return c
 

@@ -2,19 +2,18 @@
 orbit periods and exact arc-box counting against the Haar bound.
 
 A box of at most two arcs is counted on the orbit lattice in O(log m)
-integer steps and loads no numpy; a box of three or more arcs walks the m
-residues in numpy blocks, on a thread pool when m is large."""
+integer steps and loads no numpy; a box of three or more arcs walks, in
+numpy blocks, only the residues that its narrowest arc admits."""
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import index
 from typing import Sequence
 
-from ._arith import as_float, floor_sum
+from ._arith import as_float, check_cap, floor_sum
 from .lattice import hnf, relation_lattice_basis, shortest_relation
 
 __all__ = [
@@ -28,19 +27,17 @@ __all__ = [
     "arc_count",
     "ArcCountReport",
     "ARC_M_CAP",
+    "ARC_WALK_CAP",
 ]
 
 TWO_PI = 2.0 * math.pi
-# the block path of arc_count (3 or more arcs) forms r * (k_j mod m) in
-# int64 with r <= m; arc_count refuses m above it at every dimension
+# the walk of arc_count (3 or more arcs) forms r * (k_j mod m) in int64
+# with r < m; arc_count refuses m above it at every dimension
 ARC_M_CAP = 10**9
-# least residues per arc_count pool thread.  Medians on 2 CPUs (41-61
-# interleaved calls) of the interval walk on a radian 3-D box, serial/2
-# threads: 2.9/3.5 ms at m = 100,003, 5.3/6.1 at 200,003, 7.4/8.3 at 300,007,
-# 12.5/11.1 at 400,009, 14.7/13.1 at 500,009, 27.7/21.7 at 1,000,003
-_CHUNK_MIN = 200_000
-# residues per arc_count block, 128 KB per int64 array: serial medians at
-# m = 500,009, radian/turn 3-D box, 13.5/13.4 ms; 2^12 16.7/17.1, 2^20 23.8/23.0
+# largest preimages * (tested arcs + 1) of an arc_count walk; a walk at the
+# cap took 1.0-1.3 s on one core of a 2-CPU Xeon VM
+ARC_WALK_CAP = 10**8
+# preimages per arc_count block, 128 KB per int64 array
 _BLOCK = 1 << 14
 
 
@@ -255,25 +252,52 @@ class ArcCountReport:
     bound_satisfied: bool | None
 
 
-def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) -> int:
-    """Count of r in [lo, hi) whose point ((r*k_j mod m)/m turns)_j lies in
-    the box.  Behind a sentinel (-1, -1), a residue x = r*(k_j mod m) mod m
-    is in arc j iff x is at most the end of the last interval of
-    `members(m)` starting at or below it (`np.searchsorted`); r*(k_j mod m)
-    <= m^2 fits int64 for m <= ARC_M_CAP.  The range is walked in blocks of
-    _BLOCK residues, so its working memory does not grow with its length.
-    `arc_count` uses it for boxes of three or more arcs; at any dimension it
-    is the residue-walk check of the lattice count."""
+def _preimages(g: int, spans: list[tuple[int, int]]) -> int:
+    """g times the multiples of g in the intervals: the r in {1..m} with
+    r*k mod m in them, for g = gcd(k, m)."""
+    return g * sum(hi // g - (lo - 1) // g for lo, hi in spans)
+
+
+def _walk_count(orbit: RootTupleOrbit, box: ArcBox) -> int:
+    """`arc_count`'s count for three or more arcs: a walk over the r that
+    the narrowest arc admits.
+
+    With g = gcd(k_i, m), n = m/g and u the inverse of k_i/g mod n, the r
+    with r*k_i = g*q mod m are q*u mod n + j*n, j < g (r = 0 stands for
+    r = m); arc i admits `_preimages` of them.  The arc admitting fewest is
+    walked, each member interval [lo, hi] as the index t = g*q + j over
+    [g*ceil(lo/g), g*(hi//g + 1)) in blocks of _BLOCK, and each r is tested
+    on the other arcs that miss some point: x = r*(k_j mod m) mod m (formed
+    below m^2 < 2^63) is in arc j iff it is at most the end of the last
+    member interval starting at or below it, behind a sentinel (-1, -1).
+    The cost, preimages * (tested arcs + 1), is checked against
+    ARC_WALK_CAP before the walk (ValueError)."""
+    m, k = orbit.m, orbit.k
+    spans = [arc.members(m) for arc in box.arcs]
+    gs = [gcd(kj, m) for kj in k]
+    sizes = [_preimages(g, s) for g, s in zip(gs, spans)]
+    i = min(range(len(k)), key=sizes.__getitem__)
+    rest = [(kj % m, s) for j, (kj, s) in enumerate(zip(k, spans))
+            if j != i and s != [(0, m - 1)]]
+    check_cap("the walk's preimages * (tested arcs + 1)", sizes[i] * (len(rest) + 1),
+              "arc walk cap", ARC_WALK_CAP)
+    if not rest or not sizes[i]:
+        return sizes[i]
     import numpy as np
-    spans = [np.array([(-1, -1)] + arc.members(m), dtype=np.int64).T for arc in box.arcs]
+    g, n = gs[i], m // gs[i]
+    u = pow(k[i] % m // g, -1, n)
+    tests = [(kj, *np.array([(-1, -1)] + s, dtype=np.int64).T) for kj, s in rest]
     count = 0
-    for start in range(lo, hi, _BLOCK):
-        r = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
-        inside = np.ones(len(r), dtype=bool)
-        for kj, (starts, ends) in zip(k, spans):
-            x = r * (kj % m) % m
-            inside &= x <= ends[np.searchsorted(starts, x, side="right") - 1]
-        count += int(np.count_nonzero(inside))
+    for lo, hi in spans[i]:
+        end = (hi // g + 1) * g
+        for start in range(-(-lo // g) * g, end, _BLOCK):
+            q, j = np.divmod(np.arange(start, min(start + _BLOCK, end), dtype=np.int64), g)
+            r = q * u % n + j * n
+            inside = np.ones(len(r), dtype=bool)
+            for kj, starts, ends in tests:
+                x = r * kj % m
+                inside &= x <= ends[np.searchsorted(starts, x, side="right") - 1]
+            count += int(np.count_nonzero(inside))
     return count
 
 
@@ -292,8 +316,7 @@ def _lattice_count(orbit: RootTupleOrbit, box: ArcBox) -> int:
         return m
     spans = [arc.members(m) for arc in box.arcs]
     if len(k) == 1:
-        g = gcd(k[0], m)
-        return g * sum(hi // g - (lo - 1) // g for lo, hi in spans[0])
+        return _preimages(gcd(k[0], m), spans[0])
     (a, b), (_, c) = hnf([list(k), [m, 0], [0, m]])
     points = 0
     for lo1, hi1 in spans[0]:
@@ -306,39 +329,22 @@ def _lattice_count(orbit: RootTupleOrbit, box: ArcBox) -> int:
     return m // orbit_period(orbit) * points
 
 
-def arc_count(orbit: RootTupleOrbit, box: ArcBox, threads: int = 1) -> ArcCountReport:
+def arc_count(orbit: RootTupleOrbit, box: ArcBox) -> ArcCountReport:
     """Count r in {1..m} whose orbit point lies in the box, exactly.
 
     A box of at most two arcs is counted on the orbit lattice
-    (`_lattice_count`) in O(log m) integer steps, without numpy, and
-    `threads` is not used.  A box of three or more arcs walks the residues:
-    the count is a sum of independent block counts, so it does not depend
-    on how they are split.  When {1..m} holds two or more ranges of
-    _CHUNK_MIN residues, a pool of one thread per range counts up to
-    `threads` equal ranges, and never more than the CPUs this process may
-    run on; otherwise the calling thread counts them all.  Each worker
-    walks its range in blocks of _BLOCK residues, so memory does not grow
-    with m.  Raises ValueError for m above ARC_M_CAP at every dimension.
+    (`_lattice_count`) in O(log m) integer steps, without numpy.  A box of
+    three or more arcs walks the preimages of its narrowest arc in blocks
+    (`_walk_count`), so memory does not grow with m, and refuses a walk
+    past ARC_WALK_CAP.  Raises ValueError for m above ARC_M_CAP at every
+    dimension.
     """
     if len(box.arcs) != orbit.dim:
         raise ValueError("box dimension must match the orbit dimension")
     if orbit.m > ARC_M_CAP:
         raise ValueError(f"arc-count refuses m = {orbit.m} above {ARC_M_CAP}")
-    m, k = orbit.m, orbit.k
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = min(threads, cpus or 1, m // _CHUNK_MIN)
-    if orbit.dim <= 2:
-        count = _lattice_count(orbit, box)
-    elif parts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        cuts = [1 + i * m // parts for i in range(parts + 1)]
-        with ThreadPoolExecutor(max_workers=parts) as ex:
-            count = sum(ex.map(lambda lo, hi: _arc_count_chunk(m, k, box, lo, hi),
-                               cuts, cuts[1:]))
-    else:
-        count = _arc_count_chunk(m, k, box, 1, m + 1)
-    ratio = Fraction(count, m)
+    count = _lattice_count(orbit, box) if orbit.dim <= 2 else _walk_count(orbit, box)
+    ratio = Fraction(count, orbit.m)
     eps = box.uniform_eps()
     if eps is not None:
         bound = (1 - eps) * (eps / TWO_PI) ** orbit.dim

@@ -16,6 +16,7 @@ import numpy as np
 from cyclolab._arith import (
     as_fraction, poly_deriv, poly_divmod, poly_gcd, prime_root_of_unity)
 from cyclolab.cyclotomic import CyclotomicNumber, zeta
+from cyclolab.equidist import _BLOCK, ArcBox
 from cyclolab.flatsums import (
     AutocorrelationProfile, SparseExpSum, ValidityReport, _gradient, _penalty, _unit_matrix)
 from cyclolab.heights import AlgebraicNumber, _primitive_int, poly_roots
@@ -146,6 +147,28 @@ def in_lattice(basis_hnf: list[list[int]], vec: list[int]) -> bool:
                 return False
             v = [a - q * b for a, b in zip(v, r)]
     return not any(v)
+
+
+# ------------------------------------------------------------------- equidist
+
+
+def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) -> int:
+    """Count of r in [lo, hi) whose point ((r*k_j mod m)/m turns)_j lies in
+    the box, by a walk over every residue in blocks of `_BLOCK`.  Behind a
+    sentinel (-1, -1), a residue x = r*(k_j mod m) mod m is in arc j iff x
+    is at most the end of the last interval of `members(m)` starting at or
+    below it (`np.searchsorted`); r*(k_j mod m) <= m^2 fits int64 for
+    m <= ARC_M_CAP.  The residue-walk check of both `arc_count` paths."""
+    spans = [np.array([(-1, -1)] + arc.members(m), dtype=np.int64).T for arc in box.arcs]
+    count = 0
+    for start in range(lo, hi, _BLOCK):
+        r = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
+        inside = np.ones(len(r), dtype=bool)
+        for kj, (starts, ends) in zip(k, spans):
+            x = r * (kj % m) % m
+            inside &= x <= ends[np.searchsorted(starts, x, side="right") - 1]
+        count += int(np.count_nonzero(inside))
+    return count
 
 
 # -------------------------------------------------------------------- radical

@@ -201,6 +201,14 @@ class TestCommands:
         code = main(["arc-count", "--m", str(10**10 + 19), "--k", "1", "--arcs", "0t:1/4t"])
         assert code == 2 and "refuses m" in capsys.readouterr().err
 
+    def test_arc_count_walk_past_cap_exit_2(self, capsys):
+        # the walk of a 3-D box of 3-rad arcs at m = 999,999,937 ran past
+        # 15 s; it is refused from the member intervals before it starts
+        t0 = time.perf_counter()
+        code = main(["arc-count", "--m", "999999937", "--k", "1,2,3", "--arcs", "0:3,0:3,0:3"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and "arc walk cap" in capsys.readouterr().err
+
     def test_flat_verify_large_coefficients(self, capsys):
         # the first coefficient is exactly 1 in Q(zeta_3)
         big = ("1000000000000000000000000000001 + 1000000000000000000000000000000*z^1"

@@ -1,5 +1,4 @@
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -16,13 +15,12 @@ from cyclolab.equidist import (
     weyl_sum,
     arc_count,
     ARC_M_CAP,
-    _arc_count_chunk,
+    ARC_WALK_CAP,
     _BLOCK,
-    _CHUNK_MIN,
 )
 from cyclolab.radical import RadicalContext, RadicalSum, _in_band, _orbit_values, sigma_search
 
-from _reference import hnf_det, in_lattice
+from _reference import _arc_count_chunk, hnf_det, in_lattice
 
 TWO_PI = 2 * math.pi
 
@@ -286,98 +284,28 @@ class TestArcs:
         )
         assert mixed.uniform_eps is None and mixed.bound_satisfied is None
 
-    def test_threads_agree(self):
-        # 3-D boxes: the block path, the only one that reads `threads`
-        orbit = RootTupleOrbit(10007, (1, 100, 37))
-        for box in (ArcBox([Arc(0.0, 0.5), Arc(0.0, 0.5), Arc(2.0, 1.5)]),
-                    ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)),
-                            Arc(Fraction(3, 10**13 + 37), Fraction(1, 5)),
-                            Arc(Fraction(1, 2), Fraction(1, 3))])):
-            assert arc_count(orbit, box, threads=4).count == arc_count(orbit, box).count
-
-    def test_pool_only_for_two_full_chunks(self, monkeypatch):
-        # the pool starts only for a box of three or more arcs when m holds
-        # two chunks of _CHUNK_MIN residues and the process may run on two
-        # CPUs, with one thread per chunk, and the count equals a serial sum
-        # over another partition; a 2-D box never starts it
-        import concurrent.futures
-
-        started = []
-        pool = concurrent.futures.ThreadPoolExecutor
-
-        def recording_pool(max_workers):
-            started.append(max_workers)
-            return pool(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        box = ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)), Arc(0.5, 2.0),
-                      Arc(Fraction(0), Fraction(1, 3))])
-        small = RootTupleOrbit(2 * _CHUNK_MIN - 1, (1, 100, 7))
-        assert arc_count(small, box, threads=4).count == arc_count(small, box).count
-        assert started == []
-        m = 2 * _CHUNK_MIN + 7
-        big = RootTupleOrbit(m, (1, 100, 7))
-        cuts = [1, 12_345, 70_001, m + 1]
-        serial = sum(_arc_count_chunk(m, big.k, box, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
-        assert arc_count(big, box, threads=4).count == serial
-        chunks = min(4, len(os.sched_getaffinity(0)), m // _CHUNK_MIN)
-        pools = [chunks] if chunks > 1 else []
-        assert started == pools
-        flat = ArcBox(box.arcs[:2])
-        assert arc_count(RootTupleOrbit(m, (1, 100)), flat, threads=4).count == \
-            _arc_count_chunk(m, (1, 100), flat, 1, m + 1)
-        assert started == pools
-
-    def test_pool_threads_capped_by_cpus(self, monkeypatch):
-        # a huge --threads starts no more pool threads than the CPUs the
-        # process may run on; the stand-in pool maps serially and starts no
-        # thread, and the count equals the serial walk
-        import concurrent.futures
-
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        m = 400_009
-        orbit = RootTupleOrbit(m, (1, 100, 7))
-        box = ArcBox([Arc(Fraction(1, 7), Fraction(1, 9)), Arc(0.5, 2.0),
-                      Arc(Fraction(0), Fraction(1, 3))])
-        count = arc_count(orbit, box, threads=10**6).count
-        assert count == _arc_count_chunk(m, orbit.k, box, 1, m + 1)
-        assert all(workers <= len(os.sched_getaffinity(0)) for workers in started)
-        assert len(started) <= 1
-
     def test_memory_bounded(self):
-        # blocks bound the working memory of the 3-D block path at any m;
-        # tracemalloc sees numpy's buffers (a 2,000,003-residue int64 array
-        # alone is 16 MB)
+        # blocks bound the working memory of the 3-D walk at any m and any
+        # g = gcd(k_i, m) of the walked arc; tracemalloc sees numpy's buffers
+        # (an int64 array of 2,000,003 residues alone is 16 MB, one of the
+        # g = 5,000,000 preimages of x = 0 at k_1 = m/2 40 MB)
         import tracemalloc
 
-        orbit = RootTupleOrbit(2_000_003, (1, 1237, 77))
         radian = ArcBox([Arc(0.0, 0.5), Arc(1.0, 0.5), Arc(2.0, 0.5)])
         turn = ArcBox([Arc(Fraction(0), Fraction(1, 8)), Arc(Fraction(1, 4), Fraction(1, 8)),
                        Arc(Fraction(1, 2), Fraction(1, 8))])
-        for box in (radian, turn):
-            for threads in (1, 2):
-                tracemalloc.start()
-                try:
-                    arc_count(orbit, box, threads=threads)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak < 8 * 2**20, (box.arcs[0].exact, threads, peak)
+        # arc 1 holds x = 0 only, so it admits g residues, the fewest
+        half = ArcBox([Arc(Fraction(0), Fraction(0)), Arc(0.0, 2.0), Arc(1.0, 2.0)])
+        for orbit, box in ((RootTupleOrbit(2_000_003, (1, 1237, 77)), radian),
+                           (RootTupleOrbit(2_000_003, (1, 1237, 77)), turn),
+                           (RootTupleOrbit(10**7, (5 * 10**6, 2, 77)), half)):
+            tracemalloc.start()
+            try:
+                arc_count(orbit, box)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (orbit, box.arcs[0].exact, peak)
 
     def test_exact_vs_float_agree_generic(self):
         # generic arcs: both representations count identically
@@ -399,6 +327,29 @@ class TestArcs:
         m, k = ARC_M_CAP, (ARC_M_CAP - 3, 999_999_937)
         box = ArcBox([Arc(Fraction(1, 3), Fraction(2, 5)), Arc(0.5, 2.0)])
         assert _arc_count_chunk(m, k, box, m - 2000, m + 1) == ref_count(m, k, box, m - 2000)
+        # the walk: arc 1 holds the points x in [m - 2000, m), whose
+        # preimages under k_1 = 1 are r = x, and 0 (r = m); a unit u
+        # permutes the r, so k*u counts the same, and its walk forms
+        # q * (k_1*u)^-1 mod m and r * (k_j*u mod m) near 1e18
+        walk = ArcBox([Arc(Fraction(-1000, m), Fraction(1000, m))] + list(box.arcs))
+        expected = ref_count(m, (1, *k), walk, m - 2000)
+        for u in (1, m - 3, 999_999_937):
+            ku = tuple(kj * u % m for kj in (1, *k))
+            assert arc_count(RootTupleOrbit(m, ku), walk).count == expected, u
+
+    def test_walk_cap(self, monkeypatch):
+        # the walk's cost, preimages * (tested arcs + 1), is refused past
+        # ARC_WALK_CAP before any of it runs; full arcs are not tested
+        m = 1009
+        box = ArcBox([Arc(Fraction(0), Fraction(1, 8)), Arc(0.0, 2.0), Arc(0.0, math.pi)])
+        orbit = RootTupleOrbit(m, (1, 7, 100))
+        size = 2 * (m // 8) + 1  # the x in [-m/8, m/8]
+        monkeypatch.setattr("cyclolab.equidist.ARC_WALK_CAP", 2 * size)
+        assert arc_count(orbit, box).count == ref_count(m, orbit.k, box)
+        monkeypatch.setattr("cyclolab.equidist.ARC_WALK_CAP", 2 * size - 1)
+        with pytest.raises(ValueError, match=f"= {2 * size} exceeds the arc walk cap"):
+            arc_count(orbit, box)
+        assert ARC_WALK_CAP == 10**8  # README
 
 
 class TestExactMembershipDifferential:
@@ -413,16 +364,14 @@ class TestExactMembershipDifferential:
             m = rng.randint(1, 300)
             k = tuple(rng.randint(-5000, 5000) for _ in range(rng.randint(1, 3)))
             box = random_box(rng, [m] * len(k), kind)
-            rep = arc_count(RootTupleOrbit(m, k), box, threads=rng.choice([1, 2]))
+            rep = arc_count(RootTupleOrbit(m, k), box)
             assert rep.count == ref_count(m, k, box) == _arc_count_chunk(m, k, box, 1, m + 1)
 
     @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
-    def test_block_boundaries(self, kind, monkeypatch):
-        # 3-D boxes, which take the block path: chunk ranges that start or
-        # end at, one before or one after a multiple of _BLOCK, and whole
-        # counts at m = 2 * _BLOCK +- 1, the pool (started here below its
-        # threshold) splitting m next to a block edge
-        monkeypatch.setattr("cyclolab.equidist._CHUNK_MIN", _BLOCK // 2)
+    def test_block_boundaries(self, kind):
+        # 3-D boxes, which take the walk: whole counts at m = 2 * _BLOCK +- 1,
+        # and reference ranges that start or end at, one before or one after
+        # a multiple of _BLOCK
         rng = random.Random(f"block-{kind}")
         for m in (2 * _BLOCK - 1, 2 * _BLOCK + 1):
             k = (1, rng.randrange(2, m), rng.randrange(2, m))
@@ -430,14 +379,46 @@ class TestExactMembershipDifferential:
             prefix = [0]
             for r in range(1, m + 1):
                 prefix.append(prefix[-1] + ref_count(m, k, box, r, r + 1))
-            for threads in (1, 2):
-                assert arc_count(RootTupleOrbit(m, k), box, threads=threads).count == prefix[m]
+            assert arc_count(RootTupleOrbit(m, k), box).count == prefix[m]
             edges = [e for j in (1, 2) for e in (j * _BLOCK - 1, j * _BLOCK, j * _BLOCK + 1)]
             edges = [1] + [e for e in edges if e <= m] + [m + 1]
             for lo in edges:
                 for hi in edges:
                     if lo <= hi:
                         assert _arc_count_chunk(m, k, box, lo, hi) == prefix[hi - 1] - prefix[lo - 1]
+
+    @pytest.mark.parametrize("block", [_BLOCK, 7])
+    @pytest.mark.parametrize("kind", ["turn", "mixed", "radian"])
+    def test_walk(self, kind, block, monkeypatch):
+        # boxes of 3-4 arcs, some empty or full, at m <= 10^4, with k entries
+        # 0, +-1, m and multiples of divisors of m, so that the walked arc's
+        # g = gcd(k_i, m) is 1, above 1 and (with a 7-residue block) above
+        # the block
+        monkeypatch.setattr("cyclolab.equidist._BLOCK", block)
+        rng = random.Random(f"walk-{kind}-{block}")
+        kinds = ["turn", "radian"] if kind == "mixed" else [kind]
+        for _ in range(30):
+            m = rng.choice([rng.randint(1, 60), rng.randint(1, 10**4), 5040])
+            divisors = [d for d in range(1, m + 1) if m % d == 0]
+            k = tuple(rng.choice([0, 1, -1, m, rng.randint(-10**6, 10**6),
+                                  rng.choice(divisors) * rng.randint(-9, 9), rng.choice(divisors)])
+                      for _ in range(rng.randint(3, 4)))
+            special = [Arc(0.0, math.pi), Arc(Fraction(1, 3), Fraction(1, 2)),
+                       Arc(Fraction(1, 2 * m), Fraction(0))]  # full, full, empty
+            box = ArcBox([rng.choice(special) if rng.random() < 0.15
+                          else random_arc(rng, m, rng.choice(kinds)) for _ in k])
+            assert arc_count(RootTupleOrbit(m, k), box).count == ref_count(m, k, box) == \
+                _arc_count_chunk(m, k, box, 1, m + 1), (m, k)
+
+    def test_walk_gcd_above_block(self):
+        # arc 1 holds x = 0 only, so the walk takes the g = m/2 residues r
+        # with r*k_1 = 0 mod m, over two blocks
+        m = 2 * _BLOCK + 2
+        wide = [Arc(1.0, 2.5), Arc(Fraction(1, 3), Fraction(2, 5)), Arc(0.0, 3.0)]
+        for k in ((m // 2, 1, 77), (3 * m // 2, -5, 2 * _BLOCK - 1, m - 1)):
+            box = ArcBox([Arc(Fraction(0), Fraction(0))] + wide[:len(k) - 1])
+            assert arc_count(RootTupleOrbit(m, k), box).count == ref_count(m, k, box) == \
+                _arc_count_chunk(m, k, box, 1, m + 1), k
 
     @pytest.mark.parametrize("kind", ["turn", "radian"])
     def test_members_are_contains(self, kind):
@@ -496,8 +477,8 @@ def box_edges(rng, m, dim):
 
 
 class TestLatticeCount:
-    """The 1-D and 2-D lattice count and the block path against a brute walk
-    of the point rule on boundary cases."""
+    """The 1-D and 2-D lattice count and the residue walk against a brute
+    walk of the point rule on boundary cases."""
 
     def check(self, m, k, box):
         assert arc_count(RootTupleOrbit(m, k), box).count == ref_count(m, k, box) == \
@@ -539,8 +520,8 @@ class TestLatticeCount:
             assert arc_count(RootTupleOrbit(m, (3, 5)), ArcBox(full[:2])).count == m
 
     def test_near_cap_fast(self):
-        # m = 999,999,937 in O(log m) steps; the pinned counts are the block
-        # path's, which takes 20-30 s on 2 threads there
+        # m = 999,999,937 in O(log m) steps; the pinned counts were taken by
+        # a walk over all m residues
         import time
 
         orbit = RootTupleOrbit(999_999_937, (1, 1237))

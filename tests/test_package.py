@@ -107,7 +107,7 @@ def test_integer_equidist_commands_load_no_numpy():
 
 def test_two_dim_arc_count_loads_no_numpy():
     # a box of at most two arcs is counted on the orbit lattice in integers;
-    # only the block path of a 3-D box loads numpy
+    # only the walk of a 3-D box loads numpy
     code = ("import json, sys, cyclolab.cli as cli; seen = []; "
             "seen.append(cli.main(['arc-count', '--m', '999999937', '--k', '1,1237', "
             "'--arcs', '0:0.5,1:0.5', '--no-timing'])); "
