@@ -5,9 +5,11 @@ over the power basis zeta_D^0 .. zeta_D^(D-1) and one positive
 denominator d, normalized so that gcd(d, n_j for all j) = 1; its
 coefficient at zeta_D^j is n_j / d.  A root of unity or a Gauss sum
 costs only its terms, and sums, products and Galois conjugates run on
-integers.  A value is reduced modulo the monic D-th cyclotomic polynomial
-only on demand (equality, inversion), by an integer remainder with no
-division.
+integers.  Zero and equality tests read the sparse normal form over the
+Zumbroich basis (Bosma, "Canonical bases for cyclotomic fields", AAECC 1,
+1990; Breuer, AAECC 8, 1997), an integer rewrite with no division; only
+`canonical` (inversion, the benchmark digests) reduces a dense vector
+modulo the monic D-th cyclotomic polynomial.
 The complex embedding is fixed once and for all: zeta_D -> exp(2*pi*i/D).
 """
 from __future__ import annotations
@@ -80,6 +82,39 @@ def _reduced(order: int, num: dict, den: int) -> "CyclotomicNumber":
     return _wrap(order, num, den)
 
 
+@lru_cache(maxsize=1024)
+def _basis_rewrites(order: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, p^e, (p - 1) * p^(e-1), order / p) for each p^e exactly dividing
+    order, primes ascending: the data of `_normal_form`'s rule."""
+    return tuple((p, p**e, (p - 1) * p ** (e - 1), order // p)
+                 for p, e in factorize(order).items())
+
+
+def _normal_form(order: int, num: dict) -> dict:
+    """The integer numerators j -> n_j (exponents in [0, order)) over the
+    Zumbroich basis of Q(zeta_order), nonzero entries only.
+
+    Q(zeta_D) is the tensor product of the Q(zeta_(p^e)), p^e || D, and
+    for a prime p | D the p-th roots of unity sum to 0, so
+    zeta^j = -sum_(k = 1..p-1) zeta^(j + k D/p).  For each p^e in turn,
+    every zeta^j with (j mod p^e) >= (p - 1) p^(e-1) is rewritten so.  The
+    rewrite for p moves only the residue mod p^e, into the kept range, so
+    the primes done before stay done.  What is left is unique: x = 0 iff
+    it is empty, and two values over one denominator are equal iff their
+    forms are."""
+    for p, q, cut, step in _basis_rewrites(order):
+        out: dict = {}
+        for j, n in num.items():
+            if j % q < cut:
+                out[j] = out[j] + n if j in out else n
+                continue
+            for k in range(1, p):
+                i = (j + k * step) % order
+                out[i] = out[i] - n if i in out else -n
+        num = out
+    return {j: n for j, n in num.items() if n}
+
+
 def _convolve(an: dict, bn: dict, D: int, out: dict) -> dict:
     """Add the product of the integer group-ring vectors an and bn of
     Z[C_D] (exponents in [0, D)) into out and return it; out may keep
@@ -95,8 +130,9 @@ def _convolve(an: dict, bn: dict, D: int, out: dict) -> dict:
 
 
 def _over_lcm(terms: dict) -> tuple[dict, int]:
-    """(num, den) of a map j -> nonzero reduced rational, over the lcm of
-    its denominators; no numerator then shares a factor with all of den."""
+    """(num, den) of a map j -> nonzero int or reduced Fraction, over the
+    lcm of its denominators; no numerator then shares a factor with all of
+    den."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {j: c.numerator * (den // c.denominator) for j, c in terms.items()}, den
 
@@ -112,10 +148,15 @@ class CyclotomicNumber:
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be positive")
-        coeffs = [as_fraction(c) for c in coeffs]
-        if len(coeffs) != order:
+        terms, j = {}, -1
+        for j, c in enumerate(coeffs):  # one pass; an int stays an int
+            if type(c) is not int and type(c) is not Fraction:
+                c = as_fraction(c)
+            if c:
+                terms[j] = c
+        if j + 1 != order:
             raise ValueError("coefficient vector must have length equal to the order")
-        _init(self, order, *_over_lcm({j: c for j, c in enumerate(coeffs) if c}))
+        _init(self, order, *_over_lcm(terms))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
@@ -248,7 +289,9 @@ class CyclotomicNumber:
 
     # ---------------------------------------------------------- reduction
     def canonical(self) -> tuple[Fraction, ...]:
-        """Representative of degree < phi(order), reduced mod Phi_order."""
+        """Representative of degree < phi(order), reduced mod Phi_order: a
+        dense vector, read by `inverse` and the benchmark digests; the zero
+        and equality tests use the sparse `_normal_form` instead."""
         phi = cyclotomic_polynomial(self.order)
         v = [0] * self.order
         for j, n in self._num.items():
@@ -258,14 +301,22 @@ class CyclotomicNumber:
         return tuple(Fraction(n, den) for n in rem) + (_ZERO,) * (len(phi) - 1 - len(rem))
 
     def is_zero(self) -> bool:
-        return not any(self.canonical())
+        """Exact: the numerators' normal form over the Zumbroich basis is
+        empty; no dense vector, no division."""
+        return not _normal_form(self.order, self._num)
 
     def __eq__(self, other):
+        """Exact equality across orders: both sides at the common order,
+        their normal forms compared with each scaled by the other's
+        denominator (the reduced denominator of a value is not unique:
+        1 = (3 + zeta_3 + zeta_3^2)/2)."""
         try:
             a, b = self._pair(other)
         except TypeError:  # x == 0.5 is False, not an error
             return NotImplemented
-        return (a - b).is_zero()
+        na, nb = _normal_form(a.order, a._num), _normal_form(b.order, b._num)
+        da, db = a._den, b._den
+        return na.keys() == nb.keys() and all(n * db == nb[j] * da for j, n in na.items())
 
     __hash__ = None  # semantic equality across orders; not hashable
 

@@ -27,7 +27,7 @@ from operator import index
 from typing import TYPE_CHECKING, Sequence
 
 from ._arith import as_complex, as_float, as_fraction, check_cap, prime_root_of_unity
-from .cyclotomic import CyclotomicNumber, _convolve, _reduced, as_cyclotomic, zeta
+from .cyclotomic import CyclotomicNumber, _reduced, as_cyclotomic, zeta
 
 if TYPE_CHECKING:
     import numpy as np  # bound at run time only by `flat_search`, for `_penalty` and `_gradient`
@@ -241,18 +241,30 @@ def grouped_autocorrelation(f: SparseExpSum) -> AutocorrelationProfile:
         step, scale = L // a.order, M // a._den
         lifted.append((b, a.order, {j * step: n * scale for j, n in a._num.items()}))
     conj = [(b, o, {-j % L: n for j, n in x.items()}) for b, o, x in lifted]
-    acc: dict = {}
-    orders: dict = {}
+    acc: dict = {}  # rho -> [order, integer vector]
+    pair_orders: dict = {}  # ord a_i -> [lcm(ord a_i, ord a_j) for each j]
     for bi, oi, xi in lifted:
-        for bj, oj, yj in conj:
+        if oi not in pair_orders:
+            pair_orders[oi] = [math.lcm(oi, oj) for _, oj, _ in conj]
+        for (bj, _, yj), o in zip(conj, pair_orders[oi]):
             rho = (bi - bj) % d
-            if rho not in acc:
-                acc[rho], orders[rho] = {}, 1
-            _convolve(xi, yj, L, acc[rho])
-            orders[rho] = math.lcm(orders[rho], oi, oj)
+            entry = acc.get(rho)
+            if entry is None:
+                entry = acc[rho] = [o, {}]
+            elif entry[0] % o:
+                entry[0] = math.lcm(entry[0], o)
+            out = entry[1]
+            # x_i * y_j added into A(rho) in Z[C_L]: `_convolve` inlined, as a
+            # call per pair cost ~8% of the loop at chirp(63)
+            for i, ca in xi.items():
+                for j, cb in yj.items():
+                    k = i + j
+                    if k >= L:
+                        k -= L
+                    p = ca * cb
+                    out[k] = out[k] + p if k in out else p
     vals = {}
-    for rho, out in acc.items():
-        order = orders[rho]
+    for rho, (order, out) in acc.items():
         step = L // order
         vals[rho] = _reduced(order, {k // step: n for k, n in out.items() if n}, M * M)
     return AutocorrelationProfile(d, vals, f.mode)

@@ -46,8 +46,9 @@ SQUAREFREE_PRIME = (1 << 61) - 1  # the prime of `_squarefree_part`'s certificat
 
 def _primitive_int(p) -> list[int]:
     """Clear denominators, divide by the content, make the lead positive;
-    a zero or constant polynomial is refused."""
-    p = poly_trim([as_fraction(x) for x in p])
+    a zero or constant polynomial is refused.  An int coefficient stays an
+    int; any other goes through `as_fraction`."""
+    p = poly_trim([x if type(x) is int else as_fraction(x) for x in p])
     if len(p) < 2:
         raise ValueError("polynomial must have positive degree")
     den = math.lcm(*(c.denominator for c in p))
@@ -150,6 +151,23 @@ def _squarefree_part(ints: list[int]) -> list[int]:
     return _primitive_int(poly_divmod(f, g)[0]) if len(g) > 1 else f
 
 
+def _hensel_lift(f: list[int], df: list[int], r: int, p: int, bound: int) -> tuple[int, int]:
+    """(r, m): the simple root r of f mod the prime p lifted to the root of
+    f mod m = p^(2^k), the first such power above bound; df is f'.
+
+    Each Newton step squares m.  r' = r - f(r) * inv needs inv = 1/f'(r)
+    only mod the old m, since f(r) = 0 there; that inverse is carried
+    along, inv <- inv * (2 - f'(r') * inv) mod the new m, instead of
+    being recomputed by a modular inversion at every step."""
+    m, inv = p, pow(_horner_mod(df, r, p), -1, p)
+    while m <= bound:
+        m *= m
+        r = (r - _horner_mod(f, r, m) * inv) % m
+        if m <= bound:
+            inv = inv * (2 - _horner_mod(df, r, m) * inv) % m
+    return r, m
+
+
 def _squarefree_rational_roots(f: list[int]) -> list[Fraction]:
     """The rational roots of a squarefree nonconstant integer polynomial f.
 
@@ -159,7 +177,7 @@ def _squarefree_rational_roots(f: list[int]) -> list[Fraction]:
     a * disc(f) fail, and each candidate costs one reduction of f mod p.
     The residues are then scanned once, on the reduced coefficients.  A
     rational root s/t has t | a, so it is a p-adic integer and its residue
-    is one of those roots, which Hensel lifting pins mod p^k.  With B the
+    is one of those roots, which `_hensel_lift` pins mod p^k.  With B the
     Cauchy bound, |a * s/t| <= |a| * B; once p^k > 2|a|B, a * s/t is the
     symmetric residue of a times the lift, and an exact integer Horner
     evaluation decides the candidate.
@@ -174,10 +192,7 @@ def _squarefree_rational_roots(f: list[int]) -> list[Fraction]:
     roots = [r for r in range(p) if not _horner_mod(fp, r, p)]
     found = []
     for r in roots:
-        m = p
-        while m <= bound:  # Newton doubles the p-adic digits per step
-            m *= m
-            r = (r - _horner_mod(f, r, m) * pow(_horner_mod(df, r, m), -1, m)) % m
+        r, m = _hensel_lift(f, df, r, p, bound)
         n = a * r % m
         root = Fraction(n - m if 2 * n > m else n, a)
         s, t = root.numerator, root.denominator

@@ -248,12 +248,19 @@ def _orbit_values(x: RadicalSum) -> np.ndarray:
     zs = x.term_values()
     total = np.zeros(size, dtype=complex)
     for j, (_, kvec) in enumerate(x.terms):
-        phase = np.ones(1, dtype=complex)
-        for n_l, k_l in zip(ctx.group, kvec):
-            col = np.exp(2j * np.pi * (np.arange(n_l) * k_l % n_l) / n_l)
-            phase = np.multiply.outer(phase, col).ravel()
-        total += zs[j] * phase
+        total += zs[j] * _rotation_phases(ctx, kvec)
     return total
+
+
+def _rotation_phases(ctx: RadicalContext, kvec) -> np.ndarray:
+    """The factor prod_l zeta_(n_l)^(r_l k_l) of a term with exponent
+    vector kvec, for r over H in itertools.product order."""
+    import numpy as np
+    phase = np.ones(1, dtype=complex)
+    for n_l, k_l in zip(ctx.group, kvec):
+        col = np.exp(2j * np.pi * (np.arange(n_l) * k_l % n_l) / n_l)
+        phase = np.multiply.outer(phase, col).ravel()
+    return phase
 
 
 def orbit_moduli(x: RadicalSum) -> list[float]:
@@ -312,14 +319,14 @@ def cosine_expansion(x: RadicalSum, sigma: GaloisElement) -> float:
     return total
 
 
-def marginal_orbit_stats(x: RadicalSum, eps: float) -> dict:
-    """Per-phi band fractions over the Kummer orbit and their exact average.
-
-    For each t in (Z/DZ)*, d(phi_t) is the fraction of the Kummer orbit of
-    phi_t(x) inside the band, read from its orbit values like `d_gamma_eps`.
-    Those membership bits, one per (t, r), also give the whole-group
-    fraction, so the average of the rows must equal it exactly.
-    """
+def _unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
+    """The units t of Z/D in ascending order, and row by row the orbit
+    values `_orbit_values(apply_galois((t, 0), x))`, bit for bit, built in
+    one pass: each term's rotation phases and radical value once, and per
+    unit each coefficient conjugated and embedded at lcm(order, D_work),
+    the order of the coefficient `apply_galois` makes, then summed term by
+    term in the same order.  Refused (ValueError) when the units times the
+    orbit times the terms exceed `ORBIT_CAP`."""
     import numpy as np
     ctx = x.context
     hsize = ctx.orbit_size()
@@ -328,11 +335,30 @@ def marginal_orbit_stats(x: RadicalSum, eps: float) -> dict:
         (t for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1), limit + 1))
     if len(units) > limit:
         raise ValueError("cyclotomic part times orbit too large")
-    r0 = (0,) * ctx.rank
-    bits = np.array([
-        _in_band(np.abs(_orbit_values(apply_galois(GaloisElement(t, r0), x))) ** 2, eps)
-        for t in units
-    ])
+    Dw = ctx.D_work
+    terms = [(a.lift(Dw) if Dw % a.order == 0 else a, ctx.radical_value(k),
+              _rotation_phases(ctx, k)) for a, k in x.terms]
+    grid = np.zeros((len(units), hsize), dtype=complex)
+    for row, t in zip(grid, map(ctx.lift_t, units)):
+        for a, rad, phase in terms:
+            b = a.galois_conjugate(t) if t != 1 else a
+            row += b.lift(lcm(b.order, Dw)).embed() * rad * phase
+    return units, grid
+
+
+def marginal_orbit_stats(x: RadicalSum, eps: float) -> dict:
+    """Per-phi band fractions over the Kummer orbit and their exact average.
+
+    For each t in (Z/DZ)*, d(phi_t) is the fraction of the Kummer orbit of
+    phi_t(x) inside the band, read from its orbit values (`_unit_orbit_values`)
+    like `d_gamma_eps`.  Those membership bits, one per (t, r), also give
+    the whole-group fraction, so the average of the rows must equal it
+    exactly.
+    """
+    import numpy as np
+    units, grid = _unit_orbit_values(x)
+    hsize = grid.shape[1]
+    bits = _in_band(np.abs(grid) ** 2, eps)
     rows = [{"t": t, "fraction": Fraction(int(np.count_nonzero(row)), hsize)}
             for t, row in zip(units, bits)]
     average = sum(row["fraction"] for row in rows) / len(units)

@@ -19,9 +19,9 @@ from cyclolab.cyclotomic import CyclotomicNumber, zeta
 from cyclolab.equidist import _BLOCK, ArcBox
 from cyclolab.flatsums import (
     AutocorrelationProfile, SparseExpSum, ValidityReport, _gradient, _penalty, _unit_matrix)
-from cyclolab.heights import AlgebraicNumber, _primitive_int, poly_roots
+from cyclolab.heights import AlgebraicNumber, _horner_mod, _primitive_int, poly_roots
 from cyclolab.lattice import hnf
-from cyclolab.radical import GaloisElement, RadicalContext
+from cyclolab.radical import GaloisElement, RadicalContext, RadicalSum, _orbit_values, apply_galois
 
 
 # ----------------------------------------------------------------- cyclotomic
@@ -30,6 +30,12 @@ from cyclolab.radical import GaloisElement, RadicalContext
 def abs_squared(x: CyclotomicNumber) -> CyclotomicNumber:
     """x * conj(x); fixed by conjugation, nonnegative real under embedding."""
     return x * x.conjugate()
+
+
+def dense_is_zero(x: CyclotomicNumber) -> bool:
+    """The zero test by the dense route: the coefficient vector reduced
+    modulo Phi_order (`canonical`) has no nonzero entry."""
+    return not any(x.canonical())
 
 
 # ------------------------------------------------------------------- flatsums
@@ -174,6 +180,17 @@ def _arc_count_chunk(m: int, k: tuple[int, ...], box: ArcBox, lo: int, hi: int) 
 # -------------------------------------------------------------------- radical
 
 
+def per_unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
+    """`_unit_orbit_values` by the per-unit route: for each unit t of Z/D,
+    phi_t(x) built as a RadicalSum by `apply_galois((t, 0), x)`, its orbit
+    values by `_orbit_values`, one row per unit."""
+    ctx = x.context
+    units = [t for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1]
+    r0 = (0,) * ctx.rank
+    return units, np.array([_orbit_values(apply_galois(GaloisElement(t, r0), x))
+                            for t in units])
+
+
 def compose(sigma: GaloisElement, tau: GaloisElement, context: RadicalContext) -> GaloisElement:
     """sigma o tau in the semidirect structure: (s, r)(t, q) has cyclotomic
     part s*t and rotations r_l + s*q_l mod (d_l/c_l)."""
@@ -218,6 +235,17 @@ def fraction_power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
     rts = poly_roots(ints)
     idx = min(range(len(rts)), key=lambda i: abs(rts[i] - target))
     return AlgebraicNumber(tuple(ints), idx)
+
+
+def per_step_hensel_lift(f: list[int], df: list[int], r: int, p: int,
+                         bound: int) -> tuple[int, int]:
+    """`_hensel_lift` with a fresh modular inversion of f'(r) at every
+    Newton step, mod the squared modulus."""
+    m = p
+    while m <= bound:
+        m *= m
+        r = (r - _horner_mod(f, r, m) * pow(_horner_mod(df, r, m), -1, m)) % m
+    return r, m
 
 
 def radical_minpoly(a, n: int) -> tuple[int, ...]:

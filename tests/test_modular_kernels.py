@@ -1,22 +1,34 @@
 """The modular and integer kernels against the exact routes they replaced
 (kept in `_reference.py`): sparse residues in `validate_definition`, the
-group-ring autocorrelation, the mod-P squarefree certificate, integer
-Newton sums in `power_transform` and the bounded rational-root probe."""
+group-ring autocorrelation, the sparse normal form of the zero and equality
+tests, the one-pass marginal grid, the integer-only value builders, the
+mod-P squarefree certificate, integer Newton sums in `power_transform` and
+the bounded rational-root probe with its carried Hensel inverse."""
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclolab import flatsums, heights
-from cyclolab._arith import poly_coprime_mod, poly_mul, prime_root_of_unity, primes
-from cyclolab.cyclotomic import CyclotomicNumber, rational, zeta
-from cyclolab.flatsums import chirp, exact_sum, grouped_autocorrelation, is_flat, validate_definition
+from cyclolab import cyclotomic, flatsums, heights, radical
+from cyclolab._arith import (
+    as_fraction, factorize, poly_coprime_mod, poly_deriv, poly_mul, prime_root_of_unity, primes)
+from cyclolab.cyclotomic import CyclotomicNumber, _normal_form, _over_lcm, rational, zeta
+from cyclolab.flatsums import (
+    chirp, exact_sum, grouped_autocorrelation, is_flat, known_member_witness, validate_definition)
 from cyclolab.heights import (
-    SQUAREFREE_PRIME, AlgebraicNumber, _primitive_int, _squarefree_part, power_transform)
+    SQUAREFREE_PRIME, AlgebraicNumber, _hensel_lift, _horner_mod, _primitive_int,
+    _squarefree_part, power_transform)
+from cyclolab.radical import (
+    RadicalContext, RadicalSum, _in_band, _unit_orbit_values, marginal_orbit_stats,
+    normalize_terms)
 
 from _reference import (
-    dense_validate_definition, fraction_power_transform, gcd_squarefree_part, object_autocorrelation)
+    dense_is_zero, dense_validate_definition, fraction_power_transform, gcd_squarefree_part,
+    object_autocorrelation, per_step_hensel_lift, per_unit_orbit_values)
 
 ORDERS_840 = (1, 2, 3, 4, 5, 6, 7, 8, 12, 14, 15, 21, 24, 28, 35, 40, 56, 105, 120, 168, 280,
               420, 840)
@@ -118,8 +130,9 @@ def _autocorrelation_corpus():
     """3,230 seeded exact sums: d in 1-30, N in 0-7, exponents in
     [-2d - 3, 2d + 3] (negative ones, and several sharing a residue mod d),
     mixed coefficient orders; most one-term sums are a scaled root of unity
-    at the level of its squared modulus (flat), and the chirps of orders
-    1-30 close the corpus (flat for odd d, not for even d)."""
+    at the level of its squared modulus (flat); then the chirps of orders
+    1-30 (flat for odd d, not for even d), the 24 twisted flat witnesses
+    and the chirps of orders 45 and 63."""
     rng = random.Random(35)
     for _ in range(3200):
         d, n = rng.randint(1, 30), rng.randint(0, 7)
@@ -131,6 +144,20 @@ def _autocorrelation_corpus():
         mu = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         yield exact_sum(d, [(b, _mixed_coefficient(rng)) for b in exps], mu)
     yield from (chirp(d) for d in range(1, 31))
+    yield from _twisted_witnesses()
+    yield from (chirp(d) for d in (45, 63))
+
+
+def _twisted_witnesses():
+    """The admissible flat witnesses of 2-4 terms on mu_1 and mu_2, each
+    coefficient times zeta_24^twist, as the benchmark's `reduce` pool
+    builds them: mixed orders 24 and lcm(8, 24)."""
+    for n in (2, 3, 4):
+        for d in (1, 2):
+            f = known_member_witness(n, d)
+            for twist in (0, 1, 5, 11):
+                rot = zeta(24, twist)
+                yield exact_sum(f.d, [(b, a * rot) for b, a in f.terms], f.mu)
 
 
 def _form(x):
@@ -294,3 +321,266 @@ def test_primorial_probe_is_bounded(top):
     with pytest.raises(ValueError, match="rational root"):
         AlgebraicNumber((-N * N, 0, 1))
     assert time.perf_counter() - t0 < 0.5
+
+
+# ------------------------------------------------- normal form over Q(zeta_D)
+
+
+NF_ORDERS = tuple(range(1, 61)) + (84, 105, 120, 168, 210, 420)
+
+
+def _element(rng, D):
+    """Up to 8 terms q * zeta_D^j, or about one time in five a 30%-dense
+    vector; denominators up to 6."""
+    if rng.random() < 0.2:
+        return CyclotomicNumber(D, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                    if rng.random() < 0.3 else 0 for _ in range(D)])
+    x = CyclotomicNumber.zero(D)
+    for _ in range(rng.randint(0, 8)):
+        x = x + Fraction(rng.randint(-9, 9), rng.randint(1, 6)) * zeta(D, rng.randrange(D))
+    return x
+
+
+def _hidden_zero(rng, D):
+    """A sum of c * zeta_D^j * (1 + zeta_p + ... + zeta_p^(p-1)) over the
+    primes p | D, one to two terms each, added without reduction: zero in
+    value, nonzero in its term map (the rational 0 at D = 1)."""
+    z = CyclotomicNumber.zero(D)
+    for p in factorize(D):
+        for _ in range(rng.randint(1, 2)):
+            c, j = Fraction(rng.randint(1, 9), rng.randint(1, 4)), rng.randrange(D)
+            z = z + sum((c * zeta(D, j + k * D // p) for k in range(p)), CyclotomicNumber.zero(D))
+    return z
+
+
+def test_normal_form_vs_dense_zero_test():
+    rng = random.Random(37)
+    hidden = zero = 0
+    for D in NF_ORDERS:
+        kept = {j for j in range(D)
+                if all(j % p**e < (p - 1) * p ** (e - 1) for p, e in factorize(D).items())}
+        assert len(kept) == cyclotomic.euler_phi(D)  # the Zumbroich basis
+        for _ in range(10):
+            x, w, h = _element(rng, D), _element(rng, D), _hidden_zero(rng, D)
+            y = x + h  # x in another representative
+            assert h.is_zero() and dense_is_zero(h) and h == 0 and 0 == h
+            for v in (x, w, y, x - y, y - x, x - w, w + h, h - w):
+                assert v.is_zero() == dense_is_zero(v), (D, v)
+                zero += v.is_zero()
+            assert x == y and y == x and not (x != y)
+            assert (x == w) == dense_is_zero(x - w) == (w == x)
+            assert (y == w) == dense_is_zero(y - w)
+            nx, ny = _normal_form(D, x._num), _normal_form(D, y._num)
+            assert set(nx) <= kept and set(ny) <= kept
+            assert {j: n * y._den for j, n in nx.items()} == {j: n * x._den for j, n in ny.items()}
+            hidden += bool(h._num)
+        assert _normal_form(D, {0: 5}) == {0: 5}  # a rational is its own form
+    assert hidden >= 10 * (len(NF_ORDERS) - 1) and zero >= 10 * len(NF_ORDERS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(NF_ORDERS[1:]), st.data())
+def test_random_hidden_zeros_vanish(D, data):
+    """Any integer combination of the p-th root sums zeta^j sum_k zeta^(kD/p),
+    p | D, is zero; built densely, so no sum reduces it first."""
+    ps = sorted(factorize(D))
+    v = [0] * D
+    for p, j, c in data.draw(st.lists(st.tuples(st.sampled_from(ps), st.integers(0, D - 1),
+                                                st.integers(-10**30, 10**30)), max_size=6)):
+        for k in range(p):
+            v[(j + k * D // p) % D] += c
+    den = data.draw(st.integers(1, 10**6))
+    z = CyclotomicNumber(D, [Fraction(c, den) for c in v])
+    x = CyclotomicNumber(D, data.draw(st.lists(st.integers(-3, 3), min_size=D, max_size=D)))
+    assert z.is_zero() and z == 0 and dense_is_zero(z)
+    assert _normal_form(D, z._num) == {}
+    assert x + z == x and (x + z).is_zero() == x.is_zero() == dense_is_zero(x)
+
+
+def test_zero_and_equality_make_no_division(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return divmod_(a, b)
+    divmod_ = cyclotomic.poly_divmod
+    monkeypatch.setattr(cyclotomic, "poly_divmod", spy)
+    x = zeta(420, 7) + Fraction(1, 3) * zeta(420, 200)
+    y = x + zeta(420, 11) + zeta(420, 151) + zeta(420, 291)  # + zeta^11 (1 + zeta_3 + zeta_3^2)
+    x.canonical()
+    assert calls  # the spy sees the dense route
+    calls.clear()
+    monkeypatch.setattr(CyclotomicNumber, "canonical", lambda self: pytest.fail("canonical"))
+    assert x == y and y == x and not x.is_zero() and (x - y).is_zero()
+    assert x != 0 and x != zeta(420, 7) and rational(3, 420) == 3 and zeta(5) != zeta(7)
+    assert is_flat(chirp(63)).flat and not is_flat(chirp(30)).flat
+    f = exact_sum(5, [(0, zeta(3)), (1, zeta(3, 2)), (2, 1), (3, zeta(4))])
+    assert validate_definition(f).failing_subset == (0, 1, 2)
+    ctx = RadicalContext([Fraction(2)], [2], D=3)
+    hidden = RadicalSum(ctx, [(zeta(3) + zeta(3, 2) + 1, (1,)), (zeta(3), (0,))])
+    assert normalize_terms(hidden).n_terms == 1
+    assert not calls
+
+
+# --------------------------------------------------------- marginal grid
+
+
+def _radical_sum(rng):
+    """A radical sum of 0-3 terms over 1-2 generators with denominators
+    1-6, D in 1-12; coefficients of orders that divide D_work or do not
+    (the lcm branch of `apply_galois`), rational ones among them."""
+    b = rng.randint(1, 2)
+    gens = rng.sample([Fraction(2), Fraction(3), Fraction(5), Fraction(7, 2)], b)
+    ctx = RadicalContext(gens, [rng.randint(1, 6) for _ in range(b)], rng.randint(1, 12))
+    terms = []
+    for _ in range(rng.choice((0, 1, 2, 2, 2, 3))):
+        o = rng.choice((1, ctx.D, ctx.D_work, 7, 11, 13))
+        c = sum((Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * zeta(o, rng.randrange(o))
+                 for _ in range(rng.randint(1, 3))), CyclotomicNumber.zero(1))
+        terms.append((c, tuple(rng.randint(-3, 3) for _ in range(b))))
+    return RadicalSum(ctx, terms)
+
+
+def test_unit_orbit_values_vs_per_unit_route():
+    rng = random.Random(36)
+    lcm_branch = two_terms = refused = 0
+    for _ in range(300):
+        x = _radical_sum(rng)
+        eps = rng.choice((0.1, 0.5, 1.0))
+        try:
+            units, want = per_unit_orbit_values(x)
+        except ValueError:  # a unit lifts to a t sharing a factor with a coefficient order
+            with pytest.raises(ValueError, match="not a Galois element"):
+                _unit_orbit_values(x)
+            refused += 1
+            continue
+        got_units, got = _unit_orbit_values(x)
+        assert got_units == units and got.shape == want.shape
+        assert np.array_equal(got, want), x  # bit for bit
+        hsize = x.context.orbit_size()
+        rows = [{"t": t, "fraction": Fraction(int(np.count_nonzero(_in_band(abs(row) ** 2, eps))),
+                                              hsize)} for t, row in zip(units, want)]
+        assert marginal_orbit_stats(x, eps)["rows"] == rows
+        lcm_branch += any(x.context.D_work % a.order for a, _ in x.terms)
+        two_terms += x.n_terms == 2
+    assert lcm_branch >= 30 and two_terms >= 60 and refused >= 1
+
+
+def test_marginal_stats_apply_no_galois_element(monkeypatch):
+    x = RadicalSum(RadicalContext([Fraction(2)], [2], D=5),
+                   [(Fraction(1, 2), (0,)), (zeta(5) * Fraction(1, 2), (1,))])
+    want = marginal_orbit_stats(x, 0.1)
+    monkeypatch.setattr(radical, "apply_galois", lambda *a: pytest.fail("apply_galois"))
+    assert marginal_orbit_stats(x, 0.1) == want
+
+
+# ------------------------------------------------------------ value builders
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2"], ids=["float", "Decimal", "str"])
+def test_builders_refuse_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        CyclotomicNumber(3, [1, bad, 0])
+    with pytest.raises(TypeError):
+        CyclotomicNumber(3, (c for c in [0, 0, bad]))
+    with pytest.raises(TypeError):  # before the length is checked
+        CyclotomicNumber(3, [bad])
+    with pytest.raises(TypeError):
+        _primitive_int([1, bad, 1])
+    with pytest.raises(TypeError):
+        _primitive_int([bad])
+
+
+def test_builders_refuse_wrong_length_and_constants():
+    for coeffs in ([1, 2], [1, 2, 3, 4], iter([1]), []):
+        with pytest.raises(ValueError, match="length"):
+            CyclotomicNumber(3, coeffs)
+    with pytest.raises(ValueError, match="positive"):
+        CyclotomicNumber(0, [])
+    for poly in ([5], [0, 0], [], [Fraction(3, 2), 0]):
+        with pytest.raises(ValueError, match="positive degree"):
+            _primitive_int(poly)
+
+
+def _mixed_entry(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == 2:
+        return np.int64(rng.randint(-9, 9))
+    if kind == 3:
+        return rng.random() < 0.5
+    return rng.randint(-10**20, 10**20)
+
+
+def test_builders_match_the_fraction_path():
+    rng = random.Random(38)
+    for _ in range(300):
+        D = rng.randint(1, 30)
+        v = [_mixed_entry(rng) for _ in range(D)]
+        want = _over_lcm({j: as_fraction(c) for j, c in enumerate(v) if c})
+        for x in (CyclotomicNumber(D, v), CyclotomicNumber(D, (c for c in v))):
+            assert (x._num, x._den) == want
+            assert all(type(n) is int for n in x._num.values()) and type(x._den) is int
+        try:
+            want = _primitive_int([as_fraction(c) for c in v])
+        except ValueError:
+            with pytest.raises(ValueError):
+                _primitive_int(v)
+            continue
+        got = _primitive_int(v)
+        assert got == want and all(type(c) is int for c in got)
+        assert _primitive_int(c for c in v) == want
+
+
+# -------------------------------------------------------------- Hensel lift
+
+
+def _lifts(f, bound=None):
+    """(got, want) of every root of f mod the probe's prime, lifted past
+    the probe's bound (or the given one) by `_hensel_lift` and by the
+    per-step reference."""
+    df = poly_deriv(f)
+    a = f[-1]
+    bound = bound or 2 * (abs(a) + max(abs(c) for c in f[:-1]))
+    p = next(p for p in primes() if a % p and poly_coprime_mod(f, df, p))
+    for r in range(p):
+        if not _horner_mod(f, r, p):
+            yield _hensel_lift(f, df, r, p, bound), per_step_hensel_lift(f, df, r, p, bound)
+
+
+def test_hensel_lift_vs_per_step_reference():
+    rng = random.Random(39)
+    lifted = steps = 0
+    for _ in range(300):
+        poly = [rng.randint(1, 6)]
+        for _ in range(rng.randint(1, 3)):
+            factor = ([rng.randint(-30, 30), rng.randint(1, 6)] if rng.random() < 0.6
+                      else [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [1])
+            poly = poly_mul(poly, factor)
+        if not 2 <= len(poly) <= 7:
+            continue
+        f = _squarefree_part(_primitive_int(poly))
+        for bound in (None, 10**40):
+            for (r, m), want in _lifts(f, bound):
+                assert (r, m) == want and not _horner_mod(f, r, m), f
+                lifted += 1
+                steps += m > 10**40
+    assert lifted >= 300 and steps >= 100
+
+
+@pytest.mark.parametrize("top", [3000, 6000])
+def test_hensel_lift_on_primorial_quadratics(top):
+    N = 1
+    for p in primes():
+        if p >= top:
+            break
+        N *= p
+    found = 0
+    for f in ([-N, 0, 1], [-N * N, 0, 1]):
+        for (r, m), want in _lifts(f):
+            assert (r, m) == want and not _horner_mod(f, r, m) and m > 2 * N
+            found += 1
+    assert found >= 2
