@@ -100,8 +100,7 @@ def _normal_form(order: int, num: dict) -> dict:
     every zeta^j with (j mod p^e) >= (p - 1) p^(e-1) is rewritten so.  The
     rewrite for p moves only the residue mod p^e, into the kept range, so
     the primes done before stay done.  What is left is unique: x = 0 iff
-    it is empty, and two values over one denominator are equal iff their
-    forms are."""
+    it is empty."""
     for p, q, cut, step in _basis_rewrites(order):
         out: dict = {}
         for j, n in num.items():
@@ -306,17 +305,13 @@ class CyclotomicNumber:
         return not _normal_form(self.order, self._num)
 
     def __eq__(self, other):
-        """Exact equality across orders: both sides at the common order,
-        their normal forms compared with each scaled by the other's
-        denominator (the reduced denominator of a value is not unique:
-        1 = (3 + zeta_3 + zeta_3^2)/2)."""
+        """Exact equality across orders: the difference at the common order
+        `is_zero`."""
         try:
             a, b = self._pair(other)
         except TypeError:  # x == 0.5 is False, not an error
             return NotImplemented
-        na, nb = _normal_form(a.order, a._num), _normal_form(b.order, b._num)
-        da, db = a._den, b._den
-        return na.keys() == nb.keys() and all(n * db == nb[j] * da for j, n in na.items())
+        return (a - b).is_zero()
 
     __hash__ = None  # semantic equality across orders; not hashable
 
