@@ -306,6 +306,39 @@ def test_power_transform_vs_fraction_reference():
 # ------------------------------------------------------- rational-root probe
 
 
+def _lifts(f, bound=None):
+    """(got, want) of every root of f mod the probe's prime, lifted past
+    the probe's bound (or the given one) by `_hensel_lift` and by the
+    per-step reference."""
+    df = poly_deriv(f)
+    a = f[-1]
+    bound = bound or 2 * (abs(a) + max(abs(c) for c in f[:-1]))
+    p = next(p for p in primes() if a % p and poly_coprime_mod(f, df, p))
+    for r in range(p):
+        if not _horner_mod(f, r, p):
+            yield _hensel_lift(f, df, r, p, bound), per_step_hensel_lift(f, df, r, p, bound)
+
+
+def test_hensel_lift_vs_per_step_reference():
+    rng = random.Random(39)
+    lifted = steps = 0
+    for _ in range(300):
+        poly = [rng.randint(1, 6)]
+        for _ in range(rng.randint(1, 3)):
+            factor = ([rng.randint(-30, 30), rng.randint(1, 6)] if rng.random() < 0.6
+                      else [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [1])
+            poly = poly_mul(poly, factor)
+        if not 2 <= len(poly) <= 7:
+            continue
+        f = _squarefree_part(_primitive_int(poly))
+        for bound in (None, 10**40):
+            for (r, m), want in _lifts(f, bound):
+                assert (r, m) == want and not _horner_mod(f, r, m), f
+                lifted += 1
+                steps += m > 10**40
+    assert lifted >= 300 and steps >= 100
+
+
 @pytest.mark.parametrize("top", [3000, 6000])
 def test_primorial_probe_is_bounded(top):
     # x^2 - N, N the product of the primes below `top`: x^2 - N is
@@ -321,6 +354,13 @@ def test_primorial_probe_is_bounded(top):
     with pytest.raises(ValueError, match="rational root"):
         AlgebraicNumber((-N * N, 0, 1))
     assert time.perf_counter() - t0 < 0.5
+    # the lifts with the carried inverse are the per-step reference's
+    found = 0
+    for f in ([-N, 0, 1], [-N * N, 0, 1]):
+        for (r, m), want in _lifts(f):
+            assert (r, m) == want and not _horner_mod(f, r, m) and m > 2 * N
+            found += 1
+    assert found >= 2  # +-N mod p at least
 
 
 # ------------------------------------------------- normal form over Q(zeta_D)
@@ -533,54 +573,3 @@ def test_builders_match_the_fraction_path():
         got = _primitive_int(v)
         assert got == want and all(type(c) is int for c in got)
         assert _primitive_int(c for c in v) == want
-
-
-# -------------------------------------------------------------- Hensel lift
-
-
-def _lifts(f, bound=None):
-    """(got, want) of every root of f mod the probe's prime, lifted past
-    the probe's bound (or the given one) by `_hensel_lift` and by the
-    per-step reference."""
-    df = poly_deriv(f)
-    a = f[-1]
-    bound = bound or 2 * (abs(a) + max(abs(c) for c in f[:-1]))
-    p = next(p for p in primes() if a % p and poly_coprime_mod(f, df, p))
-    for r in range(p):
-        if not _horner_mod(f, r, p):
-            yield _hensel_lift(f, df, r, p, bound), per_step_hensel_lift(f, df, r, p, bound)
-
-
-def test_hensel_lift_vs_per_step_reference():
-    rng = random.Random(39)
-    lifted = steps = 0
-    for _ in range(300):
-        poly = [rng.randint(1, 6)]
-        for _ in range(rng.randint(1, 3)):
-            factor = ([rng.randint(-30, 30), rng.randint(1, 6)] if rng.random() < 0.6
-                      else [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [1])
-            poly = poly_mul(poly, factor)
-        if not 2 <= len(poly) <= 7:
-            continue
-        f = _squarefree_part(_primitive_int(poly))
-        for bound in (None, 10**40):
-            for (r, m), want in _lifts(f, bound):
-                assert (r, m) == want and not _horner_mod(f, r, m), f
-                lifted += 1
-                steps += m > 10**40
-    assert lifted >= 300 and steps >= 100
-
-
-@pytest.mark.parametrize("top", [3000, 6000])
-def test_hensel_lift_on_primorial_quadratics(top):
-    N = 1
-    for p in primes():
-        if p >= top:
-            break
-        N *= p
-    found = 0
-    for f in ([-N, 0, 1], [-N * N, 0, 1]):
-        for (r, m), want in _lifts(f):
-            assert (r, m) == want and not _horner_mod(f, r, m) and m > 2 * N
-            found += 1
-    assert found >= 2
