@@ -1,7 +1,7 @@
 """The modular and integer kernels against the exact routes they replaced
 (kept in `_reference.py`): sparse residues in `validate_definition`, the
 group-ring autocorrelation, the sparse normal form of the zero and equality
-tests, the one-pass marginal grid, the integer-only value builders, the
+tests, the one-pass marginal grid, the integer-only constructors, the
 mod-P squarefree certificate, integer Newton sums in `power_transform` and
 the bounded rational-root probe with its carried Hensel inverse."""
 import random
@@ -514,11 +514,11 @@ def test_marginal_stats_apply_no_galois_element(monkeypatch):
     assert marginal_orbit_stats(x, 0.1) == want
 
 
-# ------------------------------------------------------------ value builders
+# -------------------------------------------------------------- constructors
 
 
 @pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2"], ids=["float", "Decimal", "str"])
-def test_builders_refuse_inexact_coefficients(bad):
+def test_constructors_refuse_inexact_coefficients(bad):
     with pytest.raises(TypeError):
         CyclotomicNumber(3, [1, bad, 0])
     with pytest.raises(TypeError):
@@ -531,7 +531,7 @@ def test_builders_refuse_inexact_coefficients(bad):
         _primitive_int([bad])
 
 
-def test_builders_refuse_wrong_length_and_constants():
+def test_constructors_refuse_wrong_length_and_constants():
     for coeffs in ([1, 2], [1, 2, 3, 4], iter([1]), []):
         with pytest.raises(ValueError, match="length"):
             CyclotomicNumber(3, coeffs)
@@ -555,7 +555,7 @@ def _mixed_entry(rng):
     return rng.randint(-10**20, 10**20)
 
 
-def test_builders_match_the_fraction_path():
+def test_constructors_match_the_fraction_path():
     rng = random.Random(38)
     for _ in range(300):
         D = rng.randint(1, 30)
