@@ -27,7 +27,7 @@ from operator import index
 from typing import TYPE_CHECKING, Sequence
 
 from ._arith import as_complex, as_float, as_fraction, check_cap, prime_root_of_unity
-from .cyclotomic import CyclotomicNumber, _reduced, as_cyclotomic, zeta
+from .cyclotomic import CyclotomicNumber, _convolve, _reduced, as_cyclotomic, zeta
 
 if TYPE_CHECKING:
     import numpy as np  # bound at run time only by `flat_search`, for `_penalty` and `_gradient`
@@ -253,16 +253,7 @@ def grouped_autocorrelation(f: SparseExpSum) -> AutocorrelationProfile:
                 entry = acc[rho] = [o, {}]
             elif entry[0] % o:
                 entry[0] = math.lcm(entry[0], o)
-            out = entry[1]
-            # x_i * y_j added into A(rho) in Z[C_L]: `_convolve` inlined, as a
-            # call per pair cost ~8% of the loop at chirp(63)
-            for i, ca in xi.items():
-                for j, cb in yj.items():
-                    k = i + j
-                    if k >= L:
-                        k -= L
-                    p = ca * cb
-                    out[k] = out[k] + p if k in out else p
+            _convolve(xi, yj, L, entry[1])
     vals = {}
     for rho, (order, out) in acc.items():
         step = L // order

@@ -227,11 +227,16 @@ def apply_galois(sigma: GaloisElement, x: RadicalSum) -> RadicalSum:
     t = ctx.lift_t(sigma.t)
     out = []
     for a, k in x.terms:
-        b = a.lift(ctx.D_work) if ctx.D_work % a.order == 0 else a
-        b = b.galois_conjugate(t) if t != 1 else b
-        b = b * _rotation_factor(ctx, sigma.r, k)
-        out.append((b, k))
+        out.append((_conjugated(ctx, a, t) * _rotation_factor(ctx, sigma.r, k), k))
     return RadicalSum(ctx, out)
+
+
+def _conjugated(ctx: RadicalContext, a: CyclotomicNumber, t: int) -> CyclotomicNumber:
+    """phi_t of a coefficient, t a lifted unit: lifted to Q(zeta_D_work)
+    first when its order divides D_work.  Its product with a rotation
+    factor, of order D_work, lies at lcm(order, D_work)."""
+    b = a.lift(ctx.D_work) if ctx.D_work % a.order == 0 else a
+    return b.galois_conjugate(t) if t != 1 else b
 
 
 # ------------------------------------------------------------ orbit statistics
@@ -323,9 +328,9 @@ def _unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
     """The units t of Z/D in ascending order, and row by row the orbit
     values `_orbit_values(apply_galois((t, 0), x))`, bit for bit, built in
     one pass: each term's rotation phases and radical value once, and per
-    unit each coefficient conjugated and embedded at lcm(order, D_work),
-    the order of the coefficient `apply_galois` makes, then summed term by
-    term in the same order.  Refused (ValueError) when the units times the
+    unit each coefficient conjugated by `_conjugated`, as `apply_galois`
+    does, and embedded at lcm(order, D_work), the order of its product with
+    the rotation factor, then summed term by term in the same order.  Refused (ValueError) when the units times the
     orbit times the terms exceed `ORBIT_CAP`."""
     import numpy as np
     ctx = x.context
@@ -335,14 +340,12 @@ def _unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
         (t for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1), limit + 1))
     if len(units) > limit:
         raise ValueError("cyclotomic part times orbit too large")
-    Dw = ctx.D_work
-    terms = [(a.lift(Dw) if Dw % a.order == 0 else a, ctx.radical_value(k),
-              _rotation_phases(ctx, k)) for a, k in x.terms]
+    terms = [(a, ctx.radical_value(k), _rotation_phases(ctx, k)) for a, k in x.terms]
     grid = np.zeros((len(units), hsize), dtype=complex)
     for row, t in zip(grid, map(ctx.lift_t, units)):
         for a, rad, phase in terms:
-            b = a.galois_conjugate(t) if t != 1 else a
-            row += b.lift(lcm(b.order, Dw)).embed() * rad * phase
+            b = _conjugated(ctx, a, t)
+            row += b.lift(lcm(b.order, ctx.D_work)).embed() * rad * phase
     return units, grid
 
 
