@@ -6,6 +6,8 @@ a complex, a Decimal or text (the parsers' business) with TypeError.
 Numeric input goes through `as_float` and `as_complex`, which refuse a
 Decimal and text.
 
+Sizes: `positive` is the one gate of an order, modulus, count or root order.
+
 Integers: the primes, divisors, Euler's phi, factorization, the floor
 k-th root and floor sums, all in integer arithmetic.  Polynomials in Q[x]
 are ascending coefficient lists of Fractions; a trimmed list has a nonzero
@@ -25,6 +27,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 from numbers import Complex, Rational, Real
+from operator import index
 
 _ZERO = Fraction(0)
 
@@ -53,6 +56,15 @@ def as_complex(x) -> complex:
     if not isinstance(x, Complex):
         raise TypeError(f"expected a complex number, got {type(x).__name__}")
     return complex(x)
+
+
+def positive(n, what: str) -> int:
+    """n as an int (`operator.index`: a float or text raises TypeError),
+    refused with ValueError "<what> must be positive" below 1."""
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"{what} must be positive")
+    return n
 
 
 def check_cap(what: str, cost: int, cap_name: str, cap: int) -> None:
@@ -253,12 +265,10 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 6.0 must not hit the entry of 6
 def euler_phi(n: int) -> int:
     """Euler's totient of n >= 1."""
-    if n < 1:
-        raise ValueError("Euler's phi needs a positive integer")
-    out = n
+    out = n = positive(n, "the argument of Euler's phi")
     for p in factorize(n):
         out -= out // p
     return out

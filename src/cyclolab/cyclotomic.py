@@ -18,10 +18,11 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 # euler_phi stays importable from here (tests and bench/make_reference.py use it)
 from ._arith import (  # noqa: F401
-    as_fraction, euler_phi, factorize, poly_divmod, poly_mul, poly_sub, poly_trim)
+    as_fraction, euler_phi, factorize, poly_divmod, poly_mul, poly_sub, poly_trim, positive)
 
 __all__ = [
     "CyclotomicNumber",
@@ -33,7 +34,7 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not hit the entry of 4
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending degree.
 
@@ -41,8 +42,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     when p | m and Phi_n(x) = Phi_m(x^p) / Phi_m(x) otherwise (Washington,
     Introduction to Cyclotomic Fields, ch. 2); the division is exact.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
+    n = positive(n, "order")
     if n == 1:
         return (-1, 1)
     p = max(factorize(n))
@@ -145,8 +145,7 @@ class CyclotomicNumber:
     __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise ValueError("order must be positive")
+        order = positive(order, "order")
         terms, j = {}, -1
         for j, c in enumerate(coeffs):  # one pass; an int stays an int
             if type(c) is not int and type(c) is not Fraction:
@@ -160,15 +159,6 @@ class CyclotomicNumber:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The dense coefficient vector of length order."""
-        v = [_ZERO] * self.order
-        den = self._den
-        for j, n in self._num.items():
-            v[j] = Fraction(n, den)
-        return tuple(v)
-
     # ------------------------------------------------------------ builders
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
@@ -180,20 +170,18 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q, order: int = 1) -> "CyclotomicNumber":
-        if order < 1:
-            raise ValueError("order must be positive")
         q = as_fraction(q)
-        return _wrap(order, {0: q.numerator} if q else {}, q.denominator)
+        return _wrap(positive(order, "order"), {0: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def root_of_unity(cls, order: int, k: int = 1) -> "CyclotomicNumber":
-        if order < 1:
-            raise ValueError("order must be positive")
-        return _wrap(order, {k % order: 1}, 1)
+        order = positive(order, "order")
+        return _wrap(order, {index(k) % order: 1}, 1)
 
     # ------------------------------------------------------------ helpers
     def lift(self, order: int) -> "CyclotomicNumber":
         """Canonical lift to Q(zeta_order); requires self.order | order."""
+        order = positive(order, "order")
         if order == self.order:
             return self
         if order % self.order != 0:
@@ -381,9 +369,7 @@ class CyclotomicNumber:
         try:
             if not at or not order_s.strip():
                 raise ValueError("missing order marker '@ D'")
-            order = int(order_s)
-            if order < 1:
-                raise ValueError("order must be positive")
+            order = positive(int(order_s), "order")
             v = [Fraction(0)] * order
             for term in body.split(" + "):
                 term = term.strip()

@@ -13,7 +13,7 @@ from math import gcd
 from operator import index
 from typing import Sequence
 
-from ._arith import as_float, check_cap, floor_sum
+from ._arith import as_float, check_cap, floor_sum, positive
 from .lattice import hnf, relation_lattice_basis, shortest_relation
 
 __all__ = [
@@ -52,9 +52,7 @@ class RootTupleOrbit:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "m", index(self.m))
-        if self.m < 1:
-            raise ValueError("m must be positive")
+        object.__setattr__(self, "m", positive(self.m, "m"))
         object.__setattr__(self, "k", tuple(map(index, self.k)))
 
     @property

@@ -26,7 +26,8 @@ from math import gcd
 from operator import index
 from typing import TYPE_CHECKING, Sequence
 
-from ._arith import as_complex, as_float, as_fraction, check_cap, prime_root_of_unity
+from ._arith import (
+    as_complex, as_float, as_fraction, check_cap, positive, prime_root_of_unity)
 from .cyclotomic import CyclotomicNumber, _convolve, _reduced, as_cyclotomic, zeta
 
 if TYPE_CHECKING:
@@ -81,8 +82,7 @@ class SparseExpSum:
     mode: str = field(default="exact")
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be positive")
+        object.__setattr__(self, "d", positive(self.d, "d"))
         bs = [b for b, _ in self.terms]
         if len(set(bs)) != len(bs):
             raise ValueError("exponents must be pairwise distinct")
@@ -372,8 +372,7 @@ def dirichlet_approx(b: Sequence[int], d: int, Q: int) -> tuple[int, tuple[int, 
     Simultaneous-approximation pigeonhole guarantees existence once
     Q >= 4^len(b); in fact q = d always works, so the search is short.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    d = positive(d, "d")
     for q in range(1, Q + 1):
         ps = []
         ok = True
@@ -525,13 +524,11 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     b = list(b)
     if len(set(b)) != len(b):
         raise ValueError("exponents must be pairwise distinct")
-    if d < 1:
-        raise ValueError("d must be positive")
+    d = positive(d, "d")
     mu = as_float(mu)
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    restarts = positive(restarts, "restarts")
     N = len(b)
     check_cap("d * N", d * N, "unit matrix cap", UNIT_MATRIX_CAP)
     check_cap("restarts * SEARCH_MAX_ITERS * d * N", restarts * SEARCH_MAX_ITERS * d * N,
@@ -584,8 +581,7 @@ def sn_upper_bound(N: int) -> int:
 
     4^N (N^2 - 1) for N >= 2; for N = 1 the set is exactly {1}.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    N = positive(N, "N")
     if N == 1:
         return 1
     return 4**N * (N * N - 1)
@@ -709,10 +705,8 @@ def sn_survey(N: int, d_max: int, restarts: int = 8, seed: int = 0) -> list[dict
     """
     if N > 3:
         raise ValueError("survey too large")
-    if N < 1 or d_max < 1:
-        raise ValueError("bad survey parameters")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    N, d_max = positive(N, "N"), positive(d_max, "d_max")
+    restarts = positive(restarts, "restarts")
     check_cap("d_max", d_max, "survey row cap", SURVEY_ROW_CAP)
     if N == 3:  # orders 1 and 2 have witnesses, orders above the bound no probes
         work, d = 0, 2

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._arith import (
-    as_fraction, euler_phi, poly_coprime_mod, poly_deriv, poly_divmod, poly_gcd, poly_trim, primes)
+    as_fraction, euler_phi, poly_coprime_mod, poly_deriv, poly_divmod, poly_gcd, poly_trim,
+    positive, primes)
 
 __all__ = [
     "AlgebraicNumber",
@@ -337,6 +338,4 @@ def radical_height(a, n: int) -> float:
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("radicand must be a positive rational")
-    if n < 1:
-        raise ValueError("root order must be a positive integer")
-    return math.log(max(a.numerator, a.denominator)) / n
+    return math.log(max(a.numerator, a.denominator)) / positive(n, "root order")

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import index
 
-from ._arith import as_fraction, divisors, euler_phi, factorize, iroot
+from ._arith import as_fraction, divisors, euler_phi, factorize, iroot, positive
 from .cyclotomic import CyclotomicNumber, zeta
 from .lattice import hnf, lll_reduce
 
@@ -60,26 +59,15 @@ def squarefree_part(n: int) -> int:
     return s
 
 
-def _positive(n, what: str) -> int:
-    """n as an int (`operator.index`: a float raises TypeError), refused
-    with ValueError unless n >= 1."""
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"{what} must be positive")
-    return n
-
-
 def _nth_root_rational(a: Fraction, n: int) -> Fraction | None:
-    """Exact rational n-th root of a, or None.  Even n requires a > 0."""
+    """The positive rational n-th root of a > 0, or None."""
     if n == 1:
         return a
-    if a < 0 and n % 2 == 0:
-        return None
-    num, den = abs(a.numerator), a.denominator
+    num, den = a.numerator, a.denominator
     p, q = iroot(num, n), iroot(den, n)
     if p**n != num or q**n != den:
         return None
-    return Fraction(-p if a < 0 else p, q)
+    return Fraction(p, q)
 
 
 # -------------------------------------------------------- conductor criterion
@@ -103,7 +91,7 @@ def sqrt_in_cyclotomic(a, m: int) -> bool:
     a = as_fraction(a)
     if a == 0:
         raise ValueError("zero radicand")
-    m = _positive(m, "field order m")
+    m = positive(m, "field order m")
     return m % conductor_of_sqrt(a) == 0
 
 
@@ -172,8 +160,8 @@ def has_nth_root_in_cyclotomic(a, e: int, m: int) -> bool:
     a = as_fraction(a)
     if a == 0:
         raise ValueError("zero has no root data")
-    e = _positive(e, "root order")
-    m = _positive(m, "field order m")
+    e = positive(e, "root order")
+    m = positive(m, "field order m")
     if e == 1:
         return True
     mag = abs(a)
@@ -219,7 +207,9 @@ class KummerQuery:
         object.__setattr__(self, "a", as_fraction(self.a))
         if self.a == 0 or self.a == 1 or self.a == -1:
             raise ValueError("torsion generator")
-        if self.d < 1 or self.m < 1 or not _zeta_order_in_cyclotomic(self.d, self.m):
+        object.__setattr__(self, "d", positive(self.d, "Kummer degree d"))
+        object.__setattr__(self, "m", positive(self.m, "field order m"))
+        if not _zeta_order_in_cyclotomic(self.d, self.m):
             raise ValueError("need the d-th roots of unity inside Q(zeta_m)")
 
 
@@ -340,8 +330,8 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     a = as_fraction(a)
     if a == 0:
         raise ValueError("zero has no root data")
-    e = _positive(e, "root order")
-    m = _positive(m, "field order m")
+    e = positive(e, "root order")
+    m = positive(m, "field order m")
     phi = euler_phi(m)
     if e * phi > 64:
         raise ValueError("oracle restricted to tiny cases (e * phi(m) <= 64)")

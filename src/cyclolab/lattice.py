@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from ._arith import positive
+
 LLL_DELTA = Fraction(3, 4)  # Lovasz constant of `lll_reduce`
 ENUM_NODES = 20_000  # `shortest_relation` refuses past this many search nodes
 
@@ -98,8 +100,7 @@ def relation_lattice_basis(window: list[tuple[int, list[int]]]) -> list[list[int
     One kernel: stack the M rows (k_1[j], ..., k_W[j]) over the W rows
     m_i * e_i.  An x = (n, t) with x . A = 0 has n . k_i = -t_i * m_i for
     every i, so the projection of the kernel onto n is the lattice."""
-    if any(m < 1 for m, _ in window):
-        raise ValueError("modulus must be positive")
+    window = [(positive(m, "modulus"), k) for m, k in window]
     dims = {len(k) for _, k in window}
     if len(dims) != 1:
         raise ValueError("the window needs tuples, all of the same length")

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import index
 from typing import TYPE_CHECKING
 
-from ._arith import as_fraction
+from ._arith import as_fraction, positive
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 from .equidist import ArcBox
 from .kummer import rank1_failure, multiplicatively_independent
@@ -79,28 +79,22 @@ class RadicalContext:
 
     def __post_init__(self):
         gens = tuple(as_fraction(g) for g in self.generators)
-        dens = tuple(map(index, self.denominators))
+        dens = tuple(positive(d, "denominators") for d in self.denominators)
         if len(gens) != len(dens):
             raise ValueError("one denominator per generator")
-        if any(d < 1 for d in dens):
-            raise ValueError("denominators must be positive")
-        if self.D < 1:
-            raise ValueError("cyclotomic order must be positive")
+        D = positive(self.D, "cyclotomic order")
         if gens and not multiplicatively_independent(gens):
             raise ValueError("generators must be multiplicatively independent")
         if self.failures is None:
-            failures = tuple(
-                rank1_failure(g, d, lcm(self.D, d))[0] for g, d in zip(gens, dens)
-            )
+            failures = tuple(rank1_failure(g, d, lcm(D, d))[0] for g, d in zip(gens, dens))
         else:
-            failures = tuple(map(index, self.failures))
-            for c, d in zip(failures, dens):
-                if c < 1 or d % c:
-                    raise ValueError("failures must divide the denominators")
+            failures = tuple(positive(c, "failures") for c in self.failures)
+            if any(d % c for c, d in zip(failures, dens)):
+                raise ValueError("failures must divide the denominators")
         group = tuple(d // c for d, c in zip(dens, failures))
-        for name, value in (("generators", gens), ("denominators", dens),
+        for name, value in (("generators", gens), ("denominators", dens), ("D", D),
                             ("failures", failures), ("group", group),
-                            ("D_work", lcm(self.D, *group))):
+                            ("D_work", lcm(D, *group))):
             object.__setattr__(self, name, value)
 
     @property
@@ -122,13 +116,18 @@ class RadicalContext:
 
     def lift_t(self, t: int) -> int:
         """Smallest positive lift of t mod D into (Z/D_work)*."""
-        if gcd(t, self.D) != 1:
-            raise ValueError("not a Galois element")
-        t %= self.D
-        cand = t if t else self.D  # t = 0 only when D = 1
-        while gcd(cand, self.D_work) != 1:
-            cand += self.D
-        return cand
+        return _unit_lift(t, self.D, self.D_work)
+
+
+def _unit_lift(t: int, D: int, L: int) -> int:
+    """The smallest positive lift of t mod D into (Z/L)*, D | L; refused
+    unless t is a unit mod D."""
+    if gcd(t, D) != 1:
+        raise ValueError("not a Galois element")
+    cand = t % D or D  # 0 only when D = 1
+    while gcd(cand, L) != 1:
+        cand += D
+    return cand
 
 
 @dataclass(frozen=True)
@@ -224,18 +223,24 @@ def apply_galois(sigma: GaloisElement, x: RadicalSum) -> RadicalSum:
     ctx = x.context
     if len(sigma.r) != ctx.rank:
         raise ValueError("rotation vector length must equal the rank")
-    t = ctx.lift_t(sigma.t)
+    t = _unit_lift(sigma.t, ctx.D, _galois_modulus(x))
     out = []
     for a, k in x.terms:
         out.append((_conjugated(ctx, a, t) * _rotation_factor(ctx, sigma.r, k), k))
     return RadicalSum(ctx, out)
 
 
+def _galois_modulus(x: RadicalSum) -> int:
+    """L = lcm(D_work, the coefficient orders of x): phi_t acts on x through
+    the lift of t into (Z/L)*, a unit at every order `_conjugated` reaches."""
+    return lcm(x.context.D_work, *(a.order for a, _ in x.terms))
+
+
 def _conjugated(ctx: RadicalContext, a: CyclotomicNumber, t: int) -> CyclotomicNumber:
-    """phi_t of a coefficient, t a lifted unit: lifted to Q(zeta_D_work)
-    first when its order divides D_work.  Its product with a rotation
-    factor, of order D_work, lies at lcm(order, D_work)."""
-    b = a.lift(ctx.D_work) if ctx.D_work % a.order == 0 else a
+    """phi_t of a coefficient, t a unit mod `_galois_modulus`, lifted first
+    to Q(zeta_lcm(order, D_work)), where its product with a rotation
+    factor of order D_work lies."""
+    b = a.lift(lcm(a.order, ctx.D_work))
     return b.galois_conjugate(t) if t != 1 else b
 
 
@@ -328,10 +333,10 @@ def _unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
     """The units t of Z/D in ascending order, and row by row the orbit
     values `_orbit_values(apply_galois((t, 0), x))`, bit for bit, built in
     one pass: each term's rotation phases and radical value once, and per
-    unit each coefficient conjugated by `_conjugated`, as `apply_galois`
-    does, and embedded at lcm(order, D_work), the order of its product with
-    the rotation factor, then summed term by term in the same order.  Refused (ValueError) when the units times the
-    orbit times the terms exceed `ORBIT_CAP`."""
+    unit each coefficient conjugated by `_conjugated` at the order of its
+    product with the rotation factor, as `apply_galois` does, then summed
+    term by term in the same order.  Refused (ValueError) when the units
+    times the orbit times the terms exceed `ORBIT_CAP`."""
     import numpy as np
     ctx = x.context
     hsize = ctx.orbit_size()
@@ -342,10 +347,10 @@ def _unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
         raise ValueError("cyclotomic part times orbit too large")
     terms = [(a, ctx.radical_value(k), _rotation_phases(ctx, k)) for a, k in x.terms]
     grid = np.zeros((len(units), hsize), dtype=complex)
-    for row, t in zip(grid, map(ctx.lift_t, units)):
+    L = _galois_modulus(x)
+    for row, t in zip(grid, (_unit_lift(t, ctx.D, L) for t in units)):
         for a, rad, phase in terms:
-            b = _conjugated(ctx, a, t)
-            row += b.lift(lcm(b.order, ctx.D_work)).embed() * rad * phase
+            row += _conjugated(ctx, a, t).embed() * rad * phase
     return units, grid
 
 
@@ -465,8 +470,7 @@ def exponent_relation_basis(kmatrix, m: int) -> dict:
     theta * k_(j,l) = K_(j,l) (mod m).
     """
     kmatrix = [list(map(index, row)) for row in kmatrix]
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    m = positive(m, "modulus")
     threshold = math.isqrt(m)
     nrows = len(kmatrix)
     ncols = len(kmatrix[0]) if nrows else 0
@@ -570,8 +574,7 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
     context is inferred: generators in order of first appearance, each
     denominator the lcm of the exponent denominators seen for that base.
     """
-    if D is not None and D < 1:
-        raise ValueError("cyclotomic order must be positive")
+    D = positive(1 if D is None else D, "cyclotomic order")
     # terms split at each + or - at parenthesis depth 0 that does not follow
     # ^; a - stays with the term it starts
     raw_terms, start, depth, prev = [], 0, 0, ""
@@ -612,11 +615,9 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
                 # keep the written denominator: 3/6 means k=3 over d=6
                 if "/" in exp_s:
                     p_s, _, q_s = exp_s.partition("/")
-                    p, q = int(p_s), int(q_s)
+                    p, q = int(p_s), positive(int(q_s), "radical denominators")
                 else:
                     p, q = int(exp_s), 1
-                if q < 1:
-                    raise ValueError("radical denominators must be positive")
                 if base <= 0:
                     raise ValueError("radical bases must be positive rationals")
                 radicals.append((base, (p, q)))
@@ -625,7 +626,7 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
         for base, (_, q) in radicals:
             dens[base] = lcm(dens.get(base, 1), q)
         parsed.append((coeff_rat, zfactors, radicals))
-    Dw = lcm(D if D is not None else 1, *(o for _, zf, _ in parsed for o, _ in zf))
+    Dw = lcm(D, *(o for _, zf, _ in parsed for o, _ in zf))
     gens = list(dens)
     context = RadicalContext(gens, list(dens.values()), Dw, failures=failures)
     terms = []

@@ -32,6 +32,15 @@ def abs_squared(x: CyclotomicNumber) -> CyclotomicNumber:
     return x * x.conjugate()
 
 
+def dense_coeffs(x: CyclotomicNumber) -> tuple[Fraction, ...]:
+    """The dense coefficient vector of x, of length x.order, over the power
+    basis zeta^0 .. zeta^(order - 1)."""
+    v = [Fraction(0)] * x.order
+    for j, n in x._num.items():
+        v[j] = Fraction(n, x._den)
+    return tuple(v)
+
+
 def dense_is_zero(x: CyclotomicNumber) -> bool:
     """The zero test by the dense route: the coefficient vector reduced
     modulo Phi_order (`canonical`) has no nonzero entry."""
@@ -84,10 +93,10 @@ def dense_validate_definition(f: SparseExpSum) -> ValidityReport:
     p = 1 << 61
     while True:
         p, w = prime_root_of_unity(L, p)
-        if all(c.denominator % p for a in coeffs for c in a.coeffs):
+        if all(c.denominator % p for a in coeffs for c in dense_coeffs(a)):
             break
     res = [sum(c.numerator * pow(c.denominator, -1, p) * pow(w, j * (L // a.order), p)
-               for j, c in enumerate(a.coeffs) if c) % p for a in coeffs]
+               for j, c in enumerate(dense_coeffs(a)) if c) % p for a in coeffs]
     failing = None
     for mask in range(1, 1 << n):
         subset = tuple(i for i in range(n) if mask >> i & 1)

@@ -116,8 +116,10 @@ class TestIntegers:
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(-9) == [1, 3, 9]
         assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be positive"):
             euler_phi(0)
+        with pytest.raises(TypeError):  # with the entry of 6 cached
+            euler_phi(6.0)
 
     @pytest.mark.parametrize("sa", [-1, 0, 1])
     @pytest.mark.parametrize("sb", [-1, 0, 1])
@@ -245,6 +247,11 @@ class TestExactGate:
         assert q == -6 and type(q.numerator) is int and type(q.denominator) is int
         assert as_fraction(True) == 1 and as_fraction(F(1, 3)) == F(1, 3)
         assert cyclotomic.CyclotomicNumber(2, [np.int32(3), 0]) == 3
+        # an order, exponent or count may be a numpy integer or a bool
+        x = cyclotomic.zeta(np.int64(4), True)
+        assert x == cyclotomic.zeta(4).lift(np.int32(8)) and type(x.order) is int
+        assert euler_phi(np.int64(6)) == 2 and euler_phi(True) == 1
+        assert cyclotomic.rational(1, np.int16(3)).order == 3
         assert X + np.int64(2) == X + 2 and X == X + np.int64(0)
         assert kummer.rank1_failure(np.int64(4), 2, 4) == kummer.rank1_failure(4, 2, 4)
         assert heights.weil_height(np.array([-2, 0, 1])) == heights.weil_height([-2, 0, 1])

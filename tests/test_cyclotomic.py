@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cyclolab._arith import poly_divmod
 from cyclolab.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, zeta, rational
 
-from _reference import abs_squared
+from _reference import abs_squared, dense_coeffs
 
 
 def random_cyclo(rng, D_max=24, coeff_bound=10):
@@ -129,7 +129,7 @@ def test_embedding_consistency():
         x = random_cyclo(rng, D_max=20, coeff_bound=8)
         direct = sum(
             float(c) * cmath.exp(2j * cmath.pi * j / x.order)
-            for j, c in enumerate(x.coeffs)
+            for j, c in enumerate(dense_coeffs(x))
         )
         assert abs(x.embed() - direct) < 1e-10
         assert abs(abs_squared(x).embed() - abs(x.embed()) ** 2) < 1e-9
@@ -153,7 +153,7 @@ def test_serialization_round_trip(D, data):
     x = CyclotomicNumber(D, coeffs)
     assert CyclotomicNumber.parse(x.to_text()) == x
     # round trip is exact, not just equal modulo Phi
-    assert CyclotomicNumber.parse(x.to_text()).coeffs == x.coeffs
+    assert dense_coeffs(CyclotomicNumber.parse(x.to_text())) == dense_coeffs(x)
 
 
 def test_parse_rejects_garbage():
@@ -274,7 +274,7 @@ def assert_normal(x):
 def assert_same(x, ref):
     assert_normal(x)
     assert x.order == ref[0]
-    assert x.coeffs == ref[1]
+    assert dense_coeffs(x) == ref[1]
     assert x.canonical() == ref_canonical(ref)
     assert x.to_text() == ref_text(ref)
     assert x.embed() == ref_embed(ref)  # bit-identical, not approximate
@@ -304,9 +304,9 @@ def test_term_map_edge_cases():
     for D in DENSE_ORDERS:
         x = sum((Fraction(j + 1, 3) * zeta(D, 3 * j) for j in range(D)), CyclotomicNumber.zero(D))
         assert (x - x).to_text() == f"0 @ {D}"
-        assert (x - x).coeffs == (Fraction(0),) * D
+        assert dense_coeffs(x - x) == (Fraction(0),) * D
         assert (x * 0).to_text() == f"0 @ {D}"
-        assert (0 * x).coeffs == (Fraction(0),) * D
+        assert dense_coeffs(0 * x) == (Fraction(0),) * D
         assert (x + (-x)).embed() == 0j
         assert CyclotomicNumber(D, [0] * D).to_text() == f"0 @ {D}"
         # the z^1 terms of (z + 1)(z - 1) cancel and are dropped, not kept as zeros
@@ -340,6 +340,9 @@ def test_dense_products():
                     ref_mul((30, tuple(map(Fraction, a))), (30, tuple(map(Fraction, b)))))
 
 
+INT = "cannot be interpreted as an integer"
+
+
 @pytest.mark.parametrize("call, exc, match", [
     pytest.param(lambda: cyclotomic_polynomial(0), ValueError, "order must be positive",
                  id="phi-order-0"),
@@ -352,6 +355,17 @@ def test_dense_products():
     pytest.param(lambda: CyclotomicNumber.root_of_unity(0), ValueError,
                  "order must be positive", id="root-of-unity-order-0"),
     pytest.param(lambda: zeta(4).lift(6), ValueError, "multiple of the order", id="lift"),
+    pytest.param(lambda: zeta(4).lift(0), ValueError, "order must be positive", id="lift-order-0"),
+    pytest.param(lambda: CyclotomicNumber.parse("1 @ 0"), ValueError, "order must be positive",
+                 id="parse-order-0"),
+    # an order or exponent is an integer (operator.index): a float is refused
+    pytest.param(lambda: (cyclotomic_polynomial(4), cyclotomic_polynomial(4.0)), TypeError, INT,
+                 id="phi-order-float"),  # with the entry of 4 cached
+    pytest.param(lambda: CyclotomicNumber(2.0, [1, 1]), TypeError, INT, id="order-float"),
+    pytest.param(lambda: rational(1, 3.0), TypeError, INT, id="from-rational-order-float"),
+    pytest.param(lambda: zeta(4.0), TypeError, INT, id="root-of-unity-order-float"),
+    pytest.param(lambda: zeta(4, 1.0), TypeError, INT, id="root-of-unity-k-float"),
+    pytest.param(lambda: zeta(4).lift(8.0), TypeError, INT, id="lift-float"),
     pytest.param(lambda: setattr(zeta(4), "order", 5), AttributeError, "immutable",
                  id="setattr"),
     pytest.param(lambda: zeta(3) ** 1.5, TypeError, "unsupported operand", id="float-power"),

@@ -534,13 +534,21 @@ class TestLatticeCount:
             assert time.perf_counter() - t0 < 0.1
 
 
-@pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: RootTupleOrbit(0, (1,)), "m must be positive", id="orbit-m-0"),
-    pytest.param(lambda: weyl_sum(RootTupleOrbit(7, (1, 2)), (1,)),
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda: RootTupleOrbit(0, (1,)), ValueError, "m must be positive",
+                 id="orbit-m-0"),
+    pytest.param(lambda: weyl_sum(RootTupleOrbit(7, (1, 2)), (1,)), ValueError,
                  "character length must match", id="weyl-character"),
     pytest.param(lambda: arc_count(RootTupleOrbit(7, (1, 2)), ArcBox((Arc(0, 0.5),))),
-                 "box dimension must match", id="arc-box"),
+                 ValueError, "box dimension must match", id="arc-box"),
+    pytest.param(lambda: relation_lattice(0, (1, 2)), ValueError, "modulus must be positive",
+                 id="relation-m-0"),
+    # an order or a modulus is an integer (operator.index): a float is refused
+    pytest.param(lambda: RootTupleOrbit(12.0, (1,)), TypeError,
+                 "cannot be interpreted as an integer", id="orbit-m-float"),
+    pytest.param(lambda: relation_lattice(7.0, (1, 2)), TypeError,
+                 "cannot be interpreted as an integer", id="relation-m-float"),
 ])
-def test_refusals(call, match):
-    with pytest.raises(ValueError, match=match):
+def test_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
         call()

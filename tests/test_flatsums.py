@@ -465,26 +465,48 @@ class TestSurvey:
                 assert validate_definition(w).all_ok
 
 
-@pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: exact_sum(0, [(0, 1)]), "d must be positive", id="d-0"),
-    pytest.param(lambda: flatsums.SparseExpSum(3, ((0, 1),), 1, mode="fuzzy"),
+INT = "cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda: exact_sum(0, [(0, 1)]), ValueError, "d must be positive", id="d-0"),
+    pytest.param(lambda: flatsums.SparseExpSum(3, ((0, 1),), 1, mode="fuzzy"), ValueError,
                  "mode must be", id="mode"),
-    pytest.param(lambda: exact_sum(3, [(0, 1)], mu=0), "mu must be positive", id="exact-mu-0"),
-    pytest.param(lambda: validate_definition(numeric_sum(3, [(0, 1)])),
+    pytest.param(lambda: exact_sum(3, [(0, 1)], mu=0), ValueError, "mu must be positive",
+                 id="exact-mu-0"),
+    pytest.param(lambda: validate_definition(numeric_sum(3, [(0, 1)])), ValueError,
                  "validation requires exact coefficients", id="validate-numeric"),
-    pytest.param(lambda: reduce_instance(numeric_sum(3, [(0, 1)])),
+    pytest.param(lambda: reduce_instance(numeric_sum(3, [(0, 1)])), ValueError,
                  "reduction requires exact coefficients", id="reduce-numeric"),
-    pytest.param(lambda: exponent_bound_scan(1, 9, 1, 0), "at least two terms",
+    pytest.param(lambda: exponent_bound_scan(1, 9, 1, 0), ValueError, "at least two terms",
                  id="scan-one-term"),
-    pytest.param(lambda: dirichlet_approx([1], 0, 4), "d must be positive",
+    pytest.param(lambda: dirichlet_approx([1], 0, 4), ValueError, "d must be positive",
                  id="dirichlet-d-0"),
-    pytest.param(lambda: dirichlet_approx([1, 3], 7, 1), "no admissible q",
+    pytest.param(lambda: dirichlet_approx([1, 3], 7, 1), ValueError, "no admissible q",
                  id="dirichlet-Q-small"),
-    pytest.param(lambda: flat_search([0, 0], 5), "pairwise distinct", id="search-repeat"),
-    pytest.param(lambda: flat_search([0, 1], 0), "d must be positive", id="search-d-0"),
-    pytest.param(lambda: sn_upper_bound(0), "N must be positive", id="bound-N-0"),
-    pytest.param(lambda: sn_survey(1, 0), "bad survey parameters", id="survey-dmax-0"),
+    pytest.param(lambda: flat_search([0, 0], 5), ValueError, "pairwise distinct",
+                 id="search-repeat"),
+    pytest.param(lambda: flat_search([0, 1], 0), ValueError, "d must be positive",
+                 id="search-d-0"),
+    pytest.param(lambda: sn_upper_bound(0), ValueError, "N must be positive", id="bound-N-0"),
+    pytest.param(lambda: sn_survey(1, 0), ValueError, "d_max must be positive",
+                 id="survey-dmax-0"),
+    pytest.param(lambda: sn_survey(0, 3), ValueError, "N must be positive", id="survey-N-0"),
+    pytest.param(lambda: sn_survey(1, 3, restarts=0), ValueError, "restarts must be positive",
+                 id="survey-restarts-0"),
+    # an order or a count is an integer (operator.index): a float is refused
+    pytest.param(lambda: exact_sum(2.0, [(0, 1)]), TypeError, INT, id="d-float"),
+    pytest.param(lambda: dirichlet_approx([0, 1], 5.0, 16), TypeError, INT,
+                 id="dirichlet-d-float"),
+    pytest.param(lambda: flat_search([0, 1], 3.0), TypeError, INT, id="search-d-float"),
+    pytest.param(lambda: flat_search([0, 1], 3, restarts=2.0), TypeError, INT,
+                 id="search-restarts-float"),
+    pytest.param(lambda: sn_upper_bound(2.0), TypeError, INT, id="bound-N-float"),
+    pytest.param(lambda: sn_survey(2.0, 3), TypeError, INT, id="survey-N-float"),
+    pytest.param(lambda: sn_survey(1, 3.0), TypeError, INT, id="survey-dmax-float"),
+    pytest.param(lambda: sn_survey(1, 3, restarts=2.0), TypeError, INT,
+                 id="survey-restarts-float"),
 ])
-def test_refusals(call, match):
-    with pytest.raises(ValueError, match=match):
+def test_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
         call()

@@ -234,6 +234,8 @@ class TestRadicalHeight:
             radical_height(-2, 2)
         with pytest.raises(ValueError):
             radical_height(2, 0)
+        with pytest.raises(TypeError):  # a root order is an integer
+            radical_height(2, 2.0)
 
 
 class TestPolyTools:
@@ -373,6 +375,8 @@ class TestRationalRoots:
 
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: poly_roots([1] + [0] * 64 + [1]), "cap of 64", id="roots-degree-65"),
+    pytest.param(lambda: radical_height(2, 0), "root order must be positive",
+                 id="radical-height-n-0"),
     pytest.param(lambda: AlgebraicNumber((-2, 0, 1), root_index=2), "root index out of range",
                  id="root-index"),
     pytest.param(lambda: power_transform(AlgebraicNumber((0, 1)), -1), "cannot invert zero",

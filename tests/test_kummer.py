@@ -25,6 +25,8 @@ from cyclolab.kummer import (
     multiplicatively_independent,
 )
 
+from _reference import dense_coeffs
+
 F = Fraction
 
 
@@ -303,8 +305,8 @@ def oracle_pin_digest(reverse=False):
 
 
 class TestOrders:
-    """The root order e and the field order m are positive integers at every
-    entry point that takes them."""
+    """The root order e, the Kummer degree d and the field order m are
+    positive integers at every entry point that takes them."""
 
     @pytest.mark.parametrize("entry,args", [
         ("sqrt_in_cyclotomic", (2, 0)), ("sqrt_in_cyclotomic", (2, -8)),
@@ -313,6 +315,7 @@ class TestOrders:
         ("has_nth_root_in_cyclotomic", (2, 1, 0)),
         ("root_membership_oracle", (2, 0, 8)), ("root_membership_oracle", (2, -1, 8)),
         ("root_membership_oracle", (2, 2, 0)), ("root_membership_oracle", (2, 2, -8)),
+        ("KummerQuery", (2, 0, 8)), ("KummerQuery", (2, 2, 0)), ("rank1_failure", (2, -2, 8)),
     ])
     def test_nonpositive_refused(self, entry, args):
         with pytest.raises(ValueError, match="must be positive"):
@@ -322,6 +325,8 @@ class TestOrders:
         ("sqrt_in_cyclotomic", (2, 8.0)),
         ("has_nth_root_in_cyclotomic", (2, 2.0, 8)), ("has_nth_root_in_cyclotomic", (2, 2, 8.0)),
         ("root_membership_oracle", (2, 2.0, 8)), ("root_membership_oracle", (2, 2, 8.0)),
+        ("KummerQuery", (2, 2.0, 8)), ("KummerQuery", (2, 2, 8.0)),
+        ("rank1_failure", (2, 2.0, 8)), ("tower_degrees", ([2], [2.0], 8)),
     ])
     def test_float_refused(self, entry, args):
         with pytest.raises(TypeError):
@@ -334,6 +339,8 @@ class TestOrders:
         assert has_nth_root_in_cyclotomic(2, np.int64(2), np.int32(8))
         assert has_nth_root_in_cyclotomic(3, True, 5)
         assert root_membership_oracle(2, np.int64(2), np.int32(8)) == root_membership_oracle(2, 2, 8)
+        q = KummerQuery(2, np.int64(2), True)
+        assert q == KummerQuery(2, 2, 1) and type(q.d) is int and type(q.m) is int
 
 
 def oracle_cache_sizes():
@@ -355,7 +362,7 @@ class TestOracle:
         # oracle says inconclusive, never true or false
         class OffByOne(CyclotomicNumber):
             def __pow__(self, e):
-                return CyclotomicNumber(self.order, self.coeffs) ** e + 1
+                return CyclotomicNumber(self.order, dense_coeffs(self)) ** e + 1
 
         monkeypatch.setattr(kummer, "CyclotomicNumber", OffByOne)
         rep = root_membership_oracle(2, 2, 8)

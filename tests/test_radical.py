@@ -546,35 +546,51 @@ def _sqrt2_sum(D=1):
     return RadicalSum(RadicalContext([2], [2], D), [(1, (1,))])
 
 
-@pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: RadicalContext([2, 3], [2]), "one denominator per generator",
+INT = "cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    pytest.param(lambda: RadicalContext([2, 3], [2]), ValueError, "one denominator per generator",
                  id="context-lengths"),
-    pytest.param(lambda: RadicalContext([2], [0]), "denominators must be positive",
+    pytest.param(lambda: RadicalContext([2], [0]), ValueError, "denominators must be positive",
                  id="context-denominator-0"),
-    pytest.param(lambda: RadicalContext([2], [2], D=0), "cyclotomic order must be positive",
-                 id="context-D-0"),
-    pytest.param(lambda: RadicalContext([2], [2], failures=[3]),
+    pytest.param(lambda: RadicalContext([2], [2], D=0), ValueError,
+                 "cyclotomic order must be positive", id="context-D-0"),
+    pytest.param(lambda: RadicalContext([2], [2], failures=[3]), ValueError,
                  "failures must divide the denominators", id="context-failures"),
-    pytest.param(lambda: RadicalSum(RadicalContext([2], [2]), [(1, (1, 0))]),
+    pytest.param(lambda: RadicalContext([2], [2], failures=[0]), ValueError,
+                 "failures must be positive", id="context-failures-0"),
+    pytest.param(lambda: RadicalSum(RadicalContext([2], [2]), [(1, (1, 0))]), ValueError,
                  "exponent vector length must equal the rank", id="sum-rank"),
-    pytest.param(lambda: apply_galois(GaloisElement(1, (0, 0)), _sqrt2_sum()),
+    pytest.param(lambda: apply_galois(GaloisElement(1, (0, 0)), _sqrt2_sum()), ValueError,
                  "rotation vector length must equal the rank", id="galois-rank"),
     pytest.param(lambda: orbit_moduli(RadicalSum(
-        RadicalContext([2, 3], [1009, 1013], failures=[1, 1]), [(1, (1, 1))])),
+        RadicalContext([2, 3], [1009, 1013], failures=[1, 1]), [(1, (1, 1))])), ValueError,
                  "orbit too large", id="orbit-cap"),
-    pytest.param(lambda: cosine_expansion(_sqrt2_sum(5), GaloisElement(2, (0,))),
+    pytest.param(lambda: cosine_expansion(_sqrt2_sum(5), GaloisElement(2, (0,))), ValueError,
                  "applies to Kummer elements", id="cosine-t-2"),
     pytest.param(lambda: sigma_search(_sqrt2_sum(), ArcBox((Arc(0, 0.5), Arc(0, 0.5))), 0.5),
-                 "box dimension must equal the rank", id="sigma-box"),
-    pytest.param(lambda: exponent_relation_basis([[1]], 0), "modulus must be positive",
-                 id="relations-m-0"),
-    pytest.param(lambda: parse_radical_sum("1 * 2^(1/2)", D=0),
+                 ValueError, "box dimension must equal the rank", id="sigma-box"),
+    pytest.param(lambda: exponent_relation_basis([[1]], 0), ValueError,
+                 "modulus must be positive", id="relations-m-0"),
+    pytest.param(lambda: parse_radical_sum("1 * 2^(1/2)", D=0), ValueError,
                  "cyclotomic order must be positive", id="parse-D-0"),
-    pytest.param(lambda: parse_radical_sum("2^(1/0)"), "radical denominators must be positive",
-                 id="parse-denominator-0"),
-    pytest.param(lambda: parse_radical_sum("(-2)^(1/2)"), "radical bases must be positive",
-                 id="parse-negative-base"),
+    pytest.param(lambda: parse_radical_sum("2^(1/0)"), ValueError,
+                 "radical denominators must be positive", id="parse-denominator-0"),
+    pytest.param(lambda: parse_radical_sum("(-2)^(1/2)"), ValueError,
+                 "radical bases must be positive", id="parse-negative-base"),
+    # an order, denominator or modulus is an integer (operator.index): a
+    # float is refused
+    pytest.param(lambda: RadicalContext([2], [2.0]), TypeError, INT,
+                 id="context-denominator-float"),
+    pytest.param(lambda: RadicalContext([2], [2], D=3.0), TypeError, INT, id="context-D-float"),
+    pytest.param(lambda: RadicalContext([2], [2], failures=[1.0]), TypeError, INT,
+                 id="context-failures-float"),
+    pytest.param(lambda: exponent_relation_basis([[1]], 4.0), TypeError, INT,
+                 id="relations-m-float"),
+    pytest.param(lambda: parse_radical_sum("1 * 2^(1/2)", D=3.0), TypeError, INT,
+                 id="parse-D-float"),
 ])
-def test_refusals(call, match):
-    with pytest.raises(ValueError, match=match):
+def test_refusals(call, exc, match):
+    with pytest.raises(exc, match=match):
         call()

@@ -58,6 +58,43 @@ def test_no_unused_imports_in_src():
     assert {path: names for path, names in found.items() if names} == {}
 
 
+def hand_positivity_checks(source: str) -> list[int]:
+    """Lines of each `if` that compares a name or attribute with `< 1` in
+    its test and raises in its body: a positivity check written by hand,
+    whose one home is `_arith.positive`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and any(
+                isinstance(c, ast.Compare) and isinstance(c.left, (ast.Name, ast.Attribute))
+                and isinstance(c.ops[0], ast.Lt)
+                and isinstance(c.comparators[0], ast.Constant) and c.comparators[0].value == 1
+                for c in ast.walk(node.test)) and any(
+                isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt)):
+            found.append(node.lineno)
+    return found
+
+
+def test_checker_flags_hand_positivity_check():
+    source = ("def f(n, dens, self):\n"
+              "    if n < 1:\n"
+              "        raise ValueError('n must be positive')\n"
+              "    if any(d < 1 for d in dens) or self.D < 1:\n"
+              "        raise ValueError('bad')\n"
+              "    if n < 1:\n"
+              "        return 0\n"
+              "    if n < 2 or n <= 0:\n"
+              "        raise ValueError('other bound')\n")
+    assert hand_positivity_checks(source) == [2, 4]
+
+
+def test_positivity_has_one_home():
+    """An order, modulus, count or root order is gated by `_arith.positive`
+    alone."""
+    found = {p.name: hand_positivity_checks(p.read_text())
+             for p in sorted((SRC / "cyclolab").glob("*.py")) if p.name != "_arith.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _definitions(tree, prefix=""):
     """(qualified name, node) of every function and class under `tree`."""
     for node in ast.iter_child_nodes(tree):
