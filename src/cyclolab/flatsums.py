@@ -307,6 +307,7 @@ def exponent_bound_scan(M: int, d: int, trials: int, seed: int) -> dict:
     autocorrelation profile that the sum is not flat.  No counterexample is
     expected to exist.
     """
+    trials = positive(trials, "trials")
     if M < 2:
         raise ValueError("need at least two terms")
     if d < M * M:
@@ -594,6 +595,7 @@ def known_member_witness(N: int, d: int) -> SparseExpSum | None:
     unimodular pair (1/sqrt2, i/sqrt2), splitting a coefficient across
     exponents congruent mod 2 when N > 2.
     """
+    N, d = positive(N, "N"), positive(d, "d")
     half_sqrt2 = (zeta(8) + zeta(8, 7)) * Fraction(1, 2)       # 1/sqrt(2)
     half_isqrt2 = (zeta(8) + zeta(8, 3)) * Fraction(1, 2)      # i/sqrt(2)
     if N == 1:

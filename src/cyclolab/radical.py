@@ -223,7 +223,7 @@ def apply_galois(sigma: GaloisElement, x: RadicalSum) -> RadicalSum:
     ctx = x.context
     if len(sigma.r) != ctx.rank:
         raise ValueError("rotation vector length must equal the rank")
-    t = _unit_lift(sigma.t, ctx.D, _galois_modulus(x))
+    t = _unit_lift(ctx.lift_t(sigma.t), ctx.D_work, _galois_modulus(x))
     out = []
     for a, k in x.terms:
         out.append((_conjugated(ctx, a, t) * _rotation_factor(ctx, sigma.r, k), k))
@@ -231,8 +231,10 @@ def apply_galois(sigma: GaloisElement, x: RadicalSum) -> RadicalSum:
 
 
 def _galois_modulus(x: RadicalSum) -> int:
-    """L = lcm(D_work, the coefficient orders of x): phi_t acts on x through
-    the lift of t into (Z/L)*, a unit at every order `_conjugated` reaches."""
+    """L = lcm(D_work, the coefficient orders of x).  phi_t acts through the
+    least lift of `lift_t(t)` mod D_work into (Z/L)*: on Q(zeta_D_work) the
+    action of `lift_t`, however a coefficient is written; on a value outside
+    Q(zeta_D_work) one extension of it, which depends on L."""
     return lcm(x.context.D_work, *(a.order for a, _ in x.terms))
 
 
@@ -348,7 +350,7 @@ def _unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
     terms = [(a, ctx.radical_value(k), _rotation_phases(ctx, k)) for a, k in x.terms]
     grid = np.zeros((len(units), hsize), dtype=complex)
     L = _galois_modulus(x)
-    for row, t in zip(grid, (_unit_lift(t, ctx.D, L) for t in units)):
+    for row, t in zip(grid, (_unit_lift(ctx.lift_t(t), ctx.D_work, L) for t in units)):
         for a, rad, phase in terms:
             row += _conjugated(ctx, a, t).embed() * rad * phase
     return units, grid

@@ -480,6 +480,10 @@ INT = "cannot be interpreted as an integer"
                  "reduction requires exact coefficients", id="reduce-numeric"),
     pytest.param(lambda: exponent_bound_scan(1, 9, 1, 0), ValueError, "at least two terms",
                  id="scan-one-term"),
+    pytest.param(lambda: exponent_bound_scan(3, 9, 0, 0), ValueError, "trials must be positive",
+                 id="scan-trials-0"),
+    pytest.param(lambda: exponent_bound_scan(3, 9, 2.0, 0), TypeError, INT,
+                 id="scan-trials-float"),
     pytest.param(lambda: dirichlet_approx([1], 0, 4), ValueError, "d must be positive",
                  id="dirichlet-d-0"),
     pytest.param(lambda: dirichlet_approx([1, 3], 7, 1), ValueError, "no admissible q",
@@ -492,6 +496,10 @@ INT = "cannot be interpreted as an integer"
     pytest.param(lambda: sn_survey(1, 0), ValueError, "d_max must be positive",
                  id="survey-dmax-0"),
     pytest.param(lambda: sn_survey(0, 3), ValueError, "N must be positive", id="survey-N-0"),
+    pytest.param(lambda: known_member_witness(0, 1), ValueError, "N must be positive",
+                 id="witness-N-0"),
+    pytest.param(lambda: known_member_witness(1, 0), ValueError, "d must be positive",
+                 id="witness-d-0"),
     pytest.param(lambda: sn_survey(1, 3, restarts=0), ValueError, "restarts must be positive",
                  id="survey-restarts-0"),
     # an order or a count is an integer (operator.index): a float is refused
@@ -502,6 +510,8 @@ INT = "cannot be interpreted as an integer"
     pytest.param(lambda: flat_search([0, 1], 3, restarts=2.0), TypeError, INT,
                  id="search-restarts-float"),
     pytest.param(lambda: sn_upper_bound(2.0), TypeError, INT, id="bound-N-float"),
+    pytest.param(lambda: known_member_witness(3.0, 2), TypeError, INT, id="witness-N-float"),
+    pytest.param(lambda: known_member_witness(3, 2.0), TypeError, INT, id="witness-d-float"),
     pytest.param(lambda: sn_survey(2.0, 3), TypeError, INT, id="survey-N-float"),
     pytest.param(lambda: sn_survey(1, 3.0), TypeError, INT, id="survey-dmax-float"),
     pytest.param(lambda: sn_survey(1, 3, restarts=2.0), TypeError, INT,

@@ -482,13 +482,28 @@ def _radical_sum(rng):
     return RadicalSum(ctx, terms)
 
 
+def _rewritten(x):
+    """x with every coefficient written at 4 times its order and a zero term
+    of order 4 added: the same value, a larger lcm of coefficient orders."""
+    zero_term = (CyclotomicNumber.zero(4), (0,) * x.context.rank)
+    return RadicalSum(x.context, [(a.lift(4 * a.order), k) for a, k in x.terms] + [zero_term])
+
+
+def _nonzero_terms(x):
+    return {k: a for a, k in x.terms if not a.is_zero()}
+
+
 def test_unit_orbit_values_vs_per_unit_route():
     rng = random.Random(36)
-    outside_work = two_terms = 0
-    # zeta_5 over D_work = 6: the unit 2 of Z/3 lifts to 11, a unit mod L = 30;
-    # 5, the least lift prime to D_work alone, is no unit at zeta_5's order
+    outside_work = two_terms = rewritten = 0
+    # zeta_5 over D_work = 6: the unit 2 of Z/3 lifts to 5 mod 6, then to 11,
+    # a unit mod L = 30; 5 itself is no unit at zeta_5's order
     outside = RadicalSum(RadicalContext([Fraction(2)], [2], D=3), [(zeta(5), (1,))])
-    for x in itertools.chain((_radical_sum(rng) for _ in range(300)), [outside]):
+    # zeta_7 over D_work = 21: written at order 28, L = 84 and 2 lifts to 23,
+    # which acts on zeta_7 as 2 does
+    inside = RadicalSum(RadicalContext([Fraction(2)], [7], D=3),
+                        [(zeta(7), (0,)), (Fraction(1, 2), (1,))])
+    for x in itertools.chain((_radical_sum(rng) for _ in range(300)), [outside, inside]):
         eps = rng.choice((0.1, 0.5, 1.0))
         units, want = per_unit_orbit_values(x)
         got_units, got = _unit_orbit_values(x)
@@ -498,9 +513,20 @@ def test_unit_orbit_values_vs_per_unit_route():
         rows = [{"t": t, "fraction": Fraction(int(np.count_nonzero(_in_band(abs(row) ** 2, eps))),
                                               hsize)} for t, row in zip(units, want)]
         assert marginal_orbit_stats(x, eps)["rows"] == rows
-        outside_work += any(x.context.D_work % a.order for a, _ in x.terms)
+        ctx = x.context
+        outside_work += any(ctx.D_work % a.order for a, _ in x.terms)
         two_terms += x.n_terms == 2
-    assert outside_work >= 30 and two_terms >= 60
+        if all(ctx.D_work % a.order == 0 for a, _ in x.terms):
+            # a value in Q(zeta_D_work) is acted on as lift_t fixes, however written
+            y = _rewritten(x)
+            r0 = (0,) * ctx.rank
+            for t in units:
+                sigma = radical.GaloisElement(t, r0)
+                assert (_nonzero_terms(radical.apply_galois(sigma, x))
+                        == _nonzero_terms(radical.apply_galois(sigma, y))), (x, t)
+            assert marginal_orbit_stats(y, eps)["rows"] == rows
+            rewritten += 1
+    assert outside_work >= 30 and two_terms >= 60 and rewritten >= 30
 
 
 def test_marginal_stats_apply_no_galois_element(monkeypatch):
