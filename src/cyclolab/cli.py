@@ -8,7 +8,8 @@ the layer it runs.  numpy loads only in the numeric branch of a layer, so
 the exact commands (`flat-verify` without --numeric, `reduce`, `sn-survey`
 at N <= 2, `factor-out`, `kummer`) never load it, and a cache hit loads no
 layer.  In a one-shot process wall_ms therefore includes the layer's first
-import.
+import.  Each argv is parsed once, by its command's parser, and a hit
+encodes no JSON: it prints the stored entry with the "cached" key spliced in.
 
 Every run emits one experiment record {command, inputs, results, status,
 seed, version, wall_ms}.  Records rerun with identical inputs and seed
@@ -393,7 +394,7 @@ def _inputs(args) -> dict:
     """The parsed arguments that make up the record `inputs` and the cache
     key: all but the shared options and --hist-out; `height` keeps only the
     fields of the branch it takes."""
-    skip = {"cmd", "hist_out", *vars(_common().parse_args([]))}
+    skip = _not_inputs()
     if args.cmd == "height":
         skip |= {"minpoly"} if args.radical is not None else {"radical", "n"}
     return {k: v for k, v in vars(args).items() if k not in skip}
@@ -415,6 +416,11 @@ def _common() -> argparse.ArgumentParser:
                    help="ignored: no command starts a thread of its own")
     c.add_argument("--no-timing", action="store_true")
     return c
+
+
+@functools.cache
+def _not_inputs() -> frozenset:  # the argument names no record input holds
+    return frozenset({"cmd", "hist_out", *vars(_common().parse_args([]))})
 
 
 @functools.cache
@@ -494,6 +500,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _command_parsers() -> dict:
+    """Each command's own parser, by name."""
+    return next(a.choices for a in build_parser()._actions if a.dest == "cmd")
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv read once: by argv[0]'s own parser, which the full parser hands
+    argv[1:], or else by the full parser, the reference for usage and
+    messages: when there is no command, arguments are left over, or one
+    starts "--=", ambiguous between the full parser's --help and --version."""
+    sub = _command_parsers().get(argv[0]) if argv else None
+    if sub is not None and not any(a.startswith("--=") for a in argv):
+        import argparse
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 # --------------------------------------------------------------------- main
 
 
@@ -506,23 +532,24 @@ def _cache_key(command: str, inputs: dict, seed: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_read(path: str) -> dict | None:
-    """The stored record at `path`, marked cached, or None for a miss."""
+def _cache_read(path: str) -> tuple[dict, str] | None:
+    """The stored record at `path` and its text, or None for a miss."""
     import json
     try:
         with open(path) as fh:
-            stored = json.load(fh)
+            text = fh.read()
+        stored = json.loads(text)
     except OSError:  # no entry yet, or one that cannot be read: recompute
         return None
     except ValueError:  # undecodable bytes or JSON
         print("warning: corrupted cache entry, recomputing", file=sys.stderr)
         return None
     if isinstance(stored, dict) and stored.get("version") == __version__:
-        return {**stored, "cached": True}
+        return stored, text
     return None
 
 
-def _cache_write(path: str, record: dict) -> None:
+def _cache_write(path: str, text: str) -> None:
     """Write through a temp file in the same directory, then rename, so a
     reader never sees a partial entry."""
     import tempfile
@@ -530,7 +557,7 @@ def _cache_write(path: str, record: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(_dumps(record))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -538,9 +565,8 @@ def _cache_write(path: str, record: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     if args.cmd == "height":  # --n belongs to --radical, where it defaults to 1
@@ -552,8 +578,15 @@ def main(argv=None) -> int:
     cache_dir = args.cache or os.environ.get(CACHE_ENV)
     path = cache_dir and os.path.join(cache_dir, _cache_key(args.cmd, inputs, args.seed) + ".json")
     # a --hist-out run computes, so that the histogram file gets written
-    record = _cache_read(path) if path and not getattr(args, "hist_out", None) else None
-    if record is None:
+    hit = _cache_read(path) if path and not getattr(args, "hist_out", None) else None
+    if hit:
+        record, text = hit
+        if args.format == "json":
+            # _dumps wrote the entry, and "cached" sorts before its first
+            # key "command": mark it without encoding it again
+            text = ('{\n "cached": true,' + text[1:] if text.startswith('{\n "command": ')
+                    else _dumps({**record, "cached": True}))
+    else:
         t0 = time.perf_counter()
         try:
             results, status = HANDLERS[args.cmd](args)
@@ -569,14 +602,15 @@ def main(argv=None) -> int:
             "version": __version__,
             "wall_ms": None if args.no_timing else (time.perf_counter() - t0) * 1000.0,
         }
+        text = _dumps(record) if path or args.format == "json" else None
         if path:
             try:
-                _cache_write(path, record)
+                _cache_write(path, text)
             except OSError as exc:
                 print(f"error: cache directory unusable: {exc}", file=sys.stderr)
                 return 2
 
-    text = _to_csv(record) if args.format == "csv" else _dumps(record) + "\n"
+    text = _to_csv(record) if args.format == "csv" else text + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:

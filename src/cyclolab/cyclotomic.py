@@ -370,23 +370,25 @@ class CyclotomicNumber:
             if not at or not order_s.strip():
                 raise ValueError("missing order marker '@ D'")
             order = positive(int(order_s), "order")
-            v = [Fraction(0)] * order
+            terms = {}  # exponent mod order -> coefficient
             for term in body.split(" + "):
                 term = term.strip()
                 if not term:
                     continue
                 if "*z^" in term:
                     c_s, _, k_s = term.partition("*z^")
-                    v[int(k_s) % order] += Fraction(c_s)
+                    j, c = int(k_s) % order, Fraction(c_s)
                 elif term.startswith("z^"):
-                    v[int(term[2:]) % order] += 1
+                    j, c = int(term[2:]) % order, 1
                 else:
-                    v[0] += Fraction(term)
+                    j, c = 0, Fraction(term)
+                terms[j] = terms.get(j, 0) + c
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"cannot read {text!r} as \"c0 + c1*z^1 + ... @ D\": {exc}"
             ) from None
-        return cls(order, v)
+        # ascending exponents, as the dense constructor lists them
+        return _wrap(order, *_over_lcm({j: terms[j] for j in sorted(terms) if terms[j]}))
 
     def __repr__(self):
         return f"CyclotomicNumber({self.to_text()!r})"

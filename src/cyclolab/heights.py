@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from ._arith import (
     as_fraction, euler_phi, poly_coprime_mod, poly_deriv, poly_divmod, poly_gcd, poly_trim,
@@ -221,6 +222,7 @@ class AlgebraicNumber:
     def __post_init__(self):
         ints = _primitive_int(self.minpoly)
         object.__setattr__(self, "minpoly", tuple(ints))
+        object.__setattr__(self, "root_index", index(self.root_index))
         deg = len(ints) - 1
         if not (0 <= self.root_index < deg):
             raise ValueError("root index out of range")

@@ -421,7 +421,7 @@ def factor_out_division_point(x: RadicalSum) -> tuple[RadicalSum, Monomial]:
 
     Per coordinate t: subtract the minimum exponent, divide the shifted
     exponents and d_t by their gcd.  The term count is preserved, and
-    x = y * z is verified numerically at the fixed embedding.
+    x = y * z is checked exactly, exponent by exponent: k'/d' + min/d = k/d.
     """
     xn = normalize_terms(x)
     if xn.n_terms == 0:
@@ -450,10 +450,10 @@ def factor_out_division_point(x: RadicalSum) -> tuple[RadicalSum, Monomial]:
     )
     if y.n_terms != xn.n_terms:
         raise AssertionError("factorization changed the term count")
-    lhs = xn.evaluate()
-    rhs = y.evaluate() * z.value()
-    if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
-        raise AssertionError("division-point factorization failed numerically")
+    for (_, k), (_, k_y) in zip(xn.terms, y.terms):
+        if any(Fraction(k_y[t], new_dens[t]) + z.exponents[t] != Fraction(k[t], ctx.denominators[t])
+               for t in range(b)):
+            raise AssertionError("division-point factorization changed an exponent")
     return y, z
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cyclolab import __version__
-from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _csv_cell, _dumps,
+from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _csv_cell, _dumps, _parse,
                           _parse_arcs, _parse_minpoly, _plain, _to_csv)
 
 
@@ -337,6 +337,22 @@ class TestCommands:
         code, rec = run_json(capsys, "factor-out", "--sum", "1 * 2^(3/6) + 1 * 2^(5/6)")
         assert code == 0 and rec["results"]["monomial"] == "2^(1/2)"
 
+    @pytest.mark.parametrize("total", [
+        "187187625 * 3^(1/3) - 6932875 * 3^(10/3)",
+        "1000000 * 7^(1/5) - (1000000/7) * 7^(6/5)",
+        "123456789 * 11^(2/9) - (123456789/11) * 11^(11/9)",
+        "999999 * 13^(1/2) - (999999/13) * 13^(3/2)",
+        "1000003 * 2^(1/2) * 3^(1/3) - (1000003/2) * 2^(3/2) * 3^(1/3)",
+        "2 * 2^(1/2) - 1 * 2^(3/2)",
+        "3 * 5^(1/7) * z3^1 - (3/5) * 5^(8/7) * z3^1",
+    ])
+    def test_factor_out_cancelling_sum(self, capsys, total):
+        # two terms of one value, written with exponents a whole power
+        # apart: the sum is 0, and the factorization, checked exactly, stands
+        code, rec = run_json(capsys, "factor-out", "--sum", total, "--no-timing")
+        assert code == 0 and rec["status"] == "ok"
+        assert len(rec["results"]["reduced_terms"]) == 2
+
     def test_kummer(self, capsys):
         code, rec = run_json(capsys, "kummer", "--a", "2", "--d", "2", "--m", "8",
                              "--oracle")
@@ -653,6 +669,100 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         assert hashlib.sha256(pinned.encode()).hexdigest() == want, argv
         assert (cache / f"{key}.json").is_file(), argv
     assert len(list(cache.glob("*.json"))) == 14
+
+
+def _without_hist_out(argv):
+    """argv without --hist-out, with which every run computes."""
+    i = argv.index("--hist-out") if "--hist-out" in argv else len(argv)
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_readme_hits_print_the_stored_entry(capsys, tmp_path, monkeypatch, fmt):
+    # a hit prints the entry marked cached, byte for byte what encoding the
+    # marked record gives, and computes nothing; as CSV, what the cold run
+    # printed
+    from cyclolab import cli as cli_mod
+
+    for i, argv in enumerate(_readme_commands()):
+        cache = tmp_path / str(i)
+        argv = _without_hist_out(argv) + ["--no-timing", "--cache", str(cache), "--format", fmt]
+        assert main(argv) == 0, argv
+        cold = capsys.readouterr().out
+        entry = next(cache.glob("*.json")).read_text()
+        with monkeypatch.context() as m:
+            m.setitem(cli_mod.HANDLERS, argv[0], None)  # a compute would exit 2
+            assert main(argv) == 0, argv
+        hit = capsys.readouterr().out
+        if fmt == "json":
+            assert cold == entry + "\n"
+            assert hit == _dumps({**json.loads(entry), "cached": True}) + "\n", argv
+        else:
+            assert hit == cold, argv
+
+
+@pytest.mark.parametrize("fmt, cached, calls", [
+    ("json", True, 1), ("json", False, 1), ("csv", True, 1), ("csv", False, 0)])
+def test_cold_run_encodes_at_most_once(capsys, tmp_path, monkeypatch, fmt, cached, calls):
+    # one encoding serves the cache entry and the JSON output; CSV with no
+    # cache needs none
+    from cyclolab import cli as cli_mod
+
+    seen = []
+    monkeypatch.setattr(cli_mod, "_dumps", lambda r: seen.append(r) or _dumps(r))
+    args = ["weyl", "--m", "12", "--k", "2,3", "--n", "3,2", "--format", fmt, "--no-timing"]
+    code, out = run_cli(capsys, *args, *(["--cache", str(tmp_path)] if cached else []))
+    assert code == 0 and len(seen) == calls
+    assert out == (_dumps(seen[0]) + "\n" if fmt == "json" else "key,value\nperiod,12\nvalue,1\n")
+
+
+@pytest.mark.parametrize("encode", [
+    lambda r: json.dumps(r),
+    lambda r: json.dumps(r, separators=(",", ":")),
+    lambda r: json.dumps(dict(reversed(r.items())), indent=1),
+], ids=["compact", "no-spaces", "reversed"])
+def test_hand_written_entry_prints_canonical_form(capsys, tmp_path, encode):
+    cache = tmp_path / "cache"
+    args = ["weyl", "--m", "12", "--k", "2,3", "--n", "3,2", "--cache", str(cache),
+            "--no-timing"]
+    run_cli(capsys, *args)
+    entry = next(cache.glob("*.json"))
+    stored = json.loads(entry.read_text())
+    entry.write_text(encode(stored))
+    code, out = run_cli(capsys, *args)
+    assert code == 0 and out == _dumps({**stored, "cached": True}) + "\n"
+
+
+# Argument lists that the full parser refuses, answers with help or the
+# version, or reads; the README commands are added below.
+PARSE_CASES = [
+    "", "-h", "--help", "--version", "--version weyl", "-- weyl", "no-such-command", "wey",
+    "weyl -h", "weyl --help", "weyl --he", "weyl --m 12 --k 2,3 --n 3,2 -h",
+    "weyl --m 12 --k 2,3", "weyl --m x --k 2 --n 3", "weyl --format xml --m 1 --k 1 --n 1",
+    "weyl --m 12 --k 2,3 --n 3,2 --seed", "weyl --m 12 --k 2,3 --n 3,2 --bogus",
+    "weyl --m 12 --k 2,3 --n 3,2 extra", "weyl --m 12 --k 2,3 --n 3,2 --",
+    "weyl --m 12 --k 2,3 --n 3,2 -- x", "weyl -- --m 12", "weyl --m 12 --k 2,3 --n 3,2 --version",
+    "weyl --=x", "weyl --m 12 --k 2,3 --n 3,2 --=x", "weyl -- --=x",
+    "weyl --m=12 --k=2,3 --n=3,2 --no-timing", "kummer --a 2 --d 2 --m 8 --orac",
+    "kummer --a 2 --d 2 --m 8 --o", "height", "height --minpoly x^3-2 --radical 2",
+    "height --minpoly x^2-2 --n 3",
+]
+
+
+@pytest.mark.parametrize("line", PARSE_CASES + [shlex.join(a) for a in _readme_commands()])
+def test_direct_parse_matches_full_parser(capsys, line):
+    # the command's own parser reads what the full parser reads, and
+    # anything else leaves it to the full parser's usage and messages
+    argv = shlex.split(line)
+
+    def outcome(parse):
+        try:
+            got = vars(parse(argv))
+        except SystemExit as exc:
+            got = exc.code
+        return got, capsys.readouterr()
+
+    assert outcome(_parse) == outcome(build_parser().parse_args)
 
 
 COEFFS = "1/2*z^1 + 1/2*z^7 @ 8;1/2*z^1 + 1/2*z^3 @ 8"

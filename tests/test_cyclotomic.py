@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -154,6 +155,19 @@ def test_serialization_round_trip(D, data):
     assert CyclotomicNumber.parse(x.to_text()) == x
     # round trip is exact, not just equal modulo Phi
     assert dense_coeffs(CyclotomicNumber.parse(x.to_text())) == dense_coeffs(x)
+
+
+def test_parse_is_sparse():
+    # terms are read one by one into their exponent's slot, so a short
+    # text at a large order builds nothing as long as the order
+    t0 = time.perf_counter()
+    x = CyclotomicNumber.parse("1*z^1 + 1 @ 2147483647")
+    assert time.perf_counter() - t0 < 1.0
+    assert x.to_text() == "1 + 1*z^1 @ 2147483647"
+    # merged, in ascending exponent order, as the dense constructor has it
+    y = CyclotomicNumber.parse("1/2*z^8 + 2 + 1/2*z^3 + 1/3*z^1 + -1/3*z^6 @ 5")
+    assert list(y._num) == list(CyclotomicNumber(5, [2, 0, 0, 1, 0])._num) == [0, 3]
+    assert (y._num, y._den) == ({0: 2, 3: 1}, 1)
 
 
 def test_parse_rejects_garbage():

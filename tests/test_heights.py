@@ -393,3 +393,16 @@ class TestRationalRoots:
 def test_refusals(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_root_index_is_an_integer():
+    # read through operator.index: a float is refused at construction, an
+    # integer type such as numpy's or bool is taken as its int
+    import numpy as np
+
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        AlgebraicNumber((-2, 0, 1), root_index=1.0)
+    for i in (np.int64(1), True):
+        alpha = AlgebraicNumber((-2, 0, 1), root_index=i)
+        assert type(alpha.root_index) is int and alpha == AlgebraicNumber((-2, 0, 1), 1)
+        assert power_transform(alpha, 2).minpoly == (-2, 1)
