@@ -6,8 +6,12 @@ relation normalization.
 Conventions: generators are positive rationals interpreted through the
 positive real branch alpha^(1/d) > 0 of the fixed embedding; the acting
 Kummer group H = prod_l Z/(d_l/c_l) rotates the l-th radical by
-zeta_(d_l/c_l)^(r_l).  The cyclotomic part acts through coefficients only
-and is enumerated separately (marginal statistics).
+zeta_(d_l/c_l)^(r_l).  The cyclotomic part phi_t acts through coefficients
+only and is enumerated separately (marginal statistics).  It is one
+automorphism of Q^ab: the element of Zhat* whose component at a prime p
+is u = `lift_t(t)` when p does not divide u, and 1 when it does, read at
+each coefficient's own order (`_zhat_unit`), so the image of a
+coefficient depends only on its value.
 
 numpy is imported by the orbit and energy functions that use it, never by
 a constructor: building a `RadicalContext` or `RadicalSum`, parsing one,
@@ -24,7 +28,7 @@ from math import gcd, lcm
 from operator import index
 from typing import TYPE_CHECKING
 
-from ._arith import as_fraction, positive
+from ._arith import as_float, as_fraction, positive
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 from .equidist import ArcBox
 from .kummer import rank1_failure, multiplicatively_independent
@@ -115,19 +119,24 @@ class RadicalContext:
         return itertools.product(*(range(n) for n in self.group))
 
     def lift_t(self, t: int) -> int:
-        """Smallest positive lift of t mod D into (Z/D_work)*."""
-        return _unit_lift(t, self.D, self.D_work)
+        """The smallest positive lift of t mod D into (Z/D_work)*; refused
+        unless t is a unit mod D."""
+        if gcd(t, self.D) != 1:
+            raise ValueError("not a Galois element")
+        cand = t % self.D or self.D  # 0 only when D = 1
+        while gcd(cand, self.D_work) != 1:
+            cand += self.D
+        return cand
 
 
-def _unit_lift(t: int, D: int, L: int) -> int:
-    """The smallest positive lift of t mod D into (Z/L)*, D | L; refused
-    unless t is a unit mod D."""
-    if gcd(t, D) != 1:
-        raise ValueError("not a Galois element")
-    cand = t % D or D  # 0 only when D = 1
-    while gcd(cand, L) != 1:
-        cand += D
-    return cand
+def _zhat_unit(u: int, L: int) -> int:
+    """The unit mod L of the element of Zhat* whose component at a prime p
+    is u when p does not divide u, and 1 when it does (CRT); its readings
+    at L and at any multiple of L agree."""
+    rest = L  # L stripped of every prime dividing u
+    while (g := gcd(rest, u)) > 1:
+        rest //= g
+    return (u + rest * ((1 - u) * pow(rest, -1, L // rest) % (L // rest))) % L
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,7 @@ class GaloisElement:
     r: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "t", index(self.t))
         object.__setattr__(self, "r", tuple(map(index, self.r)))
 
 
@@ -223,27 +233,20 @@ def apply_galois(sigma: GaloisElement, x: RadicalSum) -> RadicalSum:
     ctx = x.context
     if len(sigma.r) != ctx.rank:
         raise ValueError("rotation vector length must equal the rank")
-    t = _unit_lift(ctx.lift_t(sigma.t), ctx.D_work, _galois_modulus(x))
+    t = ctx.lift_t(sigma.t)
     out = []
     for a, k in x.terms:
         out.append((_conjugated(ctx, a, t) * _rotation_factor(ctx, sigma.r, k), k))
     return RadicalSum(ctx, out)
 
 
-def _galois_modulus(x: RadicalSum) -> int:
-    """L = lcm(D_work, the coefficient orders of x).  phi_t acts through the
-    least lift of `lift_t(t)` mod D_work into (Z/L)*: on Q(zeta_D_work) the
-    action of `lift_t`, however a coefficient is written; on a value outside
-    Q(zeta_D_work) one extension of it, which depends on L."""
-    return lcm(x.context.D_work, *(a.order for a, _ in x.terms))
-
-
 def _conjugated(ctx: RadicalContext, a: CyclotomicNumber, t: int) -> CyclotomicNumber:
-    """phi_t of a coefficient, t a unit mod `_galois_modulus`, lifted first
-    to Q(zeta_lcm(order, D_work)), where its product with a rotation
-    factor of order D_work lies."""
-    b = a.lift(lcm(a.order, ctx.D_work))
-    return b.galois_conjugate(t) if t != 1 else b
+    """phi_t of a coefficient, t from `lift_t`: a lifted to Q(zeta_L),
+    L = lcm(order, D_work), where its product with a rotation factor lies,
+    and conjugated there by `_zhat_unit(t, L)`."""
+    L = lcm(a.order, ctx.D_work)
+    b = a.lift(L)
+    return b.galois_conjugate(_zhat_unit(t, L)) if t != 1 else b
 
 
 # ------------------------------------------------------------ orbit statistics
@@ -283,8 +286,11 @@ def orbit_moduli(x: RadicalSum) -> list[float]:
 
 def _in_band(v, eps: float):
     """[1-eps, 1+eps] membership of a squared modulus or an array of them."""
+    eps = as_float(eps)
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     return (1 - eps - BAND_SLACK <= v) & (v <= 1 + eps + BAND_SLACK)
 
 
@@ -307,6 +313,8 @@ def cosine_expansion(x: RadicalSum, sigma: GaloisElement) -> float:
 
     Only the Kummer part of sigma participates (t = 1)."""
     ctx = x.context
+    if len(sigma.r) != ctx.rank:
+        raise ValueError("rotation vector length must equal the rank")
     if ctx.lift_t(sigma.t) != 1:
         raise ValueError("cosine expansion applies to Kummer elements (t = 1)")
     import numpy as np
@@ -349,8 +357,7 @@ def _unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
         raise ValueError("cyclotomic part times orbit too large")
     terms = [(a, ctx.radical_value(k), _rotation_phases(ctx, k)) for a, k in x.terms]
     grid = np.zeros((len(units), hsize), dtype=complex)
-    L = _galois_modulus(x)
-    for row, t in zip(grid, (_unit_lift(ctx.lift_t(t), ctx.D_work, L) for t in units)):
+    for row, t in zip(grid, map(ctx.lift_t, units)):
         for a, rad, phase in terms:
             row += _conjugated(ctx, a, t).embed() * rad * phase
     return units, grid
@@ -410,9 +417,15 @@ def sigma_search(x: RadicalSum, box: ArcBox, eps: float) -> list[GaloisElement]:
 
 
 def normalize_terms(x: RadicalSum) -> RadicalSum:
-    """Merge equal exponent vectors and drop zero coefficients; idempotent."""
-    kept = [(a, k) for a, k in x.terms if not a.is_zero()]
-    return RadicalSum(x.context, kept)
+    """Fold whole powers into the coefficients (k_l becomes k_l mod d_l and
+    the coefficient picks up alpha_l^(k_l div d_l)), merge equal exponent
+    vectors and drop zero coefficients; idempotent."""
+    ctx = x.context
+    folded = RadicalSum(ctx, [
+        (a * math.prod(g ** (kl // d) for g, d, kl in zip(ctx.generators, ctx.denominators, k)),
+         tuple(kl % d for kl, d in zip(k, ctx.denominators)))
+        for a, k in x.terms])
+    return RadicalSum(ctx, [(a, k) for a, k in folded.terms if not a.is_zero()])
 
 
 def factor_out_division_point(x: RadicalSum) -> tuple[RadicalSum, Monomial]:

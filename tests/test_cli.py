@@ -260,6 +260,13 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "finite" in err
 
+    @pytest.mark.parametrize("cmd", [
+        ["dgamma"], ["sigma-search", "--arcs", "0/1t:1/2t"]], ids=["dgamma", "sigma-search"])
+    def test_negative_eps_exit_2(self, capsys, cmd):
+        code = main([*cmd, "--sum", "(1/2) + (1/2) * 2^(1/2)", "--eps", "-0.5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "eps must be nonnegative" in err
+
     @pytest.mark.parametrize("argv", [
         ["flat-search", "--d", "100000000", "--exponents", "0,1", "--restarts", "1"],
         ["flat-verify", "--numeric", "--d", "100000000", "--exponents", "0,1", "--coeffs", "1;1"],
@@ -348,10 +355,11 @@ class TestCommands:
     ])
     def test_factor_out_cancelling_sum(self, capsys, total):
         # two terms of one value, written with exponents a whole power
-        # apart: the sum is 0, and the factorization, checked exactly, stands
-        code, rec = run_json(capsys, "factor-out", "--sum", total, "--no-timing")
-        assert code == 0 and rec["status"] == "ok"
-        assert len(rec["results"]["reduced_terms"]) == 2
+        # apart: the whole power is folded into the coefficient, the terms
+        # merge to 0, and the zero sum is refused
+        code = main(["factor-out", "--sum", total, "--no-timing"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "cannot factor the zero sum" in err
 
     def test_kummer(self, capsys):
         code, rec = run_json(capsys, "kummer", "--a", "2", "--d", "2", "--m", "8",

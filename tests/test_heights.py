@@ -245,6 +245,19 @@ class TestPolyTools:
         assert [round(r.real) for r in rts] == [1, 2, 3]
         assert all(abs(r.imag) < 1e-12 for r in rts)
 
+    @pytest.mark.parametrize("starts, want", [
+        # the derivative 2x is 0 at the start 0: polishing stops there
+        ([0.0, 1.5], [0j, complex(math.sqrt(2))]),
+        # from 50 each step is clamped to length 1, so six steps end near 44,
+        # past the Fujiwara bound 3: the start is kept
+        ([50.0, -1.5], [complex(-math.sqrt(2)), 50 + 0j]),
+    ], ids=["zero-derivative", "clamped-escape"])
+    def test_polish_safeguards(self, monkeypatch, starts, want):
+        import numpy as np
+        monkeypatch.setattr(np, "roots", lambda coeffs: np.array(starts, dtype=complex))
+        rts = poly_roots((-2, 0, 1))  # x^2 - 2
+        assert rts == pytest.approx(want, abs=1e-15)
+
     def test_resultant_shares_root(self):
         # x^2 - 1 and x - 1 share a root
         assert resultant([Fraction(-1), Fraction(0), Fraction(1)],

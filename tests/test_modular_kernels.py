@@ -5,6 +5,7 @@ tests, the one-pass marginal grid, the integer-only constructors, the
 mod-P squarefree certificate, integer Newton sums in `power_transform` and
 the bounded rational-root probe with its carried Hensel inverse."""
 import itertools
+import math
 import random
 import time
 from decimal import Decimal
@@ -24,8 +25,8 @@ from cyclolab.heights import (
     SQUAREFREE_PRIME, AlgebraicNumber, _hensel_lift, _horner_mod, _primitive_int,
     _squarefree_part, power_transform)
 from cyclolab.radical import (
-    RadicalContext, RadicalSum, _in_band, _unit_orbit_values, marginal_orbit_stats,
-    normalize_terms)
+    GaloisElement, RadicalContext, RadicalSum, _in_band, _unit_orbit_values, _zhat_unit,
+    apply_galois, marginal_orbit_stats, normalize_terms)
 
 from _reference import (
     dense_is_zero, dense_validate_definition, fraction_power_transform, gcd_squarefree_part,
@@ -495,12 +496,11 @@ def _nonzero_terms(x):
 
 def test_unit_orbit_values_vs_per_unit_route():
     rng = random.Random(36)
-    outside_work = two_terms = rewritten = 0
-    # zeta_5 over D_work = 6: the unit 2 of Z/3 lifts to 5 mod 6, then to 11,
-    # a unit mod L = 30; 5 itself is no unit at zeta_5's order
+    outside_work = two_terms = 0
+    # zeta_5 over D_work = 6: the unit 2 of Z/3 lifts to 5 mod 6, and 5,
+    # which divides zeta_5's order, acts on it as 1
     outside = RadicalSum(RadicalContext([Fraction(2)], [2], D=3), [(zeta(5), (1,))])
-    # zeta_7 over D_work = 21: written at order 28, L = 84 and 2 lifts to 23,
-    # which acts on zeta_7 as 2 does
+    # zeta_7 over D_work = 21: written at order 28, 2 acts on it as 2 does
     inside = RadicalSum(RadicalContext([Fraction(2)], [7], D=3),
                         [(zeta(7), (0,)), (Fraction(1, 2), (1,))])
     for x in itertools.chain((_radical_sum(rng) for _ in range(300)), [outside, inside]):
@@ -516,17 +516,40 @@ def test_unit_orbit_values_vs_per_unit_route():
         ctx = x.context
         outside_work += any(ctx.D_work % a.order for a, _ in x.terms)
         two_terms += x.n_terms == 2
-        if all(ctx.D_work % a.order == 0 for a, _ in x.terms):
-            # a value in Q(zeta_D_work) is acted on as lift_t fixes, however written
-            y = _rewritten(x)
-            r0 = (0,) * ctx.rank
-            for t in units:
-                sigma = radical.GaloisElement(t, r0)
-                assert (_nonzero_terms(radical.apply_galois(sigma, x))
-                        == _nonzero_terms(radical.apply_galois(sigma, y))), (x, t)
-            assert marginal_orbit_stats(y, eps)["rows"] == rows
-            rewritten += 1
-    assert outside_work >= 30 and two_terms >= 60 and rewritten >= 30
+        # phi_t is one automorphism of Q^ab: however a coefficient is
+        # written, inside Q(zeta_D_work) or not, its image is the same
+        y = _rewritten(x)
+        r0 = (0,) * ctx.rank
+        for t in units:
+            sigma = GaloisElement(t, r0)
+            assert (_nonzero_terms(apply_galois(sigma, x))
+                    == _nonzero_terms(apply_galois(sigma, y))), (x, t)
+        assert marginal_orbit_stats(y, eps)["rows"] == rows
+    assert outside_work >= 30 and two_terms >= 60
+
+
+def test_galois_action_ignores_a_zero_term():
+    # the unit 2 of Z/3 lifts to 5 mod D_work = 6; 5 divides zeta_5's order,
+    # so phi_2 fixes zeta_5, with or without a zero term of order 11
+    ctx = RadicalContext([Fraction(2)], [2], D=3)
+    sigma = GaloisElement(2, (0,))
+    alone = RadicalSum(ctx, [(zeta(5), (1,))])
+    joined = RadicalSum(ctx, [(zeta(5), (1,)), (CyclotomicNumber.zero(11), (0,))])
+    for x in (alone, joined):
+        assert _nonzero_terms(apply_galois(sigma, x)) == {(1,): zeta(5)}
+    assert apply_galois(sigma, alone).evaluate() == apply_galois(sigma, joined).evaluate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**4), st.integers(1, 60))
+def test_zhat_unit_agrees_across_multiples(u, L, k):
+    w = _zhat_unit(u, L)
+    assert 0 <= w < L and math.gcd(w, L) == 1
+    assert w == _zhat_unit(u, k * L) % L
+    if math.gcd(u, L) == 1:
+        assert w == u % L
+    for p, e in factorize(L).items():  # the component at p: u if p does not divide u, else 1
+        assert (w - (u if u % p else 1)) % p**e == 0
 
 
 def test_marginal_stats_apply_no_galois_element(monkeypatch):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -293,6 +294,18 @@ class TestNormalization:
         yn = normalize_terms(y)
         assert yn.n_terms == 1 and normalize_terms(yn).terms == yn.terms
 
+    def test_whole_powers_fold_into_the_coefficient(self):
+        ctx = RadicalContext([F(2), F(3)], [2, 3], D=1)
+        # 2^(3/2) 3^(-1/3) = (2/3) 2^(1/2) 3^(2/3)
+        x = RadicalSum(ctx, [(1, (3, -1)), (zeta(4), (1, 2)), (F(1, 2), (0, 0))])
+        xn = normalize_terms(x)
+        assert xn.terms == ((F(2, 3) + zeta(4), (1, 2)), (F(1, 2), (0, 0)))
+        assert abs(xn.evaluate() - x.evaluate()) < 1e-14
+        assert normalize_terms(xn).terms == xn.terms
+        # a whole power apart, the same value: merged to the zero sum
+        cancel = RadicalSum(ctx, [(2, (1, 0)), (-1, (3, 0)), (F(1, 3), (0, 4)), (-1, (0, 1))])
+        assert normalize_terms(cancel).n_terms == 0
+
 
 class TestFactorOut:
     def test_sixth_roots(self):
@@ -569,6 +582,17 @@ INT = "cannot be interpreted as an integer"
                  "orbit too large", id="orbit-cap"),
     pytest.param(lambda: cosine_expansion(_sqrt2_sum(5), GaloisElement(2, (0,))), ValueError,
                  "applies to Kummer elements", id="cosine-t-2"),
+    pytest.param(lambda: cosine_expansion(RadicalSum(RadicalContext([2, 3], [2, 2]), [(1, (1, 1))]),
+                                          GaloisElement(1, (1,))), ValueError,
+                 "rotation vector length must equal the rank", id="cosine-rank-short"),
+    pytest.param(lambda: cosine_expansion(_sqrt2_sum(), GaloisElement(1, (1, 1))), ValueError,
+                 "rotation vector length must equal the rank", id="cosine-rank-long"),
+    pytest.param(lambda: d_gamma_eps(_sqrt2_sum(), -0.5), ValueError,
+                 "eps must be nonnegative", id="dgamma-eps-negative"),
+    pytest.param(lambda: sigma_search(_sqrt2_sum(), ArcBox((Arc(0, 3.0),)), -0.5), ValueError,
+                 "eps must be nonnegative", id="sigma-eps-negative"),
+    pytest.param(lambda: d_gamma_eps(_sqrt2_sum(), Decimal("0.1")), TypeError,
+                 "expected a real number", id="dgamma-eps-Decimal"),
     pytest.param(lambda: sigma_search(_sqrt2_sum(), ArcBox((Arc(0, 0.5), Arc(0, 0.5))), 0.5),
                  ValueError, "box dimension must equal the rank", id="sigma-box"),
     pytest.param(lambda: exponent_relation_basis([[1]], 0), ValueError,
@@ -586,6 +610,7 @@ INT = "cannot be interpreted as an integer"
     pytest.param(lambda: RadicalContext([2], [2], D=3.0), TypeError, INT, id="context-D-float"),
     pytest.param(lambda: RadicalContext([2], [2], failures=[1.0]), TypeError, INT,
                  id="context-failures-float"),
+    pytest.param(lambda: GaloisElement(2.0, (0,)), TypeError, INT, id="galois-t-float"),
     pytest.param(lambda: exponent_relation_basis([[1]], 4.0), TypeError, INT,
                  id="relations-m-float"),
     pytest.param(lambda: parse_radical_sum("1 * 2^(1/2)", D=3.0), TypeError, INT,

@@ -95,6 +95,43 @@ def test_positivity_has_one_home():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def galois_conjugate_callers(source: str) -> list[str]:
+    """Qualified names of the functions whose body reads an attribute
+    `galois_conjugate` ("<module>" at the top level)."""
+    found = []
+
+    def walk(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, child.name if name == "<module>" else f"{name}.{child.name}")
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "galois_conjugate":
+                    found.append(name)
+                walk(child, name)
+    walk(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_galois_conjugate_callers():
+    source = ("def f(a, t):\n"
+              "    return a.galois_conjugate(t)\n"
+              "class C:\n"
+              "    def g(self, a):\n"
+              "        h = a.galois_conjugate\n"
+              "        return h(-1) + a.conjugate()\n"
+              "x = zeta(5).galois_conjugate(2)\n")
+    assert galois_conjugate_callers(source) == ["f", "C.g", "<module>"]
+
+
+def test_coefficient_action_has_one_home():
+    """Outside `cyclotomic.py`, only `radical._conjugated` conjugates a
+    cyclotomic number, so phi_t acts on coefficients in one place."""
+    found = {str(p.relative_to(SRC)): galois_conjugate_callers(p.read_text())
+             for p in sorted(SRC.rglob("*.py")) if p.name != "cyclotomic.py"}
+    assert {path: callers for path, callers in found.items() if callers} == {
+        "cyclolab/radical.py": ["_conjugated"]}
+
+
 def _definitions(tree, prefix=""):
     """(qualified name, node) of every function and class under `tree`."""
     for node in ast.iter_child_nodes(tree):
