@@ -58,6 +58,7 @@ __all__ = [
 
 ORBIT_CAP = 10**6
 BAND_SLACK = 1e-12
+FOLD_BITS = 4096  # largest whole power `normalize_terms` folds into a coefficient
 
 
 @dataclass(frozen=True)
@@ -417,15 +418,29 @@ def sigma_search(x: RadicalSum, box: ArcBox, eps: float) -> list[GaloisElement]:
 
 
 def normalize_terms(x: RadicalSum) -> RadicalSum:
-    """Fold whole powers into the coefficients (k_l becomes k_l mod d_l and
-    the coefficient picks up alpha_l^(k_l div d_l)), merge equal exponent
-    vectors and drop zero coefficients; idempotent."""
-    ctx = x.context
-    folded = RadicalSum(ctx, [
-        (a * math.prod(g ** (kl // d) for g, d, kl in zip(ctx.generators, ctx.denominators, k)),
-         tuple(kl % d for kl, d in zip(k, ctx.denominators)))
-        for a, k in x.terms])
-    return RadicalSum(ctx, [(a, k) for a, k in folded.terms if not a.is_zero()])
+    """Fold relative whole powers into the coefficients, merge equal exponent
+    vectors and drop zero coefficients; idempotent.
+
+    Coordinate l keeps its common whole power b_l = d_l * floor(min_j k_(j,l)
+    / d_l) in the exponents; each term's k_l - b_l = q d_l + r becomes b_l + r
+    and its coefficient picks up alpha_l^q.  Two writings of one value then
+    share an exponent vector and merge.  A folded power whose size bound
+    q * bits(alpha_l), summed over l, passes FOLD_BITS is refused
+    (ValueError) before it is built.
+    """
+    ctx, dens = x.context, x.context.denominators
+    base = [d * (min((k[l] for _, k in x.terms), default=0) // d) for l, d in enumerate(dens)]
+    folded = []
+    for a, k in x.terms:
+        qs = [(kl - b) // d for kl, b, d in zip(k, base, dens)]
+        bits = sum(q * max(g.numerator.bit_length(), g.denominator.bit_length())
+                   for q, g in zip(qs, ctx.generators))
+        if bits > FOLD_BITS:
+            raise ValueError(f"a folded whole power needs up to {bits} bits, above {FOLD_BITS}")
+        folded.append((a * math.prod(g ** q for g, q in zip(ctx.generators, qs)),
+                       tuple(kl - q * d for kl, q, d in zip(k, qs, dens))))
+    return RadicalSum(ctx, [(a, k) for a, k in RadicalSum(ctx, folded).terms
+                            if not a.is_zero()])
 
 
 def factor_out_division_point(x: RadicalSum) -> tuple[RadicalSum, Monomial]:

@@ -361,6 +361,15 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "cannot factor the zero sum" in err
 
+    def test_factor_out_common_whole_power(self, capsys):
+        # a whole power every term shares stays in the monomial; it is not
+        # folded into the coefficient, so the record keeps small numbers
+        code, rec = run_json(capsys, "factor-out", "--sum", "1 * 2^(30000/2)", "--no-timing")
+        assert code == 0 and rec["results"] == {
+            "monomial": "2^(15000)", "monomial_exponents": ["15000"],
+            "reduced_denominators": [1],
+            "reduced_terms": [{"coefficient": "1 @ 1", "exponents": [0]}]}
+
     def test_kummer(self, capsys):
         code, rec = run_json(capsys, "kummer", "--a", "2", "--d", "2", "--m", "8",
                              "--oracle")
@@ -608,6 +617,26 @@ class TestCacheAndBounds:
                               timeout=10)
         assert proc.returncode == 0, proc.stderr[-500:]
         assert json.loads(proc.stdout)["status"] == "ok"
+
+    @pytest.mark.parametrize("total, code", [
+        ("1 * 2^(1000000000000/2)", 0),
+        ("3 * 2^(1000000000001/2) + 1 * 2^(1000000000000/2)", 0),
+        ("1 * 2^(1/2) + 1 * 2^(1000000000001/2)", 2),
+        ("1 * 2^(1/2) * 3^(1/3) - 1 * 2^(1/2) * 3^(30001/3)", 2),
+    ])
+    def test_factor_out_huge_whole_power_bounded(self, total, code):
+        # a common whole power stays in the exponents and a relative one
+        # past the fold cap is refused: neither builds its integer
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "cyclolab.cli", "factor-out", "--sum", total,
+                               "--no-timing"], env=env, preexec_fn=cap_memory,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == code, proc.stderr[-500:]
+        if code == 2:
+            assert proc.stdout == "" and "folded whole power" in proc.stderr
 
     def test_unfactorable_radicand_exit_2(self, capsys):
         t0 = time.perf_counter()

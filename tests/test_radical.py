@@ -12,6 +12,7 @@ import pytest
 from cyclolab.cyclotomic import zeta
 from cyclolab.equidist import Arc, ArcBox
 from cyclolab.radical import (
+    FOLD_BITS,
     RadicalContext,
     RadicalSum,
     GaloisElement,
@@ -296,15 +297,32 @@ class TestNormalization:
 
     def test_whole_powers_fold_into_the_coefficient(self):
         ctx = RadicalContext([F(2), F(3)], [2, 3], D=1)
-        # 2^(3/2) 3^(-1/3) = (2/3) 2^(1/2) 3^(2/3)
+        # the common whole powers 2^0 and 3^(-3/3) stay in the exponents:
+        # 2^(3/2) 3^(-1/3) = 2 * 2^(1/2) 3^(-1/3), i 2^(1/2) 3^(2/3) =
+        # 3i * 2^(1/2) 3^(-1/3), and 1/2 = (3/2) 3^(-3/3)
         x = RadicalSum(ctx, [(1, (3, -1)), (zeta(4), (1, 2)), (F(1, 2), (0, 0))])
         xn = normalize_terms(x)
-        assert xn.terms == ((F(2, 3) + zeta(4), (1, 2)), (F(1, 2), (0, 0)))
+        assert xn.terms == ((2 + 3 * zeta(4), (1, -1)), (F(3, 2), (0, -3)))
         assert abs(xn.evaluate() - x.evaluate()) < 1e-14
         assert normalize_terms(xn).terms == xn.terms
         # a whole power apart, the same value: merged to the zero sum
         cancel = RadicalSum(ctx, [(2, (1, 0)), (-1, (3, 0)), (F(1, 3), (0, 4)), (-1, (0, 1))])
         assert normalize_terms(cancel).n_terms == 0
+
+    def test_common_whole_power_is_not_folded(self):
+        # one term, or terms sharing their whole powers, fold nothing: a
+        # huge common power stays in the exponent and builds no integer
+        ctx = RadicalContext([F(2)], [2], D=1)
+        x = RadicalSum(ctx, [(1, (10**12 + 1,)), (3, (10**12,))])
+        assert normalize_terms(x).terms == x.terms
+
+    def test_huge_relative_power_refused(self):
+        ctx = RadicalContext([F(2)], [2], D=1)
+        # 2^q is bounded by q * bits(2) = 2q bits
+        xn = normalize_terms(RadicalSum(ctx, [(1, (1,)), (1, (1 + FOLD_BITS,))]))
+        assert xn.terms == ((1 + 2 ** (FOLD_BITS // 2), (1,)),)
+        with pytest.raises(ValueError, match="folded whole power"):
+            normalize_terms(RadicalSum(ctx, [(1, (1,)), (1, (3 + FOLD_BITS,))]))
 
 
 class TestFactorOut:
