@@ -145,8 +145,10 @@ _MONOMIAL_RE = re.compile(r"(\d*)(?:(x)(?:\^(\d+))?)?")
 
 def _parse_minpoly(text: str) -> tuple[int, ...]:
     """"x^3-2" style integer polynomials: ascending coefficients with the
-    leading zero coefficients trimmed, so "0x^3+x-1" has degree 1."""
-    from ._arith import poly_trim
+    leading zero coefficients trimmed, so "0x^3+x-1" has degree 1.  The
+    degree is held to `heights.DEGREE_CAP` before the list is built."""
+    from ._arith import check_cap
+    from .heights import DEGREE_CAP
     text = text.replace(" ", "")
     terms = _TERM_RE.findall(text)
     monomials = [_MONOMIAL_RE.fullmatch(t.lstrip("+-")) for t in terms]
@@ -157,7 +159,9 @@ def _parse_minpoly(text: str) -> tuple[int, ...]:
         c_s, x, k_s = m.groups()
         k = int(k_s or 1) if x else 0
         coeffs[k] = coeffs.get(k, 0) + (-1 if term[0] == "-" else 1) * int(c_s or 1)
-    return tuple(poly_trim([coeffs.get(i, 0) for i in range(max(coeffs) + 1)]))
+    degree = max((k for k, c in coeffs.items() if c), default=-1)
+    check_cap("the degree", degree, "degree cap", DEGREE_CAP)
+    return tuple(coeffs.get(i, 0) for i in range(degree + 1))
 
 
 def _terms(exponents: list[int], coeffs: list) -> list:
@@ -193,12 +197,12 @@ def _turn_histogram(m: int, k: int):
     """The 64-bin histogram over [0, 1] of the turns (r*k mod m)/m,
     r = 1..m, without listing them: with g = gcd(k mod m, m) the residues
     are g*i for i < m/g, each g times, and bin b holds the residues in
-    [c_b, c_(b+1)) for c_b = ceil(b*m/64), as `np.histogram` bins them."""
-    import numpy as np
+    [c_b, c_(b+1)) for c_b = ceil(b*m/64), as `np.histogram` bins them;
+    the edges b/64 are those of `np.linspace(0, 1, 65)`, bit for bit."""
     g = math.gcd(k % m, m)
     cuts = [-(-b * m // 64) for b in range(65)]  # c_b
     below = [-(-c // g) for c in cuts]  # how many g*i lie below c_b
-    return [g * (hi - lo) for lo, hi in zip(below, below[1:])], np.linspace(0, 1, 65)
+    return [g * (hi - lo) for lo, hi in zip(below, below[1:])], [b / 64 for b in range(65)]
 
 
 # ------------------------------------------------------------------ handlers
@@ -218,8 +222,8 @@ def _handle_flat_verify(args):
     else:
         coeffs = _parse_coeffs(args.coeffs)
         f = flatsums.exact_sum(args.d, _terms(_parse_ints(args.exponents), coeffs), mu)
+        validity = flatsums.validate_definition(f)  # its subset cap refuses first
         rep = flatsums.is_flat(f)
-        validity = flatsums.validate_definition(f)
         results = {"flat": rep.flat, "witness": rep.witness, "mode": rep.mode,
                    "validity": validity}
     status = "flat" if rep.flat else "not-flat"
@@ -283,8 +287,8 @@ def _handle_strict_check(args):
 
 
 def _handle_orbit(args):
-    if not 1 <= args.bins <= BINS_CAP:
-        raise ValueError(f"--bins must be between 1 and {BINS_CAP}")
+    from ._arith import check_cap, positive
+    check_cap("--bins", positive(args.bins, "--bins"), "bins cap", BINS_CAP)
     import numpy as np
     from . import radical
     x = _radical_from_args(args)
@@ -588,21 +592,21 @@ def main(argv=None) -> int:
                     else _dumps({**record, "cached": True}))
     else:
         t0 = time.perf_counter()
-        try:
+        try:  # a result past the int-to-str digit limit fails to print here
             results, status = HANDLERS[args.cmd](args)
-        except (ValueError, TypeError, ZeroDivisionError, ArithmeticError, OSError) as exc:
+            record = {
+                "command": args.cmd,
+                "inputs": _plain(inputs),
+                "results": _plain(results),
+                "status": status,
+                "seed": args.seed,
+                "version": __version__,
+                "wall_ms": None if args.no_timing else (time.perf_counter() - t0) * 1000.0,
+            }
+            text = _dumps(record) if path or args.format == "json" else None
+        except (ValueError, TypeError, ArithmeticError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        record = {
-            "command": args.cmd,
-            "inputs": _plain(inputs),
-            "results": _plain(results),
-            "status": status,
-            "seed": args.seed,
-            "version": __version__,
-            "wall_ms": None if args.no_timing else (time.perf_counter() - t0) * 1000.0,
-        }
-        text = _dumps(record) if path or args.format == "json" else None
         if path:
             try:
                 _cache_write(path, text)

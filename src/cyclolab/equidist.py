@@ -339,8 +339,7 @@ def arc_count(orbit: RootTupleOrbit, box: ArcBox) -> ArcCountReport:
     """
     if len(box.arcs) != orbit.dim:
         raise ValueError("box dimension must match the orbit dimension")
-    if orbit.m > ARC_M_CAP:
-        raise ValueError(f"arc-count refuses m = {orbit.m} above {ARC_M_CAP}")
+    check_cap("m", orbit.m, "arc modulus cap", ARC_M_CAP)
     count = _lattice_count(orbit, box) if orbit.dim <= 2 else _walk_count(orbit, box)
     ratio = Fraction(count, orbit.m)
     eps = box.uniform_eps()

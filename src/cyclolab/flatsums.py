@@ -64,6 +64,7 @@ UNIT_MATRIX_CAP = 10**6  # largest d * N of `_unit_matrix` (16 MB of complex dou
 # 1.0 s (at d * N = 1) on a 2-CPU x86-64 VM
 SEARCH_WORK_CAP = 2 * 10**6
 SURVEY_ROW_CAP = 10**4  # largest d_max of `sn_survey`
+SUBSET_CAP = 20  # largest N of `validate_definition`'s subset check
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,7 @@ def validate_definition(f: SparseExpSum) -> ValidityReport:
     """
     if f.mode != "exact":
         raise ValueError("validation requires exact coefficients")
-    if f.n_terms > 20:
-        raise ValueError("subset check too large")
+    check_cap("N", f.n_terms, "subset cap", SUBSET_CAP)
     bs = f.exponents
     has_zero = 0 in bs
     gcd_one = gcd(f.d, *bs) == 1
@@ -705,10 +705,10 @@ def sn_survey(N: int, d_max: int, restarts: int = 8, seed: int = 0) -> list[dict
     summed restarts * SEARCH_MAX_ITERS * d * N to `SEARCH_WORK_CAP`
     (ValueError past either).
     """
-    if N > 3:
+    N = positive(N, "N")
+    if N > 3:  # a limit of what is implemented, not a work cap
         raise ValueError("survey too large")
-    N, d_max = positive(N, "N"), positive(d_max, "d_max")
-    restarts = positive(restarts, "restarts")
+    d_max, restarts = positive(d_max, "d_max"), positive(restarts, "restarts")
     check_cap("d_max", d_max, "survey row cap", SURVEY_ROW_CAP)
     if N == 3:  # orders 1 and 2 have witnesses, orders above the bound no probes
         work, d = 0, 2

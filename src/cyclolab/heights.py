@@ -24,8 +24,8 @@ from fractions import Fraction
 from operator import index
 
 from ._arith import (
-    as_fraction, euler_phi, poly_coprime_mod, poly_deriv, poly_divmod, poly_gcd, poly_trim,
-    positive, primes)
+    as_fraction, check_cap, euler_phi, poly_coprime_mod, poly_deriv, poly_divmod, poly_gcd,
+    poly_trim, positive, primes)
 
 __all__ = [
     "AlgebraicNumber",
@@ -86,8 +86,7 @@ def poly_roots(coeffs) -> list[complex]:
     before numpy is imported.
     """
     ints = _primitive_int(coeffs)
-    if len(ints) - 1 > DEGREE_CAP:
-        raise ValueError(f"degree exceeds the cap of {DEGREE_CAP}")
+    check_cap("the degree", len(ints) - 1, "degree cap", DEGREE_CAP)
     try:
         floats = [float(c) for c in ints]
     except OverflowError:
@@ -251,6 +250,7 @@ def height_and_measure(alpha) -> tuple[float, float]:
         ints = list(alpha.minpoly)
     else:
         ints = _primitive_int(alpha)
+        check_cap("the degree", len(ints) - 1, "degree cap", DEGREE_CAP)
         if len(_squarefree_part(ints)) < len(ints):
             raise ValueError("polynomial has a repeated factor")
     rts = poly_roots(ints)

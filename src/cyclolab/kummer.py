@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from ._arith import as_fraction, divisors, euler_phi, factorize, iroot, positive
+from ._arith import as_fraction, check_cap, divisors, euler_phi, factorize, iroot, positive
 from .cyclotomic import CyclotomicNumber, zeta
 from .lattice import hnf, lll_reduce
 
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 ORACLE_SCALES = (10**25, 10**40)  # lattice scales of `root_membership_oracle`
+ORACLE_CAP = 64  # largest e * phi(m) of `root_membership_oracle`
 _ORACLE_DPS = max(len(str(s)) for s in ORACLE_SCALES) + 25  # its working digits
 
 
@@ -318,7 +319,7 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     LLL-reduced once per process per (m, scale), when first needed, and
     kept (`_zeta_block`); every tau reduces only that block plus its beta
     row.  The inputs are checked before the cache is read, and e * phi(m)
-    <= 64 admits 127 moduli, so at most 254 blocks are ever kept.  The
+    <= ORACLE_CAP admits 127 moduli, so at most 254 blocks are ever kept.  The
     reduced block's identity part is the unimodular transform U it
     applied, so the next scale's block starts from U times its raw zeta
     rows: the same lattice, already close to reduced (the gradual
@@ -333,8 +334,7 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     e = positive(e, "root order")
     m = positive(m, "field order m")
     phi = euler_phi(m)
-    if e * phi > 64:
-        raise ValueError("oracle restricted to tiny cases (e * phi(m) <= 64)")
+    check_cap("e * phi(m)", e * phi, "oracle cap", ORACLE_CAP)
     parity = 0 if a > 0 else 1
     near_miss = False
     zs = _zeta_powers(m)

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import index
 from typing import TYPE_CHECKING
 
-from ._arith import as_float, as_fraction, positive
+from ._arith import as_float, as_fraction, check_cap, euler_phi, positive
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, zeta
 from .equidist import ArcBox
 from .kummer import rank1_failure, multiplicatively_independent
@@ -258,8 +258,7 @@ def _orbit_values(x: RadicalSum) -> np.ndarray:
     values, in itertools.product order over the rotation tuples."""
     ctx = x.context
     size = ctx.orbit_size()
-    if size > ORBIT_CAP:
-        raise ValueError("orbit too large")
+    check_cap("the orbit size", size, "orbit cap", ORBIT_CAP)
     import numpy as np
     zs = x.term_values()
     total = np.zeros(size, dtype=complex)
@@ -351,11 +350,9 @@ def _unit_orbit_values(x: RadicalSum) -> tuple[list[int], np.ndarray]:
     import numpy as np
     ctx = x.context
     hsize = ctx.orbit_size()
-    limit = ORBIT_CAP // (hsize * max(1, x.n_terms))  # units allowed
-    units = list(itertools.islice(
-        (t for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1), limit + 1))
-    if len(units) > limit:
-        raise ValueError("cyclotomic part times orbit too large")
+    check_cap("units * orbit * max(1, terms)", euler_phi(ctx.D) * hsize * max(1, x.n_terms),
+              "orbit cap", ORBIT_CAP)
+    units = [t for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1]
     terms = [(a, ctx.radical_value(k), _rotation_phases(ctx, k)) for a, k in x.terms]
     grid = np.zeros((len(units), hsize), dtype=complex)
     for row, t in zip(grid, map(ctx.lift_t, units)):
@@ -435,8 +432,7 @@ def normalize_terms(x: RadicalSum) -> RadicalSum:
         qs = [(kl - b) // d for kl, b, d in zip(k, base, dens)]
         bits = sum(q * max(g.numerator.bit_length(), g.denominator.bit_length())
                    for q, g in zip(qs, ctx.generators))
-        if bits > FOLD_BITS:
-            raise ValueError(f"a folded whole power needs up to {bits} bits, above {FOLD_BITS}")
+        check_cap("the bits of a folded whole power", bits, "fold cap", FOLD_BITS)
         folded.append((a * math.prod(g ** q for g, q in zip(ctx.generators, qs)),
                        tuple(kl - q * d for kl, q, d in zip(k, qs, dens))))
     return RadicalSum(ctx, [(a, k) for a, k in RadicalSum(ctx, folded).terms

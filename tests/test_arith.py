@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclolab import cyclotomic, equidist, flatsums, heights, kummer, radical
+from cyclolab import cli, cyclotomic, equidist, flatsums, heights, kummer, radical
 from cyclolab._arith import (
     as_complex,
     as_float,
@@ -320,3 +320,88 @@ class TestNumericGate:
             equidist.Arc(Decimal("0.5"), 0.25)
         with pytest.raises(TypeError):
             flatsums.flat_search([0, 1], 3, "1")
+
+
+def _orbit_bins(bins):
+    return cli.HANDLERS["orbit"](cli._parse(["orbit", "--sum", "1 * 2^(1/3)", "--bins", str(bins)]))
+
+
+def _one_radical(d, D=1):
+    ctx = radical.RadicalContext([2], [d], D=D, failures=[1])
+    return radical.RadicalSum(ctx, [(1, (1,))])
+
+
+def _folded(k):
+    ctx = radical.RadicalContext([2], [2])
+    return radical.normalize_terms(radical.RadicalSum(ctx, [(1, (1,)), (1, (k,))]))
+
+
+def _arc_walk(width):
+    # the walk's cost is 2 * (2 * (1009 // w) + 1): the x in [-1009/w,
+    # 1009/w] of the narrowest arc, times the one tested arc + 1
+    box = equidist.ArcBox([equidist.Arc(Fraction(0), Fraction(1, width)),
+                           equidist.Arc(0.0, 2.0), equidist.Arc(0.0, math.pi)])
+    return equidist.arc_count(equidist.RootTupleOrbit(1009, (1, 7, 100)), box)
+
+
+_TURN = equidist.ArcBox([equidist.Arc(Fraction(0), Fraction(1, 4))])
+_FOLD = radical.FOLD_BITS
+
+
+@pytest.mark.parametrize("name, cap, at, past", [
+    # cap name, (module, constant, the value the table sets: None keeps
+    # it), a call whose counted cost is the cap, one whose cost passes it
+    pytest.param("bins cap", (cli, "BINS_CAP", None),
+                 lambda: _orbit_bins(10**4), lambda: _orbit_bins(10**4 + 1), id="bins"),
+    pytest.param("orbit cap", (radical, "ORBIT_CAP", None),
+                 lambda: radical.orbit_moduli(_one_radical(10**6)),
+                 lambda: radical.orbit_moduli(_one_radical(10**6 + 1)), id="orbit"),
+    pytest.param("orbit cap", (radical, "ORBIT_CAP", None),  # 100 units of Z/101
+                 lambda: radical.marginal_orbit_stats(_one_radical(10**4, D=101), 0.5),
+                 lambda: radical.marginal_orbit_stats(_one_radical(10**4 + 1, D=101), 0.5),
+                 id="units-times-orbit"),
+    pytest.param("fold cap", (radical, "FOLD_BITS", None),  # 2^q costs 2q bits
+                 lambda: _folded(1 + _FOLD), lambda: _folded(3 + _FOLD), id="fold"),
+    pytest.param("arc modulus cap", (equidist, "ARC_M_CAP", None),
+                 lambda: equidist.arc_count(equidist.RootTupleOrbit(10**9, (1,)), _TURN),
+                 lambda: equidist.arc_count(equidist.RootTupleOrbit(10**9 + 1, (1,)), _TURN),
+                 id="arc-modulus"),
+    pytest.param("degree cap", (heights, "DEGREE_CAP", None),
+                 lambda: heights.poly_roots([1] + [0] * 63 + [1]),
+                 lambda: heights.poly_roots([1] + [0] * 64 + [1]), id="degree-roots"),
+    pytest.param("degree cap", (heights, "DEGREE_CAP", None),
+                 lambda: heights.height_and_measure([1] + [0] * 63 + [1]),
+                 lambda: heights.height_and_measure([1] + [0] * 64 + [1]), id="degree-height"),
+    pytest.param("degree cap", (heights, "DEGREE_CAP", None),
+                 lambda: cli._parse_minpoly("x^64+1"), lambda: cli._parse_minpoly("x^65+0x^2+1"),
+                 id="degree-parse"),
+    pytest.param("subset cap", (flatsums, "SUBSET_CAP", None),
+                 lambda: flatsums.validate_definition(
+                     flatsums.exact_sum(3, [(i, 1) for i in range(20)])),
+                 lambda: flatsums.validate_definition(
+                     flatsums.exact_sum(3, [(i, 1) for i in range(21)])), id="subset"),
+    pytest.param("oracle cap", (kummer, "ORACLE_CAP", None),  # phi(17) = 16
+                 lambda: kummer.root_membership_oracle(2, 4, 17),
+                 lambda: kummer.root_membership_oracle(2, 1, 67), id="oracle"),
+    pytest.param("unit matrix cap", (flatsums, "UNIT_MATRIX_CAP", None),
+                 lambda: flatsums.is_flat(flatsums.numeric_sum(5 * 10**5, [(0, 1), (1, 1)])),
+                 lambda: flatsums.is_flat(flatsums.numeric_sum(5 * 10**5 + 1, [(0, 1), (1, 1)])),
+                 id="unit-matrix"),
+    pytest.param("search work cap", (flatsums, "SEARCH_WORK_CAP", 2 * 3000 * 5 * 2),
+                 lambda: flatsums.flat_search([0, 1], 5, restarts=2),
+                 lambda: flatsums.flat_search([0, 1], 5, restarts=3), id="search-work"),
+    pytest.param("survey row cap", (flatsums, "SURVEY_ROW_CAP", None),
+                 lambda: flatsums.sn_survey(1, 10**4),
+                 lambda: flatsums.sn_survey(1, 10**4 + 1), id="survey-row"),
+    pytest.param("arc walk cap", (equidist, "ARC_WALK_CAP", 2 * (2 * (1009 // 8) + 1)),
+                 lambda: _arc_walk(8), lambda: _arc_walk(7), id="arc-walk"),
+])
+def test_cap_boundary(monkeypatch, name, cap, at, past):
+    """Every cap accepts a cost equal to it and refuses one past it, with
+    the message of `_arith.check_cap`, which names the cap and its value."""
+    module, constant, value = cap
+    if value is not None:
+        monkeypatch.setattr(module, constant, value)
+    at()
+    with pytest.raises(ValueError, match=f" exceeds the {name} {getattr(module, constant)}$"):
+        past()

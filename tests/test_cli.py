@@ -35,6 +35,18 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def run_capped(*argv):
+    """`python -m cyclolab.cli argv --no-timing` in a subprocess under a
+    1 GB address-space limit and a 10 s timeout."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "cyclolab.cli", *argv, "--no-timing"],
+                          env=env, preexec_fn=cap_memory, capture_output=True, text=True,
+                          timeout=10)
+
+
 class TestCommands:
     def test_sn_survey_n1(self, capsys):
         code, rec = run_json(capsys, "sn-survey", "--N", "1", "--dmax", "10", "--no-timing")
@@ -139,7 +151,6 @@ class TestCommands:
     def test_arc_count_hist_at_the_cap(self):
         from cyclolab.cli import _turn_histogram
         from cyclolab.equidist import ARC_M_CAP
-        _turn_histogram(64, 1)  # imports numpy before the timed call
         t0 = time.perf_counter()
         counts, edges = _turn_histogram(ARC_M_CAP, 128 * 7)  # each residue 128 times
         assert time.perf_counter() - t0 < 0.05
@@ -199,7 +210,8 @@ class TestCommands:
 
     def test_arc_count_m_above_cap_exit_2(self, capsys):
         code = main(["arc-count", "--m", str(10**10 + 19), "--k", "1", "--arcs", "0t:1/4t"])
-        assert code == 2 and "refuses m" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == 2 and f"m = {10**10 + 19} exceeds the arc modulus cap {10**9}" in err
 
     def test_arc_count_walk_past_cap_exit_2(self, capsys):
         # the walk of a 3-D box of 3-rad arcs at m = 999,999,937 ran past
@@ -323,7 +335,9 @@ class TestCommands:
         monkeypatch.setattr(radical, "parse_radical_sum", None)
         code = main(["orbit", "--sum", "1 * 2^(1/3)", "--bins", bins])
         out, err = capsys.readouterr()
-        assert code == 2 and out == "" and f"between 1 and {BINS_CAP}" in err
+        message = ("--bins must be positive" if int(bins) < 1
+                   else f"--bins = {bins} exceeds the bins cap {BINS_CAP}")
+        assert code == 2 and out == "" and message in err
 
     @pytest.mark.parametrize("bins", [1, BINS_CAP])
     def test_orbit_bins_bounds_accepted(self, capsys, bins):
@@ -608,13 +622,7 @@ class TestCacheAndBounds:
     def test_root_order_past_bit_length_bounded(self, argv):
         # radical orders far beyond the radicand's bit length: the integer
         # k-th roots there are 1, and taking them builds no k-bit power
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-m", "cyclolab.cli", *argv, "--no-timing"],
-                              env=env, preexec_fn=cap_memory, capture_output=True, text=True,
-                              timeout=10)
+        proc = run_capped(*argv)
         assert proc.returncode == 0, proc.stderr[-500:]
         assert json.loads(proc.stdout)["status"] == "ok"
 
@@ -627,16 +635,31 @@ class TestCacheAndBounds:
     def test_factor_out_huge_whole_power_bounded(self, total, code):
         # a common whole power stays in the exponents and a relative one
         # past the fold cap is refused: neither builds its integer
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-m", "cyclolab.cli", "factor-out", "--sum", total,
-                               "--no-timing"], env=env, preexec_fn=cap_memory,
-                              capture_output=True, text=True, timeout=10)
+        proc = run_capped("factor-out", "--sum", total)
         assert proc.returncode == code, proc.stderr[-500:]
         if code == 2:
             assert proc.stdout == "" and "folded whole power" in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["height", "--minpoly", "x^30000000+1"],
+         "the degree = 30000000 exceeds the degree cap 64"),
+        (["factor-out", "--sum", f"{'9' * 4300} * 2^(1/2) + {'9' * 4300} * 2^(1/2)"],
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+    ], ids=["minpoly-degree", "merged-4301-digit-coefficient"])
+    def test_traceback_inputs_exit_2(self, argv, message):
+        # each ended in a traceback (exit 1): the dense list of the written
+        # degree ran out of memory before the degree cap was read, and the
+        # record of a coefficient past Python's int-to-str limit was built
+        # outside the handler's exit-2 path
+        proc = run_capped(*argv)
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert proc.stdout == "" and message in proc.stderr
+
+    def test_zero_leading_term_of_huge_degree_read_sparsely(self):
+        proc = run_capped("height", "--minpoly", "0x^100000000+x-1")
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert json.loads(proc.stdout)["results"] == {
+            "degree": 1, "height": 0.0, "mahler_measure": 1.0}
 
     def test_unfactorable_radicand_exit_2(self, capsys):
         t0 = time.perf_counter()

@@ -67,7 +67,7 @@ class TestValidate:
 
     def test_too_many_terms(self):
         f = exact_sum(3, [(i, 1) for i in range(21)])
-        with pytest.raises(ValueError, match="subset check too large"):
+        with pytest.raises(ValueError, match="N = 21 exceeds the subset cap 20"):
             validate_definition(f)
 
     def test_duplicate_exponents_rejected(self):

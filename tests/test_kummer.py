@@ -444,7 +444,7 @@ class TestOracle:
         assert rep.status == "true"
 
     def test_size_cap(self):
-        with pytest.raises(ValueError, match="tiny"):
+        with pytest.raises(ValueError, match=r"e \* phi\(m\) = 800 exceeds the oracle cap 64"):
             root_membership_oracle(2, 8, 101)
         # phi(m) >= sqrt(m/2), so every m with phi(m) <= 64 is at most 8192:
         # the oracle's cache keys are at most 127 moduli times the scales

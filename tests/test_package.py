@@ -121,6 +121,18 @@ def test_two_dim_arc_count_loads_no_numpy():
     assert _last_stderr_json(code) == [0, 0, False, 0, True]
 
 
+def test_arc_count_hist_out_loads_no_numpy(tmp_path):
+    # the turn histogram's edges are b/64, with no np.linspace
+    out = tmp_path / "hist.csv"
+    code = ("import json, sys, cyclolab.cli as cli; "
+            "seen = [cli.main(['arc-count', '--m', '1009', '--k', '1,7', "
+            f"'--arcs', '0:0.5,1:0.5', '--hist-out', {str(out)!r}, '--no-timing'])]; "
+            "seen.append('numpy' in sys.modules); "
+            "print(json.dumps(seen), file=sys.stderr)")
+    assert _last_stderr_json(code) == [0, False]
+    assert len(out.read_text().splitlines()) == 65
+
+
 def test_exports_are_the_defining_objects():
     # a name listed under two submodules would collapse into one entry
     assert len(cyclolab.__all__) == sum(map(len, cyclolab._LAYERS.values()))

@@ -95,6 +95,73 @@ def test_positivity_has_one_home():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+_NUMERIC = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+
+
+def numeric_constants(source: str) -> set[str]:
+    """ALL-CAPS names that the module binds at its top level to arithmetic
+    on number literals, such as `CAP = 2 * 10**6`."""
+    return {t.id for node in ast.parse(source).body if isinstance(node, ast.Assign)
+            and all(isinstance(n, _NUMERIC) for n in ast.walk(node.value))
+            for t in node.targets if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()}
+
+
+def hand_cap_checks(source: str, constants: set[str]) -> list[int]:
+    """Lines of each `if` that raises in its body and compares a name or
+    attribute of `constants`, a name assigned from an expression that reads
+    one, or, by <, <=, > or >=, an int literal of two or more digits: a cap
+    refusal written by hand, whose one home is `_arith.check_cap`."""
+    tree = ast.parse(source)
+
+    def reads(node, names):
+        return any(isinstance(n, ast.Name) and n.id in names
+                   or isinstance(n, ast.Attribute) and n.attr in names for n in ast.walk(node))
+
+    def literal_bound(c):
+        return any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in c.ops) and any(
+            isinstance(x, ast.Constant) and type(x.value) is int and abs(x.value) >= 10
+            for x in (c.left, *c.comparators))
+    names = constants | {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                         and reads(n.value, constants)
+                         for t in n.targets if isinstance(t, ast.Name)}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.If) and any(
+        isinstance(c, ast.Compare) and (reads(c, names) or literal_bound(c))
+        for c in ast.walk(node.test)) and any(
+        isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))]
+
+
+def test_checker_flags_hand_cap_check():
+    source = ("CAP = 2 * 10**6\n"
+              "TERM_RE = re.compile('x')\n"
+              "def f(n, terms):\n"
+              "    if n > CAP:\n"
+              "        raise ValueError('too large')\n"
+              "    limit = CAP // n\n"
+              "    if len(terms) > limit or not terms:\n"
+              "        raise ValueError('too many')\n"
+              "    if heights.DEGREE_CAP < n:\n"
+              "        raise ValueError('degree')\n"
+              "    if n > 3 or n == 64 or TERM_RE.match(terms) is None:\n"
+              "        raise ValueError('not implemented')\n"
+              "    if n * len(terms) > 64:\n"
+              "        raise ValueError('inline cap')\n"
+              "    if n > CAP:\n"
+              "        return 0\n")
+    assert numeric_constants(source) == {"CAP"}
+    assert hand_cap_checks(source, {"CAP", "DEGREE_CAP"}) == [4, 7, 9, 13]
+
+
+def test_caps_have_one_home():
+    """Every size and work cap is refused through `_arith.check_cap`; the
+    run-time budget ENUM_NODES, counted while the search runs, is not a
+    cap of that kind."""
+    sources = {p.name: p.read_text() for p in sorted((SRC / "cyclolab").glob("*.py"))}
+    constants = set().union(*map(numeric_constants, sources.values())) - {"ENUM_NODES"}
+    found = {name: hand_cap_checks(text, constants)
+             for name, text in sources.items() if name != "_arith.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def galois_conjugate_callers(source: str) -> list[str]:
     """Qualified names of the functions whose body reads an attribute
     `galois_conjugate` ("<module>" at the top level)."""
