@@ -1,8 +1,8 @@
 """Command-line front end: subcommand dispatch, JSON/CSV record emission
 and content-addressed result caching.
 
-Importing this module loads only `os`, `sys`, `time`, `math`, `functools`,
-`re` and `typing`: the parser, JSON, the cache's hashing, the exact types
+Importing this module loads only `os`, `sys`, `time`, `math`, `functools`
+and `typing`: the parser, JSON, the cache's hashing, the exact types
 and every layer are imported where they are used, and each handler imports
 the layer it runs.  numpy loads only in the numeric branch of a layer, so
 the exact commands (`flat-verify` without --numeric, `reduce`, `sn-survey`
@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import re
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -32,7 +31,7 @@ from . import __version__
 if TYPE_CHECKING:
     import argparse
 
-    from . import equidist, radical
+    from . import radical
     from .cyclotomic import CyclotomicNumber
 
 CACHE_ENV = "CYCLOLAB_CACHE"
@@ -123,47 +122,6 @@ def _parse_coeffs(text: str) -> list[CyclotomicNumber]:
     return [CyclotomicNumber.parse(part.strip()) for part in text.split(";")]
 
 
-def _parse_arcs(text: str) -> equidist.ArcBox:
-    """"x1:eps1,x2:eps2" with radians floats, or 'p/q t' turns: "1/8t:1/16t"."""
-    from fractions import Fraction
-
-    from . import equidist
-    arcs = []
-    for part in text.split(","):
-        c_s, _, e_s = part.partition(":")
-        c_s, e_s = c_s.strip(), e_s.strip()
-        if c_s.endswith("t") and e_s.endswith("t"):
-            arcs.append(equidist.Arc(Fraction(c_s[:-1]), Fraction(e_s[:-1])))
-        else:
-            arcs.append(equidist.Arc(float(c_s), float(e_s)))
-    return equidist.ArcBox(arcs)
-
-
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
-_MONOMIAL_RE = re.compile(r"(\d*)(?:(x)(?:\^(\d+))?)?")
-
-
-def _parse_minpoly(text: str) -> tuple[int, ...]:
-    """"x^3-2" style integer polynomials: ascending coefficients with the
-    leading zero coefficients trimmed, so "0x^3+x-1" has degree 1.  The
-    degree is held to `heights.DEGREE_CAP` before the list is built."""
-    from ._arith import check_cap
-    from .heights import DEGREE_CAP
-    text = text.replace(" ", "")
-    terms = _TERM_RE.findall(text)
-    monomials = [_MONOMIAL_RE.fullmatch(t.lstrip("+-")) for t in terms]
-    if not terms or "".join(terms) != text or not all(monomials):
-        raise ValueError(f'cannot read {text!r} as an integer polynomial such as "x^3-2"')
-    coeffs: dict[int, int] = {}
-    for term, m in zip(terms, monomials):
-        c_s, x, k_s = m.groups()
-        k = int(k_s or 1) if x else 0
-        coeffs[k] = coeffs.get(k, 0) + (-1 if term[0] == "-" else 1) * int(c_s or 1)
-    degree = max((k for k, c in coeffs.items() if c), default=-1)
-    check_cap("the degree", degree, "degree cap", DEGREE_CAP)
-    return tuple(coeffs.get(i, 0) for i in range(degree + 1))
-
-
 def _terms(exponents: list[int], coeffs: list) -> list:
     """The (exponent, coefficient) pairs of a sum, one coefficient per exponent."""
     if len(exponents) != len(coeffs):
@@ -191,18 +149,6 @@ def _write_hist(path, hist, edges):
         fh.write("lo,hi,count\n")
         for i in range(len(hist)):
             fh.write(f"{float(edges[i])!r},{float(edges[i+1])!r},{int(hist[i])}\n")
-
-
-def _turn_histogram(m: int, k: int):
-    """The 64-bin histogram over [0, 1] of the turns (r*k mod m)/m,
-    r = 1..m, without listing them: with g = gcd(k mod m, m) the residues
-    are g*i for i < m/g, each g times, and bin b holds the residues in
-    [c_b, c_(b+1)) for c_b = ceil(b*m/64), as `np.histogram` bins them;
-    the edges b/64 are those of `np.linspace(0, 1, 65)`, bit for bit."""
-    g = math.gcd(k % m, m)
-    cuts = [-(-b * m // 64) for b in range(65)]  # c_b
-    below = [-(-c // g) for c in cuts]  # how many g*i lie below c_b
-    return [g * (hi - lo) for lo, hi in zip(below, below[1:])], [b / 64 for b in range(65)]
 
 
 # ------------------------------------------------------------------ handlers
@@ -262,10 +208,9 @@ def _handle_reduce(args):
 def _handle_arc_count(args):
     from . import equidist
     orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k)))
-    box = _parse_arcs(args.arcs)
-    rep = equidist.arc_count(orbit, box)
+    rep = equidist.arc_count(orbit, equidist.ArcBox.parse(args.arcs))
     if args.hist_out:
-        _write_hist(args.hist_out, *_turn_histogram(orbit.m, orbit.k[0]))
+        _write_hist(args.hist_out, *equidist._turn_histogram(orbit.m, orbit.k[0]))
     return rep, "ok"
 
 
@@ -319,10 +264,9 @@ def _handle_dgamma(args):
 
 
 def _handle_sigma_search(args):
-    from . import radical
+    from . import equidist, radical
     x = _radical_from_args(args)
-    box = _parse_arcs(args.arcs)
-    found = radical.sigma_search(x, box, args.eps)
+    found = radical.sigma_search(x, equidist.ArcBox.parse(args.arcs), args.eps)
     results = {"count": len(found), "elements": [{"t": g.t, "r": list(g.r)} for g in found]}
     return results, "ok"
 
@@ -354,7 +298,7 @@ def _handle_height(args):
             mahler = float(np.exp(h * args.n))
         degree = args.n
     else:
-        poly = _parse_minpoly(args.minpoly)
+        poly = heights.parse_minpoly(args.minpoly)
         h, mahler = heights.height_and_measure(poly)
         degree = len(poly) - 1
     if not math.isfinite(mahler):

@@ -3,7 +3,8 @@ orbit periods and exact arc-box counting against the Haar bound.
 
 A box of at most two arcs is counted on the orbit lattice in O(log m)
 integer steps and loads no numpy; a box of three or more arcs walks, in
-numpy blocks, only the residues that its narrowest arc admits."""
+numpy blocks, only the residues that its narrowest arc admits.  A box is
+read from text by `ArcBox.parse`."""
 from __future__ import annotations
 
 import math
@@ -228,6 +229,20 @@ class ArcBox:
     def __init__(self, arcs):
         object.__setattr__(self, "arcs", tuple(arcs))
 
+    @classmethod
+    def parse(cls, text: str) -> ArcBox:
+        """Read "x1:eps1,x2:eps2", radian centers and halfwidths, or turn
+        arcs, whose center and halfwidth are both Fractions with a "t"
+        suffix: "1/8t:1/16t"."""
+        arcs = []
+        for part in text.split(","):
+            c_s, _, e_s = (s.strip() for s in part.partition(":"))
+            if c_s.endswith("t") and e_s.endswith("t"):
+                arcs.append(Arc(Fraction(c_s[:-1]), Fraction(e_s[:-1])))
+            else:
+                arcs.append(Arc(float(c_s), float(e_s)))
+        return cls(arcs)
+
     def haar(self) -> float:
         h = 1.0
         for a in self.arcs:
@@ -252,8 +267,20 @@ class ArcCountReport:
 
 def _preimages(g: int, spans: list[tuple[int, int]]) -> int:
     """g times the multiples of g in the intervals: the r in {1..m} with
-    r*k mod m in them, for g = gcd(k, m)."""
+    r*k mod m in them, for g = gcd(k, m); the one count of them."""
     return g * sum(hi // g - (lo - 1) // g for lo, hi in spans)
+
+
+def _turn_histogram(m: int, k: int) -> tuple[list[int], list[float]]:
+    """The 64-bin histogram over [0, 1] of the turns (r*k mod m)/m,
+    r = 1..m, without listing them: bin b holds the residues in
+    [c_b, c_(b+1)) for c_b = ceil(b*m/64), as `np.histogram` bins them, and
+    `_preimages` counts them with g = gcd(k mod m, m); the edges b/64 are
+    those of `np.linspace(0, 1, 65)`, bit for bit."""
+    g = gcd(k % m, m)
+    cuts = [-(-b * m // 64) for b in range(65)]  # c_b
+    return ([_preimages(g, [(lo, hi - 1)]) for lo, hi in zip(cuts, cuts[1:])],
+            [b / 64 for b in range(65)])
 
 
 def _walk_count(orbit: RootTupleOrbit, box: ArcBox) -> int:

@@ -513,13 +513,15 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     backtracking line search, a rejected candidate needs only the objective,
     so the gradient is computed at each restart's starting point and at
     accepted points only.  The reported residual is the pure flatness
-    penalty at the best point found.
-    Verdicts: residual < 1e-16 "numeric_member", residual > 1e-6 after all
-    restarts "numeric_infeasible", otherwise "unresolved".  mu must be a
-    finite numbers.Real (TypeError for text, ValueError for NaN or an
-    infinity) and restarts at least 1 (ValueError).  Before any work, d * N
-    is held to `UNIT_MATRIX_CAP` and restarts * SEARCH_MAX_ITERS * d * N to
-    `SEARCH_WORK_CAP` (ValueError past either).
+    penalty at the best point found; when the penalty overflows in every
+    restart (a huge mu), that is the first restart's point, with residual
+    inf, which no record can hold.
+    Verdicts: residual < 1e-16 "numeric_member", a finite residual > 1e-6
+    after all restarts "numeric_infeasible", otherwise "unresolved".  mu
+    must be a finite numbers.Real (TypeError for text, ValueError for NaN
+    or an infinity) and restarts at least 1 (ValueError).  Before any work,
+    d * N is held to `UNIT_MATRIX_CAP` and restarts * SEARCH_MAX_ITERS * d *
+    N to `SEARCH_WORK_CAP` (ValueError past either).
     """
     global np  # read by `_penalty` and `_gradient`
     b = list(b)
@@ -556,11 +558,11 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
                 step *= 2.0
             else:
                 step *= 0.5
-        if total < best_total:
+        if best_a is None or total < best_total:  # an overflowed total stays inf
             best_total, best_a, best_F = total, a.copy(), F
     if best_F < 1e-16:
         verdict = "numeric_member"
-    elif best_F > 1e-6:
+    elif 1e-6 < best_F < math.inf:
         verdict = "numeric_infeasible"
     else:
         verdict = "unresolved"

@@ -3,7 +3,9 @@ integer minimal polynomials, with the power and root transformation laws.
 
 Minimal-polynomial input (ascending exact rationals, taken through
 `_arith.as_fraction`, so a float coefficient is a TypeError) is read only
-here: `_primitive_int` refuses a zero or constant polynomial, and
+here, and so is its text form "x^3-2" (`parse_minpoly`): `_primitive_int`
+refuses a zero or constant polynomial, `DEGREE_CAP` is read before any
+dense list, squarefree test or root probe, and
 `weil_height` and `mahler_measure` refuse a repeated factor, whose multiple
 roots float root-finding cannot separate (M((x-2)^3) would read 8.00004);
 `height_and_measure` gives both from one root pass.
@@ -19,6 +21,7 @@ none."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
@@ -36,11 +39,35 @@ __all__ = [
     "is_root_of_unity",
     "radical_height",
     "poly_roots",
+    "parse_minpoly",
 ]
 
 DEGREE_CAP = 64
 POLISH_ITERS = 6  # Newton steps per root in `poly_roots`
 SQUAREFREE_PRIME = (1 << 61) - 1  # the prime of `_squarefree_part`'s certificate
+
+
+_TERM_RE = re.compile(r"[+-]?[^+-]+")
+_MONOMIAL_RE = re.compile(r"(\d*)(?:(x)(?:\^(\d+))?)?")
+
+
+def parse_minpoly(text: str) -> tuple[int, ...]:
+    """Read "x^3-2" style integer polynomials: ascending coefficients with
+    the leading zero coefficients trimmed, so "0x^3+x-1" has degree 1.  The
+    degree is held to `DEGREE_CAP` before the list is built."""
+    text = text.replace(" ", "")
+    terms = _TERM_RE.findall(text)
+    monomials = [_MONOMIAL_RE.fullmatch(t.lstrip("+-")) for t in terms]
+    if not terms or "".join(terms) != text or not all(monomials):
+        raise ValueError(f'cannot read {text!r} as an integer polynomial such as "x^3-2"')
+    coeffs: dict[int, int] = {}
+    for term, m in zip(terms, monomials):
+        c_s, x, k_s = m.groups()
+        k = int(k_s or 1) if x else 0
+        coeffs[k] = coeffs.get(k, 0) + (-1 if term[0] == "-" else 1) * int(c_s or 1)
+    degree = max((k for k, c in coeffs.items() if c), default=-1)
+    check_cap("the degree", degree, "degree cap", DEGREE_CAP)
+    return tuple(coeffs.get(i, 0) for i in range(degree + 1))
 
 
 # ------------------------------------------------------- poly helpers (Q[x])
@@ -212,7 +239,8 @@ class AlgebraicNumber:
     `root_index` selects one complex root under the deterministic ordering
     of `poly_roots`.  Irreducibility is an input contract; cheap probes
     (rational roots, repeated factors) catch the easy violations, which
-    include every reducible quadratic and cubic.
+    include every reducible quadratic and cubic.  A degree above
+    `DEGREE_CAP`, where no root can be taken, is refused before them.
     """
 
     minpoly: tuple[int, ...]
@@ -220,9 +248,10 @@ class AlgebraicNumber:
 
     def __post_init__(self):
         ints = _primitive_int(self.minpoly)
+        deg = len(ints) - 1
+        check_cap("the degree", deg, "degree cap", DEGREE_CAP)
         object.__setattr__(self, "minpoly", tuple(ints))
         object.__setattr__(self, "root_index", index(self.root_index))
-        deg = len(ints) - 1
         if not (0 <= self.root_index < deg):
             raise ValueError("root index out of range")
         # cheap irreducibility probes; full factorization is out of scope

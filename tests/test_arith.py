@@ -50,7 +50,7 @@ class TestIntegers:
         assert p2 > p and (p2 - 1) % L == 0 and factorize(p2) == {p2: 1}
 
     def test_primes_match_a_plain_sieve(self):
-        # the first 5,000 primes (up to 48,611) cross about three sieve windows
+        # the first 5,000 primes (up to 48,611): 168 listed, the rest probed
         n = 48612
         sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
         for i in range(2, math.isqrt(n) + 1):
@@ -373,8 +373,11 @@ _FOLD = radical.FOLD_BITS
                  lambda: heights.height_and_measure([1] + [0] * 63 + [1]),
                  lambda: heights.height_and_measure([1] + [0] * 64 + [1]), id="degree-height"),
     pytest.param("degree cap", (heights, "DEGREE_CAP", None),
-                 lambda: cli._parse_minpoly("x^64+1"), lambda: cli._parse_minpoly("x^65+0x^2+1"),
-                 id="degree-parse"),
+                 lambda: heights.parse_minpoly("x^64+1"),
+                 lambda: heights.parse_minpoly("x^65+0x^2+1"), id="degree-parse"),
+    pytest.param("degree cap", (heights, "DEGREE_CAP", None),  # x^64 + 1 = Phi_128
+                 lambda: heights.AlgebraicNumber((1,) + (0,) * 63 + (1,)),
+                 lambda: heights.AlgebraicNumber((1,) + (0,) * 64 + (1,)), id="degree-algebraic"),
     pytest.param("subset cap", (flatsums, "SUBSET_CAP", None),
                  lambda: flatsums.validate_definition(
                      flatsums.exact_sum(3, [(i, 1) for i in range(20)])),

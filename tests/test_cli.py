@@ -15,7 +15,9 @@ import pytest
 
 from cyclolab import __version__
 from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _csv_cell, _dumps, _parse,
-                          _parse_arcs, _parse_minpoly, _plain, _to_csv)
+                          _plain, _to_csv)
+from cyclolab.equidist import ArcBox
+from cyclolab.heights import parse_minpoly
 
 
 def record_schema():
@@ -149,8 +151,7 @@ class TestCommands:
         assert code == 0 and got.read_bytes() == want.read_bytes()
 
     def test_arc_count_hist_at_the_cap(self):
-        from cyclolab.cli import _turn_histogram
-        from cyclolab.equidist import ARC_M_CAP
+        from cyclolab.equidist import ARC_M_CAP, _turn_histogram
         t0 = time.perf_counter()
         counts, edges = _turn_histogram(ARC_M_CAP, 128 * 7)  # each residue 128 times
         assert time.perf_counter() - t0 < 0.05
@@ -645,12 +646,15 @@ class TestCacheAndBounds:
          "the degree = 30000000 exceeds the degree cap 64"),
         (["factor-out", "--sum", f"{'9' * 4300} * 2^(1/2) + {'9' * 4300} * 2^(1/2)"],
          "Exceeds the limit (4300 digits) for integer string conversion"),
-    ], ids=["minpoly-degree", "merged-4301-digit-coefficient"])
+        (["flat-search", "--d", "3", "--exponents", "0,1", "--mu", "1e308"],
+         "Out of range float values are not JSON compliant"),
+    ], ids=["minpoly-degree", "merged-4301-digit-coefficient", "search-mu-1e308"])
     def test_traceback_inputs_exit_2(self, argv, message):
         # each ended in a traceback (exit 1): the dense list of the written
-        # degree ran out of memory before the degree cap was read, and the
+        # degree ran out of memory before the degree cap was read, the
         # record of a coefficient past Python's int-to-str limit was built
-        # outside the handler's exit-2 path
+        # outside the handler's exit-2 path, and a search whose penalty
+        # overflowed in every restart kept no point
         proc = run_capped(*argv)
         assert proc.returncode == 2, proc.stderr[-500:]
         assert proc.stdout == "" and message in proc.stderr
@@ -881,15 +885,15 @@ class TestParser:
 
 class TestParsers:
     def test_minpoly(self):
-        assert _parse_minpoly("x^3-2") == (-2, 0, 0, 1)
-        assert _parse_minpoly("3x - 1") == (-1, 3)
-        assert _parse_minpoly("x^2 - x - 1") == (-1, -1, 1)
-        assert _parse_minpoly("-x^2+2x+5") == (5, 2, -1)
-        assert _parse_minpoly("0x^3 + x - 1") == (-1, 1)
-        assert _parse_minpoly("x^2 - x^2") == ()
+        assert parse_minpoly("x^3-2") == (-2, 0, 0, 1)
+        assert parse_minpoly("3x - 1") == (-1, 3)
+        assert parse_minpoly("x^2 - x - 1") == (-1, -1, 1)
+        assert parse_minpoly("-x^2+2x+5") == (5, 2, -1)
+        assert parse_minpoly("0x^3 + x - 1") == (-1, 1)
+        assert parse_minpoly("x^2 - x^2") == ()
         with pytest.raises(ValueError, match='"x\\^3-2"'):
-            _parse_minpoly("x^3-+2")
+            parse_minpoly("x^3-+2")
 
     def test_arcs(self):
-        box = _parse_arcs("0:0.5,1/4t:1/8t")
+        box = ArcBox.parse("0:0.5,1/4t:1/8t")
         assert not box.arcs[0].exact and box.arcs[1].exact

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 import random
@@ -351,6 +352,18 @@ class TestFlatSearch:
     def test_bad_mu_or_restarts_refused(self, kwargs):
         with pytest.raises(ValueError, match="finite|restarts"):
             flat_search([0, 1], 5, **{"mu": 1.0, "restarts": 2, **kwargs})
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_penalty_keeps_the_first_restart(self):
+        # at mu = 1e160 the penalty (|f|^2 - mu)^2 is inf at every point, so
+        # no restart improves on another: the first one's point is reported,
+        # with residual inf, and inf is no evidence of infeasibility
+        first = flat_search([0, 1], 3, 1e160, restarts=1)
+        res = flat_search([0, 1], 3, 1e160, restarts=3)
+        assert res["coefficients"] == first["coefficients"]
+        assert all(map(cmath.isfinite, res["coefficients"]))
+        assert res["residual"] == math.inf and res["verdict"] == "unresolved"
 
     @pytest.mark.parametrize("coeff, mu", [(math.nan, 1.0), (complex(1, math.inf), 1.0),
                                            (1, math.nan), (1, -math.inf)])

@@ -162,6 +162,57 @@ def test_caps_have_one_home():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def layer_reads(source: str) -> list[str]:
+    """What a front end should leave to the layers, each as "<what> (line
+    N)": an import of `re` (a text grammar), an ALL-CAPS name imported from
+    a package module or read off one that `from . import` bound (a layer's
+    constant, such as a cap), a call of `Arc` (the exact-arc rule) and a
+    call of `gcd` (a residue count)."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.level and n.module is None
+               for a in n.names}
+    found = []
+    for n in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0)):
+        if isinstance(n, ast.Import):
+            found += [f"re (line {n.lineno})" for a in n.names if a.name == "re"]
+        elif isinstance(n, ast.ImportFrom):
+            found += [f"{a.name} (line {n.lineno})" for a in n.names
+                      if n.module == "re" or n.level and a.name.isupper()]
+        elif (isinstance(n, ast.Attribute) and n.attr.isupper()
+              and isinstance(n.value, ast.Name) and n.value.id in modules):
+            found.append(f"{n.value.id}.{n.attr} (line {n.lineno})")
+        elif isinstance(n, ast.Call):
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            if name in ("Arc", "gcd"):
+                found.append(f"{name}() (line {n.lineno})")
+    return found
+
+
+def test_checker_flags_layer_reads():
+    source = ("import os, re\n"
+              "from typing import TYPE_CHECKING\n"
+              "from . import __version__, equidist\n"
+              "from .heights import DEGREE_CAP, parse_minpoly\n"
+              "BINS_CAP = 10\n"
+              "def f(args):\n"
+              "    from re import compile\n"
+              "    box = equidist.ArcBox([equidist.Arc(0.0, 1.0)])\n"
+              "    if BINS_CAP < equidist.ARC_M_CAP < os.O_RDONLY:\n"
+              "        return math.gcd(args.k, args.m), equidist.ArcBox.parse(args.arcs)\n")
+    assert layer_reads(source) == [
+        "re (line 1)", "DEGREE_CAP (line 4)", "compile (line 7)", "Arc() (line 8)",
+        "equidist.ARC_M_CAP (line 9)", "gcd() (line 10)"]
+
+
+def test_cli_leaves_notation_and_caps_to_the_layers():
+    """cli.py keeps argv, records, the cache and the output: minimal
+    polynomials are read by `heights.parse_minpoly`, arcs by
+    `equidist.ArcBox.parse`, each cap is read by its own layer, and the
+    `--hist-out` bins of `arc-count` are counted by `equidist`."""
+    assert layer_reads((SRC / "cyclolab" / "cli.py").read_text()) == []
+
+
 def galois_conjugate_callers(source: str) -> list[str]:
     """Qualified names of the functions whose body reads an attribute
     `galois_conjugate` ("<module>" at the top level)."""
