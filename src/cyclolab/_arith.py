@@ -3,8 +3,8 @@
 Exact input: every layer takes a caller's rational through `as_fraction`,
 which refuses a float (0.1 would read as 3602879701896397/36028797018963968),
 a complex, a Decimal or text (the parsers' business) with TypeError.
-Numeric input goes through `as_float` and `as_complex`, which refuse a
-Decimal and text.
+Numeric input goes through `as_float` and `as_complex`, the one finiteness
+rule: text or a Decimal raises TypeError, NaN or an infinity ValueError.
 
 Sizes: `positive` is the one gate of an order, modulus, count or root order.
 
@@ -22,6 +22,7 @@ inputs before any of it runs, exceeds a cap.
 """
 from __future__ import annotations
 
+from cmath import isfinite
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -44,18 +45,22 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def as_float(x) -> float:
-    """float(x) for a numbers.Real; TypeError otherwise (text, a Decimal)."""
+def as_float(x, what: str) -> float:
+    """float(x) for a numbers.Real, refused as `as_complex` refuses."""
     if not isinstance(x, Real):
         raise TypeError(f"expected a real number, got {type(x).__name__}")
-    return float(x)
+    return as_complex(x, what).real
 
 
-def as_complex(x) -> complex:
-    """complex(x) for a numbers.Complex; TypeError otherwise (text, a Decimal)."""
+def as_complex(x, what: str) -> complex:
+    """complex(x) for a numbers.Complex; TypeError otherwise (text, a
+    Decimal), ValueError "<what> must be finite" for NaN or an infinity."""
     if not isinstance(x, Complex):
         raise TypeError(f"expected a complex number, got {type(x).__name__}")
-    return complex(x)
+    x = complex(x)
+    if not isfinite(x):
+        raise ValueError(f"{what} must be finite")
+    return x
 
 
 def positive(n, what: str) -> int:

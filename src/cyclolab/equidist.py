@@ -93,15 +93,13 @@ def strictness_window(window: Sequence[tuple[int, Sequence[int]]],
     max-norm is exact (`shortest_relation`, ValueError past its node
     budget).  The verdict stays heuristic: strictness concerns infinite
     sequences, and a finite window can exhibit an obstruction but never
-    certify its absence.
+    certify its absence.  A given threshold goes through `as_float`.
     """
     window = [(index(m), list(map(index, k))) for m, k in window]
     if len(window) < 2:
         raise ValueError("window must contain at least 2 instances")
-    if threshold is None:
-        threshold = min(m for m, _ in window) / 2
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
+    threshold = (min(m for m, _ in window) / 2 if threshold is None
+                 else as_float(threshold, "threshold"))
     rel = shortest_relation(relation_lattice_basis(window))
     norm = max(abs(a) for a in rel) if rel is not None else None
     obstructed = rel is not None and norm < threshold
@@ -120,7 +118,7 @@ class Arc:
 
     Turn arcs take Fraction center/halfwidth measured in turns (fractions of
     a full circle) and are decided in exact integer arithmetic at any
-    denominator size; radian arcs take real numbers (TypeError otherwise)
+    denominator size; radian arcs take finite real numbers (`as_float`)
     and compare with a 1e-12 tolerance at the boundary.  A Fraction paired
     with any other number is neither, and raises TypeError.  `members`, the
     one membership rule, lists the points x/q turns inside as integer
@@ -141,12 +139,10 @@ class Arc:
             self.half = float(halfwidth) * TWO_PI
         else:
             self.exact = False
-            self.center = as_float(center) % TWO_PI
-            self.half = as_float(halfwidth)
+            self.center = as_float(center, "arc center") % TWO_PI
+            self.half = as_float(halfwidth, "arc halfwidth")
             self.center_turns = None
             self.half_turns = None
-            if not math.isfinite(self.center + self.half):
-                raise ValueError("arc center and halfwidth must be finite")
         if self.half < 0:
             raise ValueError("halfwidth must be nonnegative")
 
@@ -233,14 +229,17 @@ class ArcBox:
     def parse(cls, text: str) -> ArcBox:
         """Read "x1:eps1,x2:eps2", radian centers and halfwidths, or turn
         arcs, whose center and halfwidth are both Fractions with a "t"
-        suffix: "1/8t:1/16t"."""
+        suffix: "1/8t:1/16t"; ValueError naming the part on any other text."""
         arcs = []
-        for part in text.split(","):
-            c_s, _, e_s = (s.strip() for s in part.partition(":"))
-            if c_s.endswith("t") and e_s.endswith("t"):
-                arcs.append(Arc(Fraction(c_s[:-1]), Fraction(e_s[:-1])))
-            else:
-                arcs.append(Arc(float(c_s), float(e_s)))
+        try:
+            for part in text.split(","):
+                c_s, _, e_s = (s.strip() for s in part.partition(":"))
+                if c_s.endswith("t") and e_s.endswith("t"):
+                    arcs.append(Arc(Fraction(c_s[:-1]), Fraction(e_s[:-1])))
+                else:
+                    arcs.append(Arc(float(c_s), float(e_s)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f'cannot read {part!r} as an arc "center:halfwidth": {exc}') from None
         return cls(arcs)
 
     def haar(self) -> float:

@@ -17,7 +17,6 @@ and builds one cyclotomic number per autocorrelation residue (see
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -72,8 +71,8 @@ class SparseExpSum:
     """f(z) = sum_j a_j z^(b_j) with a squared-modulus target mu on mu_d.
 
     Exactly one of two modes: exact (cyclotomic coefficients) or numeric
-    (complex doubles from numbers.Complex coefficients and a numbers.Real
-    mu, all finite; text raises TypeError, NaN or an infinity ValueError).
+    (complex coefficients and a real mu, read by `as_complex` and
+    `as_float`: text raises TypeError, NaN or an infinity ValueError).
     Exponents are pairwise distinct integers.
     """
 
@@ -89,15 +88,13 @@ class SparseExpSum:
             raise ValueError("exponents must be pairwise distinct")
         if self.mode not in ("exact", "numeric"):
             raise ValueError("mode must be 'exact' or 'numeric'")
-        coeff, level = ((as_cyclotomic, as_fraction) if self.mode == "exact"
-                        else (as_complex, as_float))
-        object.__setattr__(self, "terms", tuple((index(b), coeff(a)) for b, a in self.terms))
-        object.__setattr__(self, "mu", level(self.mu))
-        if self.mode == "exact" and self.mu <= 0:
+        exact = self.mode == "exact"
+        object.__setattr__(self, "terms", tuple(
+            (index(b), as_cyclotomic(a) if exact else as_complex(a, "a coefficient"))
+            for b, a in self.terms))
+        object.__setattr__(self, "mu", as_fraction(self.mu) if exact else as_float(self.mu, "mu"))
+        if exact and self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.mode == "numeric" and not all(
-                map(cmath.isfinite, (self.mu, *(a for _, a in self.terms)))):
-            raise ValueError("coefficients and mu must be finite")
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -513,24 +510,21 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     backtracking line search, a rejected candidate needs only the objective,
     so the gradient is computed at each restart's starting point and at
     accepted points only.  The reported residual is the pure flatness
-    penalty at the best point found; when the penalty overflows in every
-    restart (a huge mu), that is the first restart's point, with residual
-    inf, which no record can hold.
+    penalty at the best point found; a restart whose penalty overflows (a
+    huge mu) stops at its start, and when all do, the first one's point is
+    reported, with residual inf, which no record can hold.
     Verdicts: residual < 1e-16 "numeric_member", a finite residual > 1e-6
     after all restarts "numeric_infeasible", otherwise "unresolved".  mu
-    must be a finite numbers.Real (TypeError for text, ValueError for NaN
-    or an infinity) and restarts at least 1 (ValueError).  Before any work,
-    d * N is held to `UNIT_MATRIX_CAP` and restarts * SEARCH_MAX_ITERS * d *
-    N to `SEARCH_WORK_CAP` (ValueError past either).
+    is read by `as_float` and restarts must be at least 1 (ValueError).
+    Before any work, d * N is held to `UNIT_MATRIX_CAP` and restarts *
+    SEARCH_MAX_ITERS * d * N to `SEARCH_WORK_CAP` (ValueError past either).
     """
     global np  # read by `_penalty` and `_gradient`
     b = list(b)
     if len(set(b)) != len(b):
         raise ValueError("exponents must be pairwise distinct")
     d = positive(d, "d")
-    mu = as_float(mu)
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
+    mu = as_float(mu, "mu")
     restarts = positive(restarts, "restarts")
     N = len(b)
     check_cap("d * N", d * N, "unit matrix cap", UNIT_MATRIX_CAP)
@@ -541,25 +535,26 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     VH = V.conj().T
     best_total, best_a, best_F = math.inf, None, math.inf
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        a = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2.0)
-        F, B, state = _penalty(a, V, mu)
-        g = _gradient(a, VH, state)
-        total = F + B
-        step = 0.1
-        for _ in range(SEARCH_MAX_ITERS):
-            if total < 1e-26 or step < 1e-18:
-                break
-            cand = a - step * g
-            Fc, Bc, state = _penalty(cand, V, mu)
-            if Fc + Bc < total:
-                a, F, B, total = cand, Fc, Bc, Fc + Bc
-                g = _gradient(a, VH, state)
-                step *= 2.0
-            else:
-                step *= 0.5
-        if best_a is None or total < best_total:  # an overflowed total stays inf
-            best_total, best_a, best_F = total, a.copy(), F
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf penalty ends its restart
+        for _ in range(restarts):
+            a = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2.0)
+            F, B, state = _penalty(a, V, mu)
+            g = _gradient(a, VH, state)
+            total = F + B
+            step = 0.1
+            for _ in range(SEARCH_MAX_ITERS):
+                if total < 1e-26 or step < 1e-18 or total == math.inf:
+                    break
+                cand = a - step * g
+                Fc, Bc, state = _penalty(cand, V, mu)
+                if Fc + Bc < total:
+                    a, F, B, total = cand, Fc, Bc, Fc + Bc
+                    g = _gradient(a, VH, state)
+                    step *= 2.0
+                else:
+                    step *= 0.5
+            if best_a is None or total < best_total:  # an overflowed total stays inf
+                best_total, best_a, best_F = total, a.copy(), F
     if best_F < 1e-16:
         verdict = "numeric_member"
     elif 1e-6 < best_F < math.inf:

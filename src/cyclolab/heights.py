@@ -74,12 +74,13 @@ def parse_minpoly(text: str) -> tuple[int, ...]:
 
 
 def _primitive_int(p) -> list[int]:
-    """Clear denominators, divide by the content, make the lead positive;
-    a zero or constant polynomial is refused.  An int coefficient stays an
-    int; any other goes through `as_fraction`."""
+    """Clear denominators, divide by the content, make the lead positive; a
+    zero or constant polynomial is refused, then a degree past `DEGREE_CAP`.
+    An int coefficient stays an int; any other goes through `as_fraction`."""
     p = poly_trim([x if type(x) is int else as_fraction(x) for x in p])
     if len(p) < 2:
         raise ValueError("polynomial must have positive degree")
+    check_cap("the degree", len(p) - 1, "degree cap", DEGREE_CAP)
     den = math.lcm(*(c.denominator for c in p))
     ints = [c.numerator * (den // c.denominator) for c in p]
     g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)  # lead made positive
@@ -113,7 +114,6 @@ def poly_roots(coeffs) -> list[complex]:
     before numpy is imported.
     """
     ints = _primitive_int(coeffs)
-    check_cap("the degree", len(ints) - 1, "degree cap", DEGREE_CAP)
     try:
         floats = [float(c) for c in ints]
     except OverflowError:
@@ -249,7 +249,6 @@ class AlgebraicNumber:
     def __post_init__(self):
         ints = _primitive_int(self.minpoly)
         deg = len(ints) - 1
-        check_cap("the degree", deg, "degree cap", DEGREE_CAP)
         object.__setattr__(self, "minpoly", tuple(ints))
         object.__setattr__(self, "root_index", index(self.root_index))
         if not (0 <= self.root_index < deg):
@@ -279,7 +278,6 @@ def height_and_measure(alpha) -> tuple[float, float]:
         ints = list(alpha.minpoly)
     else:
         ints = _primitive_int(alpha)
-        check_cap("the degree", len(ints) - 1, "degree cap", DEGREE_CAP)
         if len(_squarefree_part(ints)) < len(ints):
             raise ValueError("polynomial has a repeated factor")
     rts = poly_roots(ints)

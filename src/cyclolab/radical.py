@@ -284,22 +284,22 @@ def orbit_moduli(x: RadicalSum) -> list[float]:
     return sorted(float(v) for v in np.abs(_orbit_values(x)) ** 2)
 
 
-def _in_band(v, eps: float):
-    """[1-eps, 1+eps] membership of a squared modulus or an array of them."""
-    eps = as_float(eps)
-    if not math.isfinite(eps):
-        raise ValueError("eps must be finite")
+def _in_band(eps: float):
+    """The [1-eps, 1+eps] test of a squared modulus or an array of them,
+    built before any orbit value: eps is read by `as_float`, refused below 0."""
+    eps = as_float(eps, "eps")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return (1 - eps - BAND_SLACK <= v) & (v <= 1 + eps + BAND_SLACK)
+    return lambda v: (1 - eps - BAND_SLACK <= v) & (v <= 1 + eps + BAND_SLACK)
 
 
 def d_gamma_eps(x: RadicalSum, eps: float) -> tuple[Fraction, bool]:
     """Fraction of the Kummer orbit with squared modulus in [1-eps, 1+eps],
     plus a concyclicity flag (all orbit moduli equal within 1e-10)."""
+    in_band = _in_band(eps)
     import numpy as np
     vals = np.abs(_orbit_values(x)) ** 2
-    count = int(np.count_nonzero(_in_band(vals, eps)))
+    count = int(np.count_nonzero(in_band(vals)))
     concyclic = bool(np.max(vals) - np.min(vals) < 1e-10)
     return Fraction(count, len(vals)), concyclic
 
@@ -370,10 +370,11 @@ def marginal_orbit_stats(x: RadicalSum, eps: float) -> dict:
     the whole-group fraction, so the average of the rows must equal it
     exactly.
     """
+    in_band = _in_band(eps)
     import numpy as np
     units, grid = _unit_orbit_values(x)
     hsize = grid.shape[1]
-    bits = _in_band(np.abs(grid) ** 2, eps)
+    bits = in_band(np.abs(grid) ** 2)
     rows = [{"t": t, "fraction": Fraction(int(np.count_nonzero(row)), hsize)}
             for t, row in zip(units, bits)]
     average = sum(row["fraction"] for row in rows) / len(units)
@@ -397,11 +398,12 @@ def sigma_search(x: RadicalSum, box: ArcBox, eps: float) -> list[GaloisElement]:
     is tested at once by indexing a mask of `Arc.members(n_l)` with the
     residues r_l, laid out in itertools.product order like the orbit values.
     """
+    in_band = _in_band(eps)
     ctx = x.context
     if len(box.arcs) != ctx.rank:
         raise ValueError("box dimension must equal the rank")
     import numpy as np
-    ok = _in_band(np.abs(_orbit_values(x)) ** 2, eps)
+    ok = in_band(np.abs(_orbit_values(x)) ** 2)
     rot = np.indices(ctx.group, dtype=np.int64).reshape(ctx.rank, ctx.orbit_size())
     for arc, r_l, n_l in zip(box.arcs, rot, ctx.group):
         mask = np.zeros(n_l, dtype=bool)
@@ -553,6 +555,7 @@ def cosine_identity_sides(xs, eta) -> tuple[float, float]:
           = -eta/2 sum_(i!=j) (x_i - x_j)^2 + (1 + eta(n-1)) sum x_j^2,
 
     each evaluated from numpy outer products of xs."""
+    eta = as_float(eta, "eta")
     import numpy as np
     xs = np.asarray(xs, dtype=float)
     n = len(xs)

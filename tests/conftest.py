@@ -36,8 +36,9 @@ def _marginal_reference(x, eps):
 
     ctx = x.context
     hsize = ctx.orbit_size()
+    in_band = _in_band(eps)
     counts = {
-        t: sum(bool(_in_band(abs(apply_galois(GaloisElement(t, r), x).evaluate()) ** 2, eps))
+        t: sum(bool(in_band(abs(apply_galois(GaloisElement(t, r), x).evaluate()) ** 2))
                for r in ctx.kummer_elements())
         for t in range(1, ctx.D + 1) if gcd(t, ctx.D) == 1
     }

@@ -264,19 +264,32 @@ def _arc_partner(v, x):
 
 
 # Every library entry point that takes a caller's numeric value, as a
-# function of that value: reals go through `as_float`, complex coefficients
-# through `as_complex`.  Text is read only by the parsers and the CLI.
+# function of that value, and the name its refusal of NaN or an infinity
+# gives: reals go through `as_float`, complex coefficients through
+# `as_complex`.  Text is read only by the parsers and the CLI.
+_SQRT2 = radical.RadicalSum(CTX, [(F(1, 2), (0,)), (F(1, 2), (1,))])
 REAL_ENTRY_POINTS = {
-    "as_float": as_float,
-    "Arc_center": lambda v: equidist.Arc(v, _arc_partner(v, 0.25)),
-    "Arc_halfwidth": lambda v: equidist.Arc(_arc_partner(v, 0.5), v),
-    "numeric_sum_mu": lambda v: flatsums.numeric_sum(2, [(0, 1)], v),
-    "flat_search_mu": lambda v: flatsums.flat_search([0, 1], 3, v, restarts=1),
+    "as_float": (lambda v: as_float(v, "x"), "x"),
+    "Arc_center": (lambda v: equidist.Arc(v, _arc_partner(v, 0.25)), "arc center"),
+    "Arc_halfwidth": (lambda v: equidist.Arc(_arc_partner(v, 0.5), v), "arc halfwidth"),
+    "numeric_sum_mu": (lambda v: flatsums.numeric_sum(2, [(0, 1)], v), "mu"),
+    "flat_search_mu": (lambda v: flatsums.flat_search([0, 1], 3, v, restarts=1), "mu"),
+    "strictness_threshold": (
+        lambda v: equidist.strictness_window([(7, [1, 1]), (11, [1, 1])], v), "threshold"),
+    "d_gamma_eps": (lambda v: radical.d_gamma_eps(_SQRT2, v), "eps"),
+    "sigma_search_eps": (
+        lambda v: radical.sigma_search(_SQRT2, equidist.ArcBox.parse("0:4"), v), "eps"),
+    "marginal_orbit_stats_eps": (lambda v: radical.marginal_orbit_stats(_SQRT2, v), "eps"),
+    "cosine_identity_eta": (lambda v: radical.cosine_identity_sides([1.0, 2.0], v), "eta"),
 }
 COMPLEX_ENTRY_POINTS = {
-    "as_complex": as_complex,
-    "numeric_sum_coefficient": lambda v: flatsums.numeric_sum(2, [(0, 1), (1, v)]),
+    "as_complex": (lambda v: as_complex(v, "z"), "z"),
+    "numeric_sum_coefficient": (
+        lambda v: flatsums.numeric_sum(2, [(0, 1), (1, v)]), "a coefficient"),
 }
+NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+NONFINITE_COMPLEX = {"nan": complex(math.nan, 0), "nanj": complex(0, math.nan),
+                     "-inf": complex(-math.inf, 1), "infj": complex(1, math.inf)}
 
 
 class TestNumericGate:
@@ -285,26 +298,40 @@ class TestNumericGate:
     @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
     def test_real_refuses_text(self, entry, value):
         with pytest.raises(TypeError):
-            REAL_ENTRY_POINTS[entry](value)
+            REAL_ENTRY_POINTS[entry][0](value)
 
     @pytest.mark.parametrize("value", ["1j", Decimal("0.5")], ids=["str", "Decimal"])
     @pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRY_POINTS))
     def test_complex_refuses_text(self, entry, value):
         with pytest.raises(TypeError):
-            COMPLEX_ENTRY_POINTS[entry](value)
+            COMPLEX_ENTRY_POINTS[entry][0](value)
+
+    @pytest.mark.parametrize("value", sorted(NONFINITE))
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_real_refuses_nonfinite(self, entry, value):
+        call, what = REAL_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+            call(NONFINITE[value])
+
+    @pytest.mark.parametrize("value", sorted(NONFINITE_COMPLEX))
+    @pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRY_POINTS))
+    def test_complex_refuses_nonfinite(self, entry, value):
+        call, what = COMPLEX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+            call(NONFINITE_COMPLEX[value])
 
     @pytest.mark.parametrize("value", [1, 0.5, F(1, 2), np.float64(0.5), np.int64(1), True],
                              ids=["int", "float", "Fraction", "float64", "int64", "bool"])
     def test_accepts_reals(self, value):
-        for entry in REAL_ENTRY_POINTS.values():
+        for entry, _ in REAL_ENTRY_POINTS.values():
             entry(value)
-        for entry in COMPLEX_ENTRY_POINTS.values():
+        for entry, _ in COMPLEX_ENTRY_POINTS.values():
             entry(value)
-        assert type(as_float(value)) is float and as_float(value) == float(value)
+        assert type(as_float(value, "x")) is float and as_float(value, "x") == float(value)
 
     def test_accepts_complex(self):
         for value in (0.5j, np.complex128(1 - 2j)):
-            assert as_complex(value) == complex(value)
+            assert as_complex(value, "z") == complex(value)
             f = flatsums.numeric_sum(2, [(0, 1), (1, value)])
             assert type(f.terms[1][1]) is complex
 
@@ -320,6 +347,8 @@ class TestNumericGate:
             equidist.Arc(Decimal("0.5"), 0.25)
         with pytest.raises(TypeError):
             flatsums.flat_search([0, 1], 3, "1")
+        with pytest.raises(TypeError):  # accepted, and compared as a Decimal, before
+            equidist.strictness_window([(7, [1, 1]), (11, [1, 1])], threshold=Decimal("3"))
 
 
 def _orbit_bins(bins):

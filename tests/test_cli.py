@@ -88,6 +88,14 @@ class TestCommands:
         assert rec["results"] == {"degree": 3, "height": heights.weil_height([-2, 0, 0, 1]),
                                   "mahler_measure": heights.mahler_measure([-2, 0, 0, 1])}
 
+    def test_height_minpoly_leading_minus(self, capsys):
+        # argparse takes "--minpoly -x^2+2x+5" for two options; the "=" form
+        # reads it
+        code, rec = run_json(capsys, "height", "--minpoly=-x^2+2x+5", "--no-timing")
+        assert code == 0 and rec["results"]["degree"] == 2
+        assert abs(rec["results"]["height"] - 0.8047189562170503) < 1e-12
+        assert rec["results"]["mahler_measure"] == 5.0
+
     def test_height_minpoly_degree_after_trim(self, capsys):
         code, rec = run_json(capsys, "height", "--minpoly", "0x^3+x-1", "--no-timing")
         assert code == 0 and rec["results"]["degree"] == 1
@@ -272,6 +280,20 @@ class TestCommands:
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("arcs, part, reason", [
+        ("1/0t:1t", "1/0t:1t", "Fraction(1, 0)"),
+        ("1/3t:0.5", "1/3t:0.5", "could not convert string to float: '1/3t'"),
+        ("0.5", "0.5", "could not convert string to float: ''"),
+        ("0:0.5,nan:1", "nan:1", "arc center must be finite"),
+    ], ids=["zero-denominator", "turn-center-radian-halfwidth", "no-colon", "nan-center"])
+    def test_arc_notation_exit_2(self, capsys, arcs, part, reason):
+        # each error names the part and the notation; the first two were
+        # "Fraction(1, 0)" and "could not convert ..." alone
+        code = main(["arc-count", "--m", "10", "--k", "3", "--arcs", arcs])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f'error: cannot read {part!r} as an arc "center:halfwidth": {reason}\n'
 
     @pytest.mark.parametrize("cmd", [
         ["dgamma"], ["sigma-search", "--arcs", "0/1t:1/2t"]], ids=["dgamma", "sigma-search"])
@@ -658,6 +680,8 @@ class TestCacheAndBounds:
         proc = run_capped(*argv)
         assert proc.returncode == 2, proc.stderr[-500:]
         assert proc.stdout == "" and message in proc.stderr
+        # the one line of the refusal: no numpy warning before it
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
     def test_zero_leading_term_of_huge_degree_read_sparsely(self):
         proc = run_capped("height", "--minpoly", "0x^100000000+x-1")

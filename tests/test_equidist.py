@@ -54,7 +54,7 @@ def ref_sigma_search(x, box, eps):
     vals = abs(_orbit_values(x)) ** 2
     found = []
     for v, r in zip(vals, ctx.kummer_elements()):
-        if _in_band(float(v), eps) and all(
+        if _in_band(eps)(float(v)) and all(
             ref_member(arc, r_l, d_l // c_l)
             for arc, r_l, c_l, d_l in zip(box.arcs, r, ctx.failures, ctx.denominators)
         ):

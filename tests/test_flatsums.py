@@ -353,14 +353,18 @@ class TestFlatSearch:
         with pytest.raises(ValueError, match="finite|restarts"):
             flat_search([0, 1], 5, **{"mu": 1.0, "restarts": 2, **kwargs})
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_overflowing_penalty_keeps_the_first_restart(self):
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_penalty_keeps_the_first_restart(self, monkeypatch):
         # at mu = 1e160 the penalty (|f|^2 - mu)^2 is inf at every point, so
         # no restart improves on another: the first one's point is reported,
-        # with residual inf, and inf is no evidence of infeasibility
+        # with residual inf, and inf is no evidence of infeasibility; each
+        # restart stops at its starting point, with no numpy warning
         first = flat_search([0, 1], 3, 1e160, restarts=1)
+        calls = []
+        penalty = flatsums._penalty
+        monkeypatch.setattr(flatsums, "_penalty", lambda *a: calls.append(1) or penalty(*a))
         res = flat_search([0, 1], 3, 1e160, restarts=3)
+        assert len(calls) == 3
         assert res["coefficients"] == first["coefficients"]
         assert all(map(cmath.isfinite, res["coefficients"]))
         assert res["residual"] == math.inf and res["verdict"] == "unresolved"

@@ -510,7 +510,7 @@ def test_unit_orbit_values_vs_per_unit_route():
         assert got_units == units and got.shape == want.shape
         assert np.array_equal(got, want), x  # bit for bit
         hsize = x.context.orbit_size()
-        rows = [{"t": t, "fraction": Fraction(int(np.count_nonzero(_in_band(abs(row) ** 2, eps))),
+        rows = [{"t": t, "fraction": Fraction(int(np.count_nonzero(_in_band(eps)(abs(row) ** 2))),
                                               hsize)} for t, row in zip(units, want)]
         assert marginal_orbit_stats(x, eps)["rows"] == rows
         ctx = x.context

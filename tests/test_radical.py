@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclolab import radical
 from cyclolab.cyclotomic import zeta
 from cyclolab.equidist import Arc, ArcBox
 from cyclolab.radical import (
@@ -637,3 +638,21 @@ INT = "cannot be interpreted as an integer"
 def test_refusals(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
+
+
+@pytest.mark.parametrize("eps, message", [(math.nan, "eps must be finite"),
+                                          (-0.5, "eps must be nonnegative")],
+                         ids=["nan", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda eps: d_gamma_eps(_sqrt2_sum(), eps),
+    lambda eps: sigma_search(_sqrt2_sum(), ArcBox((Arc(0, 3.0),)), eps),
+    lambda eps: marginal_orbit_stats(_sqrt2_sum(5), eps),
+], ids=["d_gamma_eps", "sigma_search", "marginal_orbit_stats"])
+def test_eps_refused_before_the_orbit(monkeypatch, call, eps, message):
+    # a NaN eps was refused only after the whole orbit had been computed
+    def orbit(x):
+        raise AssertionError("orbit values computed before eps was read")
+    monkeypatch.setattr(radical, "_orbit_values", orbit)
+    monkeypatch.setattr(radical, "_unit_orbit_values", orbit)
+    with pytest.raises(ValueError, match=message):
+        call(eps)

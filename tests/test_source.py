@@ -95,6 +95,43 @@ def test_positivity_has_one_home():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def hand_finiteness_checks(source: str) -> list[int]:
+    """Lines of each `if` whose test reads `isfinite` (called, or handed to
+    `map`) and whose body raises: a finiteness check written by hand, whose
+    one home is `_arith.as_float` and `_arith.as_complex`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.If)
+            and any(isinstance(n, ast.Name) and n.id == "isfinite"
+                    or isinstance(n, ast.Attribute) and n.attr == "isfinite"
+                    for n in ast.walk(node.test))
+            and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))]
+
+
+def test_checker_flags_hand_finiteness_check():
+    source = ("def f(mu, terms, x):\n"
+              "    if not math.isfinite(mu):\n"
+              "        raise ValueError('mu must be finite')\n"
+              "    if not all(map(cmath.isfinite, terms)) or mu < 0:\n"
+              "        raise ValueError('bad')\n"
+              "    if isfinite(x):\n"
+              "        return x\n"
+              "    if x < 0:\n"
+              "        raise ValueError('negative')\n")
+    assert hand_finiteness_checks(source) == [2, 4]
+
+
+def test_finiteness_has_one_home():
+    """Every real or complex input is refused when NaN or infinite by
+    `_arith.as_float` or `_arith.as_complex` alone.  The one exemption is
+    `cli.py`'s check of the Mahler measure that `height` prints: a result,
+    not an input."""
+    found = {p.name: hand_finiteness_checks(p.read_text())
+             for p in sorted((SRC / "cyclolab").glob("*.py")) if p.name != "_arith.py"}
+    cli_lines = (SRC / "cyclolab" / "cli.py").read_text().splitlines()
+    assert [cli_lines[n - 1].strip() for n in found.pop("cli.py")] == [
+        "if not math.isfinite(mahler):"]
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 _NUMERIC = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
 
 
