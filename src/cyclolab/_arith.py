@@ -23,6 +23,7 @@ inputs before any of it runs, exceeds a cap.
 from __future__ import annotations
 
 from cmath import isfinite
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -54,13 +55,14 @@ def as_float(x, what: str) -> float:
 
 def as_complex(x, what: str) -> complex:
     """complex(x) for a numbers.Complex; TypeError otherwise (text, a
-    Decimal), ValueError "<what> must be finite" for NaN or an infinity."""
+    Decimal), ValueError "<what> must be finite" for NaN, an infinity or an
+    int or Fraction past the double range."""
     if not isinstance(x, Complex):
         raise TypeError(f"expected a complex number, got {type(x).__name__}")
-    x = complex(x)
-    if not isfinite(x):
-        raise ValueError(f"{what} must be finite")
-    return x
+    with suppress(OverflowError):  # an int or Fraction past the double range
+        if isfinite(x := complex(x)):
+            return x
+    raise ValueError(f"{what} must be finite")
 
 
 def positive(n, what: str) -> int:

@@ -30,6 +30,7 @@ from . import __version__
 
 if TYPE_CHECKING:
     import argparse
+    from fractions import Fraction
 
     from . import radical
     from .cyclotomic import CyclotomicNumber
@@ -117,6 +118,15 @@ def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+def _rational(text: str, option: str) -> Fraction:
+    """The rational an option's text names; ValueError quoting both."""
+    from fractions import Fraction
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f'cannot read {option} {text!r} as a rational such as "-3/4"') from None
+
+
 def _parse_coeffs(text: str) -> list[CyclotomicNumber]:
     from .cyclotomic import CyclotomicNumber
     return [CyclotomicNumber.parse(part.strip()) for part in text.split(";")]
@@ -155,13 +165,11 @@ def _write_hist(path, hist, edges):
 
 
 def _handle_flat_verify(args):
-    from fractions import Fraction
-
     from . import flatsums
-    mu = Fraction(args.mu)
+    mu = _rational(args.mu, "--mu")
     if args.numeric:
         coeffs = [complex(c) for c in args.coeffs.split(";")]
-        f = flatsums.numeric_sum(args.d, _terms(_parse_ints(args.exponents), coeffs), float(mu))
+        f = flatsums.numeric_sum(args.d, _terms(_parse_ints(args.exponents), coeffs), mu)
         rep = flatsums.is_flat(f)
         results = {"flat": rep.flat, "witness": rep.witness,
                    "max_deviation": rep.max_deviation, "mode": rep.mode}
@@ -189,11 +197,9 @@ def _handle_sn_survey(args):
 
 
 def _handle_reduce(args):
-    from fractions import Fraction
-
     from . import flatsums
     f = flatsums.exact_sum(args.d, _terms(_parse_ints(args.exponents), _parse_coeffs(args.coeffs)),
-                           Fraction(args.mu))
+                           _rational(args.mu, "--mu"))
     cert = flatsums.reduce_instance(f)
     results = {
         "q": cert.q, "q_prime": cert.q_prime, "e": cert.e, "d_prime": cert.d_prime,
@@ -223,11 +229,7 @@ def _handle_weyl(args):
 
 def _handle_strict_check(args):
     from . import equidist
-    window = []
-    for part in args.seq.split(";"):
-        m_s, _, k_s = part.partition(":")
-        window.append((int(m_s), _parse_ints(k_s)))
-    res = equidist.strictness_window(window, threshold=args.threshold)
+    res = equidist.strictness_window(equidist.parse_window(args.seq), threshold=args.threshold)
     return res, res["verdict"]
 
 
@@ -287,12 +289,10 @@ def _handle_factor_out(args):
 
 
 def _handle_height(args):
-    from fractions import Fraction
-
     from . import heights
     if args.radical is not None:
         import numpy as np
-        a = Fraction(args.radical)
+        a = _rational(args.radical, "--radical")
         h = heights.radical_height(a, args.n)
         with np.errstate(over="ignore"):
             mahler = float(np.exp(h * args.n))
@@ -307,10 +307,8 @@ def _handle_height(args):
 
 
 def _handle_kummer(args):
-    from fractions import Fraction
-
     from . import kummer
-    a = Fraction(args.a)
+    a = _rational(args.a, "--a")
     c, degree = kummer.rank1_failure(a, args.d, args.m)
     results = {"c": c, "degree": degree}
     status = "ok"

@@ -4,7 +4,7 @@ orbit periods and exact arc-box counting against the Haar bound.
 A box of at most two arcs is counted on the orbit lattice in O(log m)
 integer steps and loads no numpy; a box of three or more arcs walks, in
 numpy blocks, only the residues that its narrowest arc admits.  A box is
-read from text by `ArcBox.parse`."""
+read from text by `ArcBox.parse`, a window by `parse_window`."""
 from __future__ import annotations
 
 import math
@@ -23,6 +23,7 @@ __all__ = [
     "ArcBox",
     "relation_lattice",
     "strictness_window",
+    "parse_window",
     "orbit_period",
     "weyl_sum",
     "arc_count",
@@ -68,7 +69,7 @@ def orbit_period(orbit: RootTupleOrbit) -> int:
 
 def relation_lattice(m: int, k: Sequence[int]) -> list[list[int]]:
     """HNF basis of the character relations {n : n . k == 0 (mod m)}."""
-    return relation_lattice_basis([(m, list(k))])
+    return relation_lattice_basis([(m, k)])
 
 
 def weyl_sum(orbit: RootTupleOrbit, n: Sequence[int]) -> Fraction:
@@ -85,6 +86,19 @@ def weyl_sum(orbit: RootTupleOrbit, n: Sequence[int]) -> Fraction:
     return Fraction(1) if dot % orbit.m == 0 else Fraction(0)
 
 
+def parse_window(text: str) -> list[tuple[int, list[int]]]:
+    """Read a window "m1:k1,k2;m2:k1,k2;...", one instance m:k per entry;
+    ValueError naming the entry on any other text."""
+    window = []
+    for part in text.split(";"):
+        m_s, _, k_s = part.partition(":")
+        try:
+            window.append((int(m_s), [int(t) for t in k_s.split(",") if t.strip()]))
+        except ValueError as exc:
+            raise ValueError(f'cannot read {part!r} as an instance "m:k1,k2": {exc}') from None
+    return window
+
+
 def strictness_window(window: Sequence[tuple[int, Sequence[int]]],
                       threshold: float | None = None) -> dict:
     """Finite-window substitute for strictness of a tuple sequence.
@@ -95,12 +109,12 @@ def strictness_window(window: Sequence[tuple[int, Sequence[int]]],
     sequences, and a finite window can exhibit an obstruction but never
     certify its absence.  A given threshold goes through `as_float`.
     """
-    window = [(index(m), list(map(index, k))) for m, k in window]
     if len(window) < 2:
         raise ValueError("window must contain at least 2 instances")
-    threshold = (min(m for m, _ in window) / 2 if threshold is None
+    basis = relation_lattice_basis(window)
+    threshold = (float(min(m for m, _ in window)) / 2 if threshold is None
                  else as_float(threshold, "threshold"))
-    rel = shortest_relation(relation_lattice_basis(window))
+    rel = shortest_relation(basis)
     norm = max(abs(a) for a in rel) if rel is not None else None
     obstructed = rel is not None and norm < threshold
     return {
@@ -118,11 +132,12 @@ class Arc:
 
     Turn arcs take Fraction center/halfwidth measured in turns (fractions of
     a full circle) and are decided in exact integer arithmetic at any
-    denominator size; radian arcs take finite real numbers (`as_float`)
-    and compare with a 1e-12 tolerance at the boundary.  A Fraction paired
-    with any other number is neither, and raises TypeError.  `members`, the
-    one membership rule, lists the points x/q turns inside as integer
-    intervals.
+    denominator size; radian arcs take real numbers and compare with a
+    1e-12 tolerance at the boundary.  Both read their radian view through
+    `as_float`, so a value past the double range is not finite.  A Fraction
+    paired with any other number is neither, and raises TypeError.
+    `members`, the one membership rule, lists the points x/q turns inside
+    as integer intervals.
     """
 
     __slots__ = ("exact", "center_turns", "half_turns", "center", "half")
@@ -135,8 +150,8 @@ class Arc:
             self.exact = True
             self.center_turns = center % 1
             self.half_turns = halfwidth
-            self.center = float(center) * TWO_PI
-            self.half = float(halfwidth) * TWO_PI
+            self.center = as_float(center, "arc center") * TWO_PI
+            self.half = as_float(halfwidth, "arc halfwidth") * TWO_PI
         else:
             self.exact = False
             self.center = as_float(center, "arc center") % TWO_PI

@@ -364,25 +364,24 @@ def _nearest_int_half_to_zero(num: int, den: int) -> int:
     return q if q >= 0 else q + 1
 
 
-def dirichlet_approx(b: Sequence[int], d: int, Q: int) -> tuple[int, tuple[int, ...]]:
-    """Smallest q in {1..Q} with |q*b_j/d - p_j| < 1/4 for all j.
+def dirichlet_approx(b: Sequence[int], d: int) -> tuple[int, tuple[int, ...]]:
+    """Smallest q >= 1 with |q*b_j/d - p_j| < 1/4 for all j.
 
-    Simultaneous-approximation pigeonhole guarantees existence once
-    Q >= 4^len(b); in fact q = d always works, so the search is short.
+    q = d always works (error 0), so the search ends by d; the
+    simultaneous-approximation pigeonhole also puts q <= 4^len(b).  The
+    b_j are integers (`operator.index`).
     """
+    b = list(map(index, b))
     d = positive(d, "d")
-    for q in range(1, Q + 1):
+    for q in range(1, d + 1):
         ps = []
-        ok = True
         for bj in b:
             p = _nearest_int_half_to_zero(q * bj, d)
             if 4 * abs(q * bj - p * d) >= d:
-                ok = False
                 break
             ps.append(p)
-        if ok:
+        else:
             return q, tuple(ps)
-    raise ValueError("no admissible q <= Q; increase Q (4^N always suffices)")
 
 
 class InternalInconsistencyError(AssertionError):
@@ -426,7 +425,7 @@ def reduce_instance(f: SparseExpSum) -> ReductionCertificate:
         raise ValueError("input is not flat")
     b = list(f.exponents)
     N = len(b)
-    q, p = dirichlet_approx(b, f.d, 4**N)
+    q, p = dirichlet_approx(b, f.d)
     e = gcd(q, f.d)
     q_prime, d_prime = q // e, f.d // e
     cvals = [q_prime * bj - d_prime * pj for bj, pj in zip(b, p)]
@@ -514,13 +513,13 @@ def flat_search(b: Sequence[int], d: int, mu: float = 1.0, restarts: int = 20,
     huge mu) stops at its start, and when all do, the first one's point is
     reported, with residual inf, which no record can hold.
     Verdicts: residual < 1e-16 "numeric_member", a finite residual > 1e-6
-    after all restarts "numeric_infeasible", otherwise "unresolved".  mu
-    is read by `as_float` and restarts must be at least 1 (ValueError).
-    Before any work, d * N is held to `UNIT_MATRIX_CAP` and restarts *
-    SEARCH_MAX_ITERS * d * N to `SEARCH_WORK_CAP` (ValueError past either).
+    after all restarts "numeric_infeasible", otherwise "unresolved".  b is
+    read by `operator.index` and mu by `as_float`; restarts below 1 and,
+    before any work, d * N past `UNIT_MATRIX_CAP` or restarts *
+    SEARCH_MAX_ITERS * d * N past `SEARCH_WORK_CAP` raise ValueError.
     """
     global np  # read by `_penalty` and `_gradient`
-    b = list(b)
+    b = list(map(index, b))
     if len(set(b)) != len(b):
         raise ValueError("exponents must be pairwise distinct")
     d = positive(d, "d")

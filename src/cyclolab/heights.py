@@ -346,20 +346,13 @@ def power_transform(alpha: AlgebraicNumber, n: int) -> AlgebraicNumber:
 
 
 def is_root_of_unity(alpha: AlgebraicNumber) -> bool:
-    """Exact torsion test: does the minimal polynomial divide x^k - 1 for
-    some k with phi(k) <= deg?  (phi(k) >= sqrt(k/2) bounds the scan.)"""
-    minpoly = list(alpha.minpoly)
-    if minpoly[-1] != 1:  # Gauss's lemma: a primitive divisor of x^k - 1 is monic
-        return False
-    deg = len(minpoly) - 1
-    kmax = 2 * deg * deg + 2
-    for k in range(1, kmax + 1):
-        if euler_phi(k) > deg:
-            continue
-        xk = [-1] + [0] * (k - 1) + [1]
-        if not poly_divmod(xk, minpoly)[1]:
-            return True
-    return False
+    """Exact torsion test (Kronecker): is the minimal polynomial Phi_k for
+    some k with phi(k) = deg?  (phi(k) >= sqrt(k/2) bounds the scan.)  A
+    product of distinct Phi_k, which no minimal polynomial is, answers False."""
+    from .cyclotomic import cyclotomic_polynomial
+    deg = alpha.degree
+    return any(euler_phi(k) == deg and cyclotomic_polynomial(k) == alpha.minpoly
+               for k in range(1, 2 * deg * deg + 3))
 
 
 def radical_height(a, n: int) -> float:

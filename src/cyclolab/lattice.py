@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from ._arith import positive
 
@@ -99,8 +100,9 @@ def relation_lattice_basis(window: list[tuple[int, list[int]]]) -> list[list[int
 
     One kernel: stack the M rows (k_1[j], ..., k_W[j]) over the W rows
     m_i * e_i.  An x = (n, t) with x . A = 0 has n . k_i = -t_i * m_i for
-    every i, so the projection of the kernel onto n is the lattice."""
-    window = [(positive(m, "modulus"), k) for m, k in window]
+    every i, so the projection of the kernel onto n is the lattice.  Each
+    m and k_i[j] is read as an integer (`positive`, `operator.index`)."""
+    window = [(positive(m, "modulus"), list(map(index, k))) for m, k in window]
     dims = {len(k) for _, k in window}
     if len(dims) != 1:
         raise ValueError("the window needs tuples, all of the same length")

@@ -326,8 +326,6 @@ def cosine_expansion(x: RadicalSum, sigma: GaloisElement) -> float:
         for j in range(n):
             if i == j:
                 continue
-            if mags[i] == 0 or mags[j] == 0:
-                continue
             ang = cmath.phase(zs[j]) - cmath.phase(zs[i])
             rot = 0.0
             for r_l, c_l, d_l, (ki, kj) in zip(
@@ -617,41 +615,32 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
     raw_terms = [t.strip() for t in raw_terms + [text[start:]] if t.strip()]
     parsed = []
     dens: dict[Fraction, int] = {}  # generators in order of first appearance
-    for raw in raw_terms:
-        sign = 1
-        if raw.startswith("-"):
-            sign = -1
-            raw = raw[1:].strip()
-        coeff_rat = Fraction(sign)
+    for term in raw_terms:
+        coeff_rat = Fraction(-1 if term.startswith("-") else 1)
         zfactors: list[tuple[int, int]] = []
         radicals: list[tuple[Fraction, Fraction]] = []
-        for factor in (f.strip() for f in raw.split("*")):
+        for factor in (f.strip() for f in term.removeprefix("-").split("*")):
             if not factor:
-                continue
+                raise ValueError(f"empty factor in the term {term!r}")
             if factor.startswith("(") and factor.endswith(")") and "^" not in factor:
                 factor = factor[1:-1].strip()
-            if factor.startswith("z"):
-                body = factor[1:]
-                if "^" in body:
-                    o_s, _, k_s = body.partition("^")
-                    zfactors.append((int(o_s), int(k_s)))
+            try:
+                if factor.startswith("z"):
+                    o_s, caret, k_s = factor[1:].partition("^")
+                    zfactors.append((int(o_s), int(k_s) if caret else 1))
+                elif "^(" in factor and factor.endswith(")"):
+                    base_s, _, exp_s = factor.partition("^(")
+                    base = Fraction(base_s.strip().strip("()"))
+                    # keep the written denominator: 3/6 means k=3 over d=6
+                    p_s, slash, q_s = exp_s[:-1].partition("/")
+                    p, q = int(p_s), (positive(int(q_s), "radical denominators") if slash else 1)
+                    if base <= 0:
+                        raise ValueError("radical bases must be positive rationals")
+                    radicals.append((base, (p, q)))
                 else:
-                    zfactors.append((int(body), 1))
-            elif "^(" in factor and factor.endswith(")"):
-                base_s, _, exp_s = factor.partition("^(")
-                base = Fraction(base_s.strip().strip("()"))
-                exp_s = exp_s[:-1].strip()
-                # keep the written denominator: 3/6 means k=3 over d=6
-                if "/" in exp_s:
-                    p_s, _, q_s = exp_s.partition("/")
-                    p, q = int(p_s), positive(int(q_s), "radical denominators")
-                else:
-                    p, q = int(exp_s), 1
-                if base <= 0:
-                    raise ValueError("radical bases must be positive rationals")
-                radicals.append((base, (p, q)))
-            else:
-                coeff_rat *= Fraction(factor)
+                    coeff_rat *= Fraction(factor)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"cannot read the factor {factor!r}: {exc}") from None
         for base, (_, q) in radicals:
             dens[base] = lcm(dens.get(base, 1), q)
         parsed.append((coeff_rat, zfactors, radicals))

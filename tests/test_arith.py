@@ -290,6 +290,8 @@ COMPLEX_ENTRY_POINTS = {
 NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 NONFINITE_COMPLEX = {"nan": complex(math.nan, 0), "nanj": complex(0, math.nan),
                      "-inf": complex(-math.inf, 1), "infj": complex(1, math.inf)}
+# exact values past the double range: complex() raised OverflowError on them
+OVERFLOWING = {"10**400": 10**400, "-10**400": -10**400, "F(10**400,3)": F(10**400, 3)}
 
 
 class TestNumericGate:
@@ -319,6 +321,20 @@ class TestNumericGate:
         call, what = COMPLEX_ENTRY_POINTS[entry]
         with pytest.raises(ValueError, match=f"^{what} must be finite$"):
             call(NONFINITE_COMPLEX[value])
+
+    @pytest.mark.parametrize("value", sorted(OVERFLOWING))
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_real_refuses_overflow(self, entry, value):
+        call, what = REAL_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+            call(OVERFLOWING[value])
+
+    @pytest.mark.parametrize("value", sorted(OVERFLOWING))
+    @pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRY_POINTS))
+    def test_complex_refuses_overflow(self, entry, value):
+        call, what = COMPLEX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+            call(OVERFLOWING[value])
 
     @pytest.mark.parametrize("value", [1, 0.5, F(1, 2), np.float64(0.5), np.int64(1), True],
                              ids=["int", "float", "Fraction", "float64", "int64", "bool"])

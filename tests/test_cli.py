@@ -272,6 +272,8 @@ class TestCommands:
         ["sigma-search", "--sum", "1 * 2^(1/3)", "--eps", "0.1", "--arcs", "nan:1"],
         ["flat-verify", "--d", "5", "--exponents", "0,1", "--coeffs", "nan;1", "--numeric"],
         ["flat-verify", "--d", "5", "--exponents", "0,1", "--coeffs", "1;-infj", "--numeric"],
+        ["flat-verify", "--d", "5", "--exponents", "0,1", "--coeffs", "1;1", "--numeric",
+         "--mu", "1e400"],
         ["height", "--radical", "1e400", "--n", "1"],
         ["height", "--radical", "1e309", "--n", "3"],
     ])
@@ -294,6 +296,37 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f'error: cannot read {part!r} as an arc "center:halfwidth": {reason}\n'
+
+    @pytest.mark.parametrize("argv, message", [
+        (["kummer", "--a", "1/0", "--d", "2", "--m", "8"],
+         """cannot read --a '1/0' as a rational such as "-3/4\""""),
+        (["kummer", "--a", "x", "--d", "2", "--m", "8"],
+         """cannot read --a 'x' as a rational such as "-3/4\""""),
+        (["flat-verify", "--d", "2", "--exponents", "0,1", "--coeffs", "1 @ 1;1 @ 1",
+          "--mu", "1/0"], """cannot read --mu '1/0' as a rational such as "-3/4\""""),
+        (["reduce", "--d", "2", "--exponents", "0,1", "--coeffs", "1 @ 1;1 @ 1", "--mu", "½"],
+         """cannot read --mu '½' as a rational such as "-3/4\""""),
+        (["height", "--radical", "abc"],
+         """cannot read --radical 'abc' as a rational such as "-3/4\""""),
+        (["dgamma", "--sum", "2 ** 3", "--eps", "0.1"], "empty factor in the term '2 ** 3'"),
+        (["dgamma", "--sum", "1 * 2^(1/2) *", "--eps", "0.1"],
+         "empty factor in the term '1 * 2^(1/2) *'"),
+        (["dgamma", "--sum", "1 - - 2^(1/2)", "--eps", "0.1"], "empty factor in the term '-'"),
+        (["dgamma", "--sum", "1/0 * 2^(1/2)", "--eps", "0.1"],
+         "cannot read the factor '1/0': Fraction(1, 0)"),
+        (["strict-check", "--seq", "11:1,1;x:1"],
+         """cannot read 'x:1' as an instance "m:k1,k2": """
+         "invalid literal for int() with base 10: 'x'"),
+    ], ids=["kummer-a-1/0", "kummer-a-x", "flat-verify-mu-1/0", "reduce-mu-half", "height-radical",
+            "sum-double-star", "sum-trailing-star", "sum-lone-minus", "sum-factor-1/0",
+            "strict-check-seq"])
+    def test_text_refusals_name_the_text(self, capsys, argv, message):
+        # each was a bare "Fraction(1, 0)", "Invalid literal for Fraction: ..."
+        # or "invalid literal for int() ...", or, for an empty factor,
+        # accepted: "2 ** 3" read 6, and "1 - - 2^(1/2)" read 1 - 1 - 2^(1/2)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("cmd", [
         ["dgamma"], ["sigma-search", "--arcs", "0/1t:1/2t"]], ids=["dgamma", "sigma-search"])

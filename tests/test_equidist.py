@@ -10,6 +10,7 @@ from cyclolab.equidist import (
     Arc,
     ArcBox,
     relation_lattice,
+    parse_window,
     strictness_window,
     orbit_period,
     weyl_sum,
@@ -108,6 +109,8 @@ class TestIntegerInputs:
             strictness_window([(bad, [1, 1]), (11, [1, 1])])
         with pytest.raises(TypeError):
             strictness_window([(7, [1, bad]), (11, [1, 1])])
+        with pytest.raises(TypeError):
+            relation_lattice(12, [bad, 3])
 
     def test_numpy_integers_accepted(self):
         orbit = RootTupleOrbit(np.int64(12), np.array([2, 3]))
@@ -115,7 +118,9 @@ class TestIntegerInputs:
         assert type(orbit.m) is int and all(type(a) is int for a in orbit.k)
         assert weyl_sum(orbit, np.array([3, 2])) == 1
         window = [(np.int32(7), np.array([1, 1])), (np.int64(11), [np.int8(1), 1])]
-        assert strictness_window(window) == strictness_window([(7, [1, 1]), (11, [1, 1])])
+        res = strictness_window(window)
+        assert res == strictness_window([(7, [1, 1]), (11, [1, 1])])
+        assert type(res["threshold"]) is float
 
 
 class TestOrbitPeriod:
@@ -175,6 +180,10 @@ class TestStrictness:
         r = strictness_window([(7, [1, 1]), (11, [1, 1]), (13, [1, 1])])
         assert r["verdict"] == "obstructed"
         assert r["relation"] in ([1, -1], [-1, 1])
+
+    def test_parse_window(self):
+        # the notation of strict-check --seq; an empty exponent is skipped
+        assert parse_window("11:1,1; 13 :1,2,") == [(11, [1, 1]), (13, [1, 2])]
 
     def test_sqrt_slope_unobstructed(self):
         window = [(p, [1, math.isqrt(p)]) for p in primes_above(100, 10)]
@@ -546,6 +555,13 @@ class TestLatticeCount:
     # an order or a modulus is an integer (operator.index): a float is refused
     pytest.param(lambda: RootTupleOrbit(12.0, (1,)), TypeError,
                  "cannot be interpreted as an integer", id="orbit-m-float"),
+    # so is an exponent: relation_lattice(12, [2.5, 3]) returned
+    # [[6.0, 3.0], [0.0, 4.0]] before
+    pytest.param(lambda: relation_lattice(12, [2.5, 3]), TypeError,
+                 "cannot be interpreted as an integer", id="relation-k-float"),
+    pytest.param(lambda: parse_window("11:1,1;x:1"), ValueError,
+                 """^cannot read 'x:1' as an instance "m:k1,k2": invalid literal""",
+                 id="window-text"),
     pytest.param(lambda: relation_lattice(7.0, (1, 2)), TypeError,
                  "cannot be interpreted as an integer", id="relation-m-float"),
 ])

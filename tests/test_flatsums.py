@@ -193,9 +193,9 @@ class TestExponentBoundScan:
 
 class TestDirichlet:
     def test_examples(self):
-        assert dirichlet_approx([0, 7], 10, 16) == (3, (0, 2))
-        assert dirichlet_approx([0, 1], 2, 16) == (2, (0, 1))
-        assert dirichlet_approx([0], 1, 4) == (1, (0,))
+        assert dirichlet_approx([0, 7], 10) == (3, (0, 2))
+        assert dirichlet_approx([0, 1], 2) == (2, (0, 1))
+        assert dirichlet_approx([0], 1) == (1, (0,))
 
     def test_quality(self):
         rng = random.Random(12)
@@ -203,7 +203,7 @@ class TestDirichlet:
             N = rng.randint(1, 4)
             d = rng.randint(1, 30)
             b = rng.sample(range(-40, 41), N)
-            q, p = dirichlet_approx(b, d, 4**N)
+            q, p = dirichlet_approx(b, d)
             assert 1 <= q <= 4**N
             for bj, pj in zip(b, p):
                 assert 4 * abs(q * bj - pj * d) < d
@@ -215,6 +215,18 @@ class TestDirichlet:
                     for bj in b
                 )
                 assert not ok
+
+    def test_search_ends_by_d_and_4_to_the_N(self):
+        # q = d has error 0, and the pigeonhole over 4^N boxes of side 1/4
+        # bounds q by 4^N: the search needs no bound of its own
+        rng = random.Random(47)
+        for _ in range(2000):
+            N = rng.randint(1, 5)
+            d = rng.randint(1, 400)
+            b = [rng.randint(-3 * d, 3 * d) for _ in range(N)]
+            q, p = dirichlet_approx(b, d)
+            assert 1 <= q <= min(d, 4**N)
+            assert all(4 * abs(q * bj - pj * d) < d for bj, pj in zip(b, p))
 
 
 class TestReduction:
@@ -501,10 +513,8 @@ INT = "cannot be interpreted as an integer"
                  id="scan-trials-0"),
     pytest.param(lambda: exponent_bound_scan(3, 9, 2.0, 0), TypeError, INT,
                  id="scan-trials-float"),
-    pytest.param(lambda: dirichlet_approx([1], 0, 4), ValueError, "d must be positive",
+    pytest.param(lambda: dirichlet_approx([1], 0), ValueError, "d must be positive",
                  id="dirichlet-d-0"),
-    pytest.param(lambda: dirichlet_approx([1, 3], 7, 1), ValueError, "no admissible q",
-                 id="dirichlet-Q-small"),
     pytest.param(lambda: flat_search([0, 0], 5), ValueError, "pairwise distinct",
                  id="search-repeat"),
     pytest.param(lambda: flat_search([0, 1], 0), ValueError, "d must be positive",
@@ -521,8 +531,13 @@ INT = "cannot be interpreted as an integer"
                  id="survey-restarts-0"),
     # an order or a count is an integer (operator.index): a float is refused
     pytest.param(lambda: exact_sum(2.0, [(0, 1)]), TypeError, INT, id="d-float"),
-    pytest.param(lambda: dirichlet_approx([0, 1], 5.0, 16), TypeError, INT,
+    pytest.param(lambda: dirichlet_approx([0, 1], 5.0), TypeError, INT,
                  id="dirichlet-d-float"),
+    # so is an exponent: before, flat_search([0, 0.5], 3) answered
+    # "numeric_infeasible" and dirichlet_approx([0.5, 1], 4, Q=10) returned (8, (1.0, 2))
+    pytest.param(lambda: flat_search([0, 0.5], 3), TypeError, INT, id="search-b-float"),
+    pytest.param(lambda: dirichlet_approx([0.5, 1], 4), TypeError, INT,
+                 id="dirichlet-b-float"),
     pytest.param(lambda: flat_search([0, 1], 3.0), TypeError, INT, id="search-d-float"),
     pytest.param(lambda: flat_search([0, 1], 3, restarts=2.0), TypeError, INT,
                  id="search-restarts-float"),

@@ -212,10 +212,22 @@ class TestRootsOfUnity:
         assert weil_height((-1, -1, 1)) > 1e-3
 
     def test_kronecker_equivalence(self):
-        for k in range(1, 31):
+        # every order whose Phi_k fits DEGREE_CAP = 64: phi(k) >= sqrt(k/2)
+        # puts them all below 2 * 64^2
+        orders = [k for k in range(1, 2 * 64 * 64 + 1) if euler_phi(k) <= 64]
+        assert len(orders) == 127
+        for k in orders:
             p = cyclotomic_polynomial(k)
             assert weil_height(p) < 1e-9
             assert is_root_of_unity(AlgebraicNumber(p))
+
+    def test_products_of_cyclotomics_are_not_minimal_polynomials(self):
+        # outside AlgebraicNumber's contract (irreducible), yet accepted by
+        # its cheap probes; torsion compares with one Phi_k, so both answer
+        # False (Phi_3 * Phi_4 read True before, by dividing x^12 - 1)
+        for m, n in ((3, 4), (5, 7)):
+            p = poly_mul(list(cyclotomic_polynomial(m)), list(cyclotomic_polynomial(n)))
+            assert not is_root_of_unity(AlgebraicNumber(tuple(int(c) for c in p)))
 
 
 class TestRadicalHeight:

@@ -258,6 +258,13 @@ class TestTower:
         with pytest.raises(ValueError, match="entangled"):
             tower_degrees([3, 7], [2, 2], 21)
 
+    def test_fourth_roots_lift_to_conductor_8(self):
+        # a 4 | d level's 2-layers live over lcm(conductor, 8): 40 meets the
+        # conductor 12 of sqrt(3) in 4, but is coprime to the 13 of sqrt(13)
+        with pytest.raises(ValueError, match="entangled case unsupported"):
+            tower_degrees([5, 3], [4, 2], 8)
+        assert tower_degrees([5, 13], [4, 2], 8) == ([1, 1], [4, 2])
+
     def test_dependent_rejected(self):
         with pytest.raises(ValueError, match="independent"):
             tower_degrees([2, 4], [2, 2], 8)

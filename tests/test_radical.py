@@ -202,6 +202,13 @@ class TestCosineExpansion:
             sig = GaloisElement(1, r)
             direct = abs(apply_galois(sig, x).evaluate()) ** 2
             worst = max(worst, abs(cosine_expansion(x, sig) - direct))
+        # a zero-coefficient term contributes 0 * cos(.), with phase(0) = 0
+        ctx = RadicalContext([F(2), F(3)], [4, 3], D=3)
+        x = RadicalSum(ctx, [(1, (1, 0)), (0, (2, 1)), (F(1, 2), (0, 2))])
+        for r in itertools.product(range(4), range(3)):
+            sig = GaloisElement(1, r)
+            direct = abs(apply_galois(sig, x).evaluate()) ** 2
+            worst = max(worst, abs(cosine_expansion(x, sig) - direct))
         assert worst < 1e-10
 
 
@@ -622,6 +629,11 @@ INT = "cannot be interpreted as an integer"
                  "radical denominators must be positive", id="parse-denominator-0"),
     pytest.param(lambda: parse_radical_sum("(-2)^(1/2)"), ValueError,
                  "radical bases must be positive", id="parse-negative-base"),
+    # an empty factor was skipped: "2 ** 3" read 6; an unread factor is named
+    pytest.param(lambda: parse_radical_sum("2 ** 3"), ValueError,
+                 "^empty factor in the term '2 \\*\\* 3'$", id="parse-empty-factor"),
+    pytest.param(lambda: parse_radical_sum("1/0 * 2^(1/2)"), ValueError,
+                 "^cannot read the factor '1/0': ", id="parse-factor-named"),
     # an order, denominator or modulus is an integer (operator.index): a
     # float is refused
     pytest.param(lambda: RadicalContext([2], [2.0]), TypeError, INT,
