@@ -8,8 +8,9 @@ the layer it runs.  numpy loads only in the numeric branch of a layer, so
 the exact commands (`flat-verify` without --numeric, `reduce`, `sn-survey`
 at N <= 2, `factor-out`, `kummer`) never load it, and a cache hit loads no
 layer.  In a one-shot process wall_ms therefore includes the layer's first
-import.  Each argv is parsed once, by its command's parser, and a hit
-encodes no JSON: it prints the stored entry with the "cached" key spliced in.
+import.  Each argv is read off its command's own option table, with argparse
+only as the fallback, and a hit encodes no JSON: it prints the stored entry
+with the "cached" key spliced in.
 
 Every run emits one experiment record {command, inputs, results, status,
 seed, version, wall_ms}.  Records rerun with identical inputs and seed
@@ -114,8 +115,12 @@ def _csv_cell(v) -> str:
 # ------------------------------------------------------------------ parsing
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _parse_ints(text: str, option: str) -> list[int]:
+    """The integers of an option's comma-separated text; ValueError quoting both."""
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f'cannot read {option} {text!r} as integers such as "2,3"') from None
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -141,7 +146,7 @@ def _terms(exponents: list[int], coeffs: list) -> list:
 
 def _radical_from_args(args) -> radical.RadicalSum:
     from . import radical
-    failures = _parse_ints(args.c) if args.c else None
+    failures = _parse_ints(args.c, "--c") if args.c else None
     return radical.parse_radical_sum(args.sum, D=args.D, failures=failures)
 
 
@@ -168,14 +173,20 @@ def _handle_flat_verify(args):
     from . import flatsums
     mu = _rational(args.mu, "--mu")
     if args.numeric:
-        coeffs = [complex(c) for c in args.coeffs.split(";")]
-        f = flatsums.numeric_sum(args.d, _terms(_parse_ints(args.exponents), coeffs), mu)
+        try:
+            coeffs = [complex(c) for c in args.coeffs.split(";")]
+        except ValueError:
+            raise ValueError(f"cannot read --coeffs {args.coeffs!r} as complex numbers"
+                             ' such as "1;-0.5+2j"') from None
+        f = flatsums.numeric_sum(
+            args.d, _terms(_parse_ints(args.exponents, "--exponents"), coeffs), mu)
         rep = flatsums.is_flat(f)
         results = {"flat": rep.flat, "witness": rep.witness,
                    "max_deviation": rep.max_deviation, "mode": rep.mode}
     else:
         coeffs = _parse_coeffs(args.coeffs)
-        f = flatsums.exact_sum(args.d, _terms(_parse_ints(args.exponents), coeffs), mu)
+        f = flatsums.exact_sum(
+            args.d, _terms(_parse_ints(args.exponents, "--exponents"), coeffs), mu)
         validity = flatsums.validate_definition(f)  # its subset cap refuses first
         rep = flatsums.is_flat(f)
         results = {"flat": rep.flat, "witness": rep.witness, "mode": rep.mode,
@@ -186,7 +197,7 @@ def _handle_flat_verify(args):
 
 def _handle_flat_search(args):
     from . import flatsums
-    res = flatsums.flat_search(_parse_ints(args.exponents), args.d, args.mu,
+    res = flatsums.flat_search(_parse_ints(args.exponents, "--exponents"), args.d, args.mu,
                                restarts=args.restarts, seed=args.seed)
     return res, res["verdict"]
 
@@ -198,8 +209,8 @@ def _handle_sn_survey(args):
 
 def _handle_reduce(args):
     from . import flatsums
-    f = flatsums.exact_sum(args.d, _terms(_parse_ints(args.exponents), _parse_coeffs(args.coeffs)),
-                           _rational(args.mu, "--mu"))
+    terms = _terms(_parse_ints(args.exponents, "--exponents"), _parse_coeffs(args.coeffs))
+    f = flatsums.exact_sum(args.d, terms, _rational(args.mu, "--mu"))
     cert = flatsums.reduce_instance(f)
     results = {
         "q": cert.q, "q_prime": cert.q_prime, "e": cert.e, "d_prime": cert.d_prime,
@@ -213,7 +224,7 @@ def _handle_reduce(args):
 
 def _handle_arc_count(args):
     from . import equidist
-    orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k)))
+    orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k, "--k")))
     rep = equidist.arc_count(orbit, equidist.ArcBox.parse(args.arcs))
     if args.hist_out:
         _write_hist(args.hist_out, *equidist._turn_histogram(orbit.m, orbit.k[0]))
@@ -222,8 +233,8 @@ def _handle_arc_count(args):
 
 def _handle_weyl(args):
     from . import equidist
-    orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k)))
-    val = equidist.weyl_sum(orbit, _parse_ints(args.n))
+    orbit = equidist.RootTupleOrbit(args.m, tuple(_parse_ints(args.k, "--k")))
+    val = equidist.weyl_sum(orbit, _parse_ints(args.n, "--n"))
     return {"value": val, "period": equidist.orbit_period(orbit)}, "ok"
 
 
@@ -366,7 +377,7 @@ def _common() -> argparse.ArgumentParser:
 
 @functools.cache
 def _not_inputs() -> frozenset:  # the argument names no record input holds
-    return frozenset({"cmd", "hist_out", *vars(_common().parse_args([]))})
+    return frozenset({"cmd", "hist_out", *(a.dest for a in _common()._actions)})
 
 
 @functools.cache
@@ -452,18 +463,45 @@ def _command_parsers() -> dict:
     return next(a.choices for a in build_parser()._actions if a.dest == "cmd")
 
 
+def _read(argv: list) -> argparse.Namespace | None:
+    """argv read off its command's own option table, the one argparse built:
+    exact option strings, each value joined by "=" or in the next token and
+    read by its type and choices, then the defaults, required options and
+    exclusive groups; or None where argparse's own rules must decide."""
+    import argparse
+    sub = argv and _command_parsers().get(argv[0])
+    if not sub:
+        return None
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        opt, eq, text = token.partition("=")
+        action = sub._option_string_actions.get(opt)
+        if not isinstance(action, (argparse._StoreAction, argparse._StoreTrueAction)):
+            return None  # help, an abbreviation, "--", or no option at all
+        if action.nargs == 0 and not eq:  # a flag
+            given[action] = action.const
+            continue
+        text = text if eq else next(tokens, "-")
+        if action.nargs == 0 or text == "--" or text.startswith("-") and not eq:
+            return None  # a flag given "=value"; "--" reads as no value, "-..." by argparse's rules
+        try:
+            given[action] = action.type(text) if action.type else text  # the last repeat wins
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and given[action] not in action.choices:
+            return None
+    if any(a.required and a not in given for a in sub._actions) or not all(
+            g.required <= sum(a in given for a in g._group_actions) <= 1
+            for g in sub._mutually_exclusive_groups):
+        return None  # a required option or group missing, or two of one group given
+    return argparse.Namespace(cmd=argv[0], **{a.dest: given.get(a, a.default) for a in sub._actions
+                                              if a.default is not argparse.SUPPRESS})
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """argv read once: by argv[0]'s own parser, which the full parser hands
-    argv[1:], or else by the full parser, the reference for usage and
-    messages: when there is no command, arguments are left over, or one
-    starts "--=", ambiguous between the full parser's --help and --version."""
-    sub = _command_parsers().get(argv[0]) if argv else None
-    if sub is not None and not any(a.startswith("--=") for a in argv):
-        import argparse
-        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """argv read by `_read`, or else whole by the full parser, the reference
+    for usage, help and messages."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 # --------------------------------------------------------------------- main

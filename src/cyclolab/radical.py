@@ -603,11 +603,14 @@ def parse_radical_sum(text: str, D: int | None = None, failures=None) -> Radical
     """
     D = positive(1 if D is None else D, "cyclotomic order")
     # terms split at each + or - at parenthesis depth 0 that does not follow
-    # ^; a - stays with the term it starts
+    # ^; a - stays with the term it starts, and a sign cannot follow *
     raw_terms, start, depth, prev = [], 0, 0, ""
     for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
         if ch in "+-" and depth == 0 and prev != "^":
+            if prev == "*":
+                raise ValueError(f'a sign follows "*" in {text!r}: write a signed factor'
+                                 ' in parentheses, such as "(-3)"')
             raw_terms.append(text[start:i])
             start = i + (ch == "+")
         if not ch.isspace():

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,10 +13,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cyclolab import __version__
-from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _csv_cell, _dumps, _parse,
-                          _plain, _to_csv)
+from cyclolab.cli import (BINS_CAP, HANDLERS, build_parser, main, _command_parsers, _csv_cell,
+                          _dumps, _parse, _plain, _read, _to_csv)
 from cyclolab.equidist import ArcBox
 from cyclolab.heights import parse_minpoly
 
@@ -317,13 +319,29 @@ class TestCommands:
         (["strict-check", "--seq", "11:1,1;x:1"],
          """cannot read 'x:1' as an instance "m:k1,k2": """
          "invalid literal for int() with base 10: 'x'"),
+        (["weyl", "--m", "12", "--k", "2,x", "--n", "3,2"],
+         """cannot read --k '2,x' as integers such as "2,3\""""),
+        (["weyl", "--m", "12", "--k", "2,3", "--n", "3,1.5"],
+         """cannot read --n '3,1.5' as integers such as "2,3\""""),
+        (["flat-search", "--d", "5", "--exponents", "0,x"],
+         """cannot read --exponents '0,x' as integers such as "2,3\""""),
+        (["orbit", "--sum", "1 * 2^(1/3)", "--c", "1;2"],
+         """cannot read --c '1;2' as integers such as "2,3\""""),
+        (["flat-verify", "--numeric", "--d", "2", "--exponents", "0,1", "--coeffs", "1;x"],
+         """cannot read --coeffs '1;x' as complex numbers such as "1;-0.5+2j\""""),
+        (["dgamma", "--sum", "2 * -3", "--eps", "0.1"],
+         """a sign follows "*" in '2 * -3': write a signed factor in parentheses,"""
+         """ such as "(-3)\""""),
     ], ids=["kummer-a-1/0", "kummer-a-x", "flat-verify-mu-1/0", "reduce-mu-half", "height-radical",
             "sum-double-star", "sum-trailing-star", "sum-lone-minus", "sum-factor-1/0",
-            "strict-check-seq"])
+            "strict-check-seq", "weyl-k", "weyl-n", "flat-search-exponents", "orbit-c",
+            "flat-verify-numeric-coeffs", "sum-sign-after-star"])
     def test_text_refusals_name_the_text(self, capsys, argv, message):
-        # each was a bare "Fraction(1, 0)", "Invalid literal for Fraction: ..."
-        # or "invalid literal for int() ...", or, for an empty factor,
-        # accepted: "2 ** 3" read 6, and "1 - - 2^(1/2)" read 1 - 1 - 2^(1/2)
+        # each was a bare "Fraction(1, 0)", "Invalid literal for Fraction: ...",
+        # "invalid literal for int() ..." or "complex() arg is a malformed
+        # string", or, for an empty factor, accepted: "2 ** 3" read 6, and
+        # "1 - - 2^(1/2)" read 1 - 1 - 2^(1/2); "2 * -3" was refused as an
+        # empty factor in the term "2 *"
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and err == f"error: {message}\n"
@@ -884,6 +902,107 @@ def test_direct_parse_matches_full_parser(capsys, line):
         return got, capsys.readouterr()
 
     assert outcome(_parse) == outcome(build_parser().parse_args)
+
+
+STRAY_TOKENS = ["--", "-h", "--help", "--version", "--=x", "-", "", "x", "-2"]
+BAD_VALUES = ["x", "1.5", "nine", "-x", "--", "xml"]
+
+
+def _good_values(action) -> list:
+    """Values that the option's type and choices accept; a negative one unless it has choices."""
+    if action.choices is not None:
+        return list(action.choices)
+    if action.type in (int, float):
+        return ["3", "12", "-2"] if action.type is int else ["0.5", "1e3", "-0.5"]
+    return ["2,3", "x^2-2", "", "-1"]
+
+
+@st.composite
+def _given(draw, opt, action, messy):
+    """One occurrence of an option; if `messy`, maybe abbreviated, a flag
+    given "=value", a bad value or a separate negative one."""
+    name = opt[:-1] if messy and draw(st.integers(0, 5)) == 5 else opt
+    if action.nargs == 0:
+        return [f"{name}=1"] if messy and draw(st.booleans()) else [name]
+    value = draw(st.sampled_from(_good_values(action) + (BAD_VALUES if messy else [])))
+    joined = draw(st.booleans()) or value.startswith("-") and not messy
+    return [f"{name}={value}"] if joined else [name, value]
+
+
+@st.composite
+def _command_argv(draw, command):
+    """argv for `command`: its options in any order, each left out, given
+    once or repeated, separately or joined by "="; if the argv is messy,
+    with abbreviations, bad values and stray tokens ("--", help, a negative
+    number) too.  A required option is left out one time in four and any
+    other option three times in four, and the members of a mutually
+    exclusive group (the `height` branches) come both, one or neither."""
+    sub = _command_parsers()[command]
+    table = sub._option_string_actions
+    grouped = [a for g in sub._mutually_exclusive_groups for a in g._group_actions]
+    bits = draw(st.integers(0, 2 ** len(grouped) - 1))  # which grouped options to give
+    kept = {a for i, a in enumerate(grouped) if bits >> i & 1}
+    messy = draw(st.booleans())
+    argv = [command]
+    for opt in draw(st.permutations(sorted(o for o in table if o not in ("-h", "--help")))):
+        action = table[opt]
+        if not (action in kept if action in grouped
+                else draw(st.integers(0, 3)) < (3 if action.required else 1)):
+            continue
+        for _ in range(draw(st.integers(1, 2))):
+            argv += draw(_given(opt, action, messy))
+        if messy and draw(st.integers(0, 4)) == 4:
+            argv.append(draw(st.sampled_from(STRAY_TOKENS)))
+    return argv
+
+
+def _parse_outcome(parse, argv):
+    """The namespace `parse` reads in argv, in order, or its exit code,
+    with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.sampled_from(sorted(HANDLERS)).flatmap(_command_argv))
+@example(argv=["height", "--minpoly=x^2-2", "--radical", "2"])
+@example(argv=["height", "--n", "3"])
+def test_read_matches_full_parser(argv):
+    # the direct read and the full parser agree on every drawn argv:
+    # the same namespace, or the same exit, usage and message
+    assert _parse_outcome(_parse, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+def _refuse_argparse(*args, **kwargs):
+    raise AssertionError("argparse parsed an argv")
+
+
+@pytest.mark.parametrize("argv", [_without_hist_out(a) for a in _readme_commands()]
+                         + [["kummer", "--a=-2", "--d", "2", "--m", "12", "--oracle"]],
+                         ids=shlex.join)
+def test_hit_reads_argv_without_argparse(capsys, tmp_path, monkeypatch, argv):
+    # a warm-cache rerun is read off the option table, then one file
+    import argparse
+
+    argv = argv + ["--no-timing", "--cache", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _refuse_argparse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == '{\n "cached": true,' + cold[1:]
+
+
+def test_abbreviation_gets_the_full_parsers_reading(capsys):
+    argv = ["flat-search", "--exp", "0,1", "--d", "3", "--restarts", "1", "--no-timing"]
+    assert _read(argv) is None
+    assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+    code, rec = run_json(capsys, *argv)
+    assert code == 0 and rec["inputs"]["exponents"] == "0,1"
 
 
 COEFFS = "1/2*z^1 + 1/2*z^7 @ 8;1/2*z^1 + 1/2*z^3 @ 8"
