@@ -553,6 +553,10 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    if [] in vars(args).values():  # argparse reads a value joined as "--" (--k=--) as []
+        empty = next(k for k, v in vars(args).items() if v == [])
+        print(f"error: argument --{empty.replace('_', '-')}: expected one argument", file=sys.stderr)
+        return 2
     if args.cmd == "height":  # --n belongs to --radical, where it defaults to 1
         if args.n is not None and args.radical is None:
             print("error: --n belongs to --radical, not --minpoly", file=sys.stderr)

@@ -107,16 +107,22 @@ def strictness_window(window: Sequence[tuple[int, Sequence[int]]],
     max-norm is exact (`shortest_relation`, ValueError past its node
     budget).  The verdict stays heuristic: strictness concerns infinite
     sequences, and a finite window can exhibit an obstruction but never
-    certify its absence.  A given threshold goes through `as_float`.
+    certify its absence.  A given threshold goes through `as_float`; the
+    default, half the least m, is decided exactly and reported as a float
+    where one holds it, else as the exact rational.
     """
     if len(window) < 2:
         raise ValueError("window must contain at least 2 instances")
     basis = relation_lattice_basis(window)
-    threshold = (float(min(m for m, _ in window)) / 2 if threshold is None
-                 else as_float(threshold, "threshold"))
+    bound = (Fraction(min(m for m, _ in window), 2) if threshold is None
+             else as_float(threshold, "threshold"))
     rel = shortest_relation(basis)
     norm = max(abs(a) for a in rel) if rel is not None else None
-    obstructed = rel is not None and norm < threshold
+    obstructed = rel is not None and norm < bound
+    try:
+        threshold = float(bound)
+    except OverflowError:  # past the double range
+        threshold = bound
     return {
         "verdict": "obstructed" if obstructed else "no obstruction in window",
         "relation": rel if obstructed else None,

@@ -286,6 +286,21 @@ def _zeta_powers(m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _zeta_floats(m: int) -> tuple[complex, ...]:
+    """`_zeta_powers(m)` as complex floats, for the candidate check."""
+    return tuple(map(complex, _zeta_powers(m)))
+
+
+@lru_cache(maxsize=None)
+def _unit_phases(e: int) -> tuple:
+    """zeta_(2e)^tau for tau < 2e, at the oracle's working precision."""
+    import mpmath as mp
+
+    with mp.workdps(_ORACLE_DPS):
+        return tuple(mp.e ** (1j * mp.pi * tau / e) for tau in range(2 * e))
+
+
+@lru_cache(maxsize=None)
 def _zeta_block(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The phi(m) zeta rows of the oracle's lattice at ORACLE_SCALES[k],
     LLL-reduced.  Block k > 0 starts from U times its raw rows, U the
@@ -303,6 +318,13 @@ def _zeta_block(m: int, k: int) -> tuple[tuple[int, ...], ...]:
               sum(c * y for c, (_, y) in zip(u, pts))] for u in U])))
 
 
+def _past_box(xs, nb: int) -> bool:
+    """Has some -x/nb (x in xs, nb != 0) in lowest terms a numerator or
+    denominator above 100?  With g = gcd(x, nb) those are |x|/g and |nb|/g,
+    so no Fraction is built."""
+    return any(max(abs(x), abs(nb)) // gcd(x, nb) > 100 for x in xs)
+
+
 def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     """Independent membership oracle by integer-relation detection.
 
@@ -318,13 +340,17 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     zeta rows depend only on m and the scale, so each scale's block is
     LLL-reduced once per process per (m, scale), when first needed, and
     kept (`_zeta_block`); every tau reduces only that block plus its beta
-    row.  The inputs are checked before the cache is read, and e * phi(m)
-    <= ORACLE_CAP admits 127 moduli, so at most 254 blocks are ever kept.  The
-    reduced block's identity part is the unimodular transform U it
-    applied, so the next scale's block starts from U times its raw zeta
+    row.  The reduced block's identity part is the unimodular transform U
+    it applied, so the next scale's block starts from U times its raw zeta
     rows: the same lattice, already close to reduced (the gradual
     precision of van Hoeij and Novocin, "Gradual sub-lattice reduction and
     a new complexity for factoring polynomials", LATIN 2010).
+
+    The process also keeps the zeta_m^i as complex floats per m, for the
+    candidate check (`_zeta_floats`), and the 2e unit phases zeta_(2e)^tau
+    per e (`_unit_phases`).  The inputs are checked before any cache is
+    read, and e * phi(m) <= ORACLE_CAP admits 127 moduli and 64 values of
+    e: at most 254 blocks, 127 float rows and 64 phase rows are ever kept.
     """
     import mpmath as mp
 
@@ -337,27 +363,25 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     check_cap("e * phi(m)", e * phi, "oracle cap", ORACLE_CAP)
     parity = 0 if a > 0 else 1
     near_miss = False
-    zs = _zeta_powers(m)
+    zs, phases = _zeta_floats(m), _unit_phases(e)
     with mp.workdps(_ORACLE_DPS):
         mag = mp.root(abs(mp.mpf(a.numerator)) / mp.mpf(a.denominator), e)
+        scales = [mp.mpf(scale) for scale in ORACLE_SCALES]
         for tau in range(parity, 2 * e, 2):
-            beta = mag * mp.e ** (1j * mp.pi * tau / e)
-            for k, scale in enumerate(ORACLE_SCALES):
-                S = mp.mpf(scale)
+            beta = mag * phases[tau]
+            for k, (scale, S) in enumerate(zip(ORACLE_SCALES, scales)):
                 reduced = lll_reduce(list(_zeta_block(m, k)) + [
                     [0] * phi + [1, int(mp.nint(S * beta.real)), int(mp.nint(S * beta.imag))]])
-                reduced.sort(key=lambda r: max(abs(x) for x in r))
+                reduced.sort(key=lambda r: max(map(abs, r)))
                 for vec in reduced:
                     nb = vec[phi]
-                    if nb == 0:
-                        continue
-                    v = [Fraction(-vec[i], nb) for i in range(phi)]
                     # spurious balanced LLL vectors carry entries that grow
                     # with the scale (~ scale^(2/(phi+3))); genuine relations
                     # have desk-sized rational coefficients
-                    if any(max(abs(c.numerator), c.denominator) > 100 for c in v):
+                    if nb == 0 or _past_box(vec[:phi], nb):
                         continue
-                    approx = sum(complex(c) * complex(zs[i]) for i, c in enumerate(v))
+                    v = [Fraction(-vec[i], nb) for i in range(phi)]
+                    approx = sum(complex(c) * zs[i] for i, c in enumerate(v))
                     if abs(approx - complex(beta)) > 1e-10:
                         continue
                     x = CyclotomicNumber(m, v + [Fraction(0)] * (m - phi))

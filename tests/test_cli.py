@@ -248,6 +248,14 @@ class TestCommands:
         )
         assert code == 0 and rec["status"] == "obstructed"
 
+    def test_strict_check_threshold_past_double_range(self, capsys):
+        # the default threshold, half the least m, was float(m) / 2: exit 2
+        # with "int too large to convert to float"
+        n = "9" * 400
+        code, rec = run_json(capsys, "strict-check", "--seq", f"{n}:1,1;{n}:1,2", "--no-timing")
+        assert code == 0 and rec["status"] == "no obstruction in window"
+        assert rec["results"]["threshold"] == f"{n}/2" and rec["results"]["shortest_norm"] == int(n)
+
     def test_strict_check_exact_norm(self, capsys):
         k = "112816,120358,179675,104136,73252,212178"
         code, rec = run_json(capsys, "strict-check", "--seq", f"322735:{k};322735:{k}",
@@ -345,6 +353,20 @@ class TestCommands:
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,option", [
+        (["weyl", "--m", "12", "--k=--", "--n", "3"], "--k"),
+        (["height", "--minpoly=--"], "--minpoly"),
+        (["kummer", "--a=--", "--d", "2", "--m", "8"], "--a"),
+        (["orbit", "--sum", "1 * 2^(1/2)", "--hist-out=--"], "--hist-out"),
+    ])
+    def test_joined_double_dash_refused(self, capsys, argv, option):
+        # argparse reads a value joined as "--" as an empty list: two of
+        # these ended in an AttributeError traceback, and --a=-- was refused
+        # as "argument should be a string or a Rational instance"
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err == f"error: argument {option}: expected one argument\n"
 
     @pytest.mark.parametrize("cmd", [
         ["dgamma"], ["sigma-search", "--arcs", "0/1t:1/2t"]], ids=["dgamma", "sigma-search"])

@@ -202,6 +202,18 @@ class TestStrictness:
         with pytest.raises(ValueError, match="finite"):
             strictness_window([(7, [1, 1]), (11, [1, 1])], threshold=threshold)
 
+    def test_default_threshold_past_double_range(self):
+        # half the least m is decided exactly and reported as the rational;
+        # float(m) / 2 raised OverflowError here
+        M = 10**400 - 1
+        r = strictness_window([(M, [1, 1]), (M, [1, 2])])
+        assert r["verdict"] == "no obstruction in window" and r["shortest_norm"] == M
+        assert r["threshold"] == Fraction(M, 2)
+        r = strictness_window([(M, [1, 1]), (M + 2, [1, 1])])
+        assert r["verdict"] == "obstructed" and r["shortest_norm"] == 1
+        assert r["threshold"] == Fraction(M, 2)
+        assert strictness_window([(2**1023, [1, 1]), (2**1023, [1, 2])])["threshold"] == 2.0**1022
+
     def test_exact_norm_beyond_lll_rows(self):
         # the LLL rows reach max-norm 6 only; the shortest relation has 5
         k = [112816, 120358, 179675, 104136, 73252, 212178]

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cyclolab import kummer
 from cyclolab.cyclotomic import CyclotomicNumber, zeta, euler_phi
@@ -350,8 +351,31 @@ class TestOrders:
         assert q == KummerQuery(2, 2, 1) and type(q.d) is int and type(q.m) is int
 
 
+ORACLE_CACHES = ("_zeta_block", "_zeta_powers", "_zeta_floats", "_unit_phases")
+
+
 def oracle_cache_sizes():
-    return kummer._zeta_block.cache_info().currsize, kummer._zeta_powers.cache_info().currsize
+    return tuple(getattr(kummer, name).cache_info().currsize for name in ORACLE_CACHES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-300, 300), st.integers(-300, 300).filter(bool), st.integers(1, 60))
+@example(0, 1, 1)
+@example(0, -7, 1)
+@example(100, 1, 1)
+@example(-101, 1, 1)
+@example(1, 100, 1)
+@example(1, -101, 1)
+@example(101, 101, 2)
+@example(200, 2, 1)
+@example(202, 2, 1)
+@example(-3, 303, 1)
+def test_box_test_in_integers(x, nb, k):
+    # the oracle's integer box test reads -x/nb in lowest terms as the
+    # Fraction does, also when x and nb share the factor k
+    x, nb = k * x, k * nb
+    c = Fraction(-x, nb)
+    assert kummer._past_box([x], nb) == (max(abs(c.numerator), c.denominator) > 100)
 
 
 class TestOracle:
@@ -427,6 +451,20 @@ class TestOracle:
             assert type(block) is tuple and len(block) == euler_phi(12)
             assert all(type(row) is tuple for row in block)
         assert type(kummer._zeta_powers(12)) is tuple
+        assert kummer._zeta_floats(12) == tuple(map(complex, kummer._zeta_powers(12)))
+
+    def test_unit_phases(self):
+        # the kept phases are the oracle's former inline expression, bit
+        # for bit, for every e the cap admits
+        import mpmath as mp
+
+        with mp.workdps(kummer._ORACLE_DPS):
+            for e in range(1, kummer.ORACLE_CAP + 1):
+                phases = kummer._unit_phases(e)
+                assert len(phases) == 2 * e
+                for tau, z in enumerate(phases):
+                    w = mp.e ** (1j * mp.pi * tau / e)
+                    assert (z.real, z.imag) == (w.real, w.imag)
 
     @pytest.mark.parametrize("e,m", [(8, 101), (2, 240), (0, 8), (-1, 8), (2, 0), (2, -8)])
     def test_refused_input_leaves_cache(self, e, m):
@@ -457,6 +495,13 @@ class TestOracle:
         # the oracle's cache keys are at most 127 moduli times the scales
         small = [m for m in range(1, 8193) if euler_phi(m) <= 64]
         assert len(small) == 127 and max(small) == 240
+        # e <= e * phi(m) <= 64: the unit phases are kept for at most 64 e
+        assert {e for e in range(1, 129) for m in small
+                if e * euler_phi(m) <= kummer.ORACLE_CAP} == set(range(1, 65))
+        before = oracle_cache_sizes()
+        with pytest.raises(ValueError, match=r"e \* phi\(m\) = 65 exceeds the oracle cap 64"):
+            root_membership_oracle(2, 65, 1)
+        assert oracle_cache_sizes() == before
 
     def test_agreement_sample(self):
         # the full grid runs in the acceptance suite; spot-check here
