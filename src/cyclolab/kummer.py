@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from ._arith import as_fraction, check_cap, divisors, euler_phi, factorize, iroot, positive
 from .cyclotomic import CyclotomicNumber, zeta
-from .lattice import hnf, lll_reduce
+from .lattice import _gram, hnf, lll_reduce
 
 __all__ = [
     "KummerQuery",
@@ -301,21 +301,23 @@ def _unit_phases(e: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _zeta_block(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The phi(m) zeta rows of the oracle's lattice at ORACLE_SCALES[k],
-    LLL-reduced.  Block k > 0 starts from U times its raw rows, U the
-    identity part of block k - 1 (see `root_membership_oracle`)."""
+def _zeta_block(m: int, k: int) -> tuple:
+    """(rows, gram): the phi(m) zeta rows of the oracle's lattice at
+    ORACLE_SCALES[k], LLL-reduced, and their `_gram` data (d, lam), all
+    tuples.  Block k > 0 starts from U times its raw rows, U the identity
+    part of block k - 1 (see `root_membership_oracle`)."""
     import mpmath as mp
 
     phi = euler_phi(m)
-    U = ([list(r[:phi]) for r in _zeta_block(m, k - 1)] if k else
+    U = ([list(r[:phi]) for r in _zeta_block(m, k - 1)[0]] if k else
          [[1 if j == i else 0 for j in range(phi)] for i in range(phi)])
     with mp.workdps(_ORACLE_DPS):
         S = mp.mpf(ORACLE_SCALES[k])
         pts = [(int(mp.nint(S * z.real)), int(mp.nint(S * z.imag))) for z in _zeta_powers(m)]
-    return tuple(map(tuple, lll_reduce(
-        [u + [0, sum(c * x for c, (x, _) in zip(u, pts)),
-              sum(c * y for c, (_, y) in zip(u, pts))] for u in U])))
+    rows = lll_reduce([u + [0, sum(c * x for c, (x, _) in zip(u, pts)),
+                            sum(c * y for c, (_, y) in zip(u, pts))] for u in U])
+    d, lam = _gram(rows)
+    return tuple(map(tuple, rows)), (tuple(d), tuple(map(tuple, lam)))
 
 
 def _past_box(xs, nb: int) -> bool:
@@ -339,18 +341,22 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     real and imaginary parts, rounded; a last row holds beta.  The phi(m)
     zeta rows depend only on m and the scale, so each scale's block is
     LLL-reduced once per process per (m, scale), when first needed, and
-    kept (`_zeta_block`); every tau reduces only that block plus its beta
-    row.  The reduced block's identity part is the unimodular transform U
-    it applied, so the next scale's block starts from U times its raw zeta
-    rows: the same lattice, already close to reduced (the gradual
-    precision of van Hoeij and Novocin, "Gradual sub-lattice reduction and
-    a new complexity for factoring polynomials", LATIN 2010).
+    kept (`_zeta_block`) with its `_gram` data.  Every tau reduces only
+    that block plus its beta row, and `lll_reduce` starts at the beta row
+    from the kept data, with the rows a cold reduction gives (see
+    `lll_reduce`).  The reduced block's identity part is the unimodular
+    transform U it applied, so the next scale's block starts from U times
+    its raw zeta rows: the same lattice, already close to reduced (the
+    gradual precision of van Hoeij and Novocin, "Gradual sub-lattice
+    reduction and a new complexity for factoring polynomials", LATIN 2010).
 
     The process also keeps the zeta_m^i as complex floats per m, for the
     candidate check (`_zeta_floats`), and the 2e unit phases zeta_(2e)^tau
     per e (`_unit_phases`).  The inputs are checked before any cache is
     read, and e * phi(m) <= ORACLE_CAP admits 127 moduli and 64 values of
     e: at most 254 blocks, 127 float rows and 64 phase rows are ever kept.
+    All 254 blocks with their Gram data keep ~21 MB resident (~8 MB for
+    the rows alone), measured by filling every key.
     """
     import mpmath as mp
 
@@ -370,8 +376,9 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
         for tau in range(parity, 2 * e, 2):
             beta = mag * phases[tau]
             for k, (scale, S) in enumerate(zip(ORACLE_SCALES, scales)):
-                reduced = lll_reduce(list(_zeta_block(m, k)) + [
-                    [0] * phi + [1, int(mp.nint(S * beta.real)), int(mp.nint(S * beta.imag))]])
+                block, gram = _zeta_block(m, k)
+                reduced = lll_reduce([*block, [0] * phi + [
+                    1, int(mp.nint(S * beta.real)), int(mp.nint(S * beta.imag))]], gram)
                 reduced.sort(key=lambda r: max(map(abs, r)))
                 for vec in reduced:
                     nb = vec[phi]

@@ -5,8 +5,13 @@ Everything here works on plain Python integers (arbitrary precision) and
 lists of lists; no numpy and no floats.  Row convention: a lattice is the
 set of integer combinations of the basis rows.  `_echelon` is the one
 integer elimination: `hnf`, the kernel and, through `hnf`, kummer's rank
-test are built on it.  `_gram` is the one Gram-Schmidt, shared by
-`lll_reduce` and `shortest_relation`.
+test are built on it.  `_rows` is the one reader of a row matrix: it
+copies the rows as integers (`operator.index`) and refuses ragged ones,
+for `hnf`, the kernel, `lll_reduce` and, through it, `shortest_relation`.
+`_gram` is the one Gram-Schmidt, shared by `lll_reduce` and
+`shortest_relation`; it extends the data of an LLL-reduced prefix by the
+rows after it, so a caller that keeps a reduced block and its `_gram`
+data (kummer's oracle) has `lll_reduce` start at the first new row.
 """
 from __future__ import annotations
 
@@ -32,6 +37,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _rows(rows) -> list[list[int]]:
+    """The rows as new lists of integers (`operator.index`, TypeError
+    otherwise); ValueError unless all have one length."""
+    out = [list(map(index, r)) for r in rows]
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ValueError("rows of different lengths")
+    return out
+
+
 def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """(H, U) with U unimodular and U*A = H in row echelon form, zero rows last.
 
@@ -40,8 +54,8 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     or below the current row are folded into a single pivot by 2x2
     unimodular xgcd steps, applied to A and to the identity alongside.
     """
-    m = len(rows)
-    H = [list(r) for r in rows]
+    H = _rows(rows)
+    m = len(H)
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     row = 0
     for col in range(len(H[0]) if H else 0):
@@ -112,14 +126,18 @@ def relation_lattice_basis(window: list[tuple[int, list[int]]]) -> list[list[int
     return hnf([x[:M] for x in kernel_of_matrix(rows)])
 
 
-def _gram(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+def _gram(b: list[list[int]], prefix=((1,), ())) -> tuple[list[int], list[list[int]]]:
     """The integral Gram-Schmidt data (d, lam) of the rows b, as defined in
     `lll_reduce`: d[i] = d_i for i = 0..n and lam[i][j] = lambda_ij for
-    j < i.  Raises ValueError when the rows are linearly dependent."""
-    n = len(b)
-    d = [1] * (n + 1)
-    lam = [[0] * i for i in range(n)]
-    for i in range(n):
+    j < i.  `prefix` is the data of the first P rows, d_0..d_P and
+    lambda rows 0..P-1 (by default that of no rows): it is copied, and
+    only rows P.. are computed, since row i's data depends on rows 0..i
+    alone.  Raises ValueError when the rows are linearly dependent."""
+    d0, lam0 = prefix
+    n, P = len(b), len(d0) - 1
+    d = [*d0] + [1] * (n - P)
+    lam = [[*r] for r in lam0] + [[0] * i for i in range(P, n)]
+    for i in range(P, n):
         for j in range(i + 1):
             u = sum(x * y for x, y in zip(b[i], b[j]))
             for t in range(j):
@@ -133,7 +151,7 @@ def _gram(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return d, lam
 
 
-def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
+def lll_reduce(basis: list[list[int]], prefix=((1,), ())) -> list[list[int]]:
     """Exact integral LLL reduction, rows in, rows out (zero rows dropped).
 
     Integral LLL (Cohen, *A Course in Computational Algebraic Number
@@ -152,14 +170,23 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     Python's `round` rounds a `Fraction`.  So every swap and reduction is
     the one the textbook algorithm takes on the rationals mu_ij and
     |b*_i|^2.  Raises ValueError when the nonzero rows are linearly
-    dependent (some d_i is 0).
+    dependent (some d_i is 0), and refuses rows as `_rows` does.
+
+    `prefix` is the `_gram` data (d, lam) of the first P rows of `basis`
+    (by default P = 0); those rows must be an output of `lll_reduce`, so
+    nonzero and independent.  It is not modified: only the rows after
+    them get new data, and the loop starts at k = max(P, 1).  The rows
+    returned are the same as without `prefix`.  On a reduced prefix every
+    |mu_kj| <= 1/2, so each size-reduction multiplier rounds to 0 (an
+    exact half to even), and every Lovasz test passes; walking k = 1..P-1
+    would change nothing and reach k = P with exactly this data.
     """
-    b = [list(r) for r in basis if any(r)]
+    b = [r for r in _rows(basis) if any(r)]
     n = len(b)
     if n <= 1:
         return b
     p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
-    d, lam = _gram(b)
+    d, lam = _gram(b, prefix)
 
     def size_reduce(k, j):
         r, rem = divmod(lam[k][j], d[j + 1])
@@ -172,7 +199,7 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
             lam[k][:j] = [x - r * y for x, y in zip(lam[k], lam[j])]
             lam[k][j] -= r * d[j + 1]
 
-    k = 1
+    k = max(len(prefix[0]) - 1, 1)
     while k < n:
         size_reduce(k, k - 1)
         lk = lam[k][k - 1]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclolab import kummer
 from cyclolab.cyclotomic import CyclotomicNumber, zeta, euler_phi
-from cyclolab.lattice import hnf
+from cyclolab.lattice import _gram, hnf
 from cyclolab.kummer import (
     _nth_root_rational,
     _zeta_order_in_cyclotomic,
@@ -414,12 +414,19 @@ class TestOracle:
     @pytest.mark.parametrize("a,e,m", [(2, 2, 5), (-2, 3, 9), (3, 4, 12), (5, 2, 19)])
     def test_lattice_identity(self, a, e, m, monkeypatch, oracle_lattice):
         # every beta lattice LLL sees is the oracle's lattice at its scale,
-        # and the zeta block is reduced once per (m, scale) in a process:
-        # once per scale on the first call, never on a later call at that m
+        # and carries its block's Gram data as the prefix; the zeta block is
+        # reduced once per (m, scale) in a process: once per scale on the
+        # first call, never on a later call at that m
         kummer._zeta_block.cache_clear()
-        inputs = []
+        inputs, prefixes = [], []
         real = kummer.lll_reduce
-        monkeypatch.setattr(kummer, "lll_reduce", lambda rows: inputs.append(rows) or real(rows))
+
+        def stub(rows, *prefix):
+            inputs.append(rows)
+            prefixes.append(prefix)
+            return real(rows, *prefix)
+
+        monkeypatch.setattr(kummer, "lll_reduce", stub)
         phi = euler_phi(m)
 
         def beta(a, tau):
@@ -427,16 +434,22 @@ class TestOracle:
 
         def run(a):
             inputs.clear()
+            prefixes.clear()
             assert root_membership_oracle(a, e, m).status == "false"  # every (tau, scale) runs
             taus = range(0 if a > 0 else 1, 2 * e, 2)
             blocks = [rows for rows in inputs if len(rows) == phi]
-            lattices = [rows for rows in inputs if len(rows) == phi + 1]
+            lattices = [(rows, prefix) for rows, prefix in zip(inputs, prefixes)
+                        if len(rows) == phi + 1]
             assert len(blocks) + len(lattices) == len(inputs)
             assert len(lattices) == len(taus) * len(kummer.ORACLE_SCALES)
-            want = [oracle_lattice(m, beta(a, tau), scale)
-                    for tau in taus for scale in kummer.ORACLE_SCALES]
-            for rows, ref in zip(lattices, want):
+            want = [(oracle_lattice(m, beta(a, tau), scale), k)
+                    for tau in taus for k, scale in enumerate(kummer.ORACLE_SCALES)]
+            for (rows, prefix), (ref, k) in zip(lattices, want):
                 assert hnf(rows) == hnf(ref)
+                block, gram = kummer._zeta_block(m, k)
+                assert rows[:phi] == list(block) and prefix == (gram,)
+                d, lam = _gram([list(r) for r in block])
+                assert gram == (tuple(d), tuple(map(tuple, lam)))
             return blocks
 
         blocks = run(a)
@@ -447,9 +460,9 @@ class TestOracle:
 
     def test_cached_rows_are_tuples(self):
         for k in range(len(kummer.ORACLE_SCALES)):
-            block = kummer._zeta_block(12, k)
+            block, (d, lam) = kummer._zeta_block(12, k)
             assert type(block) is tuple and len(block) == euler_phi(12)
-            assert all(type(row) is tuple for row in block)
+            assert all(type(row) is tuple for row in (*block, d, lam, *lam))
         assert type(kummer._zeta_powers(12)) is tuple
         assert kummer._zeta_floats(12) == tuple(map(complex, kummer._zeta_powers(12)))
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from cyclolab import lattice
+from cyclolab import kummer, lattice
+from cyclolab._arith import euler_phi
 from cyclolab.kummer import ORACLE_SCALES
 from cyclolab.lattice import (
     LLL_DELTA,
@@ -445,3 +446,92 @@ def test_lll_reduce_rejects_dependent_rows(rows):
 def test_lll_reduce_drops_zero_rows():
     assert lll_reduce([[0, 0], [3, 4], [0, 0]]) == [[3, 4]]
     assert lll_reduce([[0, 0, 0], [1, 1, 0], [0, 0, 0], [1, 0, 0]]) == [[1, 0, 0], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("call, rows, error", [
+    (lll_reduce, [[1, 0, 5], [0, 1]], ValueError),
+    (shortest_relation, [[3, 0, 5], [0, 2]], ValueError),
+    (kernel_of_matrix, [[1, 2], [3]], ValueError),
+    (hnf, [[1, 2], [3, 4, 5]], ValueError),
+    (hnf, [[1.5, 2], [0, 1]], TypeError),
+    (lll_reduce, [[1.5, 2], [0, 1]], TypeError),
+    (shortest_relation, [[1, Fraction(1, 2)]], TypeError),
+    (kernel_of_matrix, [[1, "2"]], TypeError),
+])
+def test_lattice_inputs_read_as_integer_rows(call, rows, error):
+    # each reader refuses ragged rows and non-integer entries; at an
+    # earlier commit the first two returned a basis of other rows, the third
+    # raised IndexError, the fifth returned [[1.5, 0], [0, 1]]
+    with pytest.raises(error):
+        call(rows)
+
+
+@st.composite
+def _warm_start_case(draw):
+    """A basis for a prefix and 1-2 rows to append after it: short rows,
+    long rows, or integer combinations of the prefix rows (dependent)."""
+    c = draw(st.integers(2, 6))
+    P = draw(st.integers(1, c - 1))
+    long = st.integers(-10**6, 10**6)
+    prefix = draw(st.lists(st.lists(long, min_size=c, max_size=c), min_size=P, max_size=P))
+    assume(len(hnf(prefix)) == P)
+    combination = st.lists(st.integers(-3, 3), min_size=P, max_size=P).map(
+        lambda x: [sum(a * r[j] for a, r in zip(x, prefix)) for j in range(c)])
+    row = st.one_of(st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+                    st.lists(long, min_size=c, max_size=c), combination)
+    return prefix, draw(st.lists(row, min_size=1, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_warm_start_case())
+@example(([[1000, 0, 1], [0, 1000, 1]], [[1, 1, 0]]))
+def test_lll_reduce_warm_start(case):
+    # rows appended to an LLL-reduced prefix and reduced from the prefix's
+    # Gram data come out as a cold reduction of all the rows gives them;
+    # the data is only read, so a second insertion from it does the same
+    prefix, new = case
+    prefix = lll_reduce(prefix)
+    gram = lattice._gram(prefix)
+    rows = prefix + new
+    try:
+        cold = lll_reduce(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            lll_reduce(rows, gram)
+        return
+    assert lll_reduce(rows, gram) == cold == _lll_reduce_fraction(rows)
+    assert lll_reduce(rows, gram) == cold and gram == lattice._gram(prefix)
+
+
+def test_lll_reduce_warm_start_swaps_to_front():
+    prefix = lll_reduce([[1000, 0, 1], [0, 1000, 1]])
+    rows = prefix + [[1, 1, 0]]
+    assert lll_reduce(rows, lattice._gram(prefix))[0] == [1, 1, 0]
+
+
+def test_lll_reduce_warm_start_on_oracle_blocks():
+    # every block the oracle pools use (m <= 24, both scales), with seeded
+    # beta rows: random points, and points with a short relation to the
+    # zeta_m^i, whose row LLL swaps down to the front
+    import mpmath as mp
+
+    rng = random.Random(50)
+    for m in range(1, 25):
+        phi = euler_phi(m)
+        for k, scale in enumerate(ORACLE_SCALES):
+            block, gram = kummer._zeta_block(m, k)
+            d, lam = lattice._gram([list(r) for r in block])
+            assert gram == (tuple(d), tuple(map(tuple, lam)))
+            with mp.workdps(kummer._ORACLE_DPS):
+                zs = kummer._zeta_powers(m)
+                betas = [mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(2)]
+                betas += [sum(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) * z for z in zs)
+                          for _ in range(2)]
+                tails = [[1, int(mp.nint(scale * b.real)), int(mp.nint(scale * b.imag))]
+                         for b in betas]
+            for tail in tails:
+                rows = [*block, [0] * phi + tail]
+                warm = lll_reduce(rows, gram)
+                assert warm == lll_reduce(rows), (m, k, tail)
+                if phi <= 8:
+                    assert warm == _lll_reduce_fraction(rows), (m, k, tail)
