@@ -448,7 +448,7 @@ class TestOracle:
                 assert hnf(rows) == hnf(ref)
                 block, gram = kummer._zeta_block(m, k)
                 assert rows[:phi] == list(block) and prefix == (gram,)
-                d, lam = _gram([list(r) for r in block])
+                d, lam = _gram(block)
                 assert gram == (tuple(d), tuple(map(tuple, lam)))
             return blocks
 

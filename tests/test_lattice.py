@@ -520,7 +520,7 @@ def test_lll_reduce_warm_start_on_oracle_blocks():
         phi = euler_phi(m)
         for k, scale in enumerate(ORACLE_SCALES):
             block, gram = kummer._zeta_block(m, k)
-            d, lam = lattice._gram([list(r) for r in block])
+            d, lam = lattice._gram(block)
             assert gram == (tuple(d), tuple(map(tuple, lam)))
             with mp.workdps(kummer._ORACLE_DPS):
                 zs = kummer._zeta_powers(m)
