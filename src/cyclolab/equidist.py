@@ -87,13 +87,15 @@ def weyl_sum(orbit: RootTupleOrbit, n: Sequence[int]) -> Fraction:
 
 
 def parse_window(text: str) -> list[tuple[int, list[int]]]:
-    """Read a window "m1:k1,k2;m2:k1,k2;...", one instance m:k per entry;
-    ValueError naming the entry on any other text."""
+    """Read a window "m1:k1,k2;m2:k1,k2;...": one instance m:k, with one or
+    more k, per entry; ValueError naming the entry on any other text."""
     window = []
     for part in text.split(";"):
         m_s, _, k_s = part.partition(":")
         try:
             window.append((int(m_s), [int(t) for t in k_s.split(",") if t.strip()]))
+            if not window[-1][1]:
+                raise ValueError("no exponents")
         except ValueError as exc:
             raise ValueError(f'cannot read {part!r} as an instance "m:k1,k2": {exc}') from None
     return window

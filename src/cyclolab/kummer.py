@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from ._arith import as_fraction, check_cap, divisors, euler_phi, factorize, iroot, positive
 from .cyclotomic import CyclotomicNumber, zeta
-from .lattice import _gram, hnf, lll_reduce
+from .lattice import hnf, lll_reduce
 
 __all__ = [
     "KummerQuery",
@@ -303,9 +303,9 @@ def _unit_phases(e: int) -> tuple:
 @lru_cache(maxsize=None)
 def _zeta_block(m: int, k: int) -> tuple:
     """(rows, gram): the phi(m) zeta rows of the oracle's lattice at
-    ORACLE_SCALES[k], LLL-reduced, and their `_gram` data (d, lam), all
-    tuples.  Block k > 0 starts from U times its raw rows, U the identity
-    part of block k - 1 (see `root_membership_oracle`)."""
+    ORACLE_SCALES[k] and their Gram data (d, lam), as `lll_reduce` returns
+    them, all tuples.  Block k > 0 starts from U times its raw rows, U the
+    identity part of block k - 1 (see `root_membership_oracle`)."""
     import mpmath as mp
 
     phi = euler_phi(m)
@@ -314,9 +314,8 @@ def _zeta_block(m: int, k: int) -> tuple:
     with mp.workdps(_ORACLE_DPS):
         S = mp.mpf(ORACLE_SCALES[k])
         pts = [(int(mp.nint(S * z.real)), int(mp.nint(S * z.imag))) for z in _zeta_powers(m)]
-    rows = lll_reduce([u + [0, sum(c * x for c, (x, _) in zip(u, pts)),
-                            sum(c * y for c, (_, y) in zip(u, pts))] for u in U])
-    d, lam = _gram(rows)
+    rows, (d, lam) = lll_reduce([u + [0, sum(c * x for c, (x, _) in zip(u, pts)),
+                                      sum(c * y for c, (_, y) in zip(u, pts))] for u in U])
     return tuple(map(tuple, rows)), (tuple(d), tuple(map(tuple, lam)))
 
 
@@ -341,10 +340,10 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
     real and imaginary parts, rounded; a last row holds beta.  The phi(m)
     zeta rows depend only on m and the scale, so each scale's block is
     LLL-reduced once per process per (m, scale), when first needed, and
-    kept (`_zeta_block`) with its `_gram` data.  Every tau reduces only
-    that block plus its beta row, and `lll_reduce` starts at the beta row
-    from the kept data, with the rows a cold reduction gives (see
-    `lll_reduce`).  The reduced block's identity part is the unimodular
+    kept (`_zeta_block`) with its Gram data from `lll_reduce`.  Every tau
+    reduces only that block plus its beta row, and `lll_reduce` starts at
+    the beta row from the kept data, with the rows a cold reduction gives
+    (see `lll_reduce`).  The reduced block's identity part is the unimodular
     transform U it applied, so the next scale's block starts from U times
     its raw zeta rows: the same lattice, already close to reduced (the
     gradual precision of van Hoeij and Novocin, "Gradual sub-lattice
@@ -378,7 +377,7 @@ def root_membership_oracle(a, e: int, m: int) -> OracleReport:
             for k, (scale, S) in enumerate(zip(ORACLE_SCALES, scales)):
                 block, gram = _zeta_block(m, k)
                 reduced = lll_reduce([*block, [0] * phi + [
-                    1, int(mp.nint(S * beta.real)), int(mp.nint(S * beta.imag))]], gram)
+                    1, int(mp.nint(S * beta.real)), int(mp.nint(S * beta.imag))]], gram)[0]
                 reduced.sort(key=lambda r: max(map(abs, r)))
                 for vec in reduced:
                     nb = vec[phi]

@@ -8,10 +8,10 @@ integer elimination: `hnf`, the kernel and, through `hnf`, kummer's rank
 test are built on it.  `_rows` is the one reader of a row matrix: it
 copies the rows as integers (`operator.index`) and refuses ragged ones,
 for `hnf`, the kernel, `lll_reduce` and, through it, `shortest_relation`.
-`_gram` is the one Gram-Schmidt, shared by `lll_reduce` and
-`shortest_relation`; it extends the data of an LLL-reduced prefix by the
-rows after it, so a caller that keeps a reduced block and its `_gram`
-data (kummer's oracle) has `lll_reduce` start at the first new row.
+`_gram` is the one Gram-Schmidt, called by `lll_reduce` alone, which
+returns its rows with the data (d, lam) its loop keeps exact for them:
+`shortest_relation` enumerates on it, and a caller that keeps a reduced
+block with it (kummer's oracle) has `lll_reduce` start at the first new row.
 """
 from __future__ import annotations
 
@@ -151,8 +151,9 @@ def _gram(b: list[list[int]], prefix=((1,), ())) -> tuple[list[int], list[list[i
     return d, lam
 
 
-def lll_reduce(basis: list[list[int]], prefix=((1,), ())) -> list[list[int]]:
-    """Exact integral LLL reduction, rows in, rows out (zero rows dropped).
+def lll_reduce(basis: list[list[int]], prefix=((1,), ())) -> tuple[list[list[int]], tuple]:
+    """Exact integral LLL reduction: (rows, (d, lam)), the reduced rows
+    (zero rows dropped) and their `_gram` data, kept exact by the loop.
 
     Integral LLL (Cohen, *A Course in Computational Algebraic Number
     Theory*, Alg. 2.6.7; de Weger 1987).  With b*_i the Gram-Schmidt
@@ -172,9 +173,9 @@ def lll_reduce(basis: list[list[int]], prefix=((1,), ())) -> list[list[int]]:
     |b*_i|^2.  Raises ValueError when the nonzero rows are linearly
     dependent (some d_i is 0), and refuses rows as `_rows` does.
 
-    `prefix` is the `_gram` data (d, lam) of the first P rows of `basis`
-    (by default P = 0); those rows must be an output of `lll_reduce`, so
-    nonzero and independent.  It is not modified: only the rows after
+    `prefix` is the data (d, lam) of the first P rows of `basis` (by
+    default P = 0); those rows, with it, must be an output of `lll_reduce`,
+    so nonzero and independent.  It is not modified: only the rows after
     them get new data, and the loop starts at k = max(P, 1).  The rows
     returned are the same as without `prefix`.  On a reduced prefix every
     |mu_kj| <= 1/2, so each size-reduction multiplier rounds to 0 (an
@@ -183,8 +184,6 @@ def lll_reduce(basis: list[list[int]], prefix=((1,), ())) -> list[list[int]]:
     """
     b = [r for r in _rows(basis) if any(r)]
     n = len(b)
-    if n <= 1:
-        return b
     p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
     d, lam = _gram(b, prefix)
 
@@ -219,7 +218,7 @@ def lll_reduce(basis: list[list[int]], prefix=((1,), ())) -> list[list[int]]:
                 row[k - 1] = (d_new * t + lk * u) // d_next
             d[k] = d_new
             k = max(k - 1, 1)
-    return b
+    return b, (d, lam)
 
 
 def shortest_relation(basis: list[list[int]]) -> list[int] | None:
@@ -230,16 +229,15 @@ def shortest_relation(basis: list[list[int]]) -> list[int] | None:
     |v|^2 <= M * R^2, so a depth-first enumeration over c_(n-1), ..., c_0
     finds them all (Fincke-Pohst 1985, Schnorr-Euchner 1994), R falling to
     the best max-norm found so far.  Each bound is an integer comparison
-    on the data of `_gram`: |v|^2 = sum_i T_i^2 / (d_i * d_(i+1)) with
+    on the `lll_reduce` data: |v|^2 = sum_i T_i^2 / (d_i * d_(i+1)) with
     T_i = d_(i+1) * c_i + sum_(j>i) lambda_ji * c_j.  Ties go to the first
     LLL row, then to the least (c_0, ..., c_(n-1)); the first nonzero entry
     is made positive.  Raises ValueError past ENUM_NODES search nodes.
     """
-    red = lll_reduce(basis)
+    red, (d, lam) = lll_reduce(basis)
     if not red:
         return None
     n, M = len(red), len(red[0])
-    d, lam = _gram(red)
     row = min(red, key=lambda v: max(map(abs, v)))
     best = (max(map(abs, row)), (), row)  # max-norm, coefficients, vector
     bound = best[0] - 1  # the greatest max-norm still sought

@@ -327,6 +327,10 @@ class TestCommands:
         (["strict-check", "--seq", "11:1,1;x:1"],
          """cannot read 'x:1' as an instance "m:k1,k2": """
          "invalid literal for int() with base 10: 'x'"),
+        (["strict-check", "--seq", "5;7"],
+         """cannot read '5' as an instance "m:k1,k2": no exponents"""),
+        (["strict-check", "--seq", "5:;7:"],
+         """cannot read '5:' as an instance "m:k1,k2": no exponents"""),
         (["weyl", "--m", "12", "--k", "2,x", "--n", "3,2"],
          """cannot read --k '2,x' as integers such as "2,3\""""),
         (["weyl", "--m", "12", "--k", "2,3", "--n", "3,1.5"],
@@ -342,14 +346,16 @@ class TestCommands:
          """ such as "(-3)\""""),
     ], ids=["kummer-a-1/0", "kummer-a-x", "flat-verify-mu-1/0", "reduce-mu-half", "height-radical",
             "sum-double-star", "sum-trailing-star", "sum-lone-minus", "sum-factor-1/0",
-            "strict-check-seq", "weyl-k", "weyl-n", "flat-search-exponents", "orbit-c",
-            "flat-verify-numeric-coeffs", "sum-sign-after-star"])
+            "strict-check-seq", "strict-check-no-colon", "strict-check-no-exponents", "weyl-k",
+            "weyl-n", "flat-search-exponents", "orbit-c", "flat-verify-numeric-coeffs",
+            "sum-sign-after-star"])
     def test_text_refusals_name_the_text(self, capsys, argv, message):
         # each was a bare "Fraction(1, 0)", "Invalid literal for Fraction: ...",
         # "invalid literal for int() ..." or "complex() arg is a malformed
         # string", or, for an empty factor, accepted: "2 ** 3" read 6, and
         # "1 - - 2^(1/2)" read 1 - 1 - 2^(1/2); "2 * -3" was refused as an
-        # empty factor in the term "2 *"
+        # empty factor in the term "2 *"; a window entry with no exponent was
+        # read as an instance with none, and "5;7" had no obstruction
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and err == f"error: {message}\n"

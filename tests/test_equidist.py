@@ -574,6 +574,12 @@ class TestLatticeCount:
     pytest.param(lambda: parse_window("11:1,1;x:1"), ValueError,
                  """^cannot read 'x:1' as an instance "m:k1,k2": invalid literal""",
                  id="window-text"),
+    pytest.param(lambda: parse_window("5;7"), ValueError,
+                 """^cannot read '5' as an instance "m:k1,k2": no exponents$""",
+                 id="window-no-colon"),
+    pytest.param(lambda: parse_window("7:1;5:,"), ValueError,
+                 """^cannot read '5:,' as an instance "m:k1,k2": no exponents$""",
+                 id="window-no-exponents"),
     pytest.param(lambda: relation_lattice(7.0, (1, 2)), TypeError,
                  "cannot be interpreted as an integer", id="relation-m-float"),
 ])

@@ -139,7 +139,7 @@ def test_lll_preserves_lattice_and_shortens():
         h = hnf(M)
         if len(h) != n:
             continue
-        red = lll_reduce(M)
+        red = lll_reduce(M)[0]
         assert hnf(red) == h
         norm = lambda v: sum(x * x for x in v)
         assert min(norm(v) for v in red) <= min(norm(v) for v in M)
@@ -155,7 +155,7 @@ def test_lll_first_vector_quality():
         h = hnf(M)
         if len(h) != n:
             continue
-        red = lll_reduce(M)
+        red = lll_reduce(M)[0]
         # brute force shortest over small combinations of the reduced basis
         best = None
         rng2 = range(-4, 5)
@@ -181,7 +181,7 @@ def test_shortest_relation():
 
 def test_shortest_relation_beats_lll_rows():
     basis = relation_lattice_basis([(K_MOD, K_ROW), (K_MOD, K_ROW)])
-    assert min(max(map(abs, v)) for v in lll_reduce(basis)) == 6
+    assert min(max(map(abs, v)) for v in lll_reduce(basis)[0]) == 6
     rel = shortest_relation(basis)
     assert rel == [4, -2, 3, -4, 3, 5]
     assert in_lattice(basis, rel) and sum(a * b for a, b in zip(rel, K_ROW)) % K_MOD == 0
@@ -219,7 +219,7 @@ def test_shortest_relation_brute_force():
     for window in TIES + windows:
         M = len(window[0][1])
         basis = relation_lattice_basis(window)
-        red = lll_reduce(basis)
+        red = lll_reduce(basis)[0]
         rel = shortest_relation(basis)
         R = max(map(abs, rel))
         member = _relations(window)
@@ -273,7 +273,7 @@ def test_shortest_relation_matches_fraction_enumeration():
     while checked < 6:
         M, m = rng.randint(5, 6), rng.randint(2, 10**6)
         basis = relation_lattice_basis([(m, [rng.randrange(m) for _ in range(M)])])
-        red, rel = lll_reduce(basis), shortest_relation(basis)
+        red, rel = lll_reduce(basis)[0], shortest_relation(basis)
         R = max(map(abs, rel))
         if min(max(map(abs, v)) for v in red) == R:
             continue
@@ -406,7 +406,7 @@ def test_lll_reduce_matches_fraction_reference_on_oracle_lattices(m, oracle_latt
     for beta in (lambda mp: mp.sqrt(2), lambda mp: 1j * mp.cbrt(3)):
         for scale in ORACLE_SCALES:
             rows = oracle_lattice(m, beta, scale)
-            assert lll_reduce(rows) == _lll_reduce_fraction(rows), (m, scale)
+            assert lll_reduce(rows)[0] == _lll_reduce_fraction(rows), (m, scale)
 
 
 @st.composite
@@ -422,15 +422,17 @@ def _full_rank(draw):
 @settings(max_examples=150, deadline=None)
 @given(_full_rank())
 def test_lll_reduce_matches_fraction_reference(M):
-    assert lll_reduce(M) == _lll_reduce_fraction(M)
+    # the rows are the reference's, returned with their Gram data
+    rows, gram = lll_reduce(M)
+    assert rows == _lll_reduce_fraction(M) and gram == lattice._gram(rows)
 
 
 def test_lll_reduce_ties():
     # mu = 1/2 and mu = 3/2 at the first size reduction: round() gives 0 and 2
-    assert lll_reduce([[2, 0], [1, 1]]) == [[1, 1], [1, -1]]
-    assert lll_reduce([[2, 0], [3, 1]]) == [[-1, 1], [1, 1]]
+    assert lll_reduce([[2, 0], [1, 1]])[0] == [[1, 1], [1, -1]]
+    assert lll_reduce([[2, 0], [3, 1]])[0] == [[-1, 1], [1, 1]]
     # mu = 1/2, |b*_1|^2 = 2 = (3/4 - 1/4) * |b_0|^2: Lovasz holds, no swap
-    assert lll_reduce([[2, 0, 0], [1, 1, 1]]) == [[2, 0, 0], [1, 1, 1]]
+    assert lll_reduce([[2, 0, 0], [1, 1, 1]])[0] == [[2, 0, 0], [1, 1, 1]]
 
 
 @pytest.mark.parametrize("rows", [
@@ -444,8 +446,8 @@ def test_lll_reduce_rejects_dependent_rows(rows):
 
 
 def test_lll_reduce_drops_zero_rows():
-    assert lll_reduce([[0, 0], [3, 4], [0, 0]]) == [[3, 4]]
-    assert lll_reduce([[0, 0, 0], [1, 1, 0], [0, 0, 0], [1, 0, 0]]) == [[1, 0, 0], [0, 1, 0]]
+    assert lll_reduce([[0, 0], [3, 4], [0, 0]])[0] == [[3, 4]]
+    assert lll_reduce([[0, 0, 0], [1, 1, 0], [0, 0, 0], [1, 0, 0]])[0] == [[1, 0, 0], [0, 1, 0]]
 
 
 @pytest.mark.parametrize("call, rows, error", [
@@ -487,11 +489,12 @@ def _warm_start_case(draw):
 @example(([[1000, 0, 1], [0, 1000, 1]], [[1, 1, 0]]))
 def test_lll_reduce_warm_start(case):
     # rows appended to an LLL-reduced prefix and reduced from the prefix's
-    # Gram data come out as a cold reduction of all the rows gives them;
-    # the data is only read, so a second insertion from it does the same
+    # Gram data come out, with their Gram data, as a cold reduction of all
+    # the rows gives them; the data is only read, so a second insertion
+    # from it does the same
     prefix, new = case
-    prefix = lll_reduce(prefix)
-    gram = lattice._gram(prefix)
+    prefix, gram = lll_reduce(prefix)
+    assert gram == lattice._gram(prefix)
     rows = prefix + new
     try:
         cold = lll_reduce(rows)
@@ -499,14 +502,15 @@ def test_lll_reduce_warm_start(case):
         with pytest.raises(ValueError, match="linearly dependent"):
             lll_reduce(rows, gram)
         return
-    assert lll_reduce(rows, gram) == cold == _lll_reduce_fraction(rows)
+    assert lll_reduce(rows, gram) == cold and cold[0] == _lll_reduce_fraction(rows)
+    assert cold[1] == lattice._gram(cold[0])
     assert lll_reduce(rows, gram) == cold and gram == lattice._gram(prefix)
 
 
 def test_lll_reduce_warm_start_swaps_to_front():
-    prefix = lll_reduce([[1000, 0, 1], [0, 1000, 1]])
+    prefix, gram = lll_reduce([[1000, 0, 1], [0, 1000, 1]])
     rows = prefix + [[1, 1, 0]]
-    assert lll_reduce(rows, lattice._gram(prefix))[0] == [1, 1, 0]
+    assert lll_reduce(rows, gram)[0][0] == [1, 1, 0]
 
 
 def test_lll_reduce_warm_start_on_oracle_blocks():
@@ -534,4 +538,4 @@ def test_lll_reduce_warm_start_on_oracle_blocks():
                 warm = lll_reduce(rows, gram)
                 assert warm == lll_reduce(rows), (m, k, tail)
                 if phi <= 8:
-                    assert warm == _lll_reduce_fraction(rows), (m, k, tail)
+                    assert warm[0] == _lll_reduce_fraction(rows), (m, k, tail)

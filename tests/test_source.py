@@ -377,3 +377,20 @@ def test_traced_names_resolve():
         assert callable(target), (modname, attr)
     from cyclolab.cyclotomic import CyclotomicNumber
     assert CyclotomicNumber.__rmul__ is CyclotomicNumber.__mul__
+
+
+def test_tracer_installs_from_bench_imports():
+    """The tracer finds each traced layer in `sys.modules`, so the modules
+    that bench/run.py imports must load every one: in a fresh process with
+    `src/` and then `bench/` put first on `sys.path` as run.py does, it
+    installs and uninstalls.  A layer imported only lazily, or only under
+    TYPE_CHECKING, by the package broke every traced run with a KeyError
+    that the test above, which imports each module itself, does not see."""
+    import subprocess
+    import sys
+
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2]); "
+            "import cyclolab, workloads, tracer; t = tracer.Tracer(); t.install(); t.uninstall()")
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC), str(ROOT / "bench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
